@@ -1,5 +1,5 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled kernels: same contract as ``lvf._kernels_py``.
+"""Compiled term-map kernels: same contract as ``lvf._kernels_py``.
 
 Coefficients stay exact (``fractions.Fraction`` objects); the speedup
 comes from C-level loops and dict plumbing, not from changing the
@@ -8,8 +8,6 @@ arithmetic.  Keep this file behaviourally identical to the pure twin.
 
 from fractions import Fraction
 from math import gcd
-
-cdef object _ZERO = Fraction(0)
 
 
 def pp_add(dict a, dict b):
@@ -220,64 +218,3 @@ def ep_diff(dict f, Py_ssize_t i):
                 else:
                     del out[k]
     return out
-
-
-def rref(list rows, Py_ssize_t ncols):
-    """Reduced row echelon form of a sparse rational matrix.
-
-    Same contract and pivot choice as the pure twin.
-    """
-    cdef list active = []
-    cdef list done = []
-    cdef list pivots = []
-    cdef dict r, pivot_row, nr
-    cdef object v, s, fac, inv, c
-    cdef Py_ssize_t col, idx, found
-    for r in rows:
-        if r:
-            active.append(dict(r))
-    for col in range(ncols):
-        pivot_row = None
-        found = -1
-        for idx in range(len(active)):
-            r = <dict>active[idx]
-            if col in r:
-                pivot_row = r
-                found = idx
-                break
-        if pivot_row is None:
-            continue
-        del active[found]
-        inv = 1 / pivot_row[col]
-        if inv != 1:
-            nr = {}
-            for c, v in pivot_row.items():
-                nr[c] = v * inv
-            pivot_row = nr
-        remaining = []
-        for r in active:
-            fac = r.get(col)
-            if fac is not None:
-                for c, v in pivot_row.items():
-                    s = r.get(c, _ZERO) - fac * v
-                    if s:
-                        r[c] = s
-                    elif c in r:
-                        del r[c]
-            if r:
-                remaining.append(r)
-        active = remaining
-        for r in done:
-            fac = r.get(col)
-            if fac is not None:
-                for c, v in pivot_row.items():
-                    s = r.get(c, _ZERO) - fac * v
-                    if s:
-                        r[c] = s
-                    elif c in r:
-                        del r[c]
-        done.append(pivot_row)
-        pivots.append(col)
-        if not active:
-            break
-    return pivots, done

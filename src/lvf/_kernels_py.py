@@ -15,15 +15,14 @@ expression layer:
 * a sparse matrix row is a dict mapping a column index to a nonzero
   ``Fraction``.
 
-A compiled twin with the same signatures lives in ``_kernels_c.pyx``;
-``lvf._kernels`` picks one at import time.  Both must return identical
-values on identical inputs.
+The exact elimination (``echelon_insert``, ``back_substitute``,
+``rref``) exists only here.  A compiled twin of the term-map kernels
+lives in ``_kernels_c.pyx``; ``lvf._kernels`` picks one at import time.
+Both must return identical values on identical inputs.
 """
 
 import math
 from fractions import Fraction
-
-_ZERO = Fraction(0)
 
 
 def pp_add(a, b):
@@ -186,53 +185,76 @@ def ep_diff(f, i):
     return out
 
 
+def _eliminate(row, col, prow):
+    """Clear column ``col`` of ``row`` with the pivot row ``prow``
+    (``prow[col] == 1``), in place."""
+    fac = row.pop(col)
+    for c, v in prow.items():
+        if c == col:
+            continue
+        s = row.get(c)
+        if s is None:
+            row[c] = -fac * v
+        else:
+            s -= fac * v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+
+
+def echelon_insert(table, row):
+    """Reduce ``row`` by the pivots of ``table`` and insert what is left.
+
+    ``table`` maps each pivot column to its row: pivot entry 1 and no
+    entry left of the pivot.  ``row`` is consumed (pass a copy).  Only
+    the leading entry is eliminated, repeatedly, so a stored row may
+    still hold entries in later pivot columns; :func:`back_substitute`
+    clears those once at the end.  Returns the new pivot column, or
+    None when the row reduces to zero.
+    """
+    while row:
+        col = min(row)
+        prow = table.get(col)
+        if prow is None:
+            inv = 1 / row[col]
+            if inv != 1:
+                row = {c: v * inv for c, v in row.items()}
+            table[col] = row
+            return col
+        _eliminate(row, col, prow)
+    return None
+
+
+def back_substitute(table):
+    """Reduced row echelon form ``(pivots, rows)`` of an echelon table.
+
+    Rows are fully reduced in place, from the last pivot to the first:
+    the rows of later pivots are final by then and hold no other pivot
+    column, so each elimination only adds free columns.
+    """
+    pivots = sorted(table)
+    for p in reversed(pivots):
+        row = table[p]
+        for q in [c for c in row if c != p and c in table]:
+            _eliminate(row, q, table[q])
+    return pivots, [table[p] for p in pivots]
+
+
 def rref(rows, ncols):
     """Reduced row echelon form of a sparse rational matrix.
 
-    ``rows`` is a list of sparse rows; the input is not mutated.  Returns
-    ``(pivots, out_rows)`` where ``pivots[k]`` is the pivot column of
-    ``out_rows[k]``, pivots strictly increasing, every pivot entry 1 and
-    eliminated from all other rows.  Deterministic: the first row (in
-    input order) with a nonzero entry in the current column is chosen.
+    ``rows`` is a list of sparse rows with columns in ``range(ncols)``;
+    the input is not mutated.  Returns ``(pivots, out_rows)`` where
+    ``pivots[k]`` is the pivot column of ``out_rows[k]``, pivots
+    strictly increasing, every pivot entry 1 and eliminated from all
+    other rows.  The reduced form of a matrix is unique, so it does not
+    depend on the order in which rows are inserted.
     """
-    active = [dict(r) for r in rows if r]
-    done = []
-    pivots = []
-    for col in range(ncols):
-        pivot_row = None
-        for idx, r in enumerate(active):
-            if col in r:
-                pivot_row = active.pop(idx)
+    table = {}
+    for r in rows:
+        if r:
+            echelon_insert(table, dict(r))
+            if len(table) == ncols:
                 break
-        if pivot_row is None:
-            continue
-        inv = 1 / pivot_row[col]
-        if inv != 1:
-            pivot_row = {c: v * inv for c, v in pivot_row.items()}
-        remaining = []
-        for r in active:
-            fac = r.get(col)
-            if fac is not None:
-                for c, v in pivot_row.items():
-                    s = r.get(c, _ZERO) - fac * v
-                    if s:
-                        r[c] = s
-                    elif c in r:
-                        del r[c]
-            if r:
-                remaining.append(r)
-        active = remaining
-        for r in done:
-            fac = r.get(col)
-            if fac is not None:
-                for c, v in pivot_row.items():
-                    s = r.get(c, _ZERO) - fac * v
-                    if s:
-                        r[c] = s
-                    elif c in r:
-                        del r[c]
-        done.append(pivot_row)
-        pivots.append(col)
-        if not active:
-            break
-    return pivots, done
+    return back_substitute(table)

@@ -1,7 +1,8 @@
 """Exact rational linear algebra on sparse rows.
 
-Thin wrappers around the rref kernel plus a dense determinant.  Rows
-are dicts mapping column index to a nonzero Fraction.
+Thin wrappers around the row-insert elimination kernel plus a dense
+determinant.  Rows are dicts mapping column index to a nonzero
+Fraction.
 """
 
 from __future__ import annotations
@@ -47,36 +48,30 @@ def solve_affine(
 
     Returns (particular, homogeneous basis, rank of M, witness) where
     witness is the index of an inconsistent input row (particular is
-    then None).
+    then None): the first row whose prefix makes the system
+    inconsistent.  One echelon pass over the augmented rows gives all
+    four: the witness is the row whose insertion creates a pivot in the
+    rhs column, and the rank counts the pivots left of it.
     """
-    def augmented(sub_rows, sub_rhs):
-        aug = []
-        for r, b in zip(sub_rows, sub_rhs):
-            row = dict(r)
-            if b:
-                row[ncols] = b
-            aug.append(row)
-        return aug
-
-    pivots, rrows = K.rref(augmented(rows, rhs), ncols + 1)
-    if ncols in pivots:
-        # witness: first row index whose prefix turns the system
-        # inconsistent (binary search, each probe one exact rref)
-        lo, hi = 1, len(rows)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p, _ = K.rref(augmented(rows[:mid], rhs[:mid]), ncols + 1)
-            if ncols in p:
-                hi = mid
-            else:
-                lo = mid + 1
-        return None, [], rank(rows, ncols), lo - 1
+    table: Dict[int, Row] = {}
+    witness = None
+    for i, (r, b) in enumerate(zip(rows, rhs)):
+        row = dict(r)
+        if b:
+            row[ncols] = b
+        if row and K.echelon_insert(table, row) == ncols:
+            witness = i
+        if len(table) > ncols:
+            break
+    if witness is not None:
+        return None, [], len(table) - 1, witness
+    pivots, rrows = K.back_substitute(table)
     particular: Row = {}
     for p, row in zip(pivots, rrows):
         b = row.get(ncols)
         if b:
             particular[p] = b
-    hom = nullspace(rows, ncols)
+    hom = nullspace_from_rref(pivots, rrows, ncols)
     return particular, hom, len(pivots), None
 
 

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from lvf import _linalg
 from lvf.errors import (
+    DependentBasis,
     LvfError,
     NotFiniteDimensionalWithinBound,
     NotInSpan,
@@ -123,7 +124,7 @@ def express_in_basis(field: VectorField, basis: Sequence[VectorField]) -> List[F
     for i, b in enumerate(blist):
         added, _ = tracker.insert(b)
         if not added:
-            raise LvfError(f"basis element {i} depends on the previous ones")
+            raise DependentBasis(f"basis element {i} depends on the previous ones")
     added, combo = tracker.insert(field)
     if added:
         raise NotInSpan(f"field is outside the span: {field}")

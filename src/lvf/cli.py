@@ -2,8 +2,10 @@
 
 Subcommands: bracket, rank, verify, centralizer, solve, structure,
 g2-check, catalog.  Exit status 0 on success or pass, 1 on a
-verification failure, 2 on usage or expression errors.  All numbers
-print as exact rationals; output is deterministic.
+verification failure, 2 on usage or expression errors, 3 on an internal
+error (a failed invariant, reported as a ``record kind=error
+class=internal`` line on stderr).  All numbers print as exact
+rationals; output is deterministic.
 
 ``LVF_CATALOG`` in the environment points the catalog-consuming
 subcommands at a catalog file instead of the builtin one.
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional
 
 from lvf import catalog as catmod
 from lvf import verify as vermod
-from lvf.errors import LvfError, ParseError
+from lvf.errors import InternalError, LvfError, ParseError
 from lvf.fields import format_field, generic_rank
 from lvf.obstruction import b2_sanity_control, g2_obstruction
 from lvf.parsing import parse_field
@@ -50,6 +52,15 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Fraction]:
     return out
 
 
+def _check_param_names(entry: catmod.Realization, params: Dict[str, Fraction]):
+    unknown = sorted(set(params) - set(entry.param_names()))
+    if unknown:
+        declared = ", ".join(entry.param_names()) or "none"
+        raise LvfError(
+            f"{entry.id} has no parameter {', '.join(unknown)} (declared: {declared})"
+        )
+
+
 def _cmd_bracket(args) -> int:
     params = tuple(_parse_params(args.param))
     x = parse_field(args.x, args.dim, params)
@@ -73,6 +84,8 @@ def _cmd_verify(args) -> int:
             print(f"unknown catalog id '{args.form}'", file=sys.stderr)
             return 2
     params = _parse_params(args.param)
+    if args.form:
+        _check_param_names(entries[0], params)
     summary = vermod.verify_all(entries, params or None)
     if args.format == "records":
         for line in summary.to_records():
@@ -88,8 +101,10 @@ def _cmd_centralizer(args) -> int:
         print(f"unknown catalog id '{args.form}'", file=sys.stderr)
         return 2
     entry = entries[args.form]
+    params = _parse_params(args.param)
+    _check_param_names(entry, params)
     assignment = entry.default_assignment()
-    assignment.update(_parse_params(args.param))
+    assignment.update(params)
     gens = list(entry.generators_at(assignment).values())
     ansatz = AnsatzSpace(entry.dim, max_degree=args.max_degree)
     result = centralizer(gens, ansatz)
@@ -371,6 +386,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f'record kind=error class=internal message="{exc}"', file=sys.stderr)
+        return 3
     except (LvfError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

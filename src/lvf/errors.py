@@ -5,6 +5,13 @@ class LvfError(Exception):
     """Base class for all package errors."""
 
 
+class InternalError(LvfError):
+    """An internal invariant failed: a bug, not a property of the input."""
+
+    def __init__(self, message):
+        super().__init__(f"internal error: {message}")
+
+
 class DimensionMismatch(LvfError):
     pass
 
@@ -32,6 +39,10 @@ class SingularMap(LvfError):
 
 
 class NotInSpan(LvfError):
+    pass
+
+
+class DependentBasis(LvfError):
     pass
 
 

@@ -44,7 +44,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from lvf import catalog as _catalog
 from lvf.algebra import express_in_basis
-from lvf.errors import InconclusiveAtDegree, LvfError, NotInSpan
+from lvf.errors import (
+    DependentBasis,
+    InconclusiveAtDegree,
+    InternalError,
+    LvfError,
+    NotInSpan,
+)
 from lvf.expr import ExpPoly
 from lvf.fields import VectorField, format_field
 from lvf.roots import get_root_system, normalize_simple_pair
@@ -234,6 +240,9 @@ def g2_obstruction(
     """
     if form not in FORM_TO_ENTRY:
         raise LvfError(f"a2 form must be 1, 2 or 3, not {form!r}")
+    if ansatz is not None and ansatz.dimension() == 0:
+        # no candidate X_{alpha+beta} at all: "obstructed" would be vacuous
+        raise LvfError(f"empty search space ({ansatz.describe()})")
     entry = _catalog.get(FORM_TO_ENTRY[form])
     gens = entry.generators_at(entry.default_assignment())
     degree = ansatz.max_degree if ansatz is not None else 6
@@ -450,8 +459,10 @@ def b2_sanity_control(degree: int = 2) -> ControlReport:
         x_beta_derived = x_beta_g.subst_params(assign)
         scale = x_beta_derived.constant_multiple_of(x_beta_cat)
         x_beta_matches = bool(scale)
-    except (NotInSpan, LvfError):
+    except NotInSpan:
         pass
+    except DependentBasis as exc:
+        raise InternalError(f"solve returned a dependent basis: {exc}") from exc
     validated = catalog_in_space and x_beta_matches and not obstructed
     return ControlReport(
         entry_id=entry.id,

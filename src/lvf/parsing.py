@@ -7,6 +7,11 @@ symbols ``Dx Dy Dz Dw`` (or ``D1..Dn``) with scalar coefficients.
 
 ``parse_scalar`` / ``parse_field`` round-trip with the canonical
 formatters: ``parse(format(v)) == v`` for every canonical value.
+
+Hostile input is refused with a ``ParseError``: parentheses, ``exp(``
+and unary minus nest at most ``MAX_NESTING`` deep (the parser recurses
+once per level), and a power's exponent and polynomial degree are at
+most ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from typing import Tuple
 from lvf.errors import ParseError, UnknownIdentifier
 from lvf.expr import ExpPoly, coord_names
 from lvf.fields import VectorField
+
+MAX_NESTING = 100
+MAX_EXPONENT = 64
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -144,12 +152,19 @@ class Parser:
             return _Value(field=b.field * a.scalar)
         return _Value(scalar=a.scalar * b.scalar)
 
+    def _enter(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+
     # unary := '-' unary | power
     def _unary(self, toks: _Tokens) -> _Value:
         kind, val, pos = toks.peek()
         if kind == "op" and val == "-":
             toks.next()
+            self._enter(pos)
             inner = self._unary(toks)
+            self.depth -= 1
             if inner.is_field:
                 return _Value(field=-inner.field)
             return _Value(scalar=-inner.scalar)
@@ -167,7 +182,10 @@ class Parser:
                     raise ParseError("exponent must be a natural number", npos)
                 if value.is_field:
                     raise ParseError("cannot raise a vector field to a power", pos)
-                value = _Value(scalar=value.scalar ** int(nval))
+                n = int(nval)
+                if max(n, n * value.scalar.max_poly_degree()) > MAX_EXPONENT:
+                    raise ParseError(f"power of degree above {MAX_EXPONENT}", npos)
+                value = _Value(scalar=value.scalar ** n)
             else:
                 return value
 
@@ -176,14 +194,18 @@ class Parser:
         if kind == "num":
             return _Value(scalar=ExpPoly.const(self.dim, int(val)))
         if kind == "op" and val == "(":
+            self._enter(pos)
             inner = self._expr(toks)
             toks.expect_op(")")
+            self.depth -= 1
             return inner
         if kind == "ident":
             if val == "exp":
                 toks.expect_op("(")
+                self._enter(pos)
                 inner = self._expr(toks)
                 toks.expect_op(")")
+                self.depth -= 1
                 if inner.is_field:
                     raise ParseError("exp() takes a scalar argument", pos)
                 return _Value(scalar=self._make_exponential(inner.scalar, pos))
@@ -215,6 +237,7 @@ class Parser:
 
     def parse(self, text: str) -> _Value:
         toks = _Tokens(text)
+        self.depth = 0
         value = self._expr(toks)
         kind, val, pos = toks.peek()
         if kind is not None:

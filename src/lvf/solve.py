@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from lvf import _kernels as K
 from lvf import _linalg
-from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput
+from lvf.errors import AnsatzExplosion, InternalError, LvfError, ParameterizedInput
 from lvf.expr import ExpPoly, as_fraction, encode_exponents
 from lvf.fields import VectorField, generic_rank
 
@@ -57,6 +59,8 @@ class AnsatzSpace:
         comps = tuple(components) if components is not None else tuple(range(dim))
         if any(not 0 <= c < dim for c in comps):
             raise LvfError("component index out of range")
+        if int(max_degree) < 0:
+            raise LvfError(f"ansatz degree must be at least 0, not {max_degree}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", tuple(sorted(set(exps))))
         object.__setattr__(self, "max_degree", int(max_degree))
@@ -146,6 +150,129 @@ def _field_keys(field: VectorField):
             yield (i, exp, mono), pp[()]
 
 
+def _raw_terms(comp: ExpPoly):
+    """``((exp, mono), value)`` pairs of a parameter-free scalar, in
+    term-map order."""
+    return [(key, pp[()]) for key, pp in comp.term_map().items()]
+
+
+def _accumulate(out, key, value):
+    """``out[key] += value``, dropping the key when the sum vanishes."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = value
+    else:
+        cur += value
+        if cur:
+            out[key] = cur
+        else:
+            del out[key]
+
+
+def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int):
+    """The constraint matrix over the ansatz basis.
+
+    Returns ``(keys, targets, rows, rhs)``: the column keys, one target
+    key ``(constraint, component, exp, mono)`` per row in order of first
+    appearance, the sparse rows, and the right-hand side (None without
+    an ``equals`` constraint).
+
+    One-term basis fields make the constraint images cheap:
+      [K, f d_c] = K(f) d_c - f * sum_j (dK^j/dx_c) d_j
+    and f = x^m exp(q.x) has coefficient 1, so K(f) and f*dK are key
+    shifts of the raw terms of K.  K(f) is shared across the ansatz
+    components.  Terms are produced in the order of the term-map
+    arithmetic, so row order (and the inconsistency witness) matches a
+    build through ``ExpPoly``.
+    """
+    keys = ansatz.basis_keys()
+    col_index = {key: m for m, key in enumerate(keys)}
+    dim = ansatz.dim
+    target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
+    rows: List[Dict[int, Fraction]] = []
+
+    def index_of(full):
+        idx = target_index.get(full)
+        if idx is None:
+            idx = len(target_index)
+            target_index[full] = idx
+            if idx >= target_bound:
+                raise AnsatzExplosion(idx + 1, target_bound)
+            rows.append({})
+        return idx
+
+    exps = sorted({exp for _, exp, _ in keys})
+    monos = sorted({mono for _, _, mono in keys})
+    for ci, cons in enumerate(constraints):
+        known = cons.known.components
+        kc = [_raw_terms(comp) for comp in known]
+        # the nonzero dK^j/dx_c, negated, for the f*dK images
+        dk = {c: [] for c in ansatz.components}
+        for c in ansatz.components:
+            for j in range(dim):
+                terms = _raw_terms(known[j].diff(c))
+                if terms:
+                    dk[c].append((j, [(e, mk, -v) for (e, mk), v in terms]))
+        eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else 0
+        for exp in exps:
+            q = [Fraction(n, exp[0]) for n in exp[1:]]
+            k_shifted = [
+                [(K.exp_add(ek, exp), mk, a) for (ek, mk), a in terms] for terms in kc
+            ]
+            dk_shifted = {
+                c: [
+                    (j, [(K.exp_add(exp, e), mk, v) for e, mk, v in terms])
+                    for j, terms in images
+                ]
+                for c, images in dk.items()
+            }
+            for mono in monos:
+                # K(f) = sum_j K^j df/dx_j, df/dx_j = m_j x^(m-e_j) e^(q.x) + q_j f
+                kf: Dict[tuple, Fraction] = {}
+                for j in range(dim):
+                    m = mono[j]
+                    if not k_shifted[j] or not (m or q[j]):
+                        continue
+                    fd = []
+                    if m:
+                        fd.append((mono[:j] + (m - 1,) + mono[j + 1:], m))
+                    if q[j]:
+                        fd.append((mono, q[j]))
+                    prod: Dict[tuple, Fraction] = {}
+                    for e, mk, a in k_shifted[j]:
+                        for mf, b in fd:
+                            _accumulate(prod, (e, tuple(map(add, mk, mf))), a * b)
+                    if kf:
+                        for key, v in prod.items():
+                            _accumulate(kf, key, v)
+                    else:
+                        kf = prod
+                diag = kf
+                if eig:
+                    diag = dict(kf)
+                    _accumulate(diag, (exp, mono), -eig)
+                for c in ansatz.components:
+                    col = col_index[(c, exp, mono)]
+                    for (e, mk), v in diag.items():
+                        _accumulate(rows[index_of((ci, c, e, mk))], col, v)
+                    for j, terms in dk_shifted[c]:
+                        for e, mk, v in terms:
+                            key = (ci, j, e, tuple(map(add, mono, mk)))
+                            _accumulate(rows[index_of(key)], col, v)
+
+    rhs = None
+    if any(c.kind == "equals" for c in constraints):
+        rhs_entries: Dict[int, Fraction] = {}
+        for ci, cons in enumerate(constraints):
+            if cons.kind != "equals":
+                continue
+            for fkey, value in _field_keys(cons.target):
+                idx = index_of((ci, *fkey))
+                rhs_entries[idx] = rhs_entries.get(idx, Fraction(0)) + value
+        rhs = [rhs_entries.get(i, Fraction(0)) for i in range(len(rows))]
+    return keys, list(target_index), rows, rhs
+
+
 def solve(
     constraints: Sequence[BracketConstraint],
     ansatz: AnsatzSpace,
@@ -165,71 +292,8 @@ def solve(
         if c.known.dim != ansatz.dim:
             raise LvfError("constraint dimension does not match the ansatz")
 
-    keys = ansatz.basis_keys()
+    keys, targets, rows, rhs = _build_system(constraints, ansatz, target_bound)
     ncols = len(keys)
-    col_index = {key: m for m, key in enumerate(keys)}
-    dim = ansatz.dim
-    target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
-    rows_map: Dict[int, Dict[int, Fraction]] = {}
-
-    def index_of(ci, fkey):
-        full = (ci, *fkey)
-        idx = target_index.get(full)
-        if idx is None:
-            idx = len(target_index)
-            target_index[full] = idx
-            if idx >= target_bound:
-                raise AnsatzExplosion(idx + 1, target_bound)
-            rows_map[idx] = {}
-        return idx
-
-    def add_entries(ci, col, image: ExpPoly, target_comp: int):
-        for (exp, mono), pp in image.term_map().items():
-            row = rows_map[index_of(ci, (target_comp, exp, mono))]
-            value = row.get(col, Fraction(0)) + pp[()]
-            if value:
-                row[col] = value
-            elif col in row:
-                del row[col]
-
-    # One-term basis fields make the constraint images cheap:
-    #   [K, f d_c] = K(f) d_c - f * sum_j (dK^j/dx_c) d_j
-    # so per constraint only the derivatives of K are needed, and the
-    # products K(f), f*dK are shared across the ansatz components.
-    term_keys = sorted({(exp, mono) for _, exp, mono in keys})
-    for ci, cons in enumerate(constraints):
-        kc = cons.known.components
-        dk = [[kc[j].diff(c) for c in range(dim)] for j in range(dim)]
-        for exp, mono in term_keys:
-            f = ExpPoly(dim, {(exp, mono): {(): Fraction(1)}})
-            fd = [f.diff(j) for j in range(dim)]
-            kf = ExpPoly.zero(dim)
-            for j in range(dim):
-                if not kc[j].is_zero() and not fd[j].is_zero():
-                    kf = kf + kc[j] * fd[j]
-            for c in ansatz.components:
-                col = col_index[(c, exp, mono)]
-                diag = kf
-                if cons.kind == "eigen" and cons.eigenvalue:
-                    diag = diag - f * cons.eigenvalue
-                if not diag.is_zero():
-                    add_entries(ci, col, diag, c)
-                for j in range(dim):
-                    if not dk[j][c].is_zero():
-                        add_entries(ci, col, -(f * dk[j][c]), j)
-
-    rhs_entries: Dict[int, Fraction] = {}
-    has_equals = any(c.kind == "equals" for c in constraints)
-    if has_equals:
-        for ci, cons in enumerate(constraints):
-            if cons.kind != "equals":
-                continue
-            for fkey, value in _field_keys(cons.target):
-                idx = index_of(ci, fkey)
-                rhs_entries[idx] = rhs_entries.get(idx, Fraction(0)) + value
-
-    nrows = len(target_index)
-    rows: List[Dict[int, Fraction]] = [rows_map[i] for i in range(nrows)]
 
     def to_field(vec: Dict[int, Fraction]) -> VectorField:
         terms: Dict[int, dict] = {c: {} for c in range(ansatz.dim)}
@@ -240,16 +304,11 @@ def solve(
             [ExpPoly(ansatz.dim, terms[c]) for c in range(ansatz.dim)]
         )
 
-    if has_equals:
-        rhs = [rhs_entries.get(i, Fraction(0)) for i in range(nrows)]
+    if rhs is not None:
         particular_vec, hom, mrank, witness = _linalg.solve_affine(rows, rhs, ncols)
         if witness is not None:
-            inv = sorted(target_index, key=target_index.get)[witness] if nrows else None
-            detail = (
-                f"constraint {inv[0]} has no solution at component {inv[1] + 1}"
-                if inv
-                else "inconsistent system"
-            )
+            ci, comp = targets[witness][:2]
+            detail = f"constraint {ci} has no solution at component {comp + 1}"
             return SolveResult([], None, mrank, ncols, detail)
         basis = [to_field(v) for v in hom]
         particular = to_field(particular_vec)
@@ -266,11 +325,11 @@ def solve(
                 cons.known.bracket(x)
             )
             if not check.is_zero():
-                raise LvfError("internal error: solution fails a constraint")
+                raise InternalError("solution fails a constraint")
     if result.particular is not None:
         for cons in constraints:
             if not cons.residual(result.particular).is_zero():
-                raise LvfError("internal error: particular solution fails a constraint")
+                raise InternalError("particular solution fails a constraint")
     return result
 
 

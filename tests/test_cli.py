@@ -4,6 +4,7 @@ import io
 import contextlib
 
 from lvf import catalog
+from lvf import obstruction
 from lvf.cli import main
 
 
@@ -104,6 +105,51 @@ def test_g2_check():
     code, out, _ = run(["g2-check", "--form", "2", "--max-degree", "2"])
     assert code == 0
     assert out.strip() == "OBSTRUCTED: X_{alpha+2beta} = 0"
+
+
+def test_g2_check_negative_degree_refused():
+    code, out, err = run(["g2-check", "--form", "1", "--max-degree", "-3"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "degree" in err
+
+
+def test_internal_error_exit_3(monkeypatch):
+    solve_by_blocks = obstruction._solve_by_blocks
+
+    def dependent(*args, **kwargs):
+        basis = solve_by_blocks(*args, **kwargs)
+        return basis + basis[:1]
+
+    monkeypatch.setattr(obstruction, "_solve_by_blocks", dependent)
+    code, _, err = run(["g2-check", "--form", "2", "--max-degree", "2", "--control"])
+    assert code == 3
+    assert err.startswith("record kind=error class=internal ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_deeply_nested_argument_exit_2():
+    deep = "(" * 3000 + "x" + ")" * 3000 + "*Dx"
+    code, _, err = run(["bracket", deep, "Dy"])
+    assert code == 2
+    assert "nesting" in err and len(err.strip().splitlines()) == 1
+
+
+def test_huge_power_exit_2():
+    code, _, err = run(["bracket", "x^100000000*Dx", "Dy"])
+    assert code == 2
+    assert "power" in err
+
+
+def test_verify_unknown_param_exit_2():
+    code, out, err = run(["verify", "--form", "sl2xsl2.3", "--param", "zz=1"])
+    assert code == 2
+    assert out == "" and "zz" in err and len(err.strip().splitlines()) == 1
+    code, _, err = run(["centralizer", "--form", "heisenberg.2", "--param", "zz=1"])
+    assert code == 2 and "zz" in err
+    # --all applies each name only to the entries that declare it
+    code, out, _ = run(["verify", "--all", "--param", "zz=1"])
+    assert code == 0 and "16/16" in out
 
 
 def test_g2_check_records():

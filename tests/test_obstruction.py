@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from lvf import catalog
+from lvf import obstruction
+from lvf.errors import InternalError, LvfError
 from lvf.fields import bracket
 from lvf.obstruction import (
     FORM_TO_ENTRY,
@@ -95,6 +97,14 @@ class TestObstruction:
         with pytest.raises(Exception):
             g2_obstruction(4)
 
+    def test_empty_search_space_refused(self):
+        with pytest.raises(LvfError, match="empty search space"):
+            g2_obstruction(2, AnsatzSpace(3, max_degree=2, components=()))
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(LvfError, match="degree"):
+            AnsatzSpace(3, max_degree=-3)
+
 
 class TestControl:
     def test_control_validates(self):
@@ -108,3 +118,14 @@ class TestControl:
     def test_control_at_higher_degree(self):
         control = b2_sanity_control(degree=4)
         assert control.validated
+
+    def test_dependent_basis_is_internal_error(self, monkeypatch):
+        solve_by_blocks = obstruction._solve_by_blocks
+
+        def dependent(*args, **kwargs):
+            basis = solve_by_blocks(*args, **kwargs)
+            return basis + basis[:1]
+
+        monkeypatch.setattr(obstruction, "_solve_by_blocks", dependent)
+        with pytest.raises(InternalError, match="dependent basis"):
+            b2_sanity_control()

@@ -7,9 +7,28 @@ import pytest
 from lvf.errors import ParseError, UnknownIdentifier
 from lvf.expr import format_scalar
 from lvf.fields import format_field
-from lvf.parsing import parse_field, parse_scalar
+from lvf.parsing import MAX_EXPONENT, MAX_NESTING, parse_field, parse_scalar
 
 from _rand import rand_exppoly, rand_field
+
+
+def test_nesting_bounded():
+    ok = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_scalar(ok) == parse_scalar("x")
+    for deep in (
+        "(" * 3000 + "x" + ")" * 3000,
+        "-" * 3000 + "x",
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+    ):
+        with pytest.raises(ParseError, match="nesting"):
+            parse_scalar(deep)
+
+
+def test_power_bounded():
+    assert parse_scalar(f"x^{MAX_EXPONENT}").max_poly_degree() == MAX_EXPONENT
+    for text in ("x^100000000", f"(x*y)^{MAX_EXPONENT}", "exp(x)^65"):
+        with pytest.raises(ParseError, match="power"):
+            parse_scalar(text)
 
 
 def test_coordinate():
