@@ -15,7 +15,6 @@ Everything is immutable and deterministic; results never depend on
 floating point.
 """
 
-from lvf._kernels import BACKEND as kernel_backend
 from lvf.expr import ExpPoly, format_scalar
 from lvf.fields import AffineMap, VectorField, affine_pullback, bracket, format_field, generic_rank
 from lvf.parsing import parse_field, parse_scalar
@@ -35,3 +34,7 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The kernels have one pure-Python implementation, lvf._kernels; the name
+# stays because benchmark records carry it.
+kernel_backend = "py"

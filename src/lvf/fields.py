@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
+from lvf import _kernels as K
 from lvf.errors import DimensionMismatch, SingularMap
 from lvf.expr import ExpPoly, as_fraction, coord_names, format_scalar
 
@@ -192,28 +193,20 @@ class AffineMap:
 
 
 def _invert(rows):
-    """Exact inverse of a rational matrix; raises SingularMap."""
+    """Exact inverse of a rational matrix; raises SingularMap.
+
+    The rows of ``[A | I]`` go through the echelon core; ``A`` is
+    singular exactly when a row's pivot falls in the identity block.
+    """
     n = len(rows)
-    aug = [
-        list(rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
+    table = {}
+    for i, row in enumerate(rows):
+        aug = {j: v for j, v in enumerate(row) if v}
+        aug[n + i] = Fraction(1)
+        if K.echelon_insert(table, aug) >= n:
             raise SingularMap("linear part of the affine map is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fac = aug[r][col]
-                aug[r] = [a - fac * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    _, reduced = K.back_substitute(table)
+    return tuple(tuple(r.get(n + j, Fraction(0)) for j in range(n)) for r in reduced)
 
 
 def affine_pullback(field: VectorField, t: AffineMap) -> VectorField:

@@ -82,6 +82,8 @@ class _Value:
 
 class Parser:
     def __init__(self, dim: int = 3, params: Tuple[str, ...] = ()):
+        if dim < 1:
+            raise ParseError(f"dimension must be at least 1, not {dim}", 0)
         self.dim = dim
         self.coords = {}
         for i, name in enumerate(coord_names(dim)):

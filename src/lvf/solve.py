@@ -38,6 +38,21 @@ def _monomials(dim: int, max_degree: int):
     return sorted(out)
 
 
+def _ansatz_size(dim: int, max_degree: int, blocks: int) -> int:
+    """``blocks * C(dim + max_degree, dim)``, the number of basis fields.
+
+    Each factor of the running product is at least 1, so once it
+    passes DEFAULT_TARGET_BOUND the lower bound is returned at once:
+    huge dimensions or degrees cost a few steps, not a huge binomial.
+    """
+    size = blocks
+    for j in range(1, min(dim, max_degree) + 1):
+        if not 0 < size <= DEFAULT_TARGET_BOUND:
+            break
+        size = size * (dim + max_degree + 1 - j) // j
+    return size
+
+
 @dataclass(frozen=True)
 class AnsatzSpace:
     """Finite search space: exponents x degrees x components."""
@@ -61,10 +76,17 @@ class AnsatzSpace:
             raise LvfError("component index out of range")
         if int(max_degree) < 0:
             raise LvfError(f"ansatz degree must be at least 0, not {max_degree}")
+        exps = tuple(sorted(set(exps)))
+        comps = tuple(sorted(set(comps)))
+        if _ansatz_size(dim, int(max_degree), len(exps) * len(comps)) > DEFAULT_TARGET_BOUND:
+            raise LvfError(
+                f"ansatz of degree {max_degree} in dimension {dim} has more "
+                f"than {DEFAULT_TARGET_BOUND} basis fields"
+            )
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "exponents", tuple(sorted(set(exps))))
+        object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "max_degree", int(max_degree))
-        object.__setattr__(self, "components", tuple(sorted(set(comps))))
+        object.__setattr__(self, "components", comps)
 
     def basis_keys(self) -> List[Tuple[int, tuple, tuple]]:
         """Canonical ordered basis of one-term fields.

@@ -3,6 +3,8 @@
 import io
 import contextlib
 
+import pytest
+
 from lvf import catalog
 from lvf import obstruction
 from lvf.cli import main
@@ -206,3 +208,30 @@ def test_solve_inconsistent_exit_1(tmp_path):
     code, out, _ = run(["solve", str(path)])
     assert code == 1
     assert "inconsistent" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--dim", "-1", "Dx"],
+    ["bracket", "--dim", "-2", "Dx", "Dy"],
+    ["solve", "dim -1\neigen 1 : Dx\n"],
+])
+def test_dimension_below_one_exit_2(tmp_path, argv):
+    if argv[0] == "solve":
+        path = tmp_path / "neg.lvf"
+        path.write_text(argv[1])
+        argv = ["solve", str(path)]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "dimension must be at least 1" in err
+
+
+@pytest.mark.parametrize("text", [
+    "dim 3\ndegree 100000\nzero : Dx\n",
+    "dim 99999\ndegree 1\n",
+])
+def test_oversized_ansatz_exit_2(tmp_path, text):
+    path = tmp_path / "big.lvf"
+    path.write_text(text)
+    code, out, err = run(["solve", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "more than 20000 basis fields" in err

@@ -2,20 +2,22 @@
 constraint build against reference implementations kept here.
 
 The references are the earlier column-scan ``rref``, the binary-search
-``solve_affine`` and the ``ExpPoly`` build loop of ``solve.solve``.  The
-reduced row echelon form is unique, so the fast paths must agree with
-them exactly, including the order of the constraint rows (the
-inconsistency message depends on it).
+``solve_affine``, the ``ExpPoly`` build loop of ``solve.solve`` and the
+dense ``fields._invert``.  The reduced row echelon form is unique, so
+the fast paths must agree with them exactly, including the order of the
+constraint rows (the inconsistency message depends on it).
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lvf import _kernels
 from lvf._linalg import nullspace, nullspace_from_rref, rank, solve_affine
-from lvf.errors import AnsatzExplosion
+from lvf.errors import AnsatzExplosion, SingularMap
 from lvf.expr import ExpPoly
+from lvf.fields import _invert
 from lvf.solve import (
     DEFAULT_TARGET_BOUND,
     AnsatzSpace,
@@ -112,6 +114,31 @@ def reference_solve_affine(rows, rhs, ncols):
             particular[p] = b
     hom = reference_nullspace(rows, ncols)
     return particular, hom, len(pivots), None
+
+
+def reference_invert(rows):
+    """Exact inverse of a rational matrix; raises SingularMap."""
+    n = len(rows)
+    aug = [
+        list(rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if aug[r][col]:
+                piv = r
+                break
+        if piv is None:
+            raise SingularMap("linear part of the affine map is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                fac = aug[r][col]
+                aug[r] = [a - fac * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def reference_build(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND):
@@ -216,6 +243,23 @@ def affine_systems(draw):
     return rows, rhs, ncols
 
 
+@st.composite
+def square_matrices(draw):
+    """Dense n x n rational matrices, n = 0..4; a row is often a
+    combination of earlier ones, so singular matrices occur often."""
+    n = draw(st.integers(0, 4))
+    small = st.one_of(st.just(_ZERO), values, values)
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 2)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(values), draw(small)
+            rows.append(tuple(x * u + y * v for u, v in zip(a, b)))
+        else:
+            rows.append(tuple(draw(small) for _ in range(n)))
+    return tuple(rows)
+
+
 EXPONENTS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (0, -1, 1), (Fraction(1, 2), 0, 0))
 
 
@@ -271,3 +315,15 @@ def test_build_matches_exppoly_loop(system):
     assert rows == ref_rows
     assert [list(r) for r in rows] == [list(r) for r in ref_rows]
     assert rhs == ref_rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_invert_matches_dense(rows):
+    try:
+        expected = reference_invert(rows)
+    except SingularMap:
+        with pytest.raises(SingularMap):
+            _invert(rows)
+    else:
+        assert _invert(rows) == expected

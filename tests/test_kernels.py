@@ -1,4 +1,4 @@
-"""Backend parity of the term-map kernels and elimination properties.
+"""Properties of the exact elimination kernels.
 
 The elimination itself is checked against a reference implementation
 in ``test_differential.py``.
@@ -8,43 +8,9 @@ import copy
 import random
 from fractions import Fraction
 
-import pytest
-
-from lvf import _kernels, _kernels_py
+import lvf
+from lvf import _kernels
 from lvf._linalg import det, nullspace, rank, solve_affine
-
-try:
-    from lvf import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels_c is None, reason="compiled kernels not built"
-)
-
-
-def rand_pp(rng):
-    out = {}
-    for _ in range(rng.randint(0, 3)):
-        names = sorted(rng.sample(("a", "b", "c"), rng.randint(0, 2)))
-        key = tuple((n, rng.randint(1, 2)) for n in names)
-        out[key] = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
-    return out
-
-
-def rand_ep(rng, dim=2):
-    from lvf.expr import encode_exponents
-
-    out = {}
-    for _ in range(rng.randint(0, 3)):
-        exp = encode_exponents(
-            Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(dim)
-        )
-        mono = tuple(rng.randint(0, 2) for _ in range(dim))
-        pp = rand_pp(rng)
-        if pp:
-            out[(exp, mono)] = pp
-    return out
 
 
 def rand_rows(rng, ncols):
@@ -53,26 +19,6 @@ def rand_rows(rng, ncols):
          for _ in range(rng.randint(1, ncols))}
         for _ in range(rng.randint(1, 2 * ncols))
     ]
-
-
-@needs_compiled
-def test_backend_parity():
-    rng = random.Random(97)
-    for _ in range(300):
-        a, b = rand_pp(rng), rand_pp(rng)
-        assert _kernels_c.pp_add(a, b) == _kernels_py.pp_add(a, b)
-        assert _kernels_c.pp_mul(a, b) == _kernels_py.pp_mul(a, b)
-        assert _kernels_c.pp_scale(a, Fraction(3, 7)) == _kernels_py.pp_scale(
-            a, Fraction(3, 7)
-        )
-        f, g = rand_ep(rng), rand_ep(rng)
-        assert _kernels_c.ep_add(f, g) == _kernels_py.ep_add(f, g)
-        assert _kernels_c.ep_mul(f, g) == _kernels_py.ep_mul(f, g)
-        assert _kernels_c.ep_scale(f, Fraction(-2)) == _kernels_py.ep_scale(
-            f, Fraction(-2)
-        )
-        for i in range(2):
-            assert _kernels_c.ep_diff(f, i) == _kernels_py.ep_diff(f, i)
 
 
 def test_rref_no_zero_coefficients_stored():
@@ -133,4 +79,4 @@ def test_det():
 
 
 def test_selector_exposes_backend():
-    assert _kernels.BACKEND in ("c", "py")
+    assert lvf.kernel_backend == "py"
