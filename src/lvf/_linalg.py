@@ -20,17 +20,39 @@ def rref(rows: List[Row], ncols: int) -> Tuple[List[int], List[Row]]:
 
 
 def nullspace_from_rref(pivots: List[int], rrows: List[Row], ncols: int) -> List[Row]:
-    """Nullspace basis out of an existing reduced echelon form."""
+    """Nullspace basis out of an existing reduced echelon form.
+
+    One vector per free column f below ``ncols``: ``{f: 1}`` first, then
+    ``-row[f]`` at each pivot whose row uses f, pivots ascending.  One
+    pass over the rows: a reduced row holds no other pivot column, so
+    every other entry below ``ncols`` is free.
+    """
     pivot_set = set(pivots)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
+    for p, row in zip(pivots, rrows):
+        for c, v in row.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[p] = -v
+    return list(basis.values())
+
+
+def reduced_kernel_basis(vectors: List[Row], ncols: int) -> List[Row]:
+    """The basis ``nullspace_from_rref`` gives for any matrix whose
+    nullspace is spanned by ``vectors``.
+
+    Its vector for a free column f is 1 at f, 0 at every other free
+    column and nonzero only left of f, so the basis is the reduced
+    echelon form of ``vectors`` with the column order reversed.
+    """
+    last = ncols - 1
+    pivots, rrows = K.rref([{last - c: v for c, v in vec.items()} for vec in vectors], ncols)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec: Row = {free: Fraction(1)}
-        for p, row in zip(pivots, rrows):
-            c = row.get(free)
-            if c:
-                vec[p] = -c
+    for p, row in zip(reversed(pivots), reversed(rrows)):
+        vec: Row = {last - p: Fraction(1)}
+        for c in sorted(row, reverse=True):
+            if c != p:
+                vec[last - c] = row[c]
         basis.append(vec)
     return basis
 

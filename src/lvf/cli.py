@@ -161,8 +161,6 @@ def _read_solve_file(path: str):
                     raise LvfError(f"unknown directive '{head}'")
             except (ValueError, LvfError) as exc:
                 raise LvfError(f"{path}:{lineno}: {exc}") from exc
-    if not exponents:
-        exponents = [tuple(Fraction(0) for _ in range(dim))]
     pnames = tuple(params)
     built = []
     for kind, extra, expr in constraints:

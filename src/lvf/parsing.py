@@ -10,8 +10,9 @@ formatters: ``parse(format(v)) == v`` for every canonical value.
 
 Hostile input is refused with a ``ParseError``: parentheses, ``exp(``
 and unary minus nest at most ``MAX_NESTING`` deep (the parser recurses
-once per level), and a power's exponent and polynomial degree are at
-most ``MAX_EXPONENT``.
+once per level), a power's exponent and polynomial degree are at most
+``MAX_EXPONENT``, and the dimension is at most ``MAX_DIM``, checked
+before the coordinate tables are built.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from lvf.fields import VectorField
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
+MAX_DIM = 64
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -84,6 +86,8 @@ class Parser:
     def __init__(self, dim: int = 3, params: Tuple[str, ...] = ()):
         if dim < 1:
             raise ParseError(f"dimension must be at least 1, not {dim}", 0)
+        if dim > MAX_DIM:
+            raise ParseError(f"dimension must be at most {MAX_DIM}, not {dim}", 0)
         self.dim = dim
         self.coords = {}
         for i, name in enumerate(coord_names(dim)):

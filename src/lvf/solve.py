@@ -6,13 +6,16 @@ of allowed components.  Constraints are of three kinds against a known
 parameter-free field K: ``[K, X] = c X`` (eigen), ``[K, X] = 0`` (zero)
 and ``[K, X] = T`` (equals).  Each constraint maps the ansatz linearly
 into a finite-dimensional target space whose basis is derived from the
-images, so the solution set comes out of one exact elimination.
+images.  With an ``equals`` constraint the stacked system is solved in
+one exact elimination; homogeneous constraints are solved one at a
+time, each on the kernel left by the ones before it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,6 +25,7 @@ from lvf import _linalg
 from lvf.errors import AnsatzExplosion, InternalError, LvfError, ParameterizedInput
 from lvf.expr import ExpPoly, as_fraction, encode_exponents
 from lvf.fields import VectorField, generic_rank
+from lvf.parsing import MAX_DIM
 
 DEFAULT_TARGET_BOUND = 20000
 
@@ -63,30 +67,49 @@ class AnsatzSpace:
     components: Tuple[int, ...]
 
     def __init__(self, dim, exponents=((),), max_degree=2, components=None):
-        exps = []
+        # () stands for the zero vector until the dimension is bounded, so
+        # no table of size dim is built before the checks below
+        vecs = set()
         for e in exponents:
-            vec = tuple(as_fraction(v) for v in e) if e else (Fraction(0),) * dim
-            if len(vec) != dim:
+            vec = tuple(as_fraction(v) for v in e)
+            if vec and len(vec) != dim:
                 raise LvfError(f"exponent vector {e} in dimension {dim}")
-            exps.append(vec)
-        if not exps:
-            exps.append((Fraction(0),) * dim)
-        comps = tuple(components) if components is not None else tuple(range(dim))
+            vecs.add(vec if any(vec) else ())
+        if not vecs:
+            vecs.add(())
+        comps = set(components) if components is not None else range(dim)
         if any(not 0 <= c < dim for c in comps):
             raise LvfError("component index out of range")
         if int(max_degree) < 0:
             raise LvfError(f"ansatz degree must be at least 0, not {max_degree}")
-        exps = tuple(sorted(set(exps)))
-        comps = tuple(sorted(set(comps)))
-        if _ansatz_size(dim, int(max_degree), len(exps) * len(comps)) > DEFAULT_TARGET_BOUND:
+        if _ansatz_size(dim, int(max_degree), len(vecs) * len(comps)) > DEFAULT_TARGET_BOUND:
             raise LvfError(
                 f"ansatz of degree {max_degree} in dimension {dim} has more "
                 f"than {DEFAULT_TARGET_BOUND} basis fields"
             )
+        if dim < 1:
+            raise LvfError(f"dimension must be at least 1, not {dim}")
+        if dim > MAX_DIM:
+            raise LvfError(f"dimension must be at most {MAX_DIM}, not {dim}")
+        zero = (Fraction(0),) * dim
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "exponents", tuple(sorted(v or zero for v in vecs)))
         object.__setattr__(self, "max_degree", int(max_degree))
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", tuple(sorted(comps)))
+
+    @cached_property
+    def _columns(self):
+        """Setup shared by every build over this space: the basis keys,
+        their column indices, the encoded exponents and the monomials."""
+        monos = _monomials(self.dim, self.max_degree)
+        encoded = [encode_exponents(e) for e in self.exponents]
+        keys = tuple(
+            (c, exp, mono)
+            for c in self.components
+            for exp in encoded
+            for mono in monos
+        )
+        return keys, {key: m for m, key in enumerate(keys)}, sorted(encoded), monos
 
     def basis_keys(self) -> List[Tuple[int, tuple, tuple]]:
         """Canonical ordered basis of one-term fields.
@@ -94,14 +117,7 @@ class AnsatzSpace:
         Exponent vectors appear in their canonical integer encoding, as
         used by the term maps themselves.
         """
-        monos = _monomials(self.dim, self.max_degree)
-        encoded = [encode_exponents(e) for e in self.exponents]
-        return [
-            (c, exp, mono)
-            for c in self.components
-            for exp in encoded
-            for mono in monos
-        ]
+        return list(self._columns[0])
 
     def basis_field(self, key) -> VectorField:
         c, exp, mono = key
@@ -110,7 +126,10 @@ class AnsatzSpace:
         return VectorField(comps)
 
     def dimension(self) -> int:
-        return len(self.basis_keys())
+        # exact: the constructor refused every space above the bound
+        return _ansatz_size(
+            self.dim, self.max_degree, len(self.exponents) * len(self.components)
+        )
 
     def describe(self) -> str:
         exps = ", ".join(
@@ -191,13 +210,14 @@ def _accumulate(out, key, value):
             del out[key]
 
 
-def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int):
+def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=None):
     """The constraint matrix over the ansatz basis.
 
     Returns ``(keys, targets, rows, rhs)``: the column keys, one target
     key ``(constraint, component, exp, mono)`` per row in order of first
     appearance, the sparse rows, and the right-hand side (None without
-    an ``equals`` constraint).
+    an ``equals`` constraint).  With ``columns``, a set of column
+    indices, only the images of those basis fields are built.
 
     One-term basis fields make the constraint images cheap:
       [K, f d_c] = K(f) d_c - f * sum_j (dK^j/dx_c) d_j
@@ -207,8 +227,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int):
     arithmetic, so row order (and the inconsistency witness) matches a
     build through ``ExpPoly``.
     """
-    keys = ansatz.basis_keys()
-    col_index = {key: m for m, key in enumerate(keys)}
+    keys, col_index, exps, monos = ansatz._columns
     dim = ansatz.dim
     target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
     rows: List[Dict[int, Fraction]] = []
@@ -223,8 +242,6 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int):
             rows.append({})
         return idx
 
-    exps = sorted({exp for _, exp, _ in keys})
-    monos = sorted({mono for _, _, mono in keys})
     for ci, cons in enumerate(constraints):
         known = cons.known.components
         kc = [_raw_terms(comp) for comp in known]
@@ -249,6 +266,11 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int):
                 for c, images in dk.items()
             }
             for mono in monos:
+                cols = [(c, col_index[(c, exp, mono)]) for c in ansatz.components]
+                if columns is not None:
+                    cols = [(c, col) for c, col in cols if col in columns]
+                if not cols:
+                    continue
                 # K(f) = sum_j K^j df/dx_j, df/dx_j = m_j x^(m-e_j) e^(q.x) + q_j f
                 kf: Dict[tuple, Fraction] = {}
                 for j in range(dim):
@@ -273,8 +295,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int):
                 if eig:
                     diag = dict(kf)
                     _accumulate(diag, (exp, mono), -eig)
-                for c in ansatz.components:
-                    col = col_index[(c, exp, mono)]
+                for c, col in cols:
                     for (e, mk), v in diag.items():
                         _accumulate(rows[index_of((ci, c, e, mk))], col, v)
                     for j, terms in dk_shifted[c]:
@@ -292,7 +313,70 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int):
                 idx = index_of((ci, *fkey))
                 rhs_entries[idx] = rhs_entries.get(idx, Fraction(0)) + value
         rhs = [rhs_entries.get(i, Fraction(0)) for i in range(len(rows))]
-    return keys, list(target_index), rows, rhs
+    return list(keys), list(target_index), rows, rhs
+
+
+def _compose(rows, basis):
+    """The rows of the product M N, for the sparse rows of M and the
+    columns of N given as the sparse vectors ``basis``."""
+    by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for j, vec in enumerate(basis):
+        for c, v in vec.items():
+            by_col.setdefault(c, []).append((j, v))
+    out = []
+    for row in rows:
+        acc: Dict[int, Fraction] = {}
+        for c, a in row.items():
+            for j, v in by_col[c]:
+                _accumulate(acc, j, a * v)
+        out.append(acc)
+    return out
+
+
+def _combine(coeffs, basis):
+    """``sum_j coeffs[j] * basis[j]`` as a sparse vector."""
+    out: Dict[int, Fraction] = {}
+    for j, a in coeffs.items():
+        for c, v in basis[j].items():
+            _accumulate(out, c, a * v)
+    return out
+
+
+def _common_kernel(constraints, ansatz: AnsatzSpace, target_bound: int):
+    """Kernel basis of homogeneous constraints, one constraint at a time.
+
+    Constraint 0 is built over the whole ansatz and its kernel basis N
+    read off the reduced form.  Each later constraint is built only over
+    the columns N uses; the kernel W of those rows times N gives the new
+    basis N W.  The solve stops once N is empty, so most of the target
+    rows of the stacked matrix are never built.  ``target_bound`` bounds
+    the rows built over all stages.  The basis is returned in the
+    reduced form ``nullspace_from_rref`` gives for the stacked matrix:
+    that form depends only on the kernel.
+    """
+    ncols = len(ansatz._columns[0])
+    basis = None  # None: the whole ansatz
+    built = 0
+    for cons in constraints:
+        support = None if basis is None else set().union(*basis)
+        try:
+            rows = _build_system([cons], ansatz, target_bound - built, support)[2]
+        except AnsatzExplosion as exc:
+            raise AnsatzExplosion(built + exc.size, target_bound) from None
+        built += len(rows)
+        if basis is None:
+            pivots, rrows = _linalg.rref(rows, ncols)
+            basis = _linalg.nullspace_from_rref(pivots, rrows, ncols)
+        else:
+            k = len(basis)
+            pivots, rrows = _linalg.rref(_compose(rows, basis), k)
+            kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
+            basis = [_combine(w, basis) for w in kernel]
+        if not basis:
+            return []
+    if basis is None:
+        return [{m: Fraction(1)} for m in range(ncols)]
+    return _linalg.reduced_kernel_basis(basis, ncols)
 
 
 def solve(
@@ -314,7 +398,7 @@ def solve(
         if c.known.dim != ansatz.dim:
             raise LvfError("constraint dimension does not match the ansatz")
 
-    keys, targets, rows, rhs = _build_system(constraints, ansatz, target_bound)
+    keys = ansatz._columns[0]
     ncols = len(keys)
 
     def to_field(vec: Dict[int, Fraction]) -> VectorField:
@@ -326,7 +410,8 @@ def solve(
             [ExpPoly(ansatz.dim, terms[c]) for c in range(ansatz.dim)]
         )
 
-    if rhs is not None:
+    if any(c.kind == "equals" for c in constraints):
+        _, targets, rows, rhs = _build_system(constraints, ansatz, target_bound)
         particular_vec, hom, mrank, witness = _linalg.solve_affine(rows, rhs, ncols)
         if witness is not None:
             ci, comp = targets[witness][:2]
@@ -336,9 +421,8 @@ def solve(
         particular = to_field(particular_vec)
         result = SolveResult(basis, particular, mrank, ncols)
     else:
-        pivots, rrows = _linalg.rref(rows, ncols)
-        hom = _linalg.nullspace_from_rref(pivots, rrows, ncols)
-        result = SolveResult([to_field(v) for v in hom], None, len(pivots), ncols)
+        hom = _common_kernel(constraints, ansatz, target_bound)
+        result = SolveResult([to_field(v) for v in hom], None, ncols - len(hom), ncols)
 
     # soundness: every reported solution satisfies every constraint exactly
     for x in result.basis:

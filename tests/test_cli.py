@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import tracemalloc
 
 import pytest
 
@@ -235,3 +236,26 @@ def test_oversized_ansatz_exit_2(tmp_path, text):
     code, out, err = run(["solve", str(path)])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "more than 20000 basis fields" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--dim", "200000", "Dx"],
+    ["bracket", "--dim", "100000", "Dx", "Dy"],
+    ["solve", "dim 100000\neigen 1 : Dx\n"],
+    ["solve", "dim 100000\ndegree 0\ncomponents 1\n"],
+])
+def test_dimension_above_max_exit_2(tmp_path, argv):
+    if argv[0] == "solve":
+        path = tmp_path / "wide.lvf"
+        path.write_text(argv[1])
+        argv = ["solve", str(path)]
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "dimension must be at most 64" in err
+    # refused before any table of size dim is built
+    assert peak < 2_000_000

@@ -1,11 +1,15 @@
-"""Differential tests: the row-insert elimination and the raw-key
-constraint build against reference implementations kept here.
+"""Differential tests: the row-insert elimination, the raw-key
+constraint build and the staged homogeneous solve against reference
+implementations kept here.
 
 The references are the earlier column-scan ``rref``, the binary-search
-``solve_affine``, the ``ExpPoly`` build loop of ``solve.solve`` and the
-dense ``fields._invert``.  The reduced row echelon form is unique, so
-the fast paths must agree with them exactly, including the order of the
-constraint rows (the inconsistency message depends on it).
+``solve_affine``, the ``ExpPoly`` build loop of ``solve.solve``, the
+dense ``fields._invert``, the per-free-column ``nullspace_from_rref``
+and the stacked homogeneous solve (one build, one elimination).  The
+reduced row echelon form is unique, so the fast paths must agree with
+them exactly, including the order of the constraint rows (the
+inconsistency message depends on it) and the key order of the basis
+vectors.
 """
 
 from fractions import Fraction
@@ -13,17 +17,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lvf import _kernels
+from lvf import _kernels, _linalg
 from lvf._linalg import nullspace, nullspace_from_rref, rank, solve_affine
 from lvf.errors import AnsatzExplosion, SingularMap
 from lvf.expr import ExpPoly
-from lvf.fields import _invert
+from lvf.fields import VectorField, _invert, format_field
+from lvf.parsing import parse_field
 from lvf.solve import (
     DEFAULT_TARGET_BOUND,
     AnsatzSpace,
     BracketConstraint,
     _build_system,
+    _common_kernel,
     _field_keys,
+    solve,
 )
 
 from _rand import rand_field
@@ -78,6 +85,22 @@ def reference_rref(rows, ncols):
         if not active:
             break
     return pivots, done
+
+
+def reference_nullspace_from_rref(pivots, rrows, ncols):
+    """One vector per free column, scanning every pivot row for it."""
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = {free: Fraction(1)}
+        for p, row in zip(pivots, rrows):
+            c = row.get(free)
+            if c:
+                vec[p] = -c
+        basis.append(vec)
+    return basis
 
 
 def reference_nullspace(rows, ncols):
@@ -207,6 +230,15 @@ def reference_build(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND):
     return sorted(target_index, key=target_index.get), rows, rhs
 
 
+def reference_homogeneous_solve(constraints, ansatz):
+    """The stacked solve: every constraint built over the whole ansatz,
+    one elimination.  Returns (basis vectors, matrix rank, ansatz dim)."""
+    keys, _, rows, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    ncols = len(keys)
+    pivots, rrows = _linalg.rref(rows, ncols)
+    return reference_nullspace_from_rref(pivots, rrows, ncols), len(pivots), ncols
+
+
 # -- strategies ---------------------------------------------------------------
 
 values = st.builds(
@@ -286,6 +318,33 @@ def constraint_systems(draw):
     return constraints, ansatz
 
 
+# Fields with large centralizers and eigenspaces, so that kernels often
+# survive the first constraint and later stages run on a proper subspace
+# (random fields mostly cut the kernel to {0} at once).
+STAGE_FIELDS = (
+    "Dx", "Dy", "Dz", "x*Dx", "y*Dx", "z*Dy", "x*Dz", "z*Dz", "exp(z)*Dx", "exp(x)*Dy",
+    "Dx + Dy", "Dx - Dz", "z*Dx + Dy",
+)
+
+
+@st.composite
+def staged_systems(draw):
+    pool = [parse_field(text) for text in STAGE_FIELDS]
+    constraints = []
+    for _ in range(draw(st.integers(2, 4))):
+        known = VectorField.zero(3)
+        for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)):
+            known = known + f * draw(values)
+        if draw(st.booleans()):
+            constraints.append(BracketConstraint.eigen(known, draw(st.sampled_from((0, 1, -1)))))
+        else:
+            constraints.append(BracketConstraint.commutes(known))
+    exponents = draw(st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=2))
+    components = draw(st.sets(st.integers(0, 2), min_size=1))
+    ansatz = AnsatzSpace(3, exponents, draw(st.integers(0, 2)), sorted(components))
+    return constraints, ansatz
+
+
 # -- tests --------------------------------------------------------------------
 
 
@@ -327,3 +386,93 @@ def test_invert_matches_dense(rows):
             _invert(rows)
     else:
         assert _invert(rows) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_systems())
+def test_nullspace_one_pass_matches_column_scan(system):
+    # augmented rows also hold the rhs column ncols, which is never free
+    rows, rhs, ncols = system
+    aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
+    for matrix, width in ((rows, ncols), (aug, ncols + 1)):
+        pivots, rrows = _kernels.rref(matrix, width)
+        got = nullspace_from_rref(pivots, rrows, ncols)
+        ref = reference_nullspace_from_rref(pivots, rrows, ncols)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+
+
+def _is_homogeneous(system):
+    return all(c.kind != "equals" for c in system[0])
+
+
+def _to_field(vec, ansatz):
+    keys = ansatz.basis_keys()
+    terms = {c: {} for c in range(ansatz.dim)}
+    for m, v in vec.items():
+        comp, exp, mono = keys[m]
+        terms[comp][(exp, mono)] = {(): v}
+    return VectorField([ExpPoly(ansatz.dim, terms[c]) for c in range(ansatz.dim)])
+
+
+def _check_staged(constraints, ansatz):
+    ref, ref_rank, ref_cols = reference_homogeneous_solve(constraints, ansatz)
+    staged = _common_kernel(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    assert [list(v.items()) for v in staged] == [list(v.items()) for v in ref]
+    result = solve(constraints, ansatz)
+    assert (result.matrix_rank, result.ansatz_dim) == (ref_rank, ref_cols)
+    assert result.particular is None and result.inconsistency is None
+    expected = [_to_field(v, ansatz) for v in ref]
+    assert result.basis == expected
+    assert [format_field(b) for b in result.basis] == [format_field(b) for b in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(constraint_systems().filter(_is_homogeneous), staged_systems()))
+def test_staged_solve_matches_stacked(system):
+    _check_staged(*system)
+
+
+# Later stages combine kernel vectors of several terms, so the sums come
+# out with their keys in another order than the stacked solve's.
+@pytest.mark.parametrize("fields, degree", [
+    (("Dx + Dy", "Dx - Dz"), 2),
+    (("Dx + Dy", "z*Dx + Dy"), 2),
+    (("Dx - Dz", "Dx + Dy"), 3),
+])
+def test_staged_solve_matches_stacked_examples(fields, degree):
+    constraints = [BracketConstraint.commutes(parse_field(f)) for f in fields]
+    _check_staged(constraints, AnsatzSpace(3, max_degree=degree))
+
+
+@st.composite
+def spanning_sets(draw):
+    """A matrix and a random invertible recombination of the nullspace
+    basis ``nullspace_from_rref`` gives for it."""
+    rows, ncols = draw(matrices())
+    basis = reference_nullspace(rows, ncols)
+    mixed = []
+    for i in range(len(basis)):
+        scale = draw(values)
+        vec = {c: v * scale for c, v in basis[i].items()}
+        for j in draw(st.sets(st.integers(0, len(basis) - 1), max_size=2)) - {i}:
+            x = draw(values)
+            for c, v in basis[j].items():
+                s = vec.get(c, _ZERO) + x * v
+                if s:
+                    vec[c] = s
+                else:
+                    vec.pop(c, None)
+        mixed.append(vec)
+    return draw(st.permutations(mixed)), ncols, basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_sets())
+def test_reduced_kernel_basis_is_the_nullspace_basis(case):
+    mixed, ncols, basis = case
+    # each vector is scaled and gets multiples of others added, which can
+    # make the set dependent; those draws span less and are skipped
+    if rank(mixed, ncols) < len(basis):
+        return
+    got = _linalg.reduced_kernel_basis(mixed, ncols)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in basis]

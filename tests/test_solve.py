@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lvf.errors import AnsatzExplosion, ParameterizedInput
+from lvf import solve as solve_module
+from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput
 from lvf.fields import VectorField
 from lvf.parsing import parse_field
 from lvf.solve import (
@@ -72,6 +73,44 @@ class TestContracts:
                 target_bound=10,
             )
 
+    def test_empty_first_kernel_stops_the_solve(self, monkeypatch):
+        built = []
+        build = solve_module._build_system
+
+        def counting(constraints, *args, **kwargs):
+            built.append(len(constraints))
+            return build(constraints, *args, **kwargs)
+
+        monkeypatch.setattr(solve_module, "_build_system", counting)
+        # no polynomial field satisfies [Dx, X] = X
+        ansatz = AnsatzSpace(3, max_degree=2)
+        res = solve(
+            [BracketConstraint.eigen(F("Dx"), 1), BracketConstraint.commutes(F("Dy"))],
+            ansatz,
+        )
+        assert built == [1]
+        assert res.basis == [] and res.matrix_rank == res.ansatz_dim == 30
+
+    def test_target_bound_counts_rows_built_over_all_stages(self, monkeypatch):
+        rows_built = []
+        build = solve_module._build_system
+
+        def counting(*args, **kwargs):
+            out = build(*args, **kwargs)
+            rows_built.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(solve_module, "_build_system", counting)
+        cons = [BracketConstraint.commutes(F("Dx")), BracketConstraint.commutes(F("y*Dz"))]
+        ansatz = AnsatzSpace(3, max_degree=2)
+        solve(cons, ansatz)
+        assert len(rows_built) == 2
+        total = sum(rows_built)
+        solve(cons, ansatz, target_bound=total)
+        with pytest.raises(AnsatzExplosion) as info:
+            solve(cons, ansatz, target_bound=total - 1)
+        assert (info.value.size, info.value.bound) == (total, total - 1)
+
     def test_inconsistent_equals_reports_witness(self):
         res = solve(
             [BracketConstraint.equals(F("Dx"), F("exp(x)*Dx"))],
@@ -88,6 +127,26 @@ class TestContracts:
         assert res.particular == F("x*Dz")
         for b in res.basis:
             assert F("Dx").bracket(b).is_zero()
+
+
+class TestAnsatzSpace:
+    def test_dimension_is_the_number_of_basis_fields(self):
+        for ansatz in (
+            AnsatzSpace(3, max_degree=4),
+            AnsatzSpace(3, [(), (0, 0, 1), (0, 0, 0)], 2, [0, 2]),
+            AnsatzSpace(2, [(1, 0), (0, 1)], 0),
+            AnsatzSpace(3, max_degree=2, components=[]),
+        ):
+            assert ansatz.dimension() == len(ansatz.basis_keys())
+
+    def test_zero_exponent_forms_are_one_block(self):
+        ansatz = AnsatzSpace(3, [(), (0, 0, 0), (Fraction(0), 0, 0)], 1)
+        assert ansatz.exponents == ((Fraction(0),) * 3,)
+
+    @pytest.mark.parametrize("dim", [0, -1, 65, 100000])
+    def test_dimension_out_of_range_refused(self, dim):
+        with pytest.raises(LvfError, match="dimension must be"):
+            AnsatzSpace(dim, max_degree=0, components=[])
 
 
 class TestProperties:
