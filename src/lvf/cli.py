@@ -14,6 +14,7 @@ subcommands at a catalog file instead of the builtin one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from lvf import verify as vermod
 from lvf.errors import InternalError, LvfError, ParseError
 from lvf.fields import format_field, generic_rank
 from lvf.obstruction import b2_sanity_control, g2_obstruction
-from lvf.parsing import parse_field
+from lvf.parsing import check_dimension, parse_field
 from lvf.roots import (
     ROOT_SYSTEMS,
     b2_sl4_model,
@@ -116,13 +117,25 @@ def _cmd_centralizer(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _at_line(path: str, lineno: int):
+    """Report an input error as ``<path>:<line>: <message>``."""
+    try:
+        yield
+    except InternalError:
+        raise
+    except (ValueError, LvfError) as exc:
+        raise LvfError(f"{path}:{lineno}: {exc}") from exc
+
+
 def _read_solve_file(path: str):
     dim = 3
+    dim_line = None
     params: Dict[str, Fraction] = {}
     exponents = []
     degree = 2
     components = None
-    constraints = []
+    constraints = []  # (line, kind, eigenvalue or target text, field text)
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -130,9 +143,9 @@ def _read_solve_file(path: str):
                 continue
             head, _, rest = line.partition(" ")
             rest = rest.strip()
-            try:
+            with _at_line(path, lineno):
                 if head == "dim":
-                    dim = int(rest)
+                    dim, dim_line = int(rest), lineno
                 elif head == "params":
                     for chunk in rest.split():
                         name, _, value = chunk.partition("=")
@@ -150,33 +163,44 @@ def _read_solve_file(path: str):
                     ]
                 elif head == "eigen":
                     value, _, expr = rest.partition(":")
-                    constraints.append(("eigen", Fraction(value.strip()), expr.strip()))
+                    constraints.append((lineno, "eigen", Fraction(value.strip()), expr.strip()))
                 elif head == "zero":
                     expr = rest.lstrip(": ").strip()
-                    constraints.append(("zero", None, expr))
+                    constraints.append((lineno, "zero", None, expr))
                 elif head == "equals":
                     known, _, target = rest.partition("->")
-                    constraints.append(("equals", target.strip(), known.strip()))
+                    constraints.append((lineno, "equals", target.strip(), known.strip()))
                 else:
                     raise LvfError(f"unknown directive '{head}'")
-            except (ValueError, LvfError) as exc:
-                raise LvfError(f"{path}:{lineno}: {exc}") from exc
     pnames = tuple(params)
+
+    def field(text):
+        parsed = parse_field(text, dim, pnames)
+        return parsed.subst_params(params) if params else parsed
+
+    if constraints:
+        # refused at its own line before the parser builds tables of size dim
+        with _at_line(path, dim_line):
+            check_dimension(dim)
     built = []
-    for kind, extra, expr in constraints:
-        known = parse_field(expr, dim, pnames)
-        if params:
-            known = known.subst_params(params)
-        if kind == "eigen":
-            built.append(BracketConstraint.eigen(known, extra))
-        elif kind == "zero":
-            built.append(BracketConstraint.commutes(known))
-        else:
-            target = parse_field(extra, dim, pnames)
-            if params:
-                target = target.subst_params(params)
-            built.append(BracketConstraint.equals(known, target))
-    ansatz = AnsatzSpace(dim, exponents, degree, components)
+    for lineno, kind, extra, expr in constraints:
+        with _at_line(path, lineno):
+            if kind == "eigen":
+                built.append(BracketConstraint.eigen(field(expr), extra))
+            elif kind == "zero":
+                built.append(BracketConstraint.commutes(field(expr)))
+            else:
+                built.append(BracketConstraint.equals(field(expr), field(extra)))
+    try:
+        ansatz = AnsatzSpace(dim, exponents, degree, components)
+    except LvfError as exc:
+        # the size check runs first, so an oversized file says so; a
+        # dimension out of range is still reported at the dim line
+        try:
+            check_dimension(dim)
+        except LvfError:
+            raise LvfError(f"{path}:{dim_line}: {exc}") from exc
+        raise
     return built, ansatz
 
 

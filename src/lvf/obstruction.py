@@ -206,7 +206,7 @@ def _chain(x_alpha, x_malpha, x_ab):
     return x_beta, x_a2b, x_a3b, x_2a3b
 
 
-def _witness_assignment(general: VectorField, names, a2_long: VectorField):
+def _witness_assignment(general: VectorField, names):
     """Search small rationals making the whole chain nonzero."""
     candidates = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3)]
     if len(names) == 0:
@@ -299,7 +299,7 @@ def g2_obstruction(
             for s2 in (1, -1):
                 fxa, fxma = xa * Fraction(s1), xma * Fraction(s1)
                 fxb, fxmb = xb * Fraction(s2), xmb * Fraction(s2)
-                x_beta_g, x_a2b_g, x_a3b_g, x_2a3b_g = _chain(fxa, fxma, general)
+                _, x_a2b_g, _, x_2a3b_g = _chain(fxa, fxma, general)
                 branches = []
                 for i, b in enumerate(basis):
                     xb_i, xa2b_i, _, x2a3b_i = _chain(fxa, fxma, b)
@@ -374,7 +374,7 @@ def _examine_candidate(general, names, xa, xma, x_2a3b_a2, degree):
     nonzero and the derived long-root vector a nonzero multiple of the
     A2 one) or refuse to conclude.
     """
-    for pt, x in _witness_assignment(general, names, x_2a3b_a2):
+    for pt, x in _witness_assignment(general, names):
         x_beta, x_a2b, x_a3b, x_2a3b = _chain(xa, xma, x)
         if x_beta.is_zero() or x_a2b.is_zero() or x_2a3b.is_zero():
             continue

@@ -21,13 +21,23 @@ import re
 from fractions import Fraction
 from typing import Tuple
 
-from lvf.errors import ParseError, UnknownIdentifier
+from lvf.errors import LvfError, ParseError, UnknownIdentifier
 from lvf.expr import ExpPoly, coord_names
 from lvf.fields import VectorField
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
 MAX_DIM = 64
+
+
+def check_dimension(dim: int) -> None:
+    """Refuse a dimension outside 1..MAX_DIM, before any table of that
+    size is built."""
+    if dim < 1:
+        raise LvfError(f"dimension must be at least 1, not {dim}")
+    if dim > MAX_DIM:
+        raise LvfError(f"dimension must be at most {MAX_DIM}, not {dim}")
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -84,10 +94,7 @@ class _Value:
 
 class Parser:
     def __init__(self, dim: int = 3, params: Tuple[str, ...] = ()):
-        if dim < 1:
-            raise ParseError(f"dimension must be at least 1, not {dim}", 0)
-        if dim > MAX_DIM:
-            raise ParseError(f"dimension must be at most {MAX_DIM}, not {dim}", 0)
+        check_dimension(dim)
         self.dim = dim
         self.coords = {}
         for i, name in enumerate(coord_names(dim)):

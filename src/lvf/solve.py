@@ -8,12 +8,17 @@ and ``[K, X] = T`` (equals).  Each constraint maps the ansatz linearly
 into a finite-dimensional target space whose basis is derived from the
 images.  With an ``equals`` constraint the stacked system is solved in
 one exact elimination; homogeneous constraints are solved one at a
-time, each on the kernel left by the ones before it.
+time, each on the kernel left by the ones before it.  When the first
+known field is graded, H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0
+(every Cartan element of the obstruction pipeline), its kernel is read
+off by weight instead: a column selection and the kernel of a small
+lowering map, without building its constraint matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -23,9 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from lvf import _kernels as K
 from lvf import _linalg
 from lvf.errors import AnsatzExplosion, InternalError, LvfError, ParameterizedInput
-from lvf.expr import ExpPoly, as_fraction, encode_exponents
+from lvf.expr import ExpPoly, as_fraction, encode_exponents, zero_exponents
 from lvf.fields import VectorField, generic_rank
-from lvf.parsing import MAX_DIM
+from lvf.parsing import check_dimension
 
 DEFAULT_TARGET_BOUND = 20000
 
@@ -87,10 +92,7 @@ class AnsatzSpace:
                 f"ansatz of degree {max_degree} in dimension {dim} has more "
                 f"than {DEFAULT_TARGET_BOUND} basis fields"
             )
-        if dim < 1:
-            raise LvfError(f"dimension must be at least 1, not {dim}")
-        if dim > MAX_DIM:
-            raise LvfError(f"dimension must be at most {MAX_DIM}, not {dim}")
+        check_dimension(dim)
         zero = (Fraction(0),) * dim
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", tuple(sorted(v or zero for v in vecs)))
@@ -342,36 +344,125 @@ def _combine(coeffs, basis):
     return out
 
 
+def _graded_weights(known: VectorField):
+    """``(a, b)`` when known = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0
+    for every j, else None."""
+    zero = zero_exponents(known.dim)
+    a = [Fraction(0)] * known.dim
+    b = [Fraction(0)] * known.dim
+    for j, comp in enumerate(known.components):
+        for (exp, mono), pp in comp.term_map().items():
+            if exp != zero or list(pp) != [()]:
+                return None
+            if not any(mono):
+                b[j] = pp[()]
+            elif mono[j] == 1 and sum(mono) == 1:
+                a[j] = pp[()]
+            else:
+                return None
+        if a[j] and b[j]:
+            return None
+    return a, b
+
+
+def _graded_kernel(cons: BracketConstraint, ansatz: AnsatzSpace, target_bound: int):
+    """Kernel basis and row count of a homogeneous constraint whose
+    known field H is graded (see ``_graded_weights``), or None.
+
+    On f = x^m e^(q.x) the bracket splits as
+      [H, f d_c] = (a.m + b.q - a_c) f d_c + (sum_i a_i q_i x_i) f d_c
+                   + (sum_i b_i m_i x^(m-e_i) e^(q.x)) d_c.
+    The middle term raises the degree, so a block with some a_i q_i != 0
+    has kernel {0}.  In any other block the last term keeps the weight
+    a.m + b.q - a_c (b_i != 0 only where a_i = 0), so the kernel of
+    [H, X] = cX is the kernel of that lowering map on the columns of
+    weight c: one small elimination instead of a build over the whole
+    ansatz.  The basis is the reduced one ``nullspace_from_rref`` gives
+    for the full matrix, whose columns it keeps in order.
+    """
+    graded = _graded_weights(cons.known)
+    if graded is None:
+        return None
+    a, b = graded
+    eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else Fraction(0)
+    # integer weights: everything scaled by the common denominator
+    scale = math.lcm(eig.denominator, *(v.denominator for v in a + b))
+    ia = [int(v * scale) for v in a]
+    ib = [int(v * scale) for v in b]
+    ic = int(eig * scale)
+    keys, col_index, exps, monos = ansatz._columns
+    am = [sum(x * m for x, m in zip(ia, mono)) for mono in monos]
+    columns = []
+    for exp in exps:
+        den, nums = exp[0], exp[1:]
+        if any(x and n for x, n in zip(ia, nums)):
+            continue
+        bq = sum(x * n for x, n in zip(ib, nums))
+        for c in ansatz.components:
+            # weight c, times den: den * (a.m - a_c - c) + b.(den q) = 0
+            need, rem = divmod(den * (ia[c] + ic) - bq, den)
+            if rem:
+                continue
+            columns.extend(
+                col_index[(c, exp, mono)] for mono, w in zip(monos, am) if w == need
+            )
+    columns.sort()
+    lowering = [(i, v) for i, v in enumerate(b) if v]
+    target_index: Dict[tuple, int] = {}
+    rows: List[Dict[int, Fraction]] = []
+    for j, col in enumerate(columns):
+        c, exp, mono = keys[col]
+        for i, v in lowering:
+            m = mono[i]
+            if m:
+                target = (c, exp, mono[:i] + (m - 1,) + mono[i + 1:])
+                idx = target_index.setdefault(target, len(rows))
+                if idx == len(rows):
+                    rows.append({})
+                rows[idx][j] = v * m
+    if len(rows) > target_bound:
+        raise AnsatzExplosion(len(rows), target_bound)
+    pivots, rrows = _linalg.rref(rows, len(columns))
+    kernel = _linalg.nullspace_from_rref(pivots, rrows, len(columns))
+    return [{columns[j]: v for j, v in vec.items()} for vec in kernel], len(rows)
+
+
 def _common_kernel(constraints, ansatz: AnsatzSpace, target_bound: int):
     """Kernel basis of homogeneous constraints, one constraint at a time.
 
     Constraint 0 is built over the whole ansatz and its kernel basis N
-    read off the reduced form.  Each later constraint is built only over
-    the columns N uses; the kernel W of those rows times N gives the new
-    basis N W.  The solve stops once N is empty, so most of the target
-    rows of the stacked matrix are never built.  ``target_bound`` bounds
-    the rows built over all stages.  The basis is returned in the
-    reduced form ``nullspace_from_rref`` gives for the stacked matrix:
-    that form depends only on the kernel.
+    read off the reduced form; when its known field is graded, N comes
+    from ``_graded_kernel`` instead, without that build.  Each later
+    constraint is built only over the columns N uses; the kernel W of
+    those rows times N gives the new basis N W.  The solve stops once
+    N is empty, so most of the target rows of the stacked matrix are
+    never built.  ``target_bound`` bounds the rows built over all stages
+    (for a graded constraint 0, its lowering rows).  The basis is
+    returned in the reduced form ``nullspace_from_rref`` gives for the
+    stacked matrix: that form depends only on the kernel.
     """
     ncols = len(ansatz._columns[0])
     basis = None  # None: the whole ansatz
     built = 0
     for cons in constraints:
-        support = None if basis is None else set().union(*basis)
-        try:
-            rows = _build_system([cons], ansatz, target_bound - built, support)[2]
-        except AnsatzExplosion as exc:
-            raise AnsatzExplosion(built + exc.size, target_bound) from None
-        built += len(rows)
-        if basis is None:
-            pivots, rrows = _linalg.rref(rows, ncols)
-            basis = _linalg.nullspace_from_rref(pivots, rrows, ncols)
+        graded = _graded_kernel(cons, ansatz, target_bound) if basis is None else None
+        if graded is not None:
+            basis, built = graded
         else:
-            k = len(basis)
-            pivots, rrows = _linalg.rref(_compose(rows, basis), k)
-            kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
-            basis = [_combine(w, basis) for w in kernel]
+            support = None if basis is None else set().union(*basis)
+            try:
+                rows = _build_system([cons], ansatz, target_bound - built, support)[2]
+            except AnsatzExplosion as exc:
+                raise AnsatzExplosion(built + exc.size, target_bound) from None
+            built += len(rows)
+            if basis is None:
+                pivots, rrows = _linalg.rref(rows, ncols)
+                basis = _linalg.nullspace_from_rref(pivots, rrows, ncols)
+            else:
+                k = len(basis)
+                pivots, rrows = _linalg.rref(_compose(rows, basis), k)
+                kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
+                basis = [_combine(w, basis) for w in kernel]
         if not basis:
             return []
     if basis is None:

@@ -226,6 +226,28 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     assert err.count("\n") == 1 and "dimension must be at least 1" in err
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("dim 3\ndegree 1\n\nzero : Dq\n", 4, "unknown identifier 'Dq' (at position 0)"),
+    ("dim 3\neigen 1 : Dx\nequals Dy -> exp(x*y)*Dx\n", 3,
+     "exponent must be linear in the coordinates (at position 0)"),
+    ("# wide\ndim 100000\neigen 1 : Dx\n", 2, "dimension must be at most 64, not 100000"),
+    ("dim 100000\ndegree 0\ncomponents 1\n", 1, "dimension must be at most 64, not 100000"),
+    ("degree 1\ndim 0\nzero : Dx\n", 2, "dimension must be at least 1, not 0"),
+])
+def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
+    path = tmp_path / "bad.lvf"
+    path.write_text(text)
+    code, out, err = run(["solve", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{lineno}: {message}\n"
+
+
+def test_rank_dimension_error_has_no_position():
+    code, out, err = run(["rank", "--dim", "200000", "Dx"])
+    assert (code, out) == (2, "")
+    assert err == "error: dimension must be at most 64, not 200000\n"
+
+
 @pytest.mark.parametrize("text", [
     "dim 3\ndegree 100000\nzero : Dx\n",
     "dim 99999\ndegree 1\n",

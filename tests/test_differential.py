@@ -1,11 +1,13 @@
 """Differential tests: the row-insert elimination, the raw-key
-constraint build and the staged homogeneous solve against reference
-implementations kept here.
+constraint build, the staged homogeneous solve and its graded first
+stage against reference implementations kept here.
 
 The references are the earlier column-scan ``rref``, the binary-search
 ``solve_affine``, the ``ExpPoly`` build loop of ``solve.solve``, the
 dense ``fields._invert``, the per-free-column ``nullspace_from_rref``
-and the stacked homogeneous solve (one build, one elimination).  The
+and the stacked homogeneous solve (one build, one elimination); the
+graded first stage is checked against the build and elimination of its
+constraint.  The
 reduced row echelon form is unique, so the fast paths must agree with
 them exactly, including the order of the constraint rows (the
 inconsistency message depends on it) and the key order of the basis
@@ -18,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lvf import _kernels, _linalg
+from lvf import solve as solve_module
 from lvf._linalg import nullspace, nullspace_from_rref, rank, solve_affine
 from lvf.errors import AnsatzExplosion, SingularMap
-from lvf.expr import ExpPoly
+from lvf.expr import ExpPoly, decode_exponents
 from lvf.fields import VectorField, _invert, format_field
 from lvf.parsing import parse_field
 from lvf.solve import (
@@ -30,6 +33,7 @@ from lvf.solve import (
     _build_system,
     _common_kernel,
     _field_keys,
+    _graded_kernel,
     solve,
 )
 
@@ -476,3 +480,73 @@ def test_reduced_kernel_basis_is_the_nullspace_basis(case):
         return
     got = _linalg.reduced_kernel_basis(mixed, ncols)
     assert [list(v.items()) for v in got] == [list(v.items()) for v in basis]
+
+
+# -- graded first stage -------------------------------------------------------
+
+GRADED_EXPONENTS = EXPONENTS + ((0, 0, -1), (0, Fraction(1, 3), 0), (1, 1, 0), (0, 2, -1))
+SMALL = (1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def graded_systems(draw):
+    """A graded H = sum_i (a_i x_i + b_i) d_i with b_i = 0 wherever
+    a_i != 0, exponent blocks with and without some a_i q_i != 0, and a
+    constraint [H, X] = cX whose c is often the weight of a basis field,
+    so that kernels are often nonzero."""
+    a, b = [], []
+    for _ in range(3):
+        mode = draw(st.sampled_from(("none", "a", "b", "b")))
+        a.append(Fraction(draw(st.sampled_from(SMALL))) if mode == "a" else _ZERO)
+        b.append(Fraction(draw(st.sampled_from(SMALL))) if mode == "b" else _ZERO)
+    known = VectorField([
+        ExpPoly.coord(3, i) * a[i] + ExpPoly.const(3, b[i]) for i in range(3)
+    ])
+    exponents = draw(st.lists(st.sampled_from(GRADED_EXPONENTS), min_size=1, max_size=3))
+    components = draw(st.sets(st.integers(0, 2), min_size=1))
+    ansatz = AnsatzSpace(3, exponents, draw(st.integers(0, 3)), sorted(components))
+    if draw(st.booleans()):
+        return BracketConstraint.commutes(known), ansatz
+    c, exp, mono = draw(st.sampled_from(ansatz.basis_keys()))
+    q = decode_exponents(exp)
+    weight = sum(x * m for x, m in zip(a, mono)) + sum(x * y for x, y in zip(b, q)) - a[c]
+    value = draw(st.one_of(st.just(weight), st.just(weight), values))
+    return BracketConstraint.eigen(known, value), ansatz
+
+
+def _build_kernel(cons, ansatz):
+    """Kernel of one constraint by the full build and elimination."""
+    keys, _, rows, _ = _build_system([cons], ansatz, DEFAULT_TARGET_BOUND)
+    return _linalg.reduced_kernel_basis(nullspace(rows, len(keys)), len(keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_systems())
+def test_graded_kernel_matches_build(system):
+    cons, ansatz = system
+    graded = _graded_kernel(cons, ansatz, DEFAULT_TARGET_BOUND)
+    assert graded is not None
+    ref = _build_kernel(cons, ansatz)
+    assert [list(v.items()) for v in graded[0]] == [list(v.items()) for v in ref]
+
+
+@pytest.mark.parametrize("text", [
+    "x*Dx + Dx", "exp(x)*Dx", "y*Dx", "x*y*Dx", "x^2*Dx", "x*Dx + 2*Dx + y*Dy",
+])
+def test_ungraded_fields_take_the_build(text, monkeypatch):
+    cons = BracketConstraint.commutes(parse_field(text))
+    ansatz = AnsatzSpace(3, [(0, 0, 0), (1, 0, 0)], 2)
+    assert _graded_kernel(cons, ansatz, DEFAULT_TARGET_BOUND) is None
+    built = []
+    build = solve_module._build_system
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "_build_system", counting)
+    got = _common_kernel([cons], ansatz, DEFAULT_TARGET_BOUND)
+    assert built == [1]
+    assert [list(v.items()) for v in got] == [
+        list(v.items()) for v in _build_kernel(cons, ansatz)
+    ]

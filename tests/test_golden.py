@@ -1,7 +1,8 @@
 """Byte-identical command output against files in ``tests/golden/``.
 
 The files were captured from the command line before the staged
-homogeneous solver replaced the single stacked elimination; any change
+homogeneous solver replaced the single stacked elimination (the last
+two before the graded first stage replaced its build); any change
 to a basis, a rank, a verdict or a record line shows up here.  To
 regenerate one after an intended output change, run the command from
 the table below with ``python -m lvf.cli`` and redirect stdout to the
@@ -31,6 +32,9 @@ CASES = [
      "centralizer_heisenberg2_deg4.txt"),
     (["verify", "--all", "--format", "records"], "verify_all.records"),
     (["solve", str(GOLDEN / "solve_staged.lvf")], "solve_staged.txt"),
+    (["solve", str(GOLDEN / "solve_graded.lvf")], "solve_graded.txt"),
+    (["g2-check", "--form", "3", "--max-degree", "10", "--verbose", "--control"],
+     "g2_form3_deg10_verbose_control.txt"),
 ]
 
 

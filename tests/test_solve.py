@@ -73,25 +73,9 @@ class TestContracts:
                 target_bound=10,
             )
 
-    def test_empty_first_kernel_stops_the_solve(self, monkeypatch):
-        built = []
-        build = solve_module._build_system
-
-        def counting(constraints, *args, **kwargs):
-            built.append(len(constraints))
-            return build(constraints, *args, **kwargs)
-
-        monkeypatch.setattr(solve_module, "_build_system", counting)
-        # no polynomial field satisfies [Dx, X] = X
-        ansatz = AnsatzSpace(3, max_degree=2)
-        res = solve(
-            [BracketConstraint.eigen(F("Dx"), 1), BracketConstraint.commutes(F("Dy"))],
-            ansatz,
-        )
-        assert built == [1]
-        assert res.basis == [] and res.matrix_rank == res.ansatz_dim == 30
-
-    def test_target_bound_counts_rows_built_over_all_stages(self, monkeypatch):
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Rows of each ``_build_system`` call, in call order."""
         rows_built = []
         build = solve_module._build_system
 
@@ -101,7 +85,46 @@ class TestContracts:
             return out
 
         monkeypatch.setattr(solve_module, "_build_system", counting)
-        cons = [BracketConstraint.commutes(F("Dx")), BracketConstraint.commutes(F("y*Dz"))]
+        return rows_built
+
+    @staticmethod
+    def _count_constraints(monkeypatch):
+        """Number of constraints of each ``_build_system`` call."""
+        built = []
+        build = solve_module._build_system
+
+        def counting(constraints, *args, **kwargs):
+            built.append(len(constraints))
+            return build(constraints, *args, **kwargs)
+
+        monkeypatch.setattr(solve_module, "_build_system", counting)
+        return built
+
+    def test_empty_first_kernel_stops_the_solve(self, monkeypatch):
+        built = self._count_constraints(monkeypatch)
+        # ad(y*Dx) is nilpotent on polynomial fields: no X with [y*Dx, X] = X
+        ansatz = AnsatzSpace(3, max_degree=2)
+        res = solve(
+            [BracketConstraint.eigen(F("y*Dx"), 1), BracketConstraint.commutes(F("Dy"))],
+            ansatz,
+        )
+        assert built == [1]
+        assert res.basis == [] and res.matrix_rank == res.ansatz_dim == 30
+
+    def test_empty_graded_first_kernel_builds_nothing(self, monkeypatch):
+        built = self._count_constraints(monkeypatch)
+        # no polynomial field satisfies [Dx, X] = X
+        ansatz = AnsatzSpace(3, max_degree=2)
+        res = solve(
+            [BracketConstraint.eigen(F("Dx"), 1), BracketConstraint.commutes(F("Dy"))],
+            ansatz,
+        )
+        assert built == []
+        assert res.basis == [] and res.matrix_rank == res.ansatz_dim == 30
+
+    def test_target_bound_counts_rows_built_over_all_stages(self, monkeypatch):
+        rows_built = self._count_builds(monkeypatch)
+        cons = [BracketConstraint.commutes(F("y*Dz")), BracketConstraint.commutes(F("Dx"))]
         ansatz = AnsatzSpace(3, max_degree=2)
         solve(cons, ansatz)
         assert len(rows_built) == 2
@@ -110,6 +133,26 @@ class TestContracts:
         with pytest.raises(AnsatzExplosion) as info:
             solve(cons, ansatz, target_bound=total - 1)
         assert (info.value.size, info.value.bound) == (total, total - 1)
+
+    def test_target_bound_counts_graded_rows(self, monkeypatch):
+        rows_built = self._count_builds(monkeypatch)
+        cons = [BracketConstraint.commutes(F("Dx")), BracketConstraint.commutes(F("y*Dz"))]
+        ansatz = AnsatzSpace(3, max_degree=2)
+        # the lowering rows of d/dx: x^m d_c -> m_x x^(m-e_x) d_c, m_x > 0
+        graded = solve_module._graded_kernel(cons[0], ansatz, 10**6)[1]
+        assert graded == 3 * 4
+        solve(cons, ansatz)
+        assert len(rows_built) == 1
+        total = graded + rows_built[0]
+        solve(cons, ansatz, target_bound=total)
+        with pytest.raises(AnsatzExplosion) as info:
+            solve(cons, ansatz, target_bound=total - 1)
+        assert (info.value.size, info.value.bound) == (total, total - 1)
+        rows_built.clear()
+        with pytest.raises(AnsatzExplosion) as info:
+            solve(cons, ansatz, target_bound=graded - 1)
+        assert (info.value.size, info.value.bound) == (graded, graded - 1)
+        assert rows_built == []
 
     def test_inconsistent_equals_reports_witness(self):
         res = solve(
