@@ -74,17 +74,27 @@ def solve_affine(
     inconsistent.  One echelon pass over the augmented rows gives all
     four: the witness is the row whose insertion creates a pivot in the
     rhs column, and the rank counts the pivots left of it.
+
+    Once the table holds ``ncols`` pivots and none in the rhs column,
+    the prefix has exactly one solution x, found by one back
+    substitution.  A later row then needs no reduction: it is
+    consistent exactly when ``row . x == b`` (fully reduced, it would
+    leave ``b - row . x`` in the rhs column), so the first row that
+    fails is the same witness.  Before full rank, and after a witness
+    found before it, rows are still inserted, until the last row or
+    ``ncols + 1`` pivots, so the rank is that of all of M, not of a
+    prefix.
     """
     table: Dict[int, Row] = {}
     witness = None
-    for i, (r, b) in enumerate(zip(rows, rhs)):
-        row = dict(r)
-        if b:
-            row[ncols] = b
+    i = 0
+    while i < len(rows) and len(table) < ncols + (witness is not None):
+        row = dict(rows[i])
+        if rhs[i]:
+            row[ncols] = rhs[i]
         if row and K.echelon_insert(table, row) == ncols:
             witness = i
-        if len(table) > ncols:
-            break
+        i += 1
     if witness is not None:
         return None, [], len(table) - 1, witness
     pivots, rrows = K.back_substitute(table)
@@ -93,6 +103,10 @@ def solve_affine(
         b = row.get(ncols)
         if b:
             particular[p] = b
+    # rows are left over only when the table reached full column rank
+    for j in range(i, len(rows)):
+        if sum(v * particular[c] for c, v in rows[j].items() if c in particular) != rhs[j]:
+            return None, [], ncols, j
     hom = nullspace_from_rref(pivots, rrows, ncols)
     return particular, hom, len(pivots), None
 

@@ -33,7 +33,7 @@ from lvf.roots import (
     format_constants_table,
     get_root_system,
 )
-from lvf.solve import AnsatzSpace, BracketConstraint, centralizer, solve
+from lvf.solve import AnsatzSpace, BracketConstraint, centralizer, exponent_vector, solve
 
 
 def _load_catalog() -> List[catmod.Realization]:
@@ -132,7 +132,7 @@ def _read_solve_file(path: str):
     dim = 3
     dim_line = None
     params: Dict[str, Fraction] = {}
-    exponents = []
+    exponents = []  # (line, vector)
     degree = 2
     components = None
     constraints = []  # (line, kind, eigenvalue or target text, field text)
@@ -153,7 +153,7 @@ def _read_solve_file(path: str):
                 elif head == "exponents":
                     for chunk in rest.replace("(", " ").replace(")", " ").split():
                         vec = tuple(Fraction(q) for q in chunk.split(","))
-                        exponents.append(vec)
+                        exponents.append((lineno, vec))
                 elif head == "degree":
                     degree = int(rest)
                 elif head == "components":
@@ -191,8 +191,11 @@ def _read_solve_file(path: str):
                 built.append(BracketConstraint.commutes(field(expr)))
             else:
                 built.append(BracketConstraint.equals(field(expr), field(extra)))
+    for lineno, vec in exponents:
+        with _at_line(path, lineno):
+            exponent_vector(vec, dim)
     try:
-        ansatz = AnsatzSpace(dim, exponents, degree, components)
+        ansatz = AnsatzSpace(dim, [vec for _, vec in exponents], degree, components)
     except LvfError as exc:
         # the size check runs first, so an oversized file says so; a
         # dimension out of range is still reported at the dim line

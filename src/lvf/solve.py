@@ -7,12 +7,15 @@ parameter-free field K: ``[K, X] = c X`` (eigen), ``[K, X] = 0`` (zero)
 and ``[K, X] = T`` (equals).  Each constraint maps the ansatz linearly
 into a finite-dimensional target space whose basis is derived from the
 images.  With an ``equals`` constraint the stacked system is solved in
-one exact elimination; homogeneous constraints are solved one at a
-time, each on the kernel left by the ones before it.  When the first
-known field is graded, H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0
-(every Cartan element of the obstruction pipeline), its kernel is read
-off by weight instead: a column selection and the kernel of a small
-lowering map, without building its constraint matrix.
+one exact elimination pass; once the matrix reaches full column rank,
+each later row is checked against the unique solution instead of being
+reduced, which leaves the witness and the rank of the whole matrix
+unchanged.  Homogeneous constraints are solved one at a time, each on
+the kernel left by the ones before it.  When the first known field is
+graded, H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan
+element of the obstruction pipeline), its kernel is read off by weight
+instead: a column selection and the kernel of a small lowering map,
+without building its constraint matrix.
 """
 
 from __future__ import annotations
@@ -62,6 +65,16 @@ def _ansatz_size(dim: int, max_degree: int, blocks: int) -> int:
     return size
 
 
+def exponent_vector(e, dim: int) -> Tuple[Fraction, ...]:
+    """``e`` as exact rationals, or () for the zero vector.  A vector
+    whose length is not ``dim`` is refused, written as in a solve file."""
+    vec = tuple(as_fraction(v) for v in e)
+    if vec and len(vec) != dim:
+        text = ",".join(str(v) for v in vec)
+        raise LvfError(f"exponent vector ({text}) in dimension {dim}")
+    return vec if any(vec) else ()
+
+
 @dataclass(frozen=True)
 class AnsatzSpace:
     """Finite search space: exponents x degrees x components."""
@@ -74,12 +87,7 @@ class AnsatzSpace:
     def __init__(self, dim, exponents=((),), max_degree=2, components=None):
         # () stands for the zero vector until the dimension is bounded, so
         # no table of size dim is built before the checks below
-        vecs = set()
-        for e in exponents:
-            vec = tuple(as_fraction(v) for v in e)
-            if vec and len(vec) != dim:
-                raise LvfError(f"exponent vector {e} in dimension {dim}")
-            vecs.add(vec if any(vec) else ())
+        vecs = {exponent_vector(e, dim) for e in exponents}
         if not vecs:
             vecs.add(())
         comps = set(components) if components is not None else range(dim)

@@ -233,6 +233,7 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("# wide\ndim 100000\neigen 1 : Dx\n", 2, "dimension must be at most 64, not 100000"),
     ("dim 100000\ndegree 0\ncomponents 1\n", 1, "dimension must be at most 64, not 100000"),
     ("degree 1\ndim 0\nzero : Dx\n", 2, "dimension must be at least 1, not 0"),
+    ("dim 2\nexponents (0,0) (0,0,1)\nzero : Dx\n", 2, "exponent vector (0,0,1) in dimension 2"),
 ])
 def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.lvf"

@@ -3,15 +3,15 @@ constraint build, the staged homogeneous solve and its graded first
 stage against reference implementations kept here.
 
 The references are the earlier column-scan ``rref``, the binary-search
-``solve_affine``, the ``ExpPoly`` build loop of ``solve.solve``, the
-dense ``fields._invert``, the per-free-column ``nullspace_from_rref``
-and the stacked homogeneous solve (one build, one elimination); the
-graded first stage is checked against the build and elimination of its
-constraint.  The
-reduced row echelon form is unique, so the fast paths must agree with
-them exactly, including the order of the constraint rows (the
-inconsistency message depends on it) and the key order of the basis
-vectors.
+``solve_affine`` (also on tall systems with a planted solution, which
+reach full column rank early and then check rows against it), the
+``ExpPoly`` build loop of ``solve.solve``, the dense ``fields._invert``,
+the per-free-column ``nullspace_from_rref`` and the stacked homogeneous
+solve (one build, one elimination); the graded first stage is checked
+against the build and elimination of its constraint.  The reduced row
+echelon form is unique, so the fast paths must agree with them exactly,
+including the order of the constraint rows (the inconsistency message
+depends on it) and the key order of the basis vectors.
 """
 
 from fractions import Fraction
@@ -250,6 +250,18 @@ values = st.builds(
 )
 
 
+def _combine(draw, rows):
+    """x*a + y*b for two rows drawn from ``rows``; it may cancel to {}."""
+    a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    x, y = draw(values), draw(values)
+    row = {}
+    for c in set(a) | set(b):
+        v = x * a.get(c, _ZERO) + y * b.get(c, _ZERO)
+        if v:
+            row[c] = v
+    return row
+
+
 @st.composite
 def matrices(draw, max_cols=7):
     """Sparse rows, some of them combinations of earlier ones, so that
@@ -258,13 +270,7 @@ def matrices(draw, max_cols=7):
     rows = []
     for _ in range(draw(st.integers(0, 2 * ncols + 2))):
         if rows and draw(st.booleans()):
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            x, y = draw(values), draw(values)
-            row = {}
-            for c in set(a) | set(b):
-                v = x * a.get(c, _ZERO) + y * b.get(c, _ZERO)
-                if v:
-                    row[c] = v
+            row = _combine(draw, rows)
         else:
             cols = draw(st.sets(st.integers(0, ncols - 1), max_size=3))
             row = {c: draw(values) for c in cols}
@@ -276,6 +282,38 @@ def matrices(draw, max_cols=7):
 def affine_systems(draw):
     rows, ncols = draw(matrices())
     rhs = [draw(st.one_of(st.just(_ZERO), values)) for _ in rows]
+    return rows, rhs, ncols
+
+
+@st.composite
+def tall_affine_systems(draw):
+    """Tall systems with a planted solution x: a triangular full-rank
+    block first (some of its rows left out for a rank-deficient
+    system), then many combinations of earlier rows with the
+    consistent rhs row . x.  Sometimes one row goes wrong at a random
+    position: a combination of earlier rows with a shifted rhs, or an
+    empty row with b != 0.  Inside the block its witness comes before
+    full rank; after it, the witness is a row checked against x."""
+    ncols = draw(st.integers(1, 6))
+    x = {c: draw(st.one_of(st.just(_ZERO), values)) for c in range(ncols)}
+    order = draw(st.permutations(range(ncols)))
+    deficient = draw(st.integers(0, 2)) == 0
+    dropped = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1)) if deficient else set()
+    rows = []
+    for k, p in enumerate(order):
+        if k not in dropped:
+            rows.append({p: draw(values), **{
+                q: draw(values) for q in order[k + 1:] if draw(st.integers(0, 2)) == 0
+            }})
+    for _ in range(draw(st.integers(0, 5 * ncols))):
+        rows.append(_combine(draw, rows))
+    rhs = [sum(v * x[c] for c, v in row.items()) for row in rows]
+    bad = draw(st.sampled_from((None, "row", "empty")))
+    if bad is not None:
+        at = draw(st.integers(0, len(rows)))
+        row = _combine(draw, rows[:at]) if bad == "row" and at else {}
+        rows.insert(at, row)
+        rhs.insert(at, sum(v * x[c] for c, v in row.items()) + draw(values))
     return rows, rhs, ncols
 
 
@@ -366,6 +404,18 @@ def test_rref_matches_column_scan(system):
 def test_solve_affine_matches_binary_search(system):
     rows, rhs, ncols = system
     assert solve_affine(rows, rhs, ncols) == reference_solve_affine(rows, rhs, ncols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tall_affine_systems())
+def test_tall_solve_affine_matches_binary_search(system):
+    rows, rhs, ncols = system
+    got = solve_affine(rows, rhs, ncols)
+    ref = reference_solve_affine(rows, rhs, ncols)
+    assert got == ref
+    if got[0] is not None:
+        assert list(got[0]) == list(ref[0])
+    assert [list(v) for v in got[1]] == [list(v) for v in ref[1]]
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,12 +1,18 @@
-"""Byte-identical command output against files in ``tests/golden/``.
+"""Byte-identical command output and exit code against files in
+``tests/golden/``.
 
 The files were captured from the command line before the staged
-homogeneous solver replaced the single stacked elimination (the last
-two before the graded first stage replaced its build); any change
-to a basis, a rank, a verdict or a record line shows up here.  To
-regenerate one after an intended output change, run the command from
-the table below with ``python -m lvf.cli`` and redirect stdout to the
-file.
+homogeneous solver replaced the single stacked elimination (the
+``solve_graded`` and degree-10 files before the graded first stage
+replaced its build, the ``solve_equals`` files before the affine solve
+began checking rows against the solution at full column rank); any
+change to a basis, a rank, a verdict, a witness or a record line shows
+up here.  The ``solve_equals`` files cover the ``equals`` path: a
+consistent system that reaches full column rank early, one whose
+witness comes after full rank (exit 1), and one whose witness comes
+while the matrix is rank deficient (exit 1).  To regenerate one after
+an intended output change, run the command from the table below with
+``python -m lvf.cli`` and redirect stdout to the file.
 """
 
 import contextlib
@@ -21,28 +27,33 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     (["g2-check", "--form", "1", "--max-degree", "6", "--control", "--format", "records"],
-     "g2_form1_deg6_control.records"),
+     "g2_form1_deg6_control.records", 0),
     (["g2-check", "--form", "2", "--max-degree", "6", "--control", "--format", "records"],
-     "g2_form2_deg6_control.records"),
+     "g2_form2_deg6_control.records", 0),
     (["g2-check", "--form", "3", "--max-degree", "6", "--control", "--format", "records"],
-     "g2_form3_deg6_control.records"),
+     "g2_form3_deg6_control.records", 0),
     (["g2-check", "--form", "3", "--max-degree", "6", "--verbose"],
-     "g2_form3_deg6_verbose.txt"),
+     "g2_form3_deg6_verbose.txt", 0),
     (["centralizer", "--form", "heisenberg.2", "--max-degree", "4"],
-     "centralizer_heisenberg2_deg4.txt"),
-    (["verify", "--all", "--format", "records"], "verify_all.records"),
-    (["solve", str(GOLDEN / "solve_staged.lvf")], "solve_staged.txt"),
-    (["solve", str(GOLDEN / "solve_graded.lvf")], "solve_graded.txt"),
+     "centralizer_heisenberg2_deg4.txt", 0),
+    (["verify", "--all", "--format", "records"], "verify_all.records", 0),
+    (["solve", str(GOLDEN / "solve_staged.lvf")], "solve_staged.txt", 0),
+    (["solve", str(GOLDEN / "solve_graded.lvf")], "solve_graded.txt", 0),
     (["g2-check", "--form", "3", "--max-degree", "10", "--verbose", "--control"],
-     "g2_form3_deg10_verbose_control.txt"),
+     "g2_form3_deg10_verbose_control.txt", 0),
+    (["solve", str(GOLDEN / "solve_equals.lvf")], "solve_equals.txt", 0),
+    (["solve", str(GOLDEN / "solve_equals_inconsistent.lvf")],
+     "solve_equals_inconsistent.txt", 1),
+    (["solve", str(GOLDEN / "solve_equals_early_witness.lvf")],
+     "solve_equals_early_witness.txt", 1),
 ]
 
 
-@pytest.mark.parametrize("argv, name", CASES, ids=[name for _, name in CASES])
-def test_output_is_byte_identical(argv, name, monkeypatch):
+@pytest.mark.parametrize("argv, name, exit_code", CASES, ids=[name for _, name, _ in CASES])
+def test_output_is_byte_identical(argv, name, exit_code, monkeypatch):
     monkeypatch.delenv("LVF_CATALOG", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    assert code == 0
+    assert code == exit_code
     assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
