@@ -18,9 +18,11 @@ expression layer:
 
 The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the
-table once at the end; ``rref`` is built on the two.  Callers look the
-kernels up through this module (``K.ep_mul``, ``K.rref``, ...), so each
-has exactly one implementation.
+table once at the end; ``rref`` is built on the two, and so are the
+nullspace, affine solve, inverse and determinant of ``_linalg`` and the
+span tracker of ``algebra``.  Callers look the kernels up through this
+module (``K.ep_mul``, ``K.rref``, ...), so each has exactly one
+implementation.
 """
 
 import math

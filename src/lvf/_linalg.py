@@ -1,8 +1,9 @@
 """Exact rational linear algebra on sparse rows.
 
-Thin wrappers around the row-insert elimination kernel plus a dense
-determinant.  Rows are dicts mapping column index to a nonzero
-Fraction.
+Thin wrappers around the row-insert elimination kernel: rref,
+nullspaces, affine solves and, through the rows of ``[A | I]``, the
+determinant and the inverse.  Rows are dicts mapping column index to a
+nonzero Fraction.
 """
 
 from __future__ import annotations
@@ -116,27 +117,41 @@ def rank(rows: List[Row], ncols: int) -> int:
     return len(pivots)
 
 
+def echelon_with_identity(
+    rows: List[List[Fraction]],
+) -> Optional[Tuple[Dict[int, Row], List[int]]]:
+    """Insert the rows of ``[A | I]`` into one echelon table.
+
+    Returns the table and the pivot column of each row of the n x n
+    matrix A, or None as soon as a pivot falls in the identity block
+    (column n or later), which happens exactly when A is singular.  Row
+    i's marker entry (column n + i) is 1 over its leading entry: only
+    earlier rows, with markers left of it, are subtracted from it, and a
+    stored row is never touched again.
+    """
+    n = len(rows)
+    table: Dict[int, Row] = {}
+    pivots = []
+    for i, row in enumerate(rows):
+        aug = {j: v for j, v in enumerate(row) if v}
+        aug[n + i] = Fraction(1)
+        p = K.echelon_insert(table, aug)
+        if p >= n:
+            return None
+        pivots.append(p)
+    return table, pivots
+
+
 def det(matrix: List[List[Fraction]]) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        lead = m[col][col]
-        out *= lead
-        for r in range(col + 1, n):
-            if m[r][col]:
-                fac = m[r][col] / lead
-                m[r] = [a - fac * b for a, b in zip(m[r], m[col])]
-    return out * sign
+    """Exact determinant: the product of the leading entries of the
+    echelon rows times the sign of their pivot permutation."""
+    echelon = echelon_with_identity(matrix)
+    if echelon is None:
+        return Fraction(0)
+    table, pivots = echelon
+    n = len(pivots)
+    markers = Fraction(1)
+    for i, p in enumerate(pivots):
+        markers *= table[p][n + i]
+    inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1:])
+    return (-1 if inversions % 2 else 1) / markers

@@ -2,8 +2,10 @@
 
 Fields are flattened to exact coefficient vectors over their
 ``(component, exponent, monomial)`` support, so linear questions (span,
-membership, coordinates) reduce to rational Gaussian elimination.  All
-inputs must be parameter-free; substitute parameters first.
+membership, coordinates) reduce to rows of the echelon core in
+``_kernels``; the Killing determinant runs on it too, through
+``_linalg.det``.  All inputs must be parameter-free; substitute
+parameters first.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from lvf import _kernels as K
 from lvf import _linalg
 from lvf.errors import (
     DependentBasis,
@@ -33,15 +36,21 @@ def _require_parameter_free(fields: Iterable[VectorField]):
 
 
 class SpanTracker:
-    """Incremental echelon form over a growing key set.
+    """Incremental echelon form over a growing key set, on the echelon
+    core.
 
-    Keeps, for every echelon row, the combination of inserted fields
-    that produced it, so coordinates of a member come out for free.
+    A field is stored as one row: its coefficient at key k in column
+    ``-1 - k`` and a 1 in the combination column of its insertion
+    index, the augmented-identity idiom of
+    ``_linalg.echelon_with_identity``.  Key columns are negative, so
+    ``min(row)`` pivots on them first; a row whose keys cancel has its
+    pivot in a combination column, so the field is a member, and its
+    combination columns give its coordinates.
     """
 
     def __init__(self):
         self.key_index: Dict[Key, int] = {}
-        self.rows: List[Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = []
+        self.table: Dict[int, Dict[int, Fraction]] = {}
         self.count = 0  # fields inserted so far (successfully or not)
 
     def _vectorize(self, field: VectorField) -> Dict[int, Fraction]:
@@ -53,7 +62,7 @@ class SpanTracker:
                 key = (i, exp, mono)
                 col = self.key_index.get(key)
                 if col is None:
-                    col = len(self.key_index)
+                    col = -1 - len(self.key_index)
                     self.key_index[key] = col
                 vec[col] = pp[()]
         return vec
@@ -64,41 +73,36 @@ class SpanTracker:
         When not added, ``combo`` expresses the field over previously
         *added* ones (by insertion index).
         """
-        vec = self._vectorize(field)
-        combo: Dict[int, Fraction] = {self.count: Fraction(1)}
-        for row, rcombo in self.rows:
-            piv = row_pivot(row)
-            fac = vec.get(piv)
-            if fac:
-                for c, v in row.items():
-                    s = vec.get(c, Fraction(0)) - fac * v
-                    if s:
-                        vec[c] = s
-                    elif c in vec:
-                        del vec[c]
-                for c, v in rcombo.items():
-                    s = combo.get(c, Fraction(0)) - fac * v
-                    if s:
-                        combo[c] = s
-                    elif c in combo:
-                        del combo[c]
+        row = self._vectorize(field)
         idx = self.count
         self.count += 1
-        if not vec:
-            # member of the span: field = -sum(combo[j] * field_j) for j < idx
-            coeffs = {j: -v for j, v in combo.items() if j != idx}
-            return False, coeffs
-        piv = row_pivot(vec)
-        inv = 1 / vec[piv]
-        if inv != 1:
-            vec = {c: v * inv for c, v in vec.items()}
-            combo = {c: v * inv for c, v in combo.items()}
-        self.rows.append((vec, combo))
-        return True, {}
+        row[idx] = Fraction(1)
+        pivot = K.echelon_insert(self.table, row)
+        if pivot < 0:
+            return True, {}
+        # keys cancelled: 0 = sum(row[j] * field_j), and row[idx] != 0
+        row = self.table.pop(pivot)
+        lead = row[idx]
+        return False, {j: -v / lead for j, v in row.items() if j != idx}
 
 
-def row_pivot(row: Dict[int, Fraction]) -> int:
-    return min(row)
+def _basis_tracker(basis: Sequence[VectorField]) -> SpanTracker:
+    """A tracker holding ``basis``; DependentBasis if it is dependent."""
+    tracker = SpanTracker()
+    for i, b in enumerate(basis):
+        added, _ = tracker.insert(b)
+        if not added:
+            raise DependentBasis(f"basis element {i} depends on the previous ones")
+    return tracker
+
+
+def _coordinates(tracker: SpanTracker, field: VectorField, dim: int) -> List[Fraction]:
+    """Coordinates of ``field`` over the ``dim`` fields of a basis
+    tracker; NotInSpan if outside."""
+    added, combo = tracker.insert(field)
+    if added:
+        raise NotInSpan(f"field is outside the span: {field}")
+    return [combo.get(j, Fraction(0)) for j in range(dim)]
 
 
 def span_basis(fields: Sequence[VectorField]) -> List[VectorField]:
@@ -120,15 +124,7 @@ def express_in_basis(field: VectorField, basis: Sequence[VectorField]) -> List[F
     """Exact coordinates of ``field`` over ``basis``; NotInSpan if outside."""
     blist = list(basis)
     _require_parameter_free(blist + [field])
-    tracker = SpanTracker()
-    for i, b in enumerate(blist):
-        added, _ = tracker.insert(b)
-        if not added:
-            raise DependentBasis(f"basis element {i} depends on the previous ones")
-    added, combo = tracker.insert(field)
-    if added:
-        raise NotInSpan(f"field is outside the span: {field}")
-    return [combo.get(j, Fraction(0)) for j in range(len(blist))]
+    return _coordinates(_basis_tracker(blist), field, len(blist))
 
 
 def close_under_bracket(
@@ -262,9 +258,14 @@ class StructureTensor:
 
 
 def structure_tensor(basis: Sequence[VectorField]) -> StructureTensor:
-    """Extract c^k_{ij} from a bracket-closed independent basis."""
+    """Extract c^k_{ij} from a bracket-closed independent basis.
+
+    One tracker of the basis serves every bracket, so a dependent basis
+    raises DependentBasis even when all brackets vanish.
+    """
     blist = list(basis)
     _require_parameter_free(blist)
+    tracker = _basis_tracker(blist)
     m = len(blist)
     constants = {}
     for i in range(m):
@@ -272,8 +273,7 @@ def structure_tensor(basis: Sequence[VectorField]) -> StructureTensor:
             w = blist[i].bracket(blist[j])
             if w.is_zero():
                 continue
-            coeffs = express_in_basis(w, blist)
-            constants[(i, j)] = tuple(coeffs)
+            constants[(i, j)] = tuple(_coordinates(tracker, w, m))
     return StructureTensor(m, constants)
 
 

@@ -174,7 +174,7 @@ def parse_rhs(text: str) -> Tuple[Coef, ...]:
         if not m or (not first and m.group(1) is None):
             raise CatalogError(f"bad linear combination: {text!r} at {pos}")
         sign = -1 if m.group(1) == "-" else 1
-        coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coef = as_fraction(m.group(2)) if m.group(2) else Fraction(1)
         out.append((sign * coef, m.group(3)))
         pos = m.end()
         first = False
@@ -696,7 +696,7 @@ def _read_entry(toks: _CatTokens) -> Realization:
                     v = "-" + toks.expect("num")
                 elif k != "num":
                     raise CatalogError(f"bad parameter value for {pname}")
-                params.append((pname, Fraction(v)))
+                params.append((pname, as_fraction(v)))
                 toks.expect("punct", ";")
             toks.expect("punct", "}")
             toks.expect("punct", ";")

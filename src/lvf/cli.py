@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 from lvf import catalog as catmod
 from lvf import verify as vermod
 from lvf.errors import InternalError, LvfError, ParseError
+from lvf.expr import as_fraction
 from lvf.fields import format_field, generic_rank
 from lvf.obstruction import b2_sanity_control, g2_obstruction
 from lvf.parsing import check_dimension, parse_field
@@ -49,7 +50,7 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Fraction]:
         if "=" not in pair:
             raise LvfError(f"bad --param '{pair}', expected name=p/q")
         name, _, value = pair.partition("=")
-        out[name.strip()] = Fraction(value.strip())
+        out[name.strip()] = as_fraction(value.strip())
     return out
 
 
@@ -149,10 +150,10 @@ def _read_solve_file(path: str):
                 elif head == "params":
                     for chunk in rest.split():
                         name, _, value = chunk.partition("=")
-                        params[name] = Fraction(value)
+                        params[name] = as_fraction(value)
                 elif head == "exponents":
                     for chunk in rest.replace("(", " ").replace(")", " ").split():
-                        vec = tuple(Fraction(q) for q in chunk.split(","))
+                        vec = tuple(as_fraction(q) for q in chunk.split(","))
                         exponents.append((lineno, vec))
                 elif head == "degree":
                     degree = int(rest)
@@ -163,7 +164,7 @@ def _read_solve_file(path: str):
                     ]
                 elif head == "eigen":
                     value, _, expr = rest.partition(":")
-                    constraints.append((lineno, "eigen", Fraction(value.strip()), expr.strip()))
+                    constraints.append((lineno, "eigen", as_fraction(value.strip()), expr.strip()))
                 elif head == "zero":
                     expr = rest.lstrip(": ").strip()
                     constraints.append((lineno, "zero", None, expr))

@@ -38,12 +38,17 @@ def coord_names(dim: int) -> Tuple[str, ...]:
 
 
 def as_fraction(value) -> Fraction:
+    """An exact rational from a Fraction, an int or a literal like '-3/4';
+    a literal with a zero denominator is an input error."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise LvfError(f"zero denominator in {value.strip()!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

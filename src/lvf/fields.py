@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 from lvf import _kernels as K
+from lvf import _linalg
 from lvf.errors import DimensionMismatch, SingularMap
 from lvf.expr import ExpPoly, as_fraction, coord_names, format_scalar
 
@@ -195,17 +196,14 @@ class AffineMap:
 def _invert(rows):
     """Exact inverse of a rational matrix; raises SingularMap.
 
-    The rows of ``[A | I]`` go through the echelon core; ``A`` is
-    singular exactly when a row's pivot falls in the identity block.
+    The rows of ``[A | I]`` go through the echelon core; back
+    substitution leaves ``A^-1`` in the identity block.
     """
+    echelon = _linalg.echelon_with_identity(rows)
+    if echelon is None:
+        raise SingularMap("linear part of the affine map is singular")
     n = len(rows)
-    table = {}
-    for i, row in enumerate(rows):
-        aug = {j: v for j, v in enumerate(row) if v}
-        aug[n + i] = Fraction(1)
-        if K.echelon_insert(table, aug) >= n:
-            raise SingularMap("linear part of the affine map is singular")
-    _, reduced = K.back_substitute(table)
+    _, reduced = K.back_substitute(echelon[0])
     return tuple(tuple(r.get(n + j, Fraction(0)) for j in range(n)) for r in reduced)
 
 

@@ -14,7 +14,12 @@ from lvf.algebra import (
     span_basis,
     structure_tensor,
 )
-from lvf.errors import NotFiniteDimensionalWithinBound, NotInSpan, ParameterizedInput
+from lvf.errors import (
+    DependentBasis,
+    NotFiniteDimensionalWithinBound,
+    NotInSpan,
+    ParameterizedInput,
+)
 from lvf.fields import VectorField, bracket
 from lvf.parsing import parse_field
 
@@ -54,6 +59,15 @@ class TestExpress:
     def test_not_in_span(self):
         with pytest.raises(NotInSpan):
             express_in_basis(F("z*Dz"), [F("Dx"), F("Dy")])
+
+    @pytest.mark.parametrize("basis", [
+        ["Dx", "2*Dx"],
+        ["Dx", "Dy", "Dx - 3*Dy"],
+        ["Dx", "0"],
+    ])
+    def test_dependent_basis(self, basis):
+        with pytest.raises(DependentBasis):
+            express_in_basis(F("Dx"), [F(b) for b in basis])
 
 
 class TestClosure:
@@ -118,6 +132,19 @@ class TestStructureTensor:
         for i in range(3):
             for j in range(3):
                 assert t.c(i, j) == tuple(-v for v in t.c(j, i))
+
+    @pytest.mark.parametrize("basis", [
+        ["Dx", "2*Dx"],  # abelian: no bracket is ever expressed
+        ["Dx", "exp(x)*Dx", "exp(-x)*Dx", "exp(x)*Dx - Dx"],
+    ])
+    def test_dependent_basis(self, basis):
+        with pytest.raises(DependentBasis):
+            structure_tensor([F(b) for b in basis])
+
+    def test_bracket_outside_span(self):
+        # [Dx, x^2*Dx] = 2*x*Dx
+        with pytest.raises(NotInSpan):
+            structure_tensor([F("Dx"), F("x^2*Dx")])
 
     def test_jacobi_rejects_bad_tensor(self):
         # [b0,b1]=b1, [b0,b2]=b2, [b1,b2]=b0 violates Jacobi by -2*b0

@@ -188,6 +188,30 @@ def test_catalog_export_and_env_override(tmp_path, monkeypatch):
     assert code == 0 and "2/2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket", "Dx", "Dy", "--param", "a=1/0"],
+    ["verify", "--form", "heisenberg.2", "--param", "lambda=1/0"],
+])
+def test_zero_denominator_param_exit_2(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("lambda = 0;", "lambda = 1/0;"),
+    ("rel [X, Y] = Z;", "rel [X, Y] = 1/0*Z;"),
+])
+def test_catalog_zero_denominator_exit_2(tmp_path, monkeypatch, old, new):
+    path = tmp_path / "cat.lvf"
+    catalog.write(str(path), catalog.load_builtin())
+    path.write_text(path.read_text().replace(old, new, 1))
+    monkeypatch.setenv("LVF_CATALOG", str(path))
+    code, out, err = run(["verify", "--all"])
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_solve_from_file(tmp_path):
     path = tmp_path / "problem.lvf"
     path.write_text(
@@ -234,6 +258,9 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("dim 100000\ndegree 0\ncomponents 1\n", 1, "dimension must be at most 64, not 100000"),
     ("degree 1\ndim 0\nzero : Dx\n", 2, "dimension must be at least 1, not 0"),
     ("dim 2\nexponents (0,0) (0,0,1)\nzero : Dx\n", 2, "exponent vector (0,0,1) in dimension 2"),
+    ("dim 3\nparams a=1/0\nzero : a*Dx\n", 2, "zero denominator in '1/0'"),
+    ("dim 3\ndegree 1\neigen 1/0: x*Dx\n", 3, "zero denominator in '1/0'"),
+    ("exponents (0,0,0) (0,0,1/0)\nzero : Dx\n", 1, "zero denominator in '1/0'"),
 ])
 def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.lvf"

@@ -1,12 +1,15 @@
-"""Differential tests: the row-insert elimination, the raw-key
-constraint build, the staged homogeneous solve and its graded first
-stage against reference implementations kept here.
+"""Differential tests: the row-insert elimination, the span tracker
+and determinant on it, the raw-key constraint build, the staged
+homogeneous solve and its graded first stage against reference
+implementations kept here.
 
 The references are the earlier column-scan ``rref``, the binary-search
 ``solve_affine`` (also on tall systems with a planted solution, which
 reach full column rank early and then check rows against it), the
-``ExpPoly`` build loop of ``solve.solve``, the dense ``fields._invert``,
-the per-free-column ``nullspace_from_rref`` and the stacked homogeneous
+``ExpPoly`` build loop of ``solve.solve``, the dense ``fields._invert``
+and ``_linalg.det``, the ``SpanTracker`` with its own row-reduction
+loop (also for the structure constants of the builtin catalog), the
+per-free-column ``nullspace_from_rref`` and the stacked homogeneous
 solve (one build, one elimination); the graded first stage is checked
 against the build and elimination of its constraint.  The reduced row
 echelon form is unique, so the fast paths must agree with them exactly,
@@ -20,9 +23,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lvf import _kernels, _linalg
+from lvf import catalog
 from lvf import solve as solve_module
-from lvf._linalg import nullspace, nullspace_from_rref, rank, solve_affine
-from lvf.errors import AnsatzExplosion, SingularMap
+from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
+from lvf.algebra import SpanTracker, close_under_bracket, structure_tensor
+from lvf.errors import AnsatzExplosion, ParameterizedInput, SingularMap
 from lvf.expr import ExpPoly, decode_exponents
 from lvf.fields import VectorField, _invert, format_field
 from lvf.parsing import parse_field
@@ -166,6 +171,115 @@ def reference_invert(rows):
                 fac = aug[r][col]
                 aug[r] = [a - fac * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def reference_det(matrix):
+    """Exact determinant via fraction Gaussian elimination."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    sign = 1
+    out = Fraction(1)
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        lead = m[col][col]
+        out *= lead
+        for r in range(col + 1, n):
+            if m[r][col]:
+                fac = m[r][col] / lead
+                m[r] = [a - fac * b for a, b in zip(m[r], m[col])]
+    return out * sign
+
+
+class ReferenceSpanTracker:
+    """Incremental echelon form over a growing key set.
+
+    Keeps, for every echelon row, the combination of inserted fields
+    that produced it, so coordinates of a member come out for free.
+    """
+
+    def __init__(self):
+        self.key_index = {}
+        self.rows = []
+        self.count = 0  # fields inserted so far (successfully or not)
+
+    def _vectorize(self, field):
+        vec = {}
+        for i, comp in enumerate(field.components):
+            for (exp, mono), pp in comp.term_map().items():
+                if list(pp) != [()]:
+                    raise ParameterizedInput("parameterized field in exact span")
+                key = (i, exp, mono)
+                col = self.key_index.get(key)
+                if col is None:
+                    col = len(self.key_index)
+                    self.key_index[key] = col
+                vec[col] = pp[()]
+        return vec
+
+    def insert(self, field):
+        """Try to add a field; returns (added, combo).
+
+        When not added, ``combo`` expresses the field over previously
+        *added* ones (by insertion index).
+        """
+        vec = self._vectorize(field)
+        combo = {self.count: Fraction(1)}
+        for row, rcombo in self.rows:
+            piv = min(row)
+            fac = vec.get(piv)
+            if fac:
+                for c, v in row.items():
+                    s = vec.get(c, Fraction(0)) - fac * v
+                    if s:
+                        vec[c] = s
+                    elif c in vec:
+                        del vec[c]
+                for c, v in rcombo.items():
+                    s = combo.get(c, Fraction(0)) - fac * v
+                    if s:
+                        combo[c] = s
+                    elif c in combo:
+                        del combo[c]
+        idx = self.count
+        self.count += 1
+        if not vec:
+            # member of the span: field = -sum(combo[j] * field_j) for j < idx
+            coeffs = {j: -v for j, v in combo.items() if j != idx}
+            return False, coeffs
+        piv = min(vec)
+        inv = 1 / vec[piv]
+        if inv != 1:
+            vec = {c: v * inv for c, v in vec.items()}
+            combo = {c: v * inv for c, v in combo.items()}
+        self.rows.append((vec, combo))
+        return True, {}
+
+
+def reference_structure_constants(basis):
+    """Structure constants with a fresh reference tracker per nonzero
+    bracket, as ``express_in_basis`` once computed them."""
+    constants = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            w = basis[i].bracket(basis[j])
+            if w.is_zero():
+                continue
+            tracker = ReferenceSpanTracker()
+            for b in basis:
+                assert tracker.insert(b)[0]
+            added, combo = tracker.insert(w)
+            assert not added
+            constants[(i, j)] = tuple(combo.get(k, _ZERO) for k in range(len(basis)))
+    return constants
 
 
 def reference_build(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND):
@@ -334,6 +448,31 @@ def square_matrices(draw):
     return tuple(rows)
 
 
+@st.composite
+def insert_sequences(draw):
+    """Fields to insert one after another: random fields (zero ones
+    among them), duplicates, multiples and combinations of earlier
+    fields, so members come often and with nontrivial coordinates."""
+    rng = draw(st.randoms(use_true_random=False))
+    fields = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("new", "new", "new", "zero", "copy", "combo", "combo")))
+        if kind == "zero":
+            fields.append(VectorField.zero(3))
+        elif kind == "copy" and fields:
+            fields.append(draw(st.sampled_from(fields)) * draw(st.sampled_from((1, -1, 2))))
+        elif kind == "combo" and fields:
+            combo = VectorField.zero(3)
+            picks = st.sets(st.integers(0, len(fields) - 1), min_size=min(2, len(fields)),
+                            max_size=3)
+            for k in sorted(draw(picks)):
+                combo = combo + fields[k] * draw(values)
+            fields.append(combo)
+        else:
+            fields.append(rand_field(rng, max_terms=2, with_exp=draw(st.booleans())))
+    return fields
+
+
 EXPONENTS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (0, -1, 1), (Fraction(1, 2), 0, 0))
 
 
@@ -440,6 +579,33 @@ def test_invert_matches_dense(rows):
             _invert(rows)
     else:
         assert _invert(rows) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices().flatmap(lambda m: st.tuples(st.just(m), st.permutations(m))))
+def test_det_matches_dense(case):
+    # a row permutation often moves a zero onto the diagonal, so the
+    # dense reference swaps rows and the echelon pivots are permuted
+    for rows in case:
+        assert det(rows) == reference_det(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(insert_sequences())
+def test_span_tracker_matches_reference(fields):
+    tracker, ref = SpanTracker(), ReferenceSpanTracker()
+    for f in fields:
+        assert tracker.insert(f) == ref.insert(f)
+
+
+def test_catalog_structure_constants_and_killing_det_match_reference():
+    for entry in catalog.load_builtin():
+        gens = entry.generators_at(entry.default_assignment())
+        basis = close_under_bracket(list(gens.values()))
+        tensor = structure_tensor(basis)
+        assert tensor.constants == reference_structure_constants(basis), entry.id
+        killing = tensor.killing_form()
+        assert tensor.killing_det() == reference_det(killing), entry.id
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,8 @@
 """Properties of the exact elimination kernels.
 
-The elimination itself is checked against a reference implementation
-in ``test_differential.py``.
+The elimination itself, and the inverse, determinant and span tracker
+built on it, are checked against reference implementations in
+``test_differential.py``.
 """
 
 import copy
