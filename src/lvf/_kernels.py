@@ -16,6 +16,12 @@ expression layer:
 * a sparse matrix row is a dict mapping a column index to a nonzero
   ``Fraction``.
 
+Products accumulate in place: ``ep_mul_into`` adds ``f*g`` into a term
+map, ``ep_mul`` is its call on an empty map, and ``ep_bracket`` sums
+every product of a vector-field bracket ``[X, Y]`` into one term map
+per component instead of copying a running sum per step.  Parameter
+polynomials are never mutated, so term maps may share them.
+
 The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the
 table once at the end; ``rref`` is built on the two, and so are the
@@ -27,6 +33,7 @@ implementation.
 
 import math
 from fractions import Fraction
+from operator import add
 
 
 def pp_add(a, b):
@@ -93,7 +100,7 @@ def exp_add(e1, e2):
     d1 = e1[0]
     d2 = e2[0]
     if d1 == 1 and d2 == 1:
-        return (1,) + tuple(a + b for a, b in zip(e1[1:], e2[1:]))
+        return (1, *map(add, e1[1:], e2[1:]))
     g0 = math.gcd(d1, d2)
     den = d1 // g0 * d2
     m1 = den // d1
@@ -135,14 +142,21 @@ def ep_scale(f, c):
     return {k: {pk: pv * c for pk, pv in pp.items()} for k, pp in f.items()}
 
 
-def ep_mul(f, g):
-    """Product of two term maps (exponents add, monomials add)."""
+def ep_mul_into(out, f, g, negate=False):
+    """Add ``f*g`` (``-f*g`` when ``negate``) into the term map ``out``,
+    in place, and return ``out``.
+
+    Exponents add and monomials add.  A parameter polynomial already in
+    ``out`` is replaced by the sum, never mutated, so ``out`` may share
+    them with other term maps.
+    """
     if not f or not g:
-        return {}
-    out = {}
+        return out
     for (ef, mf), ppf in f.items():
+        if negate:
+            ppf = {k: -v for k, v in ppf.items()}
         for (eg, mg), ppg in g.items():
-            key = (exp_add(ef, eg), tuple(a + b for a, b in zip(mf, mg)))
+            key = (exp_add(ef, eg), tuple(map(add, mf, mg)))
             pp = pp_mul(ppf, ppg)
             cur = out.get(key)
             if cur is None:
@@ -156,6 +170,11 @@ def ep_mul(f, g):
     return out
 
 
+def ep_mul(f, g):
+    """Product of two term maps."""
+    return ep_mul_into({}, f, g)
+
+
 def ep_diff(f, i):
     """Partial derivative of a term map along coordinate ``i``."""
     out = {}
@@ -163,7 +182,7 @@ def ep_diff(f, i):
         m = mono[i]
         if m:
             key = (exp, mono[:i] + (m - 1,) + mono[i + 1:])
-            scaled = pp_scale(pp, Fraction(m))
+            scaled = pp if m == 1 else pp_scale(pp, m)
             cur = out.get(key)
             if cur is None:
                 out[key] = scaled
@@ -186,6 +205,28 @@ def ep_diff(f, i):
                     out[key] = cur
                 else:
                     del out[key]
+    return out
+
+
+def ep_bracket(xs, ys):
+    """Components of the bracket ``[X, Y]`` of two vector fields given
+    as lists of term maps.
+
+    Component i is sum_j X^j d_j Y^i - Y^j d_j X^i, accumulated into one
+    term map by :func:`ep_mul_into`; no intermediate sum is copied.
+    """
+    n = len(xs)
+    out = []
+    for i in range(n):
+        acc = {}
+        yi, xi = ys[i], xs[i]
+        for j in range(n):
+            if xs[j] and yi:
+                ep_mul_into(acc, xs[j], ep_diff(yi, j))
+        for j in range(n):
+            if ys[j] and xi:
+                ep_mul_into(acc, ys[j], ep_diff(xi, j), negate=True)
+        out.append(acc)
     return out
 
 

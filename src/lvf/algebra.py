@@ -163,8 +163,11 @@ def close_under_bracket(
 class StructureTensor:
     """Structure constants c^k_{ij} of a finite-dimensional algebra.
 
-    Stored for i < j; antisymmetry fills the rest.  Construction checks
-    the Jacobi identity exactly.
+    Stored for i < j; antisymmetry fills the rest.  Construction builds
+    the sparse table ``[b_a, b_b] = {k: c^k_ab}`` of the nonzero
+    constants for every ordered pair, which the Jacobi check, ``c``,
+    ``ad_matrix`` and the Killing form read, and checks the Jacobi
+    identity exactly.
     """
 
     def __init__(self, dim: int, constants: Dict[Tuple[int, int], Tuple[Fraction, ...]]):
@@ -178,18 +181,16 @@ class StructureTensor:
                 raise LvfError("constant vector of wrong length")
             if any(vec):
                 self.constants[(i, j)] = vec
+        self._table: List[Dict[int, Dict[int, Fraction]]] = [{} for _ in range(dim)]
+        for (i, j), vec in self.constants.items():
+            self._table[i][j] = {k: v for k, v in enumerate(vec) if v}
+            self._table[j][i] = {k: -v for k, v in enumerate(vec) if v}
         self._check_jacobi()
 
     def c(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[b_i, b_j] as a coordinate vector."""
-        if i == j:
-            return (Fraction(0),) * self.dim
-        if i < j:
-            return self.constants.get((i, j), (Fraction(0),) * self.dim)
-        vec = self.constants.get((j, i))
-        if vec is None:
-            return (Fraction(0),) * self.dim
-        return tuple(-v for v in vec)
+        vec = self._table[i].get(j, {})
+        return tuple(vec.get(k, Fraction(0)) for k in range(self.dim))
 
     def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]):
         out = [Fraction(0)] * self.dim
@@ -199,53 +200,58 @@ class StructureTensor:
             for j, vj in enumerate(v):
                 if not vj:
                     continue
-                for k, ck in enumerate(self.c(i, j)):
-                    if ck:
-                        out[k] += ui * vj * ck
+                for k, ck in self._table[i].get(j, {}).items():
+                    out[k] += ui * vj * ck
         return out
 
     def _check_jacobi(self):
+        """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] = 0 on every
+        triple i < j < k, summing only nonzero products."""
         m = self.dim
+        table = self._table
         for i in range(m):
+            ci = table[i]
             for j in range(i + 1, m):
-                cij = self.c(i, j)
+                cj = table[j]
+                cij = ci.get(j)
                 for k in range(j + 1, m):
-                    acc = [Fraction(0)] * m
-                    cjk = self.c(j, k)
-                    cki = self.c(k, i)
-                    for s in range(m):
-                        if cjk[s]:
-                            for t, v in enumerate(self.c(i, s)):
-                                acc[t] += cjk[s] * v
-                        if cki[s]:
-                            for t, v in enumerate(self.c(j, s)):
-                                acc[t] += cki[s] * v
-                        if cij[s]:
-                            for t, v in enumerate(self.c(k, s)):
-                                acc[t] += cij[s] * v
-                    if any(acc):
+                    ck = table[k]
+                    acc: Dict[int, Fraction] = {}
+                    for outer, inner in ((cj.get(k), ci), (ck.get(i), cj), (cij, ck)):
+                        if not outer:
+                            continue
+                        for s, v in outer.items():
+                            for t, w in inner.get(s, {}).items():
+                                acc[t] = acc.get(t, 0) + v * w
+                    if any(acc.values()):
                         raise LvfError(
                             f"Jacobi identity fails on basis triple ({i},{j},{k})"
                         )
 
     def ad_matrix(self, i: int):
         """Matrix of ad(b_i): column j holds [b_i, b_j]."""
-        cols = [self.c(i, j) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        m = self.dim
+        out = [[Fraction(0)] * m for _ in range(m)]
+        for j, vec in self._table[i].items():
+            for k, v in vec.items():
+                out[k][j] = v
+        return out
 
     def killing_form(self):
-        """K_ij = trace(ad_i . ad_j), symmetric rational matrix."""
+        """K_ij = trace(ad_i . ad_j) = sum_{s,t} c^t_is c^s_jt, symmetric
+        rational matrix."""
         m = self.dim
-        ads = [self.ad_matrix(i) for i in range(m)]
+        table = self._table
         K = [[Fraction(0)] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
+                cj = table[j]
                 tr = Fraction(0)
-                A, B = ads[i], ads[j]
-                for r in range(m):
-                    for s in range(m):
-                        if A[r][s] and B[s][r]:
-                            tr += A[r][s] * B[s][r]
+                for s, vec in table[i].items():
+                    for t, a in vec.items():
+                        b = cj.get(t, {}).get(s)
+                        if b:
+                            tr += a * b
                 K[i][j] = K[j][i] = tr
         return K
 

@@ -116,22 +116,23 @@ class VectorField:
         """X(f) = sum_i X^i df/dx_i."""
         if f.dim != self.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {f.dim}")
-        out = ExpPoly.zero(self.dim)
+        terms = f.term_map()
+        out = {}
         for i, c in enumerate(self.components):
             if not c.is_zero():
-                out = out + c * f.diff(i)
-        return out
+                K.ep_mul_into(out, c.term_map(), K.ep_diff(terms, i))
+        return ExpPoly(self.dim, out)
 
     __call__ = apply
 
     def bracket(self, other: "VectorField") -> "VectorField":
+        """[X, Y]^i = X(Y^i) - Y(X^i), in one kernel call."""
         self._check_dim(other)
-        return VectorField(
-            [
-                self.apply(other.components[i]) - other.apply(self.components[i])
-                for i in range(self.dim)
-            ]
+        comps = K.ep_bracket(
+            [c.term_map() for c in self.components],
+            [c.term_map() for c in other.components],
         )
+        return VectorField([ExpPoly(self.dim, t) for t in comps])
 
     # -- equality and display ----------------------------------------------
 

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from lvf import catalog as _catalog
 from lvf.algebra import close_under_bracket, structure_tensor
 from lvf.errors import LvfError
+from lvf.expr import as_fraction
 from lvf.fields import format_field, generic_rank
 
 DEFAULT_CLOSURE_BOUND = 32
@@ -128,7 +129,7 @@ def verify_realization(
     assignment = entry.default_assignment()
     if params:
         for name, value in params.items():
-            assignment[name] = Fraction(value) if not isinstance(value, Fraction) else value
+            assignment[name] = as_fraction(value)
     constraint_ok = entry.constraints_satisfied(assignment)
     gens = entry.generators_at(assignment)
     checks = []

@@ -1,6 +1,7 @@
 """Differential tests: the row-insert elimination, the span tracker
 and determinant on it, the raw-key constraint build, the staged
-homogeneous solve and its graded first stage against reference
+homogeneous solve and its graded first stage, the in-place bracket
+kernel and the sparse structure-constant table against reference
 implementations kept here.
 
 The references are the earlier column-scan ``rref``, the binary-search
@@ -15,6 +16,11 @@ against the build and elimination of its constraint.  The reduced row
 echelon form is unique, so the fast paths must agree with them exactly,
 including the order of the constraint rows (the inconsistency message
 depends on it) and the key order of the basis vectors.
+
+The bracket and ``apply`` are checked against the earlier loop that
+adds ``ExpPoly`` products one component at a time, and the sparse
+Jacobi check and Killing form against the earlier dense loops over
+coordinate tuples (same verdict, same failing triple).
 """
 
 from fractions import Fraction
@@ -26,8 +32,8 @@ from lvf import _kernels, _linalg
 from lvf import catalog
 from lvf import solve as solve_module
 from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
-from lvf.algebra import SpanTracker, close_under_bracket, structure_tensor
-from lvf.errors import AnsatzExplosion, ParameterizedInput, SingularMap
+from lvf.algebra import SpanTracker, StructureTensor, close_under_bracket, structure_tensor
+from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput, SingularMap
 from lvf.expr import ExpPoly, decode_exponents
 from lvf.fields import VectorField, _invert, format_field
 from lvf.parsing import parse_field
@@ -42,7 +48,7 @@ from lvf.solve import (
     solve,
 )
 
-from _rand import rand_field
+from _rand import rand_field, rand_invertible
 
 _ZERO = Fraction(0)
 
@@ -355,6 +361,87 @@ def reference_homogeneous_solve(constraints, ansatz):
     ncols = len(keys)
     pivots, rrows = _linalg.rref(rows, ncols)
     return reference_nullspace_from_rref(pivots, rrows, ncols), len(pivots), ncols
+
+
+def reference_apply(x, f):
+    """X(f) by summing ``ExpPoly`` products, one copy of the sum per
+    component."""
+    out = ExpPoly.zero(x.dim)
+    for i, c in enumerate(x.components):
+        if not c.is_zero():
+            out = out + c * f.diff(i)
+    return out
+
+
+def reference_bracket(x, y):
+    """[X, Y]^i = X(Y^i) - Y(X^i) through ``reference_apply``."""
+    return VectorField(
+        [
+            reference_apply(x, y.components[i]) - reference_apply(y, x.components[i])
+            for i in range(x.dim)
+        ]
+    )
+
+
+def _reference_c(dim, constants, i, j):
+    """[b_i, b_j] as a dense vector, negated on every call for i > j."""
+    if i == j:
+        return (_ZERO,) * dim
+    if i < j:
+        return constants.get((i, j), (_ZERO,) * dim)
+    vec = constants.get((j, i))
+    if vec is None:
+        return (_ZERO,) * dim
+    return tuple(-v for v in vec)
+
+
+def reference_check_jacobi(dim, constants):
+    """The dense Jacobi loop over every triple i < j < k."""
+    m = dim
+
+    def c(i, j):
+        return _reference_c(dim, constants, i, j)
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            cij = c(i, j)
+            for k in range(j + 1, m):
+                acc = [_ZERO] * m
+                cjk = c(j, k)
+                cki = c(k, i)
+                for s in range(m):
+                    if cjk[s]:
+                        for t, v in enumerate(c(i, s)):
+                            acc[t] += cjk[s] * v
+                    if cki[s]:
+                        for t, v in enumerate(c(j, s)):
+                            acc[t] += cki[s] * v
+                    if cij[s]:
+                        for t, v in enumerate(c(k, s)):
+                            acc[t] += cij[s] * v
+                if any(acc):
+                    raise LvfError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+
+
+def reference_killing_form(dim, constants):
+    """trace(ad_i . ad_j) from dense ad matrices."""
+    m = dim
+
+    def ad(i):
+        cols = [_reference_c(dim, constants, i, j) for j in range(m)]
+        return [[cols[j][k] for j in range(m)] for k in range(m)]
+
+    ads = [ad(i) for i in range(m)]
+    out = [[_ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            tr = _ZERO
+            for r in range(m):
+                for s in range(m):
+                    if ads[i][r][s] and ads[j][s][r]:
+                        tr += ads[i][r][s] * ads[j][s][r]
+            out[i][j] = out[j][i] = tr
+    return out
 
 
 # -- strategies ---------------------------------------------------------------
@@ -766,3 +853,151 @@ def test_ungraded_fields_take_the_build(text, monkeypatch):
     assert [list(v.items()) for v in got] == [
         list(v.items()) for v in _build_kernel(cons, ansatz)
     ]
+
+
+# -- bracket kernel and sparse structure table --------------------------------
+
+
+@st.composite
+def bracket_pairs(draw):
+    """Two fields in dimension 1..4 with parameters and exponentials; the
+    second is often built from the first (a parameter or constant
+    multiple, or a sum with it), so that terms cancel, parameters among
+    them, and the bracket is often zero."""
+    rng = draw(st.randoms(use_true_random=False))
+    dim = draw(st.integers(1, 4))
+    x = rand_field(rng, dim, max_terms=3, with_params=True, with_exp=True)
+    z = rand_field(rng, dim, max_terms=2, with_params=draw(st.booleans()),
+                   with_exp=draw(st.booleans()))
+    kind = draw(st.sampled_from(("free", "param", "scale", "sum", "self")))
+    if kind == "param":
+        y = x * ExpPoly.param(dim, draw(st.sampled_from(("a", "b", "lam"))))
+    elif kind == "scale":
+        y = x * draw(values)
+    elif kind == "sum":
+        y = x * ExpPoly.param(dim, "a") + z
+    elif kind == "self":
+        y = x
+    else:
+        y = z
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+def _canonical(field):
+    return all(
+        pp and all(pp.values())
+        for comp in field.components
+        for pp in comp.term_map().values()
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(bracket_pairs())
+def test_bracket_matches_apply_reference(pair):
+    x, y = pair
+    texts = (format_field(x), format_field(y))
+    got = x.bracket(y)
+    assert got == -y.bracket(x)
+    for comp in y.components:
+        assert x.apply(comp) == reference_apply(x, comp)
+    # the kernels share parameter polynomials with their inputs and
+    # must never write to them
+    assert (format_field(x), format_field(y)) == texts
+    assert got == reference_bracket(x, y)
+    assert _canonical(got)
+
+
+def test_bracket_of_parameter_multiples_cancels():
+    x = parse_field("lam*x*exp(z)*Dx + a*y^2*Dz", params=("a", "lam"))
+    y = x * ExpPoly.param(3, "b")
+    assert reference_bracket(x, y).is_zero()
+    assert x.bracket(y).is_zero()
+    assert all(not c.term_map() for c in x.bracket(y).components)
+
+
+_CATALOG_TENSORS = []
+
+
+def _catalog_tensors():
+    """(id, tensor) of every builtin entry at its default parameters."""
+    if not _CATALOG_TENSORS:
+        for entry in catalog.load_builtin():
+            gens = entry.generators_at(entry.default_assignment())
+            tensor = structure_tensor(close_under_bracket(list(gens.values())))
+            _CATALOG_TENSORS.append((entry.id, tensor))
+    return _CATALOG_TENSORS
+
+
+def _jacobi_outcome(check, dim, constants):
+    try:
+        check(dim, constants)
+    except LvfError as exc:
+        return str(exc)
+    return None
+
+
+def test_catalog_tensors_match_dense_jacobi_and_killing():
+    for entry_id, tensor in _catalog_tensors():
+        m = tensor.dim
+        assert reference_check_jacobi(m, tensor.constants) is None, entry_id
+        assert tensor.killing_form() == reference_killing_form(m, tensor.constants), entry_id
+        for i in range(m):
+            for j in range(m):
+                assert tensor.c(i, j) == _reference_c(m, tensor.constants, i, j)
+
+
+@st.composite
+def perturbed_tensors(draw):
+    """A catalog tensor with a few constants changed, added or zeroed."""
+    _, tensor = draw(st.sampled_from(_catalog_tensors()))
+    m = tensor.dim
+    constants = dict(tensor.constants)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, m - 2))
+        j = draw(st.integers(i + 1, m - 1))
+        vec = list(constants.get((i, j), (_ZERO,) * m))
+        k = draw(st.integers(0, m - 1))
+        vec[k] = draw(st.one_of(st.just(_ZERO), values, st.just(vec[k] * 2)))
+        constants[(i, j)] = tuple(vec)
+    return m, constants
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_tensors())
+def test_sparse_jacobi_matches_dense(case):
+    m, constants = case
+    expected = _jacobi_outcome(reference_check_jacobi, m, constants)
+    got = _jacobi_outcome(StructureTensor, m, constants)
+    assert got == expected
+    if got is None:
+        tensor = StructureTensor(m, constants)
+        assert tensor.killing_form() == reference_killing_form(m, tensor.constants)
+
+
+@st.composite
+def rebased_tensors(draw):
+    """A catalog tensor in the random basis b'_i = sum_a P_ia b_a, so the
+    constants are dense and still satisfy Jacobi."""
+    _, tensor = draw(st.sampled_from(_catalog_tensors()))
+    m = tensor.dim
+    p = rand_invertible(draw(st.randoms(use_true_random=False)), m)
+    pinv = _invert(p)
+    constants = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            old = tensor.bracket_vectors(p[i], p[j])
+            constants[(i, j)] = tuple(
+                sum((old[l] * pinv[l][k] for l in range(m)), _ZERO) for k in range(m)
+            )
+    return m, constants
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebased_tensors())
+def test_killing_form_matches_dense_in_random_bases(case):
+    m, constants = case
+    assert reference_check_jacobi(m, constants) is None
+    tensor = StructureTensor(m, constants)
+    assert tensor.killing_form() == reference_killing_form(m, tensor.constants)

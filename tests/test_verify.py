@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from lvf import catalog, verify
+from lvf.errors import LvfError
 
 
 def test_builtin_catalog_passes():
@@ -82,3 +85,12 @@ def test_empty_catalog_vacuous_pass():
     summary = verify.verify_all(entries=[])
     assert summary.passed
     assert summary.counts == (0, 0)
+
+
+def test_zero_denominator_parameter_is_an_input_error():
+    entry = catalog.get("heisenberg.2")
+    with pytest.raises(LvfError, match="zero denominator"):
+        verify.verify_realization(entry, {"lambda": "1/0"})
+    report = verify.verify_realization(entry, {"lambda": "-3/4"})
+    assert report.assignment == {"lambda": Fraction(-3, 4)}
+    assert report.passed
