@@ -129,13 +129,40 @@ def _at_line(path: str, lineno: int):
         raise LvfError(f"{path}:{lineno}: {exc}") from exc
 
 
+_AXES = {"x": 0, "y": 1, "z": 2, "w": 3}
+
+
+def _degree_value(text: str) -> int:
+    try:
+        degree = int(text)
+    except ValueError:
+        raise LvfError(f"ansatz degree must be an integer, not '{text}'") from None
+    if degree < 0:
+        raise LvfError(f"ansatz degree must be at least 0, not {degree}")
+    return degree
+
+
+def _component_index(name: str, dim: int) -> int:
+    """The 0-based index of a ``components`` entry, written as an axis
+    letter or as a number from 1."""
+    index = _AXES.get(name)
+    if index is None:
+        try:
+            index = int(name) - 1
+        except ValueError:
+            raise LvfError(f"unknown component '{name}'") from None
+    if not 0 <= index < dim:
+        raise LvfError(f"component {name} is out of range for dimension {dim}")
+    return index
+
+
 def _read_solve_file(path: str):
     dim = 3
     dim_line = None
     params: Dict[str, Fraction] = {}
     exponents = []  # (line, vector)
-    degree = 2
-    components = None
+    degree_line, degree_text = None, "2"
+    components_line, component_names = None, None
     constraints = []  # (line, kind, eigenvalue or target text, field text)
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -156,12 +183,9 @@ def _read_solve_file(path: str):
                         vec = tuple(as_fraction(q) for q in chunk.split(","))
                         exponents.append((lineno, vec))
                 elif head == "degree":
-                    degree = int(rest)
+                    degree_line, degree_text = lineno, rest
                 elif head == "components":
-                    names = {"x": 0, "y": 1, "z": 2, "w": 3}
-                    components = [
-                        names[c] if c in names else int(c) - 1 for c in rest.split()
-                    ]
+                    components_line, component_names = lineno, rest.split()
                 elif head == "eigen":
                     value, _, expr = rest.partition(":")
                     constraints.append((lineno, "eigen", as_fraction(value.strip()), expr.strip()))
@@ -195,6 +219,16 @@ def _read_solve_file(path: str):
     for lineno, vec in exponents:
         with _at_line(path, lineno):
             exponent_vector(vec, dim)
+    # checked once the whole file is read, so that a later dim line counts
+    with _at_line(path, degree_line):
+        degree = _degree_value(degree_text)
+    components = None
+    if component_names is not None:
+        with _at_line(path, components_line):
+            if not component_names:
+                # an empty search space has no solutions to report
+                raise LvfError("components lists no component")
+            components = [_component_index(name, dim) for name in component_names]
     try:
         ansatz = AnsatzSpace(dim, [vec for _, vec in exponents], degree, components)
     except LvfError as exc:
@@ -244,6 +278,12 @@ def _cmd_structure(args) -> int:
                 return 2
             entry = entries[args.model]
             expected = {"a2": "A2", "b2": "B2"}.get(entry.family)
+            if expected is None:
+                print(
+                    f"catalog entry {entry.id} is not an A2 or B2 realization",
+                    file=sys.stderr,
+                )
+                return 2
             if expected != system.label:
                 print(
                     f"catalog entry {entry.id} realizes {expected}, not "

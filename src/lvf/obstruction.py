@@ -11,6 +11,9 @@ a short-root vector X_{alpha+beta} inside a finite ansatz:
   which (alpha+beta) + r is neither zero nor a root, namely
   X_alpha, X_{alpha+3beta}, X_{2alpha+3beta} and X_{-alpha-3beta}.
 
+One ``solve`` per orientation covers the whole ansatz, every probed
+exponent block at once.
+
 The general solution is kept symbolic (fresh parameters u1..uk), so the
 derived chain
 
@@ -24,7 +27,9 @@ integral domain, so "every branch hits zero" is equivalent to one of
 the chain vectors vanishing identically, which is decided exactly.
 
 Both assignments of the A2 simple roots to the long roots are checked,
-as are all sign flips of the simple pairs; the verdict must agree.  A
+as are all sign flips of the simple pairs; the verdict must agree.  The
+chain uses only the alpha pair, so it is computed once per flip of that
+pair and shared by both flips of the other.  A
 nonzero solution family whose chain never vanishes would be reported as
 a counterexample candidate (full data) or raise InconclusiveAtDegree;
 it is never silently folded into an obstruction.
@@ -156,30 +161,6 @@ class ObstructionReport:
         return recs
 
 
-def _single_exponent(exp) -> bool:
-    return len(exp) <= 1
-
-
-def _solve_by_blocks(constraints, dim, exponents, degree, components=None):
-    """Solve one exponent block at a time and join the bases.
-
-    Valid whenever every known field carries a single exponent vector:
-    distinct source blocks then land in distinct target blocks, so the
-    joint solution space is the direct sum of the per-block spaces.
-    """
-    for c in constraints:
-        for comp in c.known.components:
-            if not _single_exponent(comp.exponents()):
-                # fall back to one joint solve
-                ansatz = AnsatzSpace(dim, exponents, degree, components)
-                return solve(constraints, ansatz).basis
-    basis: List[VectorField] = []
-    for exp in sorted(set(exponents)):
-        ansatz = AnsatzSpace(dim, [exp], degree, components)
-        basis.extend(solve(constraints, ansatz).basis)
-    return basis
-
-
 def _symbolic_combination(basis: Sequence[VectorField], dim: int) -> VectorField:
     """sum of u_i * basis_i with fresh formal parameters u1..uk."""
     total = VectorField.zero(dim)
@@ -236,7 +217,10 @@ def g2_obstruction(
     The default ansatz has no exponentials, maximal degree 6 and all
     components; exponent vectors (0,0,q) for q in ``probe_exponents``
     are probed in addition, since eigen constraints with a constant
-    d/dz part admit exponential solutions in z.
+    d/dz part admit exponential solutions in z.  Each orientation runs
+    one ``solve`` over all these exponent blocks, and its general and
+    per-branch chains are computed once per sign s1 of the alpha pair
+    and shared by both signs s2.
     """
     if form not in FORM_TO_ENTRY:
         raise LvfError(f"a2 form must be 1, 2 or 3, not {form!r}")
@@ -246,29 +230,17 @@ def g2_obstruction(
     entry = _catalog.get(FORM_TO_ENTRY[form])
     gens = entry.generators_at(entry.default_assignment())
     degree = ansatz.max_degree if ansatz is not None else 6
-    base_exponents = (
-        list(ansatz.exponents) if ansatz is not None else [(Fraction(0),) * 3]
-    )
+    exponents = list(ansatz.exponents) if ansatz is not None else [(0, 0, 0)]
+    exponents += [(0, 0, q) for q in probe_exponents]
     components = ansatz.components if ansatz is not None else None
-    exponents = list(base_exponents)
-    for q in probe_exponents:
-        vec = (Fraction(0), Fraction(0), Fraction(q))
-        if vec not in exponents:
-            exponents.append(vec)
-    exponents = sorted(exponents)
+    space = AnsatzSpace(3, exponents, degree, components)
 
     g2 = get_root_system("G2")
     eig_alpha = g2.cartan_integer((1, 1), (1, 0))  # <alpha+beta, alpha> = 1
-    # the second Cartan element realizes the coroot of alpha+3beta; on the
-    # weight alpha+beta it acts by 2(a+b, a+3b)/(a+3b, a+3b) = 0
-    ip = g2.inner((1, 1), (1, 3))
-    eig_a3b = 2 * ip / g2.inner((1, 3), (1, 3))
-    if eig_a3b.denominator != 1:
-        raise LvfError("non-integral eigenvalue")
-    eig_a3b = Fraction(eig_a3b)
+    # the second Cartan element realizes the coroot of alpha+3beta
+    eig_a3b = g2.cartan_integer((1, 1), (1, 3))  # <alpha+beta, alpha+3beta> = 0
 
     runs: List[RunResult] = []
-    verdicts = []
     for orientation in ("alpha=X_alpha", "alpha=X_beta"):
         if orientation == "alpha=X_alpha":
             xa, xma = gens["X_alpha"], gens["X_malpha"]
@@ -291,36 +263,36 @@ def g2_obstruction(
             BracketConstraint.commutes(x_2a3b_a2),
             BracketConstraint.commutes(xmb),
         ]
-        basis = _solve_by_blocks(constraints, 3, exponents, degree, components)
+        basis = solve(constraints, space).basis
         z_only = _z_only(basis)
         names = tuple(f"u{i + 1}" for i in range(len(basis)))
         general = _symbolic_combination(basis, 3)
         for s1 in (1, -1):
-            for s2 in (1, -1):
-                fxa, fxma = xa * Fraction(s1), xma * Fraction(s1)
-                fxb, fxmb = xb * Fraction(s2), xmb * Fraction(s2)
-                _, x_a2b_g, _, x_2a3b_g = _chain(fxa, fxma, general)
-                branches = []
-                for i, b in enumerate(basis):
-                    xb_i, xa2b_i, _, x2a3b_i = _chain(fxa, fxma, b)
-                    if xa2b_i.is_zero():
-                        vanished_i = "X_{alpha+2beta}"
-                    elif x2a3b_i.is_zero():
-                        vanished_i = "X_{2alpha+3beta}"
-                    else:
-                        vanished_i = "none"
-                    branches.append(
-                        BranchResult(
-                            index=i + 1,
-                            x_ab=format_field(b),
-                            x_beta_zero=xb_i.is_zero(),
-                            x_a2b_zero=xa2b_i.is_zero(),
-                            x_2a3b_zero=x2a3b_i.is_zero(),
-                            vanished=vanished_i,
-                        )
+            # the chains use only the alpha pair, so both s2 share them
+            fxa, fxma = xa * Fraction(s1), xma * Fraction(s1)
+            _, x_a2b_g, _, x_2a3b_g = _chain(fxa, fxma, general)
+            branches = []
+            for i, b in enumerate(basis):
+                xb_i, xa2b_i, _, x2a3b_i = _chain(fxa, fxma, b)
+                if xa2b_i.is_zero():
+                    vanished_i = "X_{alpha+2beta}"
+                elif x2a3b_i.is_zero():
+                    vanished_i = "X_{2alpha+3beta}"
+                else:
+                    vanished_i = "none"
+                branches.append(
+                    BranchResult(
+                        index=i + 1,
+                        x_ab=format_field(b),
+                        x_beta_zero=xb_i.is_zero(),
+                        x_a2b_zero=xa2b_i.is_zero(),
+                        x_2a3b_zero=x2a3b_i.is_zero(),
+                        vanished=vanished_i,
                     )
-                a2b_zero = x_a2b_g.is_zero()
-                t2a3b_zero = x_2a3b_g.is_zero()
+                )
+            a2b_zero = x_a2b_g.is_zero()
+            t2a3b_zero = x_2a3b_g.is_zero()
+            for s2 in (1, -1):
                 if not basis:
                     vanished = "X_{alpha+2beta}"
                     verdict = "obstructed"
@@ -343,7 +315,7 @@ def g2_obstruction(
                         orientation=orientation,
                         flips=(s1, s2),
                         degree=degree,
-                        exponents=tuple(exponents),
+                        exponents=space.exponents,
                         solution_dim=len(basis),
                         z_only=z_only,
                         branches=branches,
@@ -354,8 +326,7 @@ def g2_obstruction(
                         candidate_witness=witness,
                     )
                 )
-                verdicts.append(verdict)
-    overall = "obstructed" if all(v == "obstructed" for v in verdicts) else (
+    overall = "obstructed" if all(r.verdict == "obstructed" for r in runs) else (
         "counterexample-candidate"
     )
     return ObstructionReport(
@@ -435,16 +406,16 @@ def b2_sanity_control(degree: int = 2) -> ControlReport:
 
     b2 = get_root_system("B2")
     eig_alpha = b2.cartan_integer((1, 1), (1, 0))  # 1
-    eig_a2b = 2 * b2.inner((1, 1), (1, 2)) / b2.inner((1, 2), (1, 2))
+    eig_a2b = b2.cartan_integer((1, 1), (1, 2))  # 0
     constraints = [
         BracketConstraint.eigen(h_alpha, eig_alpha),
-        BracketConstraint.eigen(h_a2b, Fraction(eig_a2b)),
+        BracketConstraint.eigen(h_a2b, eig_a2b),
         BracketConstraint.commutes(xa),
         BracketConstraint.commutes(x_a2b_n),
     ]
     # exponent blocks: none, and the block of the catalog short root
-    exps = sorted({(Fraction(0),) * 3, next(iter(x_ab_cat.components[0].exponents()))})
-    basis = _solve_by_blocks(constraints, 3, exps, degree)
+    exps = [(0, 0, 0), next(iter(x_ab_cat.components[0].exponents()))]
+    basis = solve(constraints, AnsatzSpace(3, exps, degree)).basis
     names = tuple(f"u{i + 1}" for i in range(len(basis)))
     general = _symbolic_combination(basis, 3)
     x_beta_g, x_a2b_g, _, _ = _chain(xa, xma, general)

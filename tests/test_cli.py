@@ -98,6 +98,15 @@ def test_structure_model_mismatch():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--type", "A2", "--model", "sl2.1"], "catalog entry sl2.1 is not an A2 or B2 realization"),
+    (["--type", "B2", "--model", "a2.1"], "catalog entry a2.1 realizes A2, not B2"),
+])
+def test_structure_catalog_model_of_another_type(argv, message):
+    code, out, err = run(["structure", *argv])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_structure_catalog_model():
     code, out, _ = run(["structure", "--type", "A2", "--model", "a2.1"])
     assert code == 0
@@ -117,14 +126,23 @@ def test_g2_check_negative_degree_refused():
     assert len(err.strip().splitlines()) == 1 and "degree" in err
 
 
+def test_g2_check_oversized_search_space_exit_2():
+    # five exponent blocks (z-exponents 0, -2, -1, 1, 2) times three
+    # components at degree 19 pass the 20000-field bound
+    code, out, err = run(["g2-check", "--form", "1", "--max-degree", "19"])
+    assert (code, out) == (2, "")
+    assert err == "error: ansatz of degree 19 in dimension 3 has more than 20000 basis fields\n"
+
+
 def test_internal_error_exit_3(monkeypatch):
-    solve_by_blocks = obstruction._solve_by_blocks
+    solve = obstruction.solve
 
     def dependent(*args, **kwargs):
-        basis = solve_by_blocks(*args, **kwargs)
-        return basis + basis[:1]
+        result = solve(*args, **kwargs)
+        result.basis += result.basis[:1]
+        return result
 
-    monkeypatch.setattr(obstruction, "_solve_by_blocks", dependent)
+    monkeypatch.setattr(obstruction, "solve", dependent)
     code, _, err = run(["g2-check", "--form", "2", "--max-degree", "2", "--control"])
     assert code == 3
     assert err.startswith("record kind=error class=internal ")
@@ -261,6 +279,12 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("dim 3\nparams a=1/0\nzero : a*Dx\n", 2, "zero denominator in '1/0'"),
     ("dim 3\ndegree 1\neigen 1/0: x*Dx\n", 3, "zero denominator in '1/0'"),
     ("exponents (0,0,0) (0,0,1/0)\nzero : Dx\n", 1, "zero denominator in '1/0'"),
+    ("dim 3\ncomponents 0\nzero : Dx\n", 2, "component 0 is out of range for dimension 3"),
+    ("components w\ndim 3\nzero : Dx\n", 1, "component w is out of range for dimension 3"),
+    ("dim 3\ncomponents x q\nzero : Dx\n", 2, "unknown component 'q'"),
+    ("dim 3\ncomponents\nzero : Dx\n", 2, "components lists no component"),
+    ("dim 3\ndegree -1\nzero : Dx\n", 2, "ansatz degree must be at least 0, not -1"),
+    ("degree two\ndim 3\nzero : Dx\n", 1, "ansatz degree must be an integer, not 'two'"),
 ])
 def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.lvf"
@@ -268,6 +292,14 @@ def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
     code, out, err = run(["solve", str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: {path}:{lineno}: {message}\n"
+
+
+def test_solve_file_components_count_a_later_dim_line(tmp_path):
+    path = tmp_path / "w.lvf"
+    path.write_text("components w\ndegree 0\ndim 4\nzero : Dx\n")
+    code, out, _ = run(["solve", str(path)])
+    assert code == 0
+    assert out.splitlines()[-2:] == ["solution dimension 1", "  Dw"]
 
 
 def test_rank_dimension_error_has_no_position():

@@ -17,6 +17,10 @@ echelon form is unique, so the fast paths must agree with them exactly,
 including the order of the constraint rows (the inconsistency message
 depends on it) and the key order of the basis vectors.
 
+The joint obstruction solve (one ``solve`` over every exponent block)
+is checked against the earlier per-block solves, on the obstruction's
+own systems and on random systems whose blocks do not interact.
+
 The bracket and ``apply`` are checked against the earlier loop that
 adds ``ExpPoly`` products one component at a time, and the sparse
 Jacobi check and Killing form against the earlier dense loops over
@@ -24,12 +28,13 @@ coordinate tuples (same verdict, same failing triple).
 """
 
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lvf import _kernels, _linalg
-from lvf import catalog
+from lvf import catalog, obstruction
 from lvf import solve as solve_module
 from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
 from lvf.algebra import SpanTracker, StructureTensor, close_under_bracket, structure_tensor
@@ -443,6 +448,30 @@ def reference_killing_form(dim, constants):
             out[i][j] = out[j][i] = tr
     return out
 
+
+
+def _single_exponent(exp) -> bool:
+    return len(exp) <= 1
+
+
+def reference_solve_by_blocks(constraints, dim, exponents, degree, components=None):
+    """Solve one exponent block at a time and join the bases.
+
+    Valid whenever every known field carries a single exponent vector:
+    distinct source blocks then land in distinct target blocks, so the
+    joint solution space is the direct sum of the per-block spaces.
+    """
+    for c in constraints:
+        for comp in c.known.components:
+            if not _single_exponent(comp.exponents()):
+                # fall back to one joint solve
+                ansatz = AnsatzSpace(dim, exponents, degree, components)
+                return solve(constraints, ansatz).basis
+    basis: List[VectorField] = []
+    for exp in sorted(set(exponents)):
+        ansatz = AnsatzSpace(dim, [exp], degree, components)
+        basis.extend(solve(constraints, ansatz).basis)
+    return basis
 
 # -- strategies ---------------------------------------------------------------
 
@@ -1001,3 +1030,100 @@ def test_killing_form_matches_dense_in_random_bases(case):
     assert reference_check_jacobi(m, constants) is None
     tensor = StructureTensor(m, constants)
     assert tensor.killing_form() == reference_killing_form(m, tensor.constants)
+
+
+# -- joint obstruction solve --------------------------------------------------
+
+
+def test_obstruction_solves_match_per_block_solves(monkeypatch):
+    calls = []
+
+    def recording(constraints, ansatz):
+        result = solve(constraints, ansatz)
+        calls.append((constraints, ansatz, result.basis))
+        return result
+
+    monkeypatch.setattr(obstruction, "solve", recording)
+    for form in (1, 2, 3):
+        for degree in (2, 6, 10):
+            obstruction.g2_obstruction(form, AnsatzSpace(3, max_degree=degree))
+    for degree in (2, 4):
+        obstruction.b2_sanity_control(degree)
+    # one solve per orientation, one for the control
+    assert len(calls) == 3 * 3 * 2 + 2
+    assert any(basis for _, _, basis in calls)
+    for constraints, ansatz, basis in calls:
+        assert basis == reference_solve_by_blocks(
+            constraints, 3, ansatz.exponents, ansatz.max_degree, ansatz.components
+        )
+
+
+BLOCK_FIELDS = (
+    "Dx", "Dy", "Dz", "x*Dx", "y*Dy", "z*Dz", "x*Dx + Dz", "Dx + Dy", "y*Dx", "z*Dy",
+    "x*Dz", "z*Dx + Dy",
+)
+
+
+@st.composite
+def block_systems(draw):
+    """Constraints over 2-3 exponent blocks (0,0,q) in which every known
+    field carries one exponent vector (0,0,k) on all its components, so
+    each constraint maps block q into block q+k alone: the case in which
+    the per-block solve is exact.  An eigen term also maps block q into
+    itself, so eigen constraints get k = 0."""
+    pool = [parse_field(text) for text in BLOCK_FIELDS]
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        known = VectorField.zero(3)
+        for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)):
+            known = known + f * draw(values)
+        if draw(st.booleans()):
+            constraints.append(BracketConstraint.eigen(known, draw(st.sampled_from((0, 1, -1, 2)))))
+        else:
+            k = draw(st.sampled_from((0, 1, -1)))
+            known = known * ExpPoly.exponential(3, (0, 0, k))
+            constraints.append(BracketConstraint.commutes(known))
+    qs = draw(st.sets(st.sampled_from((-2, -1, 0, 1, 2)), min_size=2, max_size=3))
+    components = draw(st.sets(st.integers(0, 2), min_size=1))
+    ansatz = AnsatzSpace(3, [(0, 0, q) for q in qs], draw(st.integers(0, 2)), sorted(components))
+    return constraints, ansatz
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_systems())
+def test_joint_solve_spans_the_per_block_solves(system):
+    # the same reduced basis vectors, but not always in the same order:
+    # the joint basis follows the column order (component first), the
+    # per-block one the exponent blocks
+    constraints, ansatz = system
+    joint = solve(constraints, ansatz).basis
+    ref = reference_solve_by_blocks(
+        constraints, ansatz.dim, ansatz.exponents, ansatz.max_degree, ansatz.components
+    )
+    assert len(joint) == len(ref)
+    assert {format_field(f) for f in joint} == {format_field(f) for f in ref}
+
+
+def test_joint_solve_order_differs_from_per_block_order():
+    constraints = [BracketConstraint.eigen(parse_field("x*Dx + Dz"), 1)]
+    ansatz = AnsatzSpace(3, [(0, 0, 0), (0, 0, 1)], 1)
+    joint = solve(constraints, ansatz).basis
+    ref = reference_solve_by_blocks(constraints, 3, ansatz.exponents, 1)
+    assert len(joint) == len(ref) == 7
+    assert {format_field(f) for f in joint} == {format_field(f) for f in ref}
+    assert joint != ref
+
+
+def test_per_block_solve_misses_solutions_across_blocks():
+    # one exponent vector per component is not enough for the per-block
+    # split: e^z*Dx + Dy maps the blocks 0 and (0,0,1) both into (0,0,1),
+    # and (-x + y*e^z)*Dx commutes with it although neither block part does
+    known = parse_field("exp(z)*Dx + Dy")
+    constraints = [BracketConstraint.commutes(known)]
+    ansatz = AnsatzSpace(3, [(0, 0, 0), (0, 0, 1)], 1)
+    joint = {format_field(f) for f in solve(constraints, ansatz).basis}
+    ref = {format_field(f) for f in reference_solve_by_blocks(constraints, 3, ansatz.exponents, 1)}
+    cross = parse_field("(-x + y*exp(z))*Dx")
+    assert known.bracket(cross).is_zero()
+    assert format_field(cross) in joint - ref
+    assert ref < joint

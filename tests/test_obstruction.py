@@ -120,12 +120,13 @@ class TestControl:
         assert control.validated
 
     def test_dependent_basis_is_internal_error(self, monkeypatch):
-        solve_by_blocks = obstruction._solve_by_blocks
+        solve = obstruction.solve
 
         def dependent(*args, **kwargs):
-            basis = solve_by_blocks(*args, **kwargs)
-            return basis + basis[:1]
+            result = solve(*args, **kwargs)
+            result.basis += result.basis[:1]
+            return result
 
-        monkeypatch.setattr(obstruction, "_solve_by_blocks", dependent)
+        monkeypatch.setattr(obstruction, "solve", dependent)
         with pytest.raises(InternalError, match="dependent basis"):
             b2_sanity_control()
