@@ -203,8 +203,10 @@ def _read_solve_file(path: str):
         parsed = parse_field(text, dim, pnames)
         return parsed.subst_params(params) if params else parsed
 
-    if constraints:
-        # refused at its own line before the parser builds tables of size dim
+    if constraints or exponents or component_names is not None:
+        # refused at its own line before anything is read against it (the
+        # parser builds tables of size dim); a bare ansatz is left to
+        # AnsatzSpace, whose size check runs first
         with _at_line(path, dim_line):
             check_dimension(dim)
     built = []

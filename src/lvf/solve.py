@@ -95,7 +95,10 @@ class AnsatzSpace:
             raise LvfError("component index out of range")
         if int(max_degree) < 0:
             raise LvfError(f"ansatz degree must be at least 0, not {max_degree}")
-        if _ansatz_size(dim, int(max_degree), len(vecs) * len(comps)) > DEFAULT_TARGET_BOUND:
+        # the bound counts the fields of one exponent vector: the vectors
+        # are listed one by one, while dimension and degree grow the space
+        # as a binomial; solve bounds the rows it builds over all of them
+        if _ansatz_size(dim, int(max_degree), len(comps)) > DEFAULT_TARGET_BOUND:
             raise LvfError(
                 f"ansatz of degree {max_degree} in dimension {dim} has more "
                 f"than {DEFAULT_TARGET_BOUND} basis fields"
@@ -136,10 +139,9 @@ class AnsatzSpace:
         return VectorField(comps)
 
     def dimension(self) -> int:
-        # exact: the constructor refused every space above the bound
-        return _ansatz_size(
-            self.dim, self.max_degree, len(self.exponents) * len(self.components)
-        )
+        # exact: the constructor refused every block above the bound
+        block = _ansatz_size(self.dim, self.max_degree, len(self.components))
+        return len(self.exponents) * block
 
     def describe(self) -> str:
         exps = ", ".join(
@@ -239,6 +241,14 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
     """
     keys, col_index, exps, monos = ansatz._columns
     dim = ansatz.dim
+    by_exp = {exp: monos for exp in exps}
+    if columns is not None:
+        # visit only the monomials of the wanted columns, in the same order
+        by_exp = {}
+        for col in columns:
+            _, exp, mono = keys[col]
+            by_exp.setdefault(exp, set()).add(mono)
+        by_exp = {exp: sorted(by_exp[exp]) for exp in exps if exp in by_exp}
     target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
     rows: List[Dict[int, Fraction]] = []
 
@@ -263,7 +273,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                 if terms:
                     dk[c].append((j, [(e, mk, -v) for (e, mk), v in terms]))
         eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else 0
-        for exp in exps:
+        for exp, exp_monos in by_exp.items():
             q = [Fraction(n, exp[0]) for n in exp[1:]]
             k_shifted = [
                 [(K.exp_add(ek, exp), mk, a) for (ek, mk), a in terms] for terms in kc
@@ -275,7 +285,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                 ]
                 for c, images in dk.items()
             }
-            for mono in monos:
+            for mono in exp_monos:
                 cols = [(c, col_index[(c, exp, mono)]) for c in ansatz.components]
                 if columns is not None:
                     cols = [(c, col) for c, col in cols if col in columns]

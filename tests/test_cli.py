@@ -126,12 +126,15 @@ def test_g2_check_negative_degree_refused():
     assert len(err.strip().splitlines()) == 1 and "degree" in err
 
 
-def test_g2_check_oversized_search_space_exit_2():
-    # five exponent blocks (z-exponents 0, -2, -1, 1, 2) times three
-    # components at degree 19 pass the 20000-field bound
-    code, out, err = run(["g2-check", "--form", "1", "--max-degree", "19"])
+def test_g2_check_bounds_one_exponent_block():
+    # five exponent blocks (z-exponents 0, -2, -1, 1, 2) of 3 * C(22, 3)
+    # = 4620 fields each are solved jointly at degree 19; the bound
+    # refuses a degree whose single block passes 20000 fields
+    code, out, _ = run(["g2-check", "--form", "1", "--max-degree", "19"])
+    assert (code, out) == (0, "OBSTRUCTED: X_{alpha+2beta} = 0\n")
+    code, out, err = run(["g2-check", "--form", "1", "--max-degree", "33"])
     assert (code, out) == (2, "")
-    assert err == "error: ansatz of degree 19 in dimension 3 has more than 20000 basis fields\n"
+    assert err == "error: ansatz of degree 33 in dimension 3 has more than 20000 basis fields\n"
 
 
 def test_internal_error_exit_3(monkeypatch):
@@ -280,6 +283,7 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("dim 3\ndegree 1\neigen 1/0: x*Dx\n", 3, "zero denominator in '1/0'"),
     ("exponents (0,0,0) (0,0,1/0)\nzero : Dx\n", 1, "zero denominator in '1/0'"),
     ("dim 3\ncomponents 0\nzero : Dx\n", 2, "component 0 is out of range for dimension 3"),
+    ("dim 0\ncomponents 1\n", 1, "dimension must be at least 1, not 0"),
     ("components w\ndim 3\nzero : Dx\n", 1, "component w is out of range for dimension 3"),
     ("dim 3\ncomponents x q\nzero : Dx\n", 2, "unknown component 'q'"),
     ("dim 3\ncomponents\nzero : Dx\n", 2, "components lists no component"),

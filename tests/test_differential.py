@@ -449,7 +449,6 @@ def reference_killing_form(dim, constants):
     return out
 
 
-
 def _single_exponent(exp) -> bool:
     return len(exp) <= 1
 
@@ -472,6 +471,7 @@ def reference_solve_by_blocks(constraints, dim, exponents, degree, components=No
         ansatz = AnsatzSpace(dim, [exp], degree, components)
         basis.extend(solve(constraints, ansatz).basis)
     return basis
+
 
 # -- strategies ---------------------------------------------------------------
 
@@ -768,6 +768,22 @@ def test_staged_solve_matches_stacked(system):
     _check_staged(*system)
 
 
+@settings(max_examples=100, deadline=None)
+@given(constraint_systems().filter(_is_homogeneous), st.data())
+def test_build_over_columns_restricts_the_full_build(system, data):
+    constraints, ansatz = system
+    ncols = len(ansatz.basis_keys())
+    mask = data.draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+    columns = {m for m, keep in enumerate(mask) if keep}
+    _, targets, rows, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    full = {
+        t: {c: v for c, v in row.items() if c in columns}
+        for t, row in zip(targets, rows)
+    }
+    _, targets, rows, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns)
+    assert {t: r for t, r in zip(targets, rows) if r} == {t: r for t, r in full.items() if r}
+
+
 # Later stages combine kernel vectors of several terms, so the sums come
 # out with their keys in another order than the stacked solve's.
 @pytest.mark.parametrize("fields, degree", [
@@ -1045,12 +1061,14 @@ def test_obstruction_solves_match_per_block_solves(monkeypatch):
 
     monkeypatch.setattr(obstruction, "solve", recording)
     for form in (1, 2, 3):
-        for degree in (2, 6, 10):
+        # at degree 19 the five blocks hold 23100 fields, more than one
+        # block may hold
+        for degree in (2, 6, 10, 19):
             obstruction.g2_obstruction(form, AnsatzSpace(3, max_degree=degree))
     for degree in (2, 4):
         obstruction.b2_sanity_control(degree)
     # one solve per orientation, one for the control
-    assert len(calls) == 3 * 3 * 2 + 2
+    assert len(calls) == 3 * 4 * 2 + 2
     assert any(basis for _, _, basis in calls)
     for constraints, ansatz, basis in calls:
         assert basis == reference_solve_by_blocks(

@@ -179,8 +179,15 @@ class TestAnsatzSpace:
             AnsatzSpace(3, [(), (0, 0, 1), (0, 0, 0)], 2, [0, 2]),
             AnsatzSpace(2, [(1, 0), (0, 1)], 0),
             AnsatzSpace(3, max_degree=2, components=[]),
+            # five blocks of 4620 fields: the bound counts one block
+            AnsatzSpace(3, [(0, 0, q) for q in range(5)], 19),
         ):
             assert ansatz.dimension() == len(ansatz.basis_keys())
+
+    def test_bound_counts_one_exponent_block(self):
+        assert AnsatzSpace(3, [(0, 0, q) for q in range(5)], 19).dimension() == 23100
+        with pytest.raises(LvfError, match="more than 20000 basis fields"):
+            AnsatzSpace(3, max_degree=33)
 
     def test_zero_exponent_forms_are_one_block(self):
         ansatz = AnsatzSpace(3, [(), (0, 0, 0), (Fraction(0), 0, 0)], 1)
