@@ -4,8 +4,9 @@ Subcommands: bracket, rank, verify, centralizer, solve, structure,
 g2-check, catalog.  Exit status 0 on success or pass, 1 on a
 verification failure, 2 on usage or expression errors, 3 on an internal
 error (a failed invariant, reported as a ``record kind=error
-class=internal`` line on stderr).  All numbers print as exact
-rationals; output is deterministic.
+class=internal`` line on stderr), 141 (128 + SIGPIPE), with nothing on
+stderr, when stdout is a pipe whose reader has closed it.  All numbers
+print as exact rationals; output is deterministic.
 
 ``LVF_CATALOG`` in the environment points the catalog-consuming
 subcommands at a catalog file instead of the builtin one.
@@ -110,7 +111,7 @@ def _cmd_centralizer(args) -> int:
     gens = list(entry.generators_at(assignment).values())
     ansatz = AnsatzSpace(entry.dim, max_degree=args.max_degree)
     result = centralizer(gens, ansatz)
-    rank = generic_rank(result.basis) if result.basis else 0
+    rank = generic_rank(result.basis)
     print(f"centralizer of {entry.id} at degree {args.max_degree}:")
     for b in result.basis:
         print(f"  {format_field(b)}")
@@ -450,7 +451,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed pipe surfaces here, not in the interpreter's final flush
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader went away: stay silent, and keep the flush at exit
+        # from failing on the same pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,7 @@ independent, so a value is the zero function exactly when its term map
 is empty; equality is a structural check on canonical term maps.
 
 Values are immutable and safe to share between threads.  All arithmetic
-is exact; :meth:`ExpPoly.eval_numeric` is the only floating-point door
-and is meant for randomized cross-checks, never equality decisions.
+is exact.
 """
 
 from __future__ import annotations
@@ -316,33 +315,6 @@ class ExpPoly:
                     piece = piece * images[i]
             out = out + piece
         return out
-
-    # -- numerics --------------------------------------------------------
-
-    def eval_numeric(self, point, params: Mapping[str, float] | None = None) -> float:
-        """Double-precision evaluation; advisory only."""
-        pt = tuple(float(v) for v in point)
-        if len(pt) != self.dim:
-            raise DimensionMismatch(f"point of length {len(pt)} in dimension {self.dim}")
-        pvals = {k: float(v) for k, v in (params or {}).items()}
-        total = 0.0
-        for (exp, mono), pp in self._terms.items():
-            c = 0.0
-            for pmono, v in pp.items():
-                t = float(v)
-                for name, e in pmono:
-                    if name not in pvals:
-                        raise UnassignedParameter(f"parameter '{name}' not assigned")
-                    t *= pvals[name] ** e
-                c += t
-            for i, m in enumerate(mono):
-                if m:
-                    c *= pt[i] ** m
-            arg = sum(n * pt[i] for i, n in enumerate(exp[1:]) if n) / exp[0]
-            if arg:
-                c *= math.exp(arg)
-            total += c
-        return total
 
     # -- equality and display ---------------------------------------------
 

@@ -187,9 +187,6 @@ class AffineMap:
             )
         )
 
-    def inverse_linear(self):
-        return self._inv_linear
-
     def __repr__(self) -> str:
         return f"AffineMap(linear={self.linear}, shift={self.shift})"
 

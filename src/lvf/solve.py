@@ -11,11 +11,12 @@ one exact elimination pass; once the matrix reaches full column rank,
 each later row is checked against the unique solution instead of being
 reduced, which leaves the witness and the rank of the whole matrix
 unchanged.  Homogeneous constraints are solved one at a time, each on
-the kernel left by the ones before it.  When the first known field is
-graded, H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan
-element of the obstruction pipeline), its kernel is read off by weight
-instead: a column selection and the kernel of a small lowering map,
-without building its constraint matrix.
+the kernel left by the ones before it.  A graded known field,
+H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
+the obstruction pipeline), confines every solution to the basis fields
+of one weight, wherever its constraint stands: the first stage starts
+on the columns all graded constraints keep, and every constraint then
+takes the same build.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from lvf import _kernels as K
@@ -338,7 +339,8 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
 
 def _compose(rows, basis):
     """The rows of the product M N, for the sparse rows of M and the
-    columns of N given as the sparse vectors ``basis``."""
+    columns of N given as the sparse vectors ``basis``.  Entries of N
+    equal to 1 (every start vector, every free column) skip the product."""
     by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
     for j, vec in enumerate(basis):
         for c, v in vec.items():
@@ -348,7 +350,7 @@ def _compose(rows, basis):
         acc: Dict[int, Fraction] = {}
         for c, a in row.items():
             for j, v in by_col[c]:
-                _accumulate(acc, j, a * v)
+                _accumulate(acc, j, a if v == 1 else a * v)
         out.append(acc)
     return out
 
@@ -358,7 +360,7 @@ def _combine(coeffs, basis):
     out: Dict[int, Fraction] = {}
     for j, a in coeffs.items():
         for c, v in basis[j].items():
-            _accumulate(out, c, a * v)
+            _accumulate(out, c, a if v == 1 else a * v)
     return out
 
 
@@ -383,108 +385,86 @@ def _graded_weights(known: VectorField):
     return a, b
 
 
-def _graded_kernel(cons: BracketConstraint, ansatz: AnsatzSpace, target_bound: int):
-    """Kernel basis and row count of a homogeneous constraint whose
-    known field H is graded (see ``_graded_weights``), or None.
+def _graded_columns(graded, ansatz: AnsatzSpace):
+    """Sorted columns on which the graded constraints ``graded``, given
+    as ``(a, b, c)`` for [H, X] = cX with H = sum_j (a_j x_j + b_j) d_j
+    (see ``_graded_weights``), can have a common solution.
 
     On f = x^m e^(q.x) the bracket splits as
       [H, f d_c] = (a.m + b.q - a_c) f d_c + (sum_i a_i q_i x_i) f d_c
                    + (sum_i b_i m_i x^(m-e_i) e^(q.x)) d_c.
     The middle term raises the degree, so a block with some a_i q_i != 0
     has kernel {0}.  In any other block the last term keeps the weight
-    a.m + b.q - a_c (b_i != 0 only where a_i = 0), so the kernel of
-    [H, X] = cX is the kernel of that lowering map on the columns of
-    weight c: one small elimination instead of a build over the whole
-    ansatz.  The basis is the reduced one ``nullspace_from_rref`` gives
-    for the full matrix, whose columns it keeps in order.
+    a.m + b.q - a_c (b_i != 0 only where a_i = 0), and ad H - c is
+    invertible on every weight but c: each solution lives on the
+    columns of weight c, for each graded constraint.
     """
-    graded = _graded_weights(cons.known)
-    if graded is None:
-        return None
-    a, b = graded
-    eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else Fraction(0)
-    # integer weights: everything scaled by the common denominator
-    scale = math.lcm(eig.denominator, *(v.denominator for v in a + b))
-    ia = [int(v * scale) for v in a]
-    ib = [int(v * scale) for v in b]
-    ic = int(eig * scale)
-    keys, col_index, exps, monos = ansatz._columns
-    am = [sum(x * m for x, m in zip(ia, mono)) for mono in monos]
+    _, col_index, exps, monos = ansatz._columns
+    scaled = []
+    for a, b, c in graded:
+        # integer weights: everything scaled by the common denominator
+        scale = math.lcm(c.denominator, *(v.denominator for v in a + b))
+        ia = [int(v * scale) for v in a]
+        ib = [int(v * scale) for v in b]
+        scaled.append((ia, ib, int(c * scale)))
+    # a.m of the first constraint once per monomial; the others only on
+    # the monomials that pass it
+    am = [sum(map(mul, scaled[0][0], mono)) for mono in monos]
     columns = []
     for exp in exps:
         den, nums = exp[0], exp[1:]
-        if any(x and n for x, n in zip(ia, nums)):
+        if any(x and n for ia, _, _ in scaled for x, n in zip(ia, nums)):
             continue
-        bq = sum(x * n for x, n in zip(ib, nums))
-        for c in ansatz.components:
+        for comp in ansatz.components:
             # weight c, times den: den * (a.m - a_c - c) + b.(den q) = 0
-            need, rem = divmod(den * (ia[c] + ic) - bq, den)
-            if rem:
+            need = [
+                divmod(den * (ia[comp] + ic) - sum(map(mul, ib, nums)), den)
+                for ia, ib, ic in scaled
+            ]
+            if any(rem for _, rem in need):
                 continue
-            columns.extend(
-                col_index[(c, exp, mono)] for mono, w in zip(monos, am) if w == need
-            )
-    columns.sort()
-    lowering = [(i, v) for i, v in enumerate(b) if v]
-    target_index: Dict[tuple, int] = {}
-    rows: List[Dict[int, Fraction]] = []
-    for j, col in enumerate(columns):
-        c, exp, mono = keys[col]
-        for i, v in lowering:
-            m = mono[i]
-            if m:
-                target = (c, exp, mono[:i] + (m - 1,) + mono[i + 1:])
-                idx = target_index.setdefault(target, len(rows))
-                if idx == len(rows):
-                    rows.append({})
-                rows[idx][j] = v * m
-    if len(rows) > target_bound:
-        raise AnsatzExplosion(len(rows), target_bound)
-    pivots, rrows = _linalg.rref(rows, len(columns))
-    kernel = _linalg.nullspace_from_rref(pivots, rrows, len(columns))
-    return [{columns[j]: v for j, v in vec.items()} for vec in kernel], len(rows)
+            kept = [mono for mono, w in zip(monos, am) if w == need[0][0]]
+            for (ia, _, _), (n, _) in zip(scaled[1:], need[1:]):
+                kept = [mono for mono in kept if sum(map(mul, ia, mono)) == n]
+            columns.extend(col_index[(comp, exp, mono)] for mono in kept)
+    return sorted(columns)
 
 
 def _common_kernel(constraints, ansatz: AnsatzSpace, target_bound: int):
     """Kernel basis of homogeneous constraints, one constraint at a time.
 
-    Constraint 0 is built over the whole ansatz and its kernel basis N
-    read off the reduced form; when its known field is graded, N comes
-    from ``_graded_kernel`` instead, without that build.  Each later
-    constraint is built only over the columns N uses; the kernel W of
-    those rows times N gives the new basis N W.  The solve stops once
-    N is empty, so most of the target rows of the stacked matrix are
-    never built.  ``target_bound`` bounds the rows built over all stages
-    (for a graded constraint 0, its lowering rows).  The basis is
-    returned in the reduced form ``nullspace_from_rref`` gives for the
-    stacked matrix: that form depends only on the kernel.
+    The basis N starts as the unit vectors of the columns
+    ``_graded_columns`` keeps for the graded constraints (of every
+    column when none is graded).  Each constraint in turn is built only
+    over the columns N uses; the kernel W of those rows times N gives
+    the new basis N W.  The solve stops once N is empty, so most of the
+    target rows of the stacked matrix are never built.  ``target_bound``
+    bounds the rows built over all stages.  The basis is returned in
+    the reduced form ``nullspace_from_rref`` gives for the stacked
+    matrix: that form depends only on the kernel.
     """
     ncols = len(ansatz._columns[0])
-    basis = None  # None: the whole ansatz
+    graded = []
+    for cons in constraints:
+        weights = _graded_weights(cons.known)
+        if weights is not None:
+            eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else Fraction(0)
+            graded.append((*weights, eig))
+    columns = _graded_columns(graded, ansatz) if graded else range(ncols)
+    basis = [{m: Fraction(1)} for m in columns]
     built = 0
     for cons in constraints:
-        graded = _graded_kernel(cons, ansatz, target_bound) if basis is None else None
-        if graded is not None:
-            basis, built = graded
-        else:
-            support = None if basis is None else set().union(*basis)
-            try:
-                rows = _build_system([cons], ansatz, target_bound - built, support)[2]
-            except AnsatzExplosion as exc:
-                raise AnsatzExplosion(built + exc.size, target_bound) from None
-            built += len(rows)
-            if basis is None:
-                pivots, rrows = _linalg.rref(rows, ncols)
-                basis = _linalg.nullspace_from_rref(pivots, rrows, ncols)
-            else:
-                k = len(basis)
-                pivots, rrows = _linalg.rref(_compose(rows, basis), k)
-                kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
-                basis = [_combine(w, basis) for w in kernel]
         if not basis:
             return []
-    if basis is None:
-        return [{m: Fraction(1)} for m in range(ncols)]
+        try:
+            rows = _build_system([cons], ansatz, target_bound - built, set().union(*basis))[2]
+        except AnsatzExplosion as exc:
+            raise AnsatzExplosion(built + exc.size, target_bound) from None
+        built += len(rows)
+        k = len(basis)
+        pivots, rrows = _linalg.rref(_compose(rows, basis), k)
+        kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
+        basis = [_combine(w, basis) for w in kernel]
     return _linalg.reduced_kernel_basis(basis, ncols)
 
 
@@ -564,7 +544,4 @@ def centralizer_rank(
     target_bound: int = DEFAULT_TARGET_BOUND,
 ) -> int:
     """Generic rank of the centralizer inside the ansatz."""
-    result = centralizer(algebra, ansatz, target_bound)
-    if not result.basis:
-        return 0
-    return generic_rank(result.basis)
+    return generic_rank(centralizer(algebra, ansatz, target_bound).basis)

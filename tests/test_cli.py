@@ -2,10 +2,14 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import lvf
 from lvf import catalog
 from lvf import obstruction
 from lvf.cli import main
@@ -345,3 +349,23 @@ def test_dimension_above_max_exit_2(tmp_path, argv):
     assert err.count("\n") == 1 and "dimension must be at most 64" in err
     # refused before any table of size dim is built
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_141_silently(unbuffered):
+    # the read end is closed before the child writes, so the first write
+    # or the flush fails with EPIPE; "" leaves stdout block-buffered
+    src = os.path.dirname(os.path.dirname(lvf.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    argv = ["g2-check", "--form", "3", "--max-degree", "4", "--verbose"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lvf.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -1,6 +1,6 @@
 """Differential tests: the row-insert elimination, the span tracker
 and determinant on it, the raw-key constraint build, the staged
-homogeneous solve and its graded first stage, the in-place bracket
+homogeneous solve and its graded column selection, the in-place bracket
 kernel and the sparse structure-constant table against reference
 implementations kept here.
 
@@ -11,11 +11,12 @@ reach full column rank early and then check rows against it), the
 and ``_linalg.det``, the ``SpanTracker`` with its own row-reduction
 loop (also for the structure constants of the builtin catalog), the
 per-free-column ``nullspace_from_rref`` and the stacked homogeneous
-solve (one build, one elimination); the graded first stage is checked
-against the build and elimination of its constraint.  The reduced row
-echelon form is unique, so the fast paths must agree with them exactly,
-including the order of the constraint rows (the inconsistency message
-depends on it) and the key order of the basis vectors.
+solve (one build, one elimination); the columns kept for graded
+constraints are checked to hold the kernel of that full build.  The
+reduced row echelon form is unique, so the fast paths must agree with
+them exactly, including the order of the constraint rows (the
+inconsistency message depends on it) and the key order of the basis
+vectors.
 
 The joint obstruction solve (one ``solve`` over every exponent block)
 is checked against the earlier per-block solves, on the obstruction's
@@ -49,7 +50,8 @@ from lvf.solve import (
     _build_system,
     _common_kernel,
     _field_keys,
-    _graded_kernel,
+    _graded_columns,
+    _graded_weights,
     solve,
 )
 
@@ -830,18 +832,16 @@ def test_reduced_kernel_basis_is_the_nullspace_basis(case):
     assert [list(v.items()) for v in got] == [list(v.items()) for v in basis]
 
 
-# -- graded first stage -------------------------------------------------------
+# -- graded column selection --------------------------------------------------
 
 GRADED_EXPONENTS = EXPONENTS + ((0, 0, -1), (0, Fraction(1, 3), 0), (1, 1, 0), (0, 2, -1))
 SMALL = (1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3))
 
 
 @st.composite
-def graded_systems(draw):
-    """A graded H = sum_i (a_i x_i + b_i) d_i with b_i = 0 wherever
-    a_i != 0, exponent blocks with and without some a_i q_i != 0, and a
-    constraint [H, X] = cX whose c is often the weight of a basis field,
-    so that kernels are often nonzero."""
+def graded_fields(draw):
+    """``(H, a, b)`` for a graded H = sum_i (a_i x_i + b_i) d_i with
+    b_i = 0 wherever a_i != 0."""
     a, b = [], []
     for _ in range(3):
         mode = draw(st.sampled_from(("none", "a", "b", "b")))
@@ -850,16 +850,78 @@ def graded_systems(draw):
     known = VectorField([
         ExpPoly.coord(3, i) * a[i] + ExpPoly.const(3, b[i]) for i in range(3)
     ])
+    return known, a, b
+
+
+@st.composite
+def graded_ansatze(draw):
+    """Exponent blocks with and without some a_i q_i != 0."""
     exponents = draw(st.lists(st.sampled_from(GRADED_EXPONENTS), min_size=1, max_size=3))
     components = draw(st.sets(st.integers(0, 2), min_size=1))
-    ansatz = AnsatzSpace(3, exponents, draw(st.integers(0, 3)), sorted(components))
-    if draw(st.booleans()):
-        return BracketConstraint.commutes(known), ansatz
-    c, exp, mono = draw(st.sampled_from(ansatz.basis_keys()))
+    return AnsatzSpace(3, exponents, draw(st.integers(0, 3)), sorted(components))
+
+
+def _weight(a, b, key):
+    """a.m + b.q - a_c, the eigenvalue of ad H on the basis field ``key``
+    up to lower-degree terms."""
+    c, exp, mono = key
     q = decode_exponents(exp)
-    weight = sum(x * m for x, m in zip(a, mono)) + sum(x * y for x, y in zip(b, q)) - a[c]
-    value = draw(st.one_of(st.just(weight), st.just(weight), values))
-    return BracketConstraint.eigen(known, value), ansatz
+    return sum(x * m for x, m in zip(a, mono)) + sum(x * y for x, y in zip(b, q)) - a[c]
+
+
+def _graded_eigen(draw, key):
+    """[H, X] = cX for a graded H, whose c is often the weight of the
+    basis field ``key``, so that kernels are often nonzero."""
+    known, a, b = draw(graded_fields())
+    value = draw(st.one_of(st.just(_weight(a, b, key)), st.just(_weight(a, b, key)), values))
+    return BracketConstraint.eigen(known, value)
+
+
+@st.composite
+def graded_systems(draw):
+    """One graded constraint, a commutation or an eigen constraint."""
+    ansatz = draw(graded_ansatze())
+    if draw(st.booleans()):
+        return BracketConstraint.commutes(draw(graded_fields())[0]), ansatz
+    return _graded_eigen(draw, draw(st.sampled_from(ansatz.basis_keys()))), ansatz
+
+
+UNGRADED_FIELDS = ("y*Dx", "z*Dy", "x*Dz", "exp(z)*Dx", "exp(x)*Dy", "z*Dx + Dy", "x*Dx + Dx")
+
+
+@st.composite
+def graded_lists(draw):
+    """2-3 graded eigen constraints whose eigenvalues are often the
+    weights of one common basis field, and at times an ungraded one, in
+    random order."""
+    ansatz = draw(graded_ansatze())
+    key = draw(st.sampled_from(ansatz.basis_keys()))
+    constraints = [_graded_eigen(draw, key) for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        known = parse_field(draw(st.sampled_from(UNGRADED_FIELDS)))
+        constraints.append(BracketConstraint.eigen(known, draw(st.sampled_from((0, 1, -1)))))
+    return draw(st.permutations(constraints)), ansatz
+
+
+def _weight_columns(graded, ansatz):
+    """The columns of weight c for every graded ``(a, b, c)`` in blocks
+    with no a_i q_i != 0, by the ``Fraction`` weight of each key."""
+    def keeps(a, b, c, key):
+        q = decode_exponents(key[1])
+        return not any(x * y for x, y in zip(a, q)) and _weight(a, b, key) == c
+
+    keys = ansatz.basis_keys()
+    return [m for m, key in enumerate(keys) if all(keeps(*g, key) for g in graded)]
+
+
+def _graded_of(constraints):
+    """The ``(a, b, c)`` of the graded constraints, in order."""
+    out = []
+    for cons in constraints:
+        weights = _graded_weights(cons.known)
+        if weights is not None:
+            out.append((*weights, cons.eigenvalue))
+    return out
 
 
 def _build_kernel(cons, ansatz):
@@ -872,10 +934,29 @@ def _build_kernel(cons, ansatz):
 @given(graded_systems())
 def test_graded_kernel_matches_build(system):
     cons, ansatz = system
-    graded = _graded_kernel(cons, ansatz, DEFAULT_TARGET_BOUND)
-    assert graded is not None
+    graded = _graded_of([cons])
+    assert len(graded) == 1
     ref = _build_kernel(cons, ansatz)
-    assert [list(v.items()) for v in graded[0]] == [list(v.items()) for v in ref]
+    columns = _graded_columns(graded, ansatz)
+    assert columns == _weight_columns(graded, ansatz)
+    assert set().union(*ref) <= set(columns)
+    got = _common_kernel([cons], ansatz, DEFAULT_TARGET_BOUND)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_lists())
+def test_graded_lists_match_stacked(system):
+    constraints, ansatz = system
+    graded = _graded_of(constraints)
+    assert len(graded) in (2, 3)
+    ref = reference_homogeneous_solve(constraints, ansatz)[0]
+    # every graded constraint narrows the columns, wherever it stands
+    columns = _graded_columns(graded, ansatz)
+    assert columns == _weight_columns(graded, ansatz)
+    assert set().union(*ref) <= set(columns)
+    got = _common_kernel(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
 
 
 @pytest.mark.parametrize("text", [
@@ -884,17 +965,18 @@ def test_graded_kernel_matches_build(system):
 def test_ungraded_fields_take_the_build(text, monkeypatch):
     cons = BracketConstraint.commutes(parse_field(text))
     ansatz = AnsatzSpace(3, [(0, 0, 0), (1, 0, 0)], 2)
-    assert _graded_kernel(cons, ansatz, DEFAULT_TARGET_BOUND) is None
+    assert _graded_weights(cons.known) is None
     built = []
     build = solve_module._build_system
 
-    def counting(*args, **kwargs):
-        built.append(1)
-        return build(*args, **kwargs)
+    def counting(constraints, ansatz, target_bound, columns):
+        built.append(columns)
+        return build(constraints, ansatz, target_bound, columns)
 
     monkeypatch.setattr(solve_module, "_build_system", counting)
     got = _common_kernel([cons], ansatz, DEFAULT_TARGET_BOUND)
-    assert built == [1]
+    # no graded constraint: the one build covers every column
+    assert built == [set(range(len(ansatz.basis_keys())))]
     assert [list(v.items()) for v in got] == [
         list(v.items()) for v in _build_kernel(cons, ansatz)
     ]

@@ -94,23 +94,6 @@ class TestSubstParams:
             S("a*y", params=("a",)).subst_params({})
 
 
-class TestEval:
-    def test_examples(self):
-        assert S("exp(x)*y").eval_numeric((0, 3, 0)) == pytest.approx(3.0)
-        assert ExpPoly.zero(3).eval_numeric((1, 2, 3)) == 0.0
-        assert S("z^2").eval_numeric((0, 0, 2)) == pytest.approx(4.0)
-
-    def test_add_consistency(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            f = rand_exppoly(rng)
-            g = rand_exppoly(rng)
-            pt = [rng.uniform(-1, 1) for _ in range(3)]
-            lhs = (f + g).eval_numeric(pt)
-            rhs = f.eval_numeric(pt) + g.eval_numeric(pt)
-            assert abs(lhs - rhs) <= 1e-9
-
-
 small = st.integers(min_value=-3, max_value=3)
 
 

@@ -5,14 +5,15 @@ The files were captured from the command line before the staged
 homogeneous solver replaced the single stacked elimination (the
 ``solve_graded`` and degree-10 files before the graded first stage
 replaced its build, the ``solve_equals`` files before the affine solve
-began checking rows against the solution at full column rank); any
-change to a basis, a rank, a verdict, a witness or a record line shows
-up here.  The ``solve_equals`` files cover the ``equals`` path: a
-consistent system that reaches full column rank early, one whose
-witness comes after full rank (exit 1), and one whose witness comes
-while the matrix is rank deficient (exit 1).  To regenerate one after
-an intended output change, run the command from the table below with
-``python -m lvf.cli`` and redirect stdout to the file.
+began checking rows against the solution at full column rank, the
+degree-20 file before graded constraints took the common build over the
+columns they keep); any change to a basis, a rank, a verdict, a witness
+or a record line shows up here.  The ``solve_equals`` files cover the
+``equals`` path: a consistent system that reaches full column rank
+early, one whose witness comes after full rank (exit 1), and one whose
+witness comes while the matrix is rank deficient (exit 1).  To
+regenerate one after an intended output change, run the command from the
+table below with ``python -m lvf.cli`` and redirect stdout to the file.
 """
 
 import contextlib
@@ -46,6 +47,8 @@ CASES = [
      "solve_equals_inconsistent.txt", 1),
     (["solve", str(GOLDEN / "solve_equals_early_witness.lvf")],
      "solve_equals_early_witness.txt", 1),
+    (["g2-check", "--form", "3", "--max-degree", "20", "--format", "records"],
+     "g2_form3_deg20.records", 0),
 ]
 
 
