@@ -55,12 +55,15 @@ def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Fraction]:
     return out
 
 
-def _check_param_names(entry: catmod.Realization, params: Dict[str, Fraction]):
-    unknown = sorted(set(params) - set(entry.param_names()))
+def _check_param_names(entries: List[catmod.Realization], params: Dict[str, Fraction]):
+    """Refuse a parameter name that none of ``entries`` declares."""
+    declared = list(dict.fromkeys(n for e in entries for n in e.param_names()))
+    unknown = sorted(set(params) - set(declared))
     if unknown:
-        declared = ", ".join(entry.param_names()) or "none"
+        owner = f"{entries[0].id} has no" if len(entries) == 1 else "no entry has"
         raise LvfError(
-            f"{entry.id} has no parameter {', '.join(unknown)} (declared: {declared})"
+            f"{owner} parameter {', '.join(unknown)} "
+            f"(declared: {', '.join(declared) or 'none'})"
         )
 
 
@@ -87,9 +90,8 @@ def _cmd_verify(args) -> int:
             print(f"unknown catalog id '{args.form}'", file=sys.stderr)
             return 2
     params = _parse_params(args.param)
-    if args.form:
-        _check_param_names(entries[0], params)
-    summary = vermod.verify_all(entries, params or None)
+    _check_param_names(entries, params)
+    summary = vermod.verify_all(entries, params)
     if args.format == "records":
         for line in summary.to_records():
             print(line)
@@ -105,7 +107,7 @@ def _cmd_centralizer(args) -> int:
         return 2
     entry = entries[args.form]
     params = _parse_params(args.param)
-    _check_param_names(entry, params)
+    _check_param_names([entry], params)
     assignment = entry.default_assignment()
     assignment.update(params)
     gens = list(entry.generators_at(assignment).values())

@@ -27,12 +27,18 @@ integral domain, so "every branch hits zero" is equivalent to one of
 the chain vectors vanishing identically, which is decided exactly.
 
 Both assignments of the A2 simple roots to the long roots are checked,
-as are all sign flips of the simple pairs; the verdict must agree.  The
-chain uses only the alpha pair, so it is computed once per flip of that
-pair and shared by both flips of the other.  A
-nonzero solution family whose chain never vanishes would be reported as
-a counterexample candidate (full data) or raise InconclusiveAtDegree;
-it is never silently folded into an obstruction.
+as are all four sign flips (s1, s2) of the two simple pairs; the
+verdict must agree.  The flips need no computation of their own: the
+bracket is bilinear, so the chain from (s1 X_alpha, s1 X_{-alpha}) is
+(s1 X_beta, s1 X_{alpha+2beta}, X_{alpha+3beta}, s1 X_{2alpha+3beta}),
+and s2 only scales the A2 vector X_{2alpha+3beta} that a candidate is
+compared with.  Which chain vector vanishes, and whether a nonzero
+multiple of the A2 vector arises, are the same for every sign, so each
+orientation runs one ``solve`` and one chain and reports the four flip
+runs as labels on that one result.  A nonzero solution family whose
+chain never vanishes would be reported as a counterexample candidate
+(full data) or raise InconclusiveAtDegree; it is never silently folded
+into an obstruction.
 
 The identical pipeline run inside the first B2 form (extending the
 orthogonal long-root pair by the known short roots) must validate: it
@@ -64,7 +70,7 @@ from lvf.solve import AnsatzSpace, BracketConstraint, solve
 # scan order of the short-root extension check over the catalog A2 forms
 FORM_TO_ENTRY = {1: "a2.3", 2: "a2.1", 3: "a2.2"}
 
-DEFAULT_PROBE_EXPONENTS = (-2, -1, 1, 2)  # z-exponents probed besides 0
+PROBE_EXPONENTS = (-2, -1, 1, 2)  # z-exponents probed besides the ansatz's own
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,6 @@ class RunResult:
     solution_dim: int
     z_only: bool
     branches: List[BranchResult]
-    x_a2b_identically_zero: bool
-    x_2a3b_identically_zero: bool
     vanished: Optional[str]
     verdict: str  # "obstructed" | "candidate"
     candidate_witness: str = ""
@@ -114,12 +118,9 @@ class ObstructionReport:
             f"g2-check form {self.form} ({self.entry_id}), degree {self.degree}"
         ]
         for run in self.runs:
-            exps = ",".join(
-                "(" + ",".join(str(q) for q in e) + ")" for e in run.exponents
-            )
             lines.append(
                 f"  run orientation={run.orientation} flips={run.flips} "
-                f"exponents=[{exps}]"
+                f"exponents=[{_format_exponents(run.exponents)}]"
             )
             lines.append(
                 f"    solution dimension {run.solution_dim}; components depend "
@@ -143,9 +144,7 @@ class ObstructionReport:
     def to_records(self) -> List[str]:
         recs = []
         for run in self.runs:
-            exps = ",".join(
-                "(" + ",".join(str(q) for q in e) + ")" for e in run.exponents
-            )
+            exps = _format_exponents(run.exponents)
             recs.append(
                 f"record kind=obstruction-run form={self.form} "
                 f"orientation={run.orientation} flips={run.flips[0]},{run.flips[1]} "
@@ -161,12 +160,17 @@ class ObstructionReport:
         return recs
 
 
-def _symbolic_combination(basis: Sequence[VectorField], dim: int) -> VectorField:
-    """sum of u_i * basis_i with fresh formal parameters u1..uk."""
+def _format_exponents(exponents) -> str:
+    return ",".join("(" + ",".join(str(q) for q in e) + ")" for e in exponents)
+
+
+def _symbolic_combination(basis: Sequence[VectorField], dim: int):
+    """sum of u_i * basis_i with fresh formal parameters u1..uk, and their names."""
+    names = tuple(f"u{i + 1}" for i in range(len(basis)))
     total = VectorField.zero(dim)
-    for i, b in enumerate(basis):
-        total = total + b * ExpPoly.param(dim, f"u{i + 1}")
-    return total
+    for name, b in zip(names, basis):
+        total = total + b * ExpPoly.param(dim, name)
+    return total, names
 
 
 def _z_only(fields: Sequence[VectorField]) -> bool:
@@ -187,11 +191,18 @@ def _chain(x_alpha, x_malpha, x_ab):
     return x_beta, x_a2b, x_a3b, x_2a3b
 
 
+def _vanished(x_a2b, x_2a3b) -> Optional[str]:
+    """The first vector of a chain that vanishes identically, if any."""
+    if x_a2b.is_zero():
+        return "X_{alpha+2beta}"
+    if x_2a3b.is_zero():
+        return "X_{2alpha+3beta}"
+    return None
+
+
 def _witness_assignment(general: VectorField, names):
     """Search small rationals making the whole chain nonzero."""
     candidates = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3)]
-    if len(names) == 0:
-        return None
     # vary one parameter at a time around the all-ones point
     base = {n: Fraction(1) for n in names}
     trial_points = [base]
@@ -207,135 +218,100 @@ def _witness_assignment(general: VectorField, names):
         yield pt, x
 
 
-def g2_obstruction(
-    form: int,
-    ansatz: Optional[AnsatzSpace] = None,
-    probe_exponents: Sequence[int] = DEFAULT_PROBE_EXPONENTS,
-) -> ObstructionReport:
+def _extension(pairs, eigenvalues, commuting, space: AnsatzSpace) -> List[VectorField]:
+    """Basis of the X_{alpha+beta} in ``space`` that extend two root pairs.
+
+    X_{alpha+beta} is an eigenvector, with the matching ``eigenvalues``,
+    of the Cartan element [X_r, X_{-r}] of each normalized pair and
+    commutes with every field of ``commuting``.  Of all uses of a pair,
+    only its Cartan element depends on the scale of X_{-r}, so callers
+    may use the pairs as given.
+    """
+    constraints = []
+    for (x, x_minus), eigenvalue in zip(pairs, eigenvalues):
+        x, x_minus, _ = normalize_simple_pair(x, x_minus)
+        constraints.append(BracketConstraint.eigen(x.bracket(x_minus), eigenvalue))
+    constraints += [BracketConstraint.commutes(f) for f in commuting]
+    return solve(constraints, space).basis
+
+
+def g2_obstruction(form: int, ansatz: AnsatzSpace) -> ObstructionReport:
     """Run the short-root extension check for one A2 form.
 
-    The default ansatz has no exponentials, maximal degree 6 and all
-    components; exponent vectors (0,0,q) for q in ``probe_exponents``
-    are probed in addition, since eigen constraints with a constant
+    The exponent vectors (0,0,q) for q in ``PROBE_EXPONENTS`` are probed
+    besides those of ``ansatz``, since eigen constraints with a constant
     d/dz part admit exponential solutions in z.  Each orientation runs
-    one ``solve`` over all these exponent blocks, and its general and
-    per-branch chains are computed once per sign s1 of the alpha pair
-    and shared by both signs s2.
+    one ``solve`` over all these exponent blocks and one chain of its
+    general solution and of each basis element; its four sign-flip runs
+    are labels on that result (see the module docstring).
     """
     if form not in FORM_TO_ENTRY:
         raise LvfError(f"a2 form must be 1, 2 or 3, not {form!r}")
-    if ansatz is not None and ansatz.dimension() == 0:
+    if ansatz.dimension() == 0:
         # no candidate X_{alpha+beta} at all: "obstructed" would be vacuous
         raise LvfError(f"empty search space ({ansatz.describe()})")
     entry = _catalog.get(FORM_TO_ENTRY[form])
     gens = entry.generators_at(entry.default_assignment())
-    degree = ansatz.max_degree if ansatz is not None else 6
-    exponents = list(ansatz.exponents) if ansatz is not None else [(0, 0, 0)]
-    exponents += [(0, 0, q) for q in probe_exponents]
-    components = ansatz.components if ansatz is not None else None
-    space = AnsatzSpace(3, exponents, degree, components)
+    degree = ansatz.max_degree
+    exponents = list(ansatz.exponents) + [(0, 0, q) for q in PROBE_EXPONENTS]
+    space = AnsatzSpace(3, exponents, degree, ansatz.components)
 
     g2 = get_root_system("G2")
-    eig_alpha = g2.cartan_integer((1, 1), (1, 0))  # <alpha+beta, alpha> = 1
-    # the second Cartan element realizes the coroot of alpha+3beta
-    eig_a3b = g2.cartan_integer((1, 1), (1, 3))  # <alpha+beta, alpha+3beta> = 0
+    eigenvalues = (
+        g2.cartan_integer((1, 1), (1, 0)),  # <alpha+beta, alpha> = 1
+        # the second Cartan element realizes the coroot of alpha+3beta
+        g2.cartan_integer((1, 1), (1, 3)),  # <alpha+beta, alpha+3beta> = 0
+    )
 
     runs: List[RunResult] = []
-    for orientation in ("alpha=X_alpha", "alpha=X_beta"):
-        if orientation == "alpha=X_alpha":
-            xa, xma = gens["X_alpha"], gens["X_malpha"]
-            xb, xmb = gens["X_beta"], gens["X_mbeta"]
-        else:
-            xa, xma = gens["X_beta"], gens["X_mbeta"]
-            xb, xmb = gens["X_alpha"], gens["X_malpha"]
-        # normalize both long-root pairs (a no-op for the catalog forms,
-        # but the eigenvalue checks are meaningless otherwise)
-        xa, xma, _ = normalize_simple_pair(xa, xma)
-        xb, xmb, _ = normalize_simple_pair(xb, xmb)
-        h_alpha = xa.bracket(xma)
-        h_a3b = xb.bracket(xmb)
+    for a, b in (("alpha", "beta"), ("beta", "alpha")):
+        xa, xma = gens[f"X_{a}"], gens[f"X_m{a}"]
+        xb, xmb = gens[f"X_{b}"], gens[f"X_m{b}"]
         x_2a3b_a2 = xa.bracket(xb)
-        constraints = [
-            BracketConstraint.eigen(h_alpha, eig_alpha),
-            BracketConstraint.eigen(h_a3b, eig_a3b),
-            BracketConstraint.commutes(xa),
-            BracketConstraint.commutes(xb),
-            BracketConstraint.commutes(x_2a3b_a2),
-            BracketConstraint.commutes(xmb),
-        ]
-        basis = solve(constraints, space).basis
+        basis = _extension(
+            [(xa, xma), (xb, xmb)], eigenvalues, [xa, xb, x_2a3b_a2, xmb], space
+        )
+        branches = []
+        for i, x in enumerate(basis):
+            x_beta, x_a2b, _, x_2a3b = _chain(xa, xma, x)
+            branches.append(
+                BranchResult(
+                    index=i + 1,
+                    x_ab=format_field(x),
+                    x_beta_zero=x_beta.is_zero(),
+                    x_a2b_zero=x_a2b.is_zero(),
+                    x_2a3b_zero=x_2a3b.is_zero(),
+                    vanished=_vanished(x_a2b, x_2a3b) or "none",
+                )
+            )
+        general, names = _symbolic_combination(basis, 3)
+        _, x_a2b, _, x_2a3b = _chain(xa, xma, general)
+        vanished = _vanished(x_a2b, x_2a3b)  # X_{alpha+2beta} when basis is empty
+        verdict, witness = "obstructed", "" if basis else "(solution space is zero)"
+        if vanished is None:
+            verdict, witness = _examine_candidate(
+                general, names, xa, xma, x_2a3b_a2, degree
+            )
         z_only = _z_only(basis)
-        names = tuple(f"u{i + 1}" for i in range(len(basis)))
-        general = _symbolic_combination(basis, 3)
-        for s1 in (1, -1):
-            # the chains use only the alpha pair, so both s2 share them
-            fxa, fxma = xa * Fraction(s1), xma * Fraction(s1)
-            _, x_a2b_g, _, x_2a3b_g = _chain(fxa, fxma, general)
-            branches = []
-            for i, b in enumerate(basis):
-                xb_i, xa2b_i, _, x2a3b_i = _chain(fxa, fxma, b)
-                if xa2b_i.is_zero():
-                    vanished_i = "X_{alpha+2beta}"
-                elif x2a3b_i.is_zero():
-                    vanished_i = "X_{2alpha+3beta}"
-                else:
-                    vanished_i = "none"
-                branches.append(
-                    BranchResult(
-                        index=i + 1,
-                        x_ab=format_field(b),
-                        x_beta_zero=xb_i.is_zero(),
-                        x_a2b_zero=xa2b_i.is_zero(),
-                        x_2a3b_zero=x2a3b_i.is_zero(),
-                        vanished=vanished_i,
-                    )
+        for flips in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            runs.append(
+                RunResult(
+                    orientation=f"alpha=X_{a}",
+                    flips=flips,
+                    degree=degree,
+                    exponents=space.exponents,
+                    solution_dim=len(basis),
+                    z_only=z_only,
+                    branches=branches,
+                    vanished=vanished,
+                    verdict=verdict,
+                    candidate_witness=witness,
                 )
-            a2b_zero = x_a2b_g.is_zero()
-            t2a3b_zero = x_2a3b_g.is_zero()
-            for s2 in (1, -1):
-                if not basis:
-                    vanished = "X_{alpha+2beta}"
-                    verdict = "obstructed"
-                    witness = "(solution space is zero)"
-                elif a2b_zero:
-                    vanished = "X_{alpha+2beta}"
-                    verdict = "obstructed"
-                    witness = ""
-                elif t2a3b_zero:
-                    vanished = "X_{2alpha+3beta}"
-                    verdict = "obstructed"
-                    witness = ""
-                else:
-                    vanished = None
-                    verdict, witness = _examine_candidate(
-                        general, names, fxa, fxma, x_2a3b_a2 * Fraction(s1 * s2), degree
-                    )
-                runs.append(
-                    RunResult(
-                        orientation=orientation,
-                        flips=(s1, s2),
-                        degree=degree,
-                        exponents=space.exponents,
-                        solution_dim=len(basis),
-                        z_only=z_only,
-                        branches=branches,
-                        x_a2b_identically_zero=a2b_zero,
-                        x_2a3b_identically_zero=t2a3b_zero,
-                        vanished=vanished,
-                        verdict=verdict,
-                        candidate_witness=witness,
-                    )
-                )
+            )
     overall = "obstructed" if all(r.verdict == "obstructed" for r in runs) else (
         "counterexample-candidate"
     )
-    return ObstructionReport(
-        form=form,
-        entry_id=entry.id,
-        degree=degree,
-        runs=runs,
-        verdict=overall,
-    )
+    return ObstructionReport(form, entry.id, degree, runs, overall)
 
 
 def _examine_candidate(general, names, xa, xma, x_2a3b_a2, degree):
@@ -395,29 +371,21 @@ def b2_sanity_control(degree: int = 2) -> ControlReport:
     entry = _catalog.get("b2.1")
     gens = entry.generators_at({})
     xa, xma = gens["X_alpha"], gens["X_malpha"]
-    x_ab_cat = gens["X_ab"]
-    x_beta_cat = gens["X_beta"]
-    x_a2b = gens["X_a2b"]
-    x_ma2b = gens["X_ma2b"]
-    xa, xma, _ = normalize_simple_pair(xa, xma)
-    x_a2b_n, x_ma2b_n, _ = normalize_simple_pair(x_a2b, x_ma2b)
-    h_alpha = xa.bracket(xma)
-    h_a2b = x_a2b_n.bracket(x_ma2b_n)
-
+    x_ab_cat, x_a2b = gens["X_ab"], gens["X_a2b"]
     b2 = get_root_system("B2")
-    eig_alpha = b2.cartan_integer((1, 1), (1, 0))  # 1
-    eig_a2b = b2.cartan_integer((1, 1), (1, 2))  # 0
-    constraints = [
-        BracketConstraint.eigen(h_alpha, eig_alpha),
-        BracketConstraint.eigen(h_a2b, eig_a2b),
-        BracketConstraint.commutes(xa),
-        BracketConstraint.commutes(x_a2b_n),
-    ]
+    eigenvalues = (
+        b2.cartan_integer((1, 1), (1, 0)),  # <alpha+beta, alpha> = 1
+        b2.cartan_integer((1, 1), (1, 2)),  # <alpha+beta, alpha+2beta> = 0
+    )
     # exponent blocks: none, and the block of the catalog short root
     exps = [(0, 0, 0), next(iter(x_ab_cat.components[0].exponents()))]
-    basis = solve(constraints, AnsatzSpace(3, exps, degree)).basis
-    names = tuple(f"u{i + 1}" for i in range(len(basis)))
-    general = _symbolic_combination(basis, 3)
+    basis = _extension(
+        [(xa, xma), (x_a2b, gens["X_ma2b"])],
+        eigenvalues,
+        [xa, x_a2b],
+        AnsatzSpace(3, exps, degree),
+    )
+    general, names = _symbolic_combination(basis, 3)
     x_beta_g, x_a2b_g, _, _ = _chain(xa, xma, general)
     obstructed = x_a2b_g.is_zero() or not basis
 
@@ -426,10 +394,8 @@ def b2_sanity_control(degree: int = 2) -> ControlReport:
     try:
         coeffs = express_in_basis(x_ab_cat, basis)
         catalog_in_space = True
-        assign = {n: c for n, c in zip(names, coeffs)}
-        x_beta_derived = x_beta_g.subst_params(assign)
-        scale = x_beta_derived.constant_multiple_of(x_beta_cat)
-        x_beta_matches = bool(scale)
+        x_beta_derived = x_beta_g.subst_params(dict(zip(names, coeffs)))
+        x_beta_matches = bool(x_beta_derived.constant_multiple_of(gens["X_beta"]))
     except NotInSpan:
         pass
     except DependentBasis as exc:

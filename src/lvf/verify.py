@@ -201,7 +201,14 @@ def verify_all(
     entries: Optional[Sequence[_catalog.Realization]] = None,
     params: Optional[Dict[str, object]] = None,
 ) -> Summary:
-    """Verify every entry (builtin catalog by default), in catalog order."""
+    """Verify every entry (builtin catalog by default), in catalog order.
+
+    Each entry takes only the ``params`` it declares.
+    """
     if entries is None:
         entries = _catalog.load_builtin()
-    return Summary([verify_realization(e, params) for e in entries])
+    reports = []
+    for entry in entries:
+        own = {n: v for n, v in (params or {}).items() if n in entry.param_names()}
+        reports.append(verify_realization(entry, own))
+    return Summary(reports)

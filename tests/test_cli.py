@@ -175,9 +175,20 @@ def test_verify_unknown_param_exit_2():
     assert out == "" and "zz" in err and len(err.strip().splitlines()) == 1
     code, _, err = run(["centralizer", "--form", "heisenberg.2", "--param", "zz=1"])
     assert code == 2 and "zz" in err
-    # --all applies each name only to the entries that declare it
-    code, out, _ = run(["verify", "--all", "--param", "zz=1"])
-    assert code == 0 and "16/16" in out
+    # --all refuses a name that no entry declares
+    code, out, err = run(["verify", "--all", "--param", "nosuch=2"])
+    assert code == 2
+    assert out == "" and "nosuch" in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_all_param_reaches_only_declaring_entries():
+    code, out, _ = run(["verify", "--all", "--param", "lambda=2", "--format", "records"])
+    assert code == 0
+    entries = [line for line in out.splitlines() if "kind=entry" in line]
+    assert len(entries) == 16
+    given = [line.split()[2] for line in entries if "lambda=2" in line]
+    assert given == ["id=heisenberg.2"]
+    assert "record kind=entry id=heisenberg.1 params=[] " in out
 
 
 def test_g2_check_records():

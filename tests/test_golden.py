@@ -7,8 +7,9 @@ homogeneous solver replaced the single stacked elimination (the
 replaced its build, the ``solve_equals`` files before the affine solve
 began checking rows against the solution at full column rank, the
 degree-20 file before graded constraints took the common build over the
-columns they keep); any change to a basis, a rank, a verdict, a witness
-or a record line shows up here.  The ``solve_equals`` files cover the
+columns they keep, the form 1 and form 2 verbose files before each
+orientation shared one chain among its sign flips); any change to a
+basis, a rank, a verdict, a witness or a record line shows up here.  The ``solve_equals`` files cover the
 ``equals`` path: a consistent system that reaches full column rank
 early, one whose witness comes after full rank (exit 1), and one whose
 witness comes while the matrix is rank deficient (exit 1).  To
@@ -35,6 +36,10 @@ CASES = [
      "g2_form3_deg6_control.records", 0),
     (["g2-check", "--form", "3", "--max-degree", "6", "--verbose"],
      "g2_form3_deg6_verbose.txt", 0),
+    (["g2-check", "--form", "1", "--max-degree", "6", "--verbose", "--control"],
+     "g2_form1_deg6_verbose_control.txt", 0),
+    (["g2-check", "--form", "2", "--max-degree", "6", "--verbose", "--control"],
+     "g2_form2_deg6_verbose_control.txt", 0),
     (["centralizer", "--form", "heisenberg.2", "--max-degree", "4"],
      "centralizer_heisenberg2_deg4.txt", 0),
     (["verify", "--all", "--format", "records"], "verify_all.records", 0),
