@@ -16,11 +16,16 @@ expression layer:
 * a sparse matrix row is a dict mapping a column index to a nonzero
   ``Fraction``.
 
+Every sum goes through one add-into step: ``add_into`` adds a value to
+one key of a map and drops the key when the sum vanishes, and
+``pp_add_into`` does the same with a parameter polynomial as the value
+(only ``_eliminate``, the innermost loop of the elimination, is inline).
 Products accumulate in place: ``ep_mul_into`` adds ``f*g`` into a term
 map, ``ep_mul`` is its call on an empty map, and ``ep_bracket`` sums
 every product of a vector-field bracket ``[X, Y]`` into one term map
 per component instead of copying a running sum per step.  Parameter
-polynomials are never mutated, so term maps may share them.
+polynomials are never mutated, so sums and products share them with
+their operands instead of copying them.
 
 The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the
@@ -36,23 +41,38 @@ from fractions import Fraction
 from operator import add
 
 
+def add_into(out, key, value):
+    """``out[key] += value``, dropping the key when the sum vanishes."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = value
+    else:
+        cur = cur + value
+        if cur:
+            out[key] = cur
+        else:
+            del out[key]
+
+
+def pp_add_into(out, key, pp):
+    """:func:`add_into` for a term map: the parameter polynomial ``pp``
+    is added to ``out[key]`` by :func:`pp_add`, which makes a new one."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = pp
+    else:
+        cur = pp_add(cur, pp)
+        if cur:
+            out[key] = cur
+        else:
+            del out[key]
+
+
 def pp_add(a, b):
     """Sum of two parameter polynomials."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = v
-        else:
-            s = s + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+        add_into(out, k, v)
     return out
 
 
@@ -82,16 +102,7 @@ def pp_mul(a, b):
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = pmono_mul(ka, kb)
-            s = out.get(k)
-            if s is None:
-                out[k] = va * vb
-            else:
-                s = s + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            add_into(out, pmono_mul(ka, kb), va * vb)
     return out
 
 
@@ -118,20 +129,12 @@ def exp_add(e1, e2):
 
 
 def ep_add(f, g):
-    """Sum of two term maps."""
+    """Sum of two term maps; it shares their parameter polynomials."""
     if not f:
-        return {k: dict(v) for k, v in g.items()}
-    out = {k: dict(v) for k, v in f.items()}
+        return dict(g)
+    out = dict(f)
     for k, pp in g.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = dict(pp)
-        else:
-            cur = pp_add(cur, pp)
-            if cur:
-                out[k] = cur
-            else:
-                del out[k]
+        pp_add_into(out, k, pp)
     return out
 
 
@@ -157,16 +160,7 @@ def ep_mul_into(out, f, g, negate=False):
             ppf = {k: -v for k, v in ppf.items()}
         for (eg, mg), ppg in g.items():
             key = (exp_add(ef, eg), tuple(map(add, mf, mg)))
-            pp = pp_mul(ppf, ppg)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = pp
-            else:
-                cur = pp_add(cur, pp)
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+            pp_add_into(out, key, pp_mul(ppf, ppg))
     return out
 
 
@@ -182,29 +176,10 @@ def ep_diff(f, i):
         m = mono[i]
         if m:
             key = (exp, mono[:i] + (m - 1,) + mono[i + 1:])
-            scaled = pp if m == 1 else pp_scale(pp, m)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = scaled
-            else:
-                cur = pp_add(cur, scaled)
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+            pp_add_into(out, key, pp if m == 1 else pp_scale(pp, m))
         n = exp[1 + i]
         if n:
-            key = (exp, mono)
-            scaled = pp_scale(pp, Fraction(n, exp[0]))
-            cur = out.get(key)
-            if cur is None:
-                out[key] = scaled
-            else:
-                cur = pp_add(cur, scaled)
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+            pp_add_into(out, (exp, mono), pp_scale(pp, Fraction(n, exp[0])))
     return out
 
 

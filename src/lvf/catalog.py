@@ -8,7 +8,9 @@ rank, and whether the span must be semisimple.
 
 Stored forms are corrected where the classical listing does not close
 under the stated brackets; every correction is recorded in the entry's
-``notes`` and machine-checked on load (the verifier is the arbiter).
+``notes``.  ``load_builtin`` checks nothing; ``lvf verify`` and the
+tests check the builtin entries, and ``loads`` checks every entry it
+reads with ``check_entry`` (the verifier is the arbiter).
 Derived generators (Cartan elements, root vectors for non-simple roots)
 are computed from the primary ones by exact brackets at build time.
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from lvf.errors import CatalogError, LvfError
-from lvf.expr import ExpPoly, as_fraction
+from lvf.expr import ExpPoly, as_fraction, join_signed, signed_term
 from lvf.fields import VectorField, format_field, generic_rank
 from lvf.parsing import parse_field, parse_scalar
 
@@ -45,17 +47,7 @@ class Relation:
 
 
 def format_rhs(rhs: Sequence[Coef]) -> str:
-    if not rhs:
-        return "0"
-    chunks = []
-    for c, name in rhs:
-        mag = abs(c)
-        body = name if mag == 1 else f"{mag}*{name}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(chunks)
+    return join_signed(signed_term(c, name) for c, name in rhs)
 
 
 @dataclass(frozen=True)

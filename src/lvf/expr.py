@@ -16,6 +16,7 @@ is exact.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -27,6 +28,8 @@ PMono = Tuple[Tuple[str, int], ...]
 TermKey = Tuple[Tuple[Fraction, ...], Tuple[int, ...]]
 
 _AXIS_NAMES = ("x", "y", "z", "w")
+# the start of a literal like '1e9' or '-2.5E-3', which Fraction accepts
+_EXPONENT_NOTATION = re.compile(r"\s*[-+]?[\d_.]*[eE]")
 
 
 def coord_names(dim: int) -> Tuple[str, ...]:
@@ -37,13 +40,17 @@ def coord_names(dim: int) -> Tuple[str, ...]:
 
 
 def as_fraction(value) -> Fraction:
-    """An exact rational from a Fraction, an int or a literal like '-3/4';
-    a literal with a zero denominator is an input error."""
+    """An exact rational from a Fraction, an int or a literal like '-3/4'
+    or '0.25'; a literal with a zero denominator or in exponent notation
+    (where '1e1000000000' asks for a billion-digit integer) is an input
+    error."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _EXPONENT_NOTATION.match(value):
+            raise LvfError(f"exponent notation in {value.strip()!r}; write p/q or a decimal")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -237,19 +244,6 @@ class ExpPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "ExpPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be natural numbers")
-        out = ExpPoly.const(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def diff(self, i: int) -> "ExpPoly":
         """Exact partial derivative along coordinate i."""
         if not 0 <= i < self.dim:
@@ -352,44 +346,36 @@ def _format_pmono(pmono: PMono) -> str:
     return "*".join(parts)
 
 
+def join_signed(pairs) -> str:
+    """``a - b + c`` from ``(negative, body)`` pairs, ``-a`` for a
+    negative first term; ``0`` when there are none."""
+    chunks = []
+    for negative, body in pairs:
+        if chunks:
+            chunks.append(("- " if negative else "+ ") + body)
+        else:
+            chunks.append("-" + body if negative else body)
+    return " ".join(chunks) or "0"
+
+
+def signed_term(c, body: str):
+    """``(c < 0, "|c|*body")`` for :func:`join_signed`: the factor 1 is
+    left out, and an empty body stands for 1."""
+    mag = abs(c)
+    if not body:
+        return c < 0, str(mag)
+    return c < 0, body if mag == 1 else f"{mag}*{body}"
+
+
 def _format_pp(pp: dict) -> str:
     """Parameter polynomial as a sum, canonical monomial order."""
-    chunks = []
-    for pmono in sorted(pp):
-        c = pp[pmono]
-        body = _format_pmono(pmono)
-        mag = abs(c)
-        if body:
-            text = body if mag == 1 else f"{mag}*{body}"
-        else:
-            text = str(mag)
-        if not chunks:
-            chunks.append(text if c > 0 else f"-{text}")
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(chunks)
-
-
-def _format_linear_form(exp, names) -> str:
-    chunks = []
-    for q, name in zip(exp, names):
-        if not q:
-            continue
-        mag = abs(q)
-        body = name if mag == 1 else f"{mag}*{name}"
-        if not chunks:
-            chunks.append(body if q > 0 else f"-{body}")
-        else:
-            chunks.append(("+ " if q > 0 else "- ") + body)
-    return " ".join(chunks)
+    return join_signed(signed_term(pp[pm], _format_pmono(pm)) for pm in sorted(pp))
 
 
 def format_scalar(f: ExpPoly) -> str:
     """Canonical text for an ExpPoly; parses back to an equal value."""
-    if f.is_zero():
-        return "0"
     names = coord_names(f.dim)
-    chunks = []
+    pairs = []
     for exp, mono, pp in f.terms():
         factors = []
         for i, m in enumerate(mono):
@@ -398,25 +384,15 @@ def format_scalar(f: ExpPoly) -> str:
             elif m:
                 factors.append(f"{names[i]}^{m}")
         if any(exp):
-            factors.append(f"exp({_format_linear_form(exp, names)})")
-        sign = ""
+            form = join_signed(signed_term(q, n) for q, n in zip(exp, names) if q)
+            factors.append(f"exp({form})")
         if len(pp) == 1:
             (pmono, c), = pp.items()
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = _format_pmono(pmono)
-            if body and mag != 1:
-                factors.insert(0, f"{mag}*{body}")
-            elif body:
-                factors.insert(0, body)
-            elif mag != 1 or not factors:
-                factors.insert(0, str(mag))
+            negative, coef = signed_term(c, _format_pmono(pmono))
+            if coef != "1" or not factors:
+                factors.insert(0, coef)
         else:
-            sign = "+"
+            negative = False
             factors.insert(0, f"({_format_pp(pp)})")
-        text = "*".join(factors)
-        if not chunks:
-            chunks.append(text if sign == "+" else f"-{text}")
-        else:
-            chunks.append(("+ " if sign == "+" else "- ") + text)
-    return " ".join(chunks)
+        pairs.append((negative, "*".join(factors)))
+    return join_signed(pairs)

@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 from lvf import _kernels as K
 from lvf import _linalg
 from lvf.errors import DimensionMismatch, SingularMap
-from lvf.expr import ExpPoly, as_fraction, coord_names, format_scalar
+from lvf.expr import ExpPoly, as_fraction, coord_names, format_scalar, join_signed
 
 
 class VectorField:
@@ -260,7 +260,11 @@ def generic_rank(fields: Iterable[VectorField]) -> int:
 
     The rank is generic: parameters, if present, are treated as generic
     values (a minor counts as nonzero when it is nonzero as a polynomial
-    in the parameters).
+    in the parameters).  It is found by bordering: a block with a
+    nonzero r x r minor grows by one row and one column while some
+    (r + 1)-minor that contains it is nonzero.  When none is, the rank
+    is r (the coefficients lie in an integral domain, and a nonzero
+    minor all of whose bordered minors vanish has the rank's size).
     """
     flist = list(fields)
     if not flist:
@@ -269,15 +273,20 @@ def generic_rank(fields: Iterable[VectorField]) -> int:
     for f in flist:
         if f.dim != n:
             raise DimensionMismatch("fields of mixed dimension")
-    rows = [list(f.components) for f in flist]
-    m = len(rows)
-    for k in range(min(m, n), 0, -1):
-        for rsel in itertools.combinations(range(m), k):
-            for csel in itertools.combinations(range(n), k):
-                sub = [[rows[r][c] for c in csel] for r in rsel]
-                if not _ep_det(sub).is_zero():
-                    return k
-    return 0
+    rows = [f.components for f in flist]
+    rsel: List[int] = []
+    csel: List[int] = []
+    while True:
+        for r, c in itertools.product(range(len(rows)), range(n)):
+            if r in rsel or c in csel:
+                continue
+            minor = [[rows[i][j] for j in csel + [c]] for i in rsel + [r]]
+            if not _ep_det(minor).is_zero():
+                rsel.append(r)
+                csel.append(c)
+                break
+        else:
+            return len(rsel)
 
 
 # -- canonical text form -----------------------------------------------------
@@ -286,27 +295,16 @@ def generic_rank(fields: Iterable[VectorField]) -> int:
 def format_field(x: VectorField) -> str:
     """Canonical text: components attached to the frame symbols D<name>."""
     names = coord_names(x.dim)
-    chunks = []
+    pairs = []
     for i, comp in enumerate(x.components):
         if comp.is_zero():
             continue
         frame = f"D{names[i]}" if x.dim <= 4 else f"D{i + 1}"
         text = format_scalar(comp)
-        if text == "1":
-            body, sign = frame, "+"
-        elif text == "-1":
-            body, sign = frame, "-"
+        if " " in text:  # more than one term: parenthesize
+            pairs.append((False, f"({text})*{frame}"))
         else:
-            if " " in text:  # more than one term: parenthesize
-                body, sign = f"({text})*{frame}", "+"
-            elif text.startswith("-"):
-                body, sign = f"{text[1:]}*{frame}", "-"
-            else:
-                body, sign = f"{text}*{frame}", "+"
-        if not chunks:
-            chunks.append(body if sign == "+" else f"-{body}")
-        else:
-            chunks.append(("+ " if sign == "+" else "- ") + body)
-    if not chunks:
-        return "0"
-    return " ".join(chunks)
+            negative = text.startswith("-")
+            text = text.removeprefix("-")
+            pairs.append((negative, frame if text == "1" else f"{text}*{frame}"))
+    return join_signed(pairs)

@@ -11,22 +11,28 @@ formatters: ``parse(format(v)) == v`` for every canonical value.
 Hostile input is refused with a ``ParseError``: parentheses, ``exp(``
 and unary minus nest at most ``MAX_NESTING`` deep (the parser recurses
 once per level), a power's exponent and polynomial degree are at most
-``MAX_EXPONENT``, and the dimension is at most ``MAX_DIM``, checked
-before the coordinate tables are built.
+``MAX_EXPONENT``, the term products of the whole parse are at most
+``MAX_PRODUCTS``, counted before each product (a power is computed by
+squaring and multiplying), and the dimension is at most ``MAX_DIM``,
+checked before the coordinate tables are built.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Tuple
+from typing import Tuple, Union
 
 from lvf.errors import LvfError, ParseError, UnknownIdentifier
 from lvf.expr import ExpPoly, coord_names
 from lvf.fields import VectorField
 
+# a parsed value: a scalar, or a field (a sum of frame symbols)
+Value = Union[ExpPoly, VectorField]
+
 MAX_NESTING = 100
 MAX_EXPONENT = 64
+MAX_PRODUCTS = 20_000
 MAX_DIM = 64
 
 
@@ -37,6 +43,14 @@ def check_dimension(dim: int) -> None:
         raise LvfError(f"dimension must be at least 1, not {dim}")
     if dim > MAX_DIM:
         raise LvfError(f"dimension must be at most {MAX_DIM}, not {dim}")
+
+
+def _terms(value: Value) -> int:
+    """Coefficient terms of a value: one per parameter monomial of each
+    term, so that a product of values with s and t terms makes s*t
+    term products."""
+    comps = value.components if isinstance(value, VectorField) else (value,)
+    return sum(len(pp) for c in comps for pp in c.term_map().values())
 
 
 _TOKEN = re.compile(
@@ -78,20 +92,6 @@ class _Tokens:
             raise ParseError(f"expected '{op}', found {val!r}", pos)
 
 
-class _Value:
-    """Scalar or field produced while parsing."""
-
-    __slots__ = ("scalar", "field")
-
-    def __init__(self, scalar=None, field=None):
-        self.scalar = scalar
-        self.field = field
-
-    @property
-    def is_field(self):
-        return self.field is not None
-
-
 class Parser:
     def __init__(self, dim: int = 3, params: Tuple[str, ...] = ()):
         check_dimension(dim)
@@ -113,7 +113,7 @@ class Parser:
             raise ValueError(f"parameter names collide with builtins: {sorted(bad)}")
 
     # expr := term (('+'|'-') term)*
-    def _expr(self, toks: _Tokens) -> _Value:
+    def _expr(self, toks: _Tokens) -> Value:
         value = self._term(toks)
         while True:
             kind, val, pos = toks.peek()
@@ -124,15 +124,13 @@ class Parser:
             else:
                 return value
 
-    def _combine(self, a: _Value, b: _Value, op: str, pos: int) -> _Value:
-        if a.is_field != b.is_field:
+    def _combine(self, a: Value, b: Value, op: str, pos: int) -> Value:
+        if isinstance(a, VectorField) != isinstance(b, VectorField):
             raise ParseError("cannot add a scalar and a vector field", pos)
-        if a.is_field:
-            return _Value(field=a.field + b.field if op == "+" else a.field - b.field)
-        return _Value(scalar=a.scalar + b.scalar if op == "+" else a.scalar - b.scalar)
+        return a + b if op == "+" else a - b
 
     # term := unary (('*'|'/') unary)*
-    def _term(self, toks: _Tokens) -> _Value:
+    def _term(self, toks: _Tokens) -> Value:
         value = self._unary(toks)
         while True:
             kind, val, pos = toks.peek()
@@ -143,27 +141,28 @@ class Parser:
             else:
                 return value
 
-    def _mul_div(self, a: _Value, b: _Value, op: str, pos: int) -> _Value:
+    def _mul_div(self, a: Value, b: Value, op: str, pos: int) -> Value:
         if op == "/":
-            if b.is_field:
+            if isinstance(b, VectorField):
                 raise ParseError("cannot divide by a vector field", pos)
             try:
-                q = b.scalar.rational_value()
-            except Exception:
+                q = b.rational_value()
+            except LvfError:
                 raise ParseError("divisor must be a nonzero rational constant", pos)
             if not q:
                 raise ParseError("division by zero", pos)
-            factor = 1 / q
-            if a.is_field:
-                return _Value(field=a.field * factor)
-            return _Value(scalar=a.scalar * factor)
-        if a.is_field and b.is_field:
+            return a * (1 / q)
+        if isinstance(a, VectorField) and isinstance(b, VectorField):
             raise ParseError("cannot multiply two vector fields", pos)
-        if a.is_field:
-            return _Value(field=a.field * b.scalar)
-        if b.is_field:
-            return _Value(field=b.field * a.scalar)
-        return _Value(scalar=a.scalar * b.scalar)
+        return self._times(a, b, pos)
+
+    def _times(self, a: Value, b: Value, pos: int) -> Value:
+        """``a * b``, once its term products fit in what is left of
+        ``MAX_PRODUCTS`` for this parse."""
+        self.products += _terms(a) * _terms(b)
+        if self.products > MAX_PRODUCTS:
+            raise ParseError(f"expression needs more than {MAX_PRODUCTS} term products", pos)
+        return b * a if isinstance(b, VectorField) else a * b
 
     def _enter(self, pos: int):
         self.depth += 1
@@ -171,20 +170,18 @@ class Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     # unary := '-' unary | power
-    def _unary(self, toks: _Tokens) -> _Value:
+    def _unary(self, toks: _Tokens) -> Value:
         kind, val, pos = toks.peek()
         if kind == "op" and val == "-":
             toks.next()
             self._enter(pos)
             inner = self._unary(toks)
             self.depth -= 1
-            if inner.is_field:
-                return _Value(field=-inner.field)
-            return _Value(scalar=-inner.scalar)
+            return -inner
         return self._power(toks)
 
     # power := atom ('^' nat)*
-    def _power(self, toks: _Tokens) -> _Value:
+    def _power(self, toks: _Tokens) -> Value:
         value = self._atom(toks)
         while True:
             kind, val, pos = toks.peek()
@@ -193,19 +190,27 @@ class Parser:
                 nkind, nval, npos = toks.next()
                 if nkind != "num":
                     raise ParseError("exponent must be a natural number", npos)
-                if value.is_field:
+                if isinstance(value, VectorField):
                     raise ParseError("cannot raise a vector field to a power", pos)
                 n = int(nval)
-                if max(n, n * value.scalar.max_poly_degree()) > MAX_EXPONENT:
+                if max(n, n * value.max_poly_degree()) > MAX_EXPONENT:
                     raise ParseError(f"power of degree above {MAX_EXPONENT}", npos)
-                value = _Value(scalar=value.scalar ** n)
+                # square and multiply, each product counted
+                power = ExpPoly.const(self.dim, 1)
+                while n:
+                    if n & 1:
+                        power = self._times(power, value, pos)
+                    n >>= 1
+                    if n:
+                        value = self._times(value, value, pos)
+                value = power
             else:
                 return value
 
-    def _atom(self, toks: _Tokens) -> _Value:
+    def _atom(self, toks: _Tokens) -> Value:
         kind, val, pos = toks.next()
         if kind == "num":
-            return _Value(scalar=ExpPoly.const(self.dim, int(val)))
+            return ExpPoly.const(self.dim, int(val))
         if kind == "op" and val == "(":
             self._enter(pos)
             inner = self._expr(toks)
@@ -219,15 +224,15 @@ class Parser:
                 inner = self._expr(toks)
                 toks.expect_op(")")
                 self.depth -= 1
-                if inner.is_field:
+                if isinstance(inner, VectorField):
                     raise ParseError("exp() takes a scalar argument", pos)
-                return _Value(scalar=self._make_exponential(inner.scalar, pos))
+                return self._make_exponential(inner, pos)
             if val in self.coords:
-                return _Value(scalar=ExpPoly.coord(self.dim, self.coords[val]))
+                return ExpPoly.coord(self.dim, self.coords[val])
             if val in self.frames:
-                return _Value(field=VectorField.coordinate(self.dim, self.frames[val]))
+                return VectorField.coordinate(self.dim, self.frames[val])
             if val in self.params:
-                return _Value(scalar=ExpPoly.param(self.dim, val))
+                return ExpPoly.param(self.dim, val)
             raise UnknownIdentifier(f"unknown identifier '{val}'", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
@@ -248,9 +253,10 @@ class Parser:
             qvec[i] += pp[()]
         return ExpPoly.exponential(self.dim, qvec)
 
-    def parse(self, text: str) -> _Value:
+    def parse(self, text: str) -> Value:
         toks = _Tokens(text)
         self.depth = 0
+        self.products = 0
         value = self._expr(toks)
         kind, val, pos = toks.peek()
         if kind is not None:
@@ -260,15 +266,15 @@ class Parser:
 
 def parse_scalar(text: str, dim: int = 3, params=()) -> ExpPoly:
     value = Parser(dim, tuple(params)).parse(text)
-    if value.is_field:
+    if isinstance(value, VectorField):
         raise ParseError("expected a scalar, found a vector field", 0)
-    return value.scalar
+    return value
 
 
 def parse_field(text: str, dim: int = 3, params=()) -> VectorField:
     value = Parser(dim, tuple(params)).parse(text)
-    if value.is_field:
-        return value.field
-    if value.scalar.is_zero():
+    if isinstance(value, VectorField):
+        return value
+    if value.is_zero():
         return VectorField.zero(dim)
     raise ParseError("expected a vector field, found a scalar", 0)

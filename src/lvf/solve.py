@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from lvf import _kernels as K
 from lvf import _linalg
+from lvf._kernels import add_into
 from lvf.errors import AnsatzExplosion, InternalError, LvfError, ParameterizedInput
 from lvf.expr import ExpPoly, as_fraction, encode_exponents, zero_exponents
 from lvf.fields import VectorField, generic_rank
@@ -210,19 +211,6 @@ def _raw_terms(comp: ExpPoly):
     return [(key, pp[()]) for key, pp in comp.term_map().items()]
 
 
-def _accumulate(out, key, value):
-    """``out[key] += value``, dropping the key when the sum vanishes."""
-    cur = out.get(key)
-    if cur is None:
-        out[key] = value
-    else:
-        cur += value
-        if cur:
-            out[key] = cur
-        else:
-            del out[key]
-
-
 def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=None):
     """The constraint matrix over the ansatz basis.
 
@@ -306,23 +294,23 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                     prod: Dict[tuple, Fraction] = {}
                     for e, mk, a in k_shifted[j]:
                         for mf, b in fd:
-                            _accumulate(prod, (e, tuple(map(add, mk, mf))), a * b)
+                            add_into(prod, (e, tuple(map(add, mk, mf))), a * b)
                     if kf:
                         for key, v in prod.items():
-                            _accumulate(kf, key, v)
+                            add_into(kf, key, v)
                     else:
                         kf = prod
                 diag = kf
                 if eig:
                     diag = dict(kf)
-                    _accumulate(diag, (exp, mono), -eig)
+                    add_into(diag, (exp, mono), -eig)
                 for c, col in cols:
                     for (e, mk), v in diag.items():
-                        _accumulate(rows[index_of((ci, c, e, mk))], col, v)
+                        add_into(rows[index_of((ci, c, e, mk))], col, v)
                     for j, terms in dk_shifted[c]:
                         for e, mk, v in terms:
                             key = (ci, j, e, tuple(map(add, mono, mk)))
-                            _accumulate(rows[index_of(key)], col, v)
+                            add_into(rows[index_of(key)], col, v)
 
     rhs = None
     if any(c.kind == "equals" for c in constraints):
@@ -350,7 +338,7 @@ def _compose(rows, basis):
         acc: Dict[int, Fraction] = {}
         for c, a in row.items():
             for j, v in by_col[c]:
-                _accumulate(acc, j, a if v == 1 else a * v)
+                add_into(acc, j, a if v == 1 else a * v)
         out.append(acc)
     return out
 
@@ -360,7 +348,7 @@ def _combine(coeffs, basis):
     out: Dict[int, Fraction] = {}
     for j, a in coeffs.items():
         for c, v in basis[j].items():
-            _accumulate(out, c, a if v == 1 else a * v)
+            add_into(out, c, a if v == 1 else a * v)
     return out
 
 

@@ -297,6 +297,10 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("dim 3\nparams a=1/0\nzero : a*Dx\n", 2, "zero denominator in '1/0'"),
     ("dim 3\ndegree 1\neigen 1/0: x*Dx\n", 3, "zero denominator in '1/0'"),
     ("exponents (0,0,0) (0,0,1/0)\nzero : Dx\n", 1, "zero denominator in '1/0'"),
+    ("dim 3\nparams a=1e1000000000\nzero : a*Dx\n", 2,
+     "exponent notation in '1e1000000000'; write p/q or a decimal"),
+    ("exponents (0,0,1e9)\nzero : Dx\n", 1, "exponent notation in '1e9'; write p/q or a decimal"),
+    ("dim 3\ndegree 1\neigen 2E5 : x*Dx\n", 3, "exponent notation in '2E5'; write p/q or a decimal"),
     ("dim 3\ncomponents 0\nzero : Dx\n", 2, "component 0 is out of range for dimension 3"),
     ("dim 0\ncomponents 1\n", 1, "dimension must be at least 1, not 0"),
     ("components w\ndim 3\nzero : Dx\n", 1, "component w is out of range for dimension 3"),
@@ -380,3 +384,31 @@ def test_closed_stdout_pipe_exits_141_silently(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _run_cli(argv):
+    """``python -m lvf.cli argv`` in a child process, killed after 60 s."""
+    src = os.path.dirname(os.path.dirname(lvf.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "lvf.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+
+
+def test_rank_one_family_in_dimension_12():
+    # every 2 x 2 minor vanishes; trying every k x k minor first ran for hours
+    fields = [f"x{i}*(D1 + D2)" for i in range(1, 13)]
+    proc = _run_cli(["rank", "--dim", "12", *fields])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bracket", "(x+y+z+1)^64*Dx", "Dy"],
+     "expression error: expression needs more than 20000 term products (at position 9)\n"),
+    (["verify", "--form", "heisenberg.2", "--param", "lambda=1e1000000000"],
+     "error: exponent notation in '1e1000000000'; write p/q or a decimal\n"),
+], ids=["power", "exponent-notation"])
+def test_costly_input_refused_at_once(argv, message):
+    proc = _run_cli(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)

@@ -26,8 +26,15 @@ The bracket and ``apply`` are checked against the earlier loop that
 adds ``ExpPoly`` products one component at a time, and the sparse
 Jacobi check and Killing form against the earlier dense loops over
 coordinate tuples (same verdict, same failing triple).
+
+``generic_rank``, which grows one nonzero minor by bordering, is checked
+against the earlier search through every k x k minor, largest k first,
+on random families with parameters and exponentials, many of them
+rank-deficient by construction.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from typing import List
 
@@ -41,7 +48,7 @@ from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
 from lvf.algebra import SpanTracker, StructureTensor, close_under_bracket, structure_tensor
 from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput, SingularMap
 from lvf.expr import ExpPoly, decode_exponents
-from lvf.fields import VectorField, _invert, format_field
+from lvf.fields import VectorField, _ep_det, _invert, format_field, generic_rank
 from lvf.parsing import parse_field
 from lvf.solve import (
     DEFAULT_TARGET_BOUND,
@@ -55,7 +62,7 @@ from lvf.solve import (
     solve,
 )
 
-from _rand import rand_field, rand_invertible
+from _rand import rand_exppoly, rand_field, rand_invertible
 
 _ZERO = Fraction(0)
 
@@ -449,6 +456,22 @@ def reference_killing_form(dim, constants):
                         tr += ads[i][r][s] * ads[j][s][r]
             out[i][j] = out[j][i] = tr
     return out
+
+
+def reference_generic_rank(fields):
+    """Largest k with a k x k minor that is not the zero function, by
+    trying every minor, largest k first."""
+    rows = [list(f.components) for f in fields]
+    if not rows:
+        return 0
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rsel in itertools.combinations(range(m), k):
+            for csel in itertools.combinations(range(n), k):
+                sub = [[rows[r][c] for c in csel] for r in rsel]
+                if not _ep_det(sub).is_zero():
+                    return k
+    return 0
 
 
 def _single_exponent(exp) -> bool:
@@ -1227,3 +1250,48 @@ def test_per_block_solve_misses_solutions_across_blocks():
     assert known.bracket(cross).is_zero()
     assert format_field(cross) in joint - ref
     assert ref < joint
+
+
+# -- generic rank by bordering ------------------------------------------------
+
+
+@st.composite
+def rank_families(draw):
+    """1-6 fields in dimension 1..4 with parameters and exponentials.
+    Most families are rank-deficient by construction: a field that is
+    x times the first plus the second, multiples of one field by
+    scalars, or a zero field."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    dim = draw(st.integers(1, 4))
+    with_params = draw(st.booleans())
+
+    def field():
+        return rand_field(rng, dim, max_terms=2, with_params=with_params, with_exp=True)
+
+    def scalar():
+        return rand_exppoly(rng, dim, max_terms=2, with_params=with_params)
+
+    fields = [field() for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(("free", "combination", "multiples", "zero")))
+    if kind == "combination":
+        if len(fields) == 1:
+            fields.append(field())
+        fields.append(fields[0] * ExpPoly.coord(dim, 0) + fields[1])
+    elif kind == "multiples":
+        fields = [fields[0] * scalar() for _ in range(draw(st.integers(2, 4)))]
+    elif kind == "zero":
+        fields.append(VectorField.zero(dim))
+    return draw(st.permutations(fields))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_families())
+def test_generic_rank_matches_every_minor(fields):
+    assert generic_rank(fields) == reference_generic_rank(fields)
+
+
+def test_generic_rank_of_a_combination_family():
+    first = parse_field("exp(z)*Dx + a*y*Dy", params=("a",))
+    second = parse_field("Dy - x*exp(-x)*Dz")
+    fields = [first, second, first * ExpPoly.coord(3, 0) + second]
+    assert generic_rank(fields) == reference_generic_rank(fields) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lvf.errors import DimensionMismatch, LvfError, UnassignedParameter
-from lvf.expr import ExpPoly, format_scalar
+from lvf.expr import ExpPoly, as_fraction, format_scalar
 from lvf.parsing import parse_scalar
 
 from _rand import rand_exppoly
@@ -144,3 +144,13 @@ def test_format_examples():
     assert format_scalar(ExpPoly.zero(3)) == "0"
     # canonical term order sorts by (exponent, monomial)
     assert format_scalar(S("-x + y")) == "y - x"
+
+
+def test_as_fraction_refuses_exponent_notation():
+    # '1e1000000000' would ask Fraction for a billion-digit integer
+    for text in ("2E3", "-1.5e-3", " 1e2 ", "1e1000000000"):
+        with pytest.raises(LvfError, match="exponent notation"):
+            as_fraction(text)
+    assert as_fraction("-3/4") == Fraction(-3, 4)
+    assert as_fraction("0.25") == Fraction(1, 4)
+    assert as_fraction(" 7 ") == 7

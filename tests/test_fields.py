@@ -1,15 +1,17 @@
 """Vector fields: bracket identities, rank, affine pullback."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lvf.errors import DimensionMismatch, SingularMap
 from lvf.fields import AffineMap, VectorField, affine_pullback, bracket, generic_rank
 from lvf.parsing import parse_field, parse_scalar
 
-from _rand import rand_affine, rand_field, rand_invertible
+from _rand import PARAM_NAMES, rand_affine, rand_exppoly, rand_field, rand_invertible
 
 
 def F(text, params=()):
@@ -143,3 +145,30 @@ def test_bilinearity_random():
         c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
         assert bracket(x + y * c, z) == bracket(x, z) + bracket(y, z) * c
         assert bracket(z, x) == -(bracket(x, z))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_operations_leave_operands_unchanged(seed):
+    """Sums share parameter polynomials with their operands instead of
+    copying them, so no operation may write to an operand's term map or
+    to a parameter polynomial in it; sums are operands here too."""
+    rng = random.Random(seed)
+    f, g = (rand_exppoly(rng, with_params=True) for _ in range(2))
+    x, y = (rand_field(rng, with_params=True) for _ in range(2))
+    scalars = [f, g, f + g, f - g, f * g]
+    fields = [x, y, x + y, x * f]
+    assignment = {name: Fraction(k + 2, 3) for k, name in enumerate(PARAM_NAMES)}
+    calls = [(lambda a=a, b=b: a + b) for a in scalars for b in scalars]
+    calls += [(lambda a=a, b=b: a - b) for a in scalars for b in scalars]
+    calls += [(lambda a=a, b=b: a * b) for a in scalars for b in scalars]
+    calls += [(lambda a=a, i=i: a.diff(i)) for a in scalars for i in range(3)]
+    calls += [(lambda a=a: a.subst_params(assignment)) for a in scalars]
+    calls += [(lambda a=a, b=b: a.bracket(b)) for a in fields for b in fields]
+    calls += [(lambda a=a, b=b: a.apply(b)) for a in fields for b in scalars]
+    maps = [s.term_map() for s in scalars]
+    maps += [c.term_map() for v in fields for c in v.components]
+    before = copy.deepcopy(maps)
+    for call in calls:
+        call()
+        assert maps == before

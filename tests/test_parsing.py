@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from lvf import parsing
 from lvf.errors import ParseError, UnknownIdentifier
 from lvf.expr import format_scalar
 from lvf.fields import format_field
-from lvf.parsing import MAX_EXPONENT, MAX_NESTING, parse_field, parse_scalar
+from lvf.parsing import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCTS, parse_field, parse_scalar
 
 from _rand import rand_exppoly, rand_field
 
@@ -29,6 +30,30 @@ def test_power_bounded():
     for text in ("x^100000000", f"(x*y)^{MAX_EXPONENT}", "exp(x)^65"):
         with pytest.raises(ParseError, match="power"):
             parse_scalar(text)
+
+
+def test_products_bounded():
+    # within the degree bound but past the product bound; the first ran
+    # for minutes before there was one
+    for text in ("(x+y+z+1)^64*Dx", "(x+y+z+1)^32", "(x+y+z+1)^12*(x+y+z+1)^12",
+                 "((x+y+z+1)^12 - 1)*((x+y+z+1)^12 + 1)*Dy"):
+        with pytest.raises(ParseError, match=f"more than {MAX_PRODUCTS} term products"):
+            parse_field(text) if "D" in text else parse_scalar(text)
+    # parameter monomials count as terms too
+    with pytest.raises(ParseError, match="term products"):
+        parse_scalar("(a+b+c+x)^32", params=("a", "b", "c"))
+    for text in ("(x+y+z+1)^12", "(x+1)^64", "(x*y*z)^21", "(1+x+x^2)^32", "0^64"):
+        parse_scalar(text)
+    square = parse_scalar("(x+y+1)^10")
+    assert parse_scalar("(x+y+1)^20") == square * square
+
+
+def test_products_counted_over_the_whole_parse(monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_PRODUCTS", 10)
+    # 3 * 2 term products, then 6 more in a second product
+    assert parse_scalar("(x+y+z)*(x+y)") == parse_scalar("x^2 + 2*x*y + x*z + y^2 + y*z")
+    with pytest.raises(ParseError, match="more than 10 term products"):
+        parse_scalar("(x+y+z)*(x+y) - (x+y+z)*(x+y)")
 
 
 def test_coordinate():

@@ -91,6 +91,8 @@ def test_zero_denominator_parameter_is_an_input_error():
     entry = catalog.get("heisenberg.2")
     with pytest.raises(LvfError, match="zero denominator"):
         verify.verify_realization(entry, {"lambda": "1/0"})
+    with pytest.raises(LvfError, match="exponent notation"):
+        verify.verify_realization(entry, {"lambda": "1e10000"})
     report = verify.verify_realization(entry, {"lambda": "-3/4"})
     assert report.assignment == {"lambda": Fraction(-3, 4)}
     assert report.passed
