@@ -6,12 +6,20 @@ membership, coordinates) reduce to rows of the echelon core in
 ``_kernels``; the Killing determinant runs on it too, through
 ``_linalg.det``.  All inputs must be parameter-free; substitute
 parameters first.
+
+``close_under_bracket`` brackets every pair of its basis once and keeps
+what it learns: each bracket as a field and, from its own tracker, the
+bracket's coordinates over the basis (a new basis element, or the
+combination of earlier ones that the tracker returns).  The structure
+tensor of a closure is read from those constants, and ``verify`` reads
+the relation brackets from the same table, so a verification brackets
+each pair of basis fields once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from lvf import _kernels as K
 from lvf import _linalg
@@ -127,37 +135,73 @@ def express_in_basis(field: VectorField, basis: Sequence[VectorField]) -> List[F
     return _coordinates(_basis_tracker(blist), field, len(blist))
 
 
+class Closure(tuple):
+    """Basis of a bracket closure, with the brackets that produced it.
+
+    A tuple of the basis fields, so callers take its length, iterate it
+    or pass it back in as a list of fields.  It also records:
+
+    - ``positions``: the basis index of each input field, or None for
+      an input that depends on earlier ones;
+    - ``brackets``: ``[b_i, b_j]`` as a field, for every i < j;
+    - ``constants``: the coordinates ``{k: c^k_ij}`` of every nonzero
+      ``[b_i, b_j]``, i < j.
+    """
+
+    positions: Tuple[Optional[int], ...]
+    brackets: Dict[Tuple[int, int], VectorField]
+    constants: Dict[Tuple[int, int], Dict[int, Fraction]]
+
+    def __new__(cls, basis, positions, brackets, constants):
+        self = super().__new__(cls, basis)
+        self.positions = tuple(positions)
+        self.brackets = brackets
+        self.constants = constants
+        return self
+
+
 def close_under_bracket(
     fields: Sequence[VectorField], max_dim: int = 64
-) -> List[VectorField]:
+) -> Closure:
     """Basis of the smallest bracket-closed span containing the fields.
 
-    Basis order is input order, then discovery order.  Raises
+    Basis order is input order, then discovery order.  Each pair of
+    basis fields is bracketed once; the result records every bracket
+    and its coordinates (see ``Closure``).  Raises
     NotFiniteDimensionalWithinBound when the dimension would pass
     ``max_dim``.
     """
     _require_parameter_free(fields)
     tracker = SpanTracker()
     basis: List[VectorField] = []
+    at: List[Optional[int]] = []  # basis index of each insert, None if not added
+
+    def insert(field) -> Dict[int, Fraction]:
+        """Coordinates of ``field`` over the basis, which takes it as a
+        new element when it is independent."""
+        added, combo = tracker.insert(field)
+        if not added:
+            at.append(None)
+            return {at[j]: v for j, v in combo.items()}
+        at.append(len(basis))
+        basis.append(field)
+        if len(basis) > max_dim:
+            raise NotFiniteDimensionalWithinBound(max_dim)
+        return {at[-1]: Fraction(1)}
+
     for f in fields:
-        added, _ = tracker.insert(f)
-        if added:
-            basis.append(f)
-            if len(basis) > max_dim:
-                raise NotFiniteDimensionalWithinBound(max_dim)
+        insert(f)
+    positions = list(at)
+    brackets: Dict[Tuple[int, int], VectorField] = {}
+    constants: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     j = 0
     while j < len(basis):
         for i in range(j):
-            w = basis[i].bracket(basis[j])
-            if w.is_zero():
-                continue
-            added, _ = tracker.insert(w)
-            if added:
-                basis.append(w)
-                if len(basis) > max_dim:
-                    raise NotFiniteDimensionalWithinBound(max_dim)
+            w = brackets[(i, j)] = basis[i].bracket(basis[j])
+            if not w.is_zero():
+                constants[(i, j)] = insert(w)
         j += 1
-    return basis
+    return Closure(basis, positions, brackets, constants)
 
 
 class StructureTensor:
@@ -266,9 +310,17 @@ class StructureTensor:
 def structure_tensor(basis: Sequence[VectorField]) -> StructureTensor:
     """Extract c^k_{ij} from a bracket-closed independent basis.
 
-    One tracker of the basis serves every bracket, so a dependent basis
-    raises DependentBasis even when all brackets vanish.
+    A ``Closure`` already holds its constants, so its tensor takes no
+    bracket.  Any other basis is bracketed pair by pair, and one tracker
+    of the basis serves every bracket, so a dependent basis raises
+    DependentBasis even when all brackets vanish.
     """
+    if isinstance(basis, Closure):
+        m = len(basis)
+        return StructureTensor(m, {
+            ij: tuple(vec.get(k, 0) for k in range(m))
+            for ij, vec in basis.constants.items()
+        })
     blist = list(basis)
     _require_parameter_free(blist)
     tracker = _basis_tracker(blist)

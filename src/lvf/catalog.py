@@ -560,6 +560,11 @@ def _relation_residual(rel: Relation, gens: Dict[str, VectorField]) -> VectorFie
         lhs = gens[rel.a].bracket(gens[rel.b])
     except KeyError as missing:
         raise CatalogError(f"relation references unknown generator {missing}")
+    return _subtract_rhs(rel, gens, lhs)
+
+
+def _subtract_rhs(rel: Relation, gens: Dict[str, VectorField], lhs: VectorField) -> VectorField:
+    """``lhs``, the bracket ``[a, b]``, minus the relation's right-hand side."""
     for c, name in rel.rhs:
         if name not in gens:
             raise CatalogError(f"relation references unknown generator '{name}'")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -41,8 +42,9 @@ def coord_names(dim: int) -> Tuple[str, ...]:
 
 def as_fraction(value) -> Fraction:
     """An exact rational from a Fraction, an int or a literal like '-3/4'
-    or '0.25'; a literal with a zero denominator or in exponent notation
-    (where '1e1000000000' asks for a billion-digit integer) is an input
+    or '0.25'; a literal with a zero denominator, in exponent notation
+    (where '1e1000000000' asks for a billion-digit integer) or with more
+    digits than the interpreter converts to an integer is an input
     error."""
     if isinstance(value, Fraction):
         return value
@@ -51,6 +53,11 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         if _EXPONENT_NOTATION.match(value):
             raise LvfError(f"exponent notation in {value.strip()!r}; write p/q or a decimal")
+        # 0 (or no such setting, before Python 3.11) means no limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        digits = sum(ch.isdigit() for ch in value)
+        if limit and digits > limit:
+            raise LvfError(f"literal has {digits} digits; at most {limit} are accepted")
         try:
             return Fraction(value)
         except ZeroDivisionError:

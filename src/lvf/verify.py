@@ -1,11 +1,11 @@
 """End-to-end verification of catalog realizations.
 
-For one realization: every stated bracket relation is evaluated exactly
-(failures carry the residual field), the generic rank is compared with
-the expected one, the bracket closure is computed and its structure
-tensor classified through the Killing form.  Failures are report
-entries, never exceptions, so a tampered catalog produces a readable
-diff of what broke.
+For one realization: the bracket closure is computed and its structure
+tensor classified through the Killing form, every stated bracket
+relation is evaluated exactly from the closure's brackets (failures
+carry the residual field), and the generic rank is compared with the
+expected one.  Failures are report entries, never exceptions, so a
+tampered catalog produces a readable diff of what broke.
 
 Reports render to human text and to a machine format (one record per
 line); both are deterministic byte-for-byte given the same catalog and
@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from lvf import catalog as _catalog
-from lvf.algebra import close_under_bracket, structure_tensor
+from lvf.algebra import Closure, close_under_bracket, structure_tensor
 from lvf.errors import LvfError
 from lvf.expr import as_fraction
-from lvf.fields import format_field, generic_rank
+from lvf.fields import VectorField, format_field, generic_rank
 
 DEFAULT_CLOSURE_BOUND = 32
 
@@ -120,26 +120,40 @@ class Report:
         return recs
 
 
+def _residual(
+    rel: _catalog.Relation, gens: Dict[str, VectorField], closure: Optional[Closure]
+) -> VectorField:
+    """The relation's residual, its bracket read from ``closure`` when
+    both generators are closure basis elements (the independent
+    generators are its first elements, in order)."""
+    at = dict(zip(gens, closure.positions)) if closure is not None else {}
+    a, b = at.get(rel.a), at.get(rel.b)
+    if a is None or b is None or a == b:
+        return _catalog._relation_residual(rel, gens)
+    lhs = closure.brackets[(a, b)] if a < b else -closure.brackets[(b, a)]
+    return _catalog._subtract_rhs(rel, gens, lhs)
+
+
 def verify_realization(
     entry: _catalog.Realization,
     params: Optional[Dict[str, object]] = None,
     closure_bound: int = DEFAULT_CLOSURE_BOUND,
 ) -> Report:
-    """Check one realization under default or caller-supplied parameters."""
+    """Check one realization under default or caller-supplied parameters.
+
+    The bracket closure runs first and brackets each pair of its basis
+    once; the structure tensor and the relation residuals read their
+    brackets from it.  A relation falls back to bracketing its own
+    generators when the closure failed, when a generator depends on
+    earlier ones, or when both sides name the same generator.
+    """
     assignment = entry.default_assignment()
     if params:
         for name, value in params.items():
             assignment[name] = as_fraction(value)
     constraint_ok = entry.constraints_satisfied(assignment)
     gens = entry.generators_at(assignment)
-    checks = []
-    for rel in entry.relations:
-        residual = _catalog._relation_residual(rel, gens)
-        ok = residual.is_zero()
-        checks.append(
-            RelationCheck(rel.label(), ok, "0" if ok else format_field(residual))
-        )
-    rank_actual = generic_rank(list(gens.values()))
+    closure: Optional[Closure] = None
     closure_dim: Optional[int] = None
     semisimple: Optional[bool] = None
     error = ""
@@ -150,6 +164,14 @@ def verify_realization(
         semisimple = tensor.is_semisimple()
     except LvfError as exc:
         error = str(exc)
+    checks = []
+    for rel in entry.relations:
+        residual = _residual(rel, gens, closure)
+        ok = residual.is_zero()
+        checks.append(
+            RelationCheck(rel.label(), ok, "0" if ok else format_field(residual))
+        )
+    rank_actual = generic_rank(list(gens.values()))
     return Report(
         entry_id=entry.id,
         assignment=assignment,

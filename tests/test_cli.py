@@ -234,6 +234,17 @@ def test_zero_denominator_param_exit_2(argv):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(),
+    reason="the interpreter converts integers of any length",
+)
+def test_over_long_param_literal_exit_2():
+    code, out, err = run(["verify", "--form", "heisenberg.2", "--param", "lambda=0." + "5" * 5000])
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: literal has 5001 digits; at most {limit} are accepted\n"
+
+
 @pytest.mark.parametrize("old, new", [
     ("lambda = 0;", "lambda = 1/0;"),
     ("rel [X, Y] = Z;", "rel [X, Y] = 1/0*Z;"),

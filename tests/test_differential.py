@@ -27,6 +27,11 @@ adds ``ExpPoly`` products one component at a time, and the sparse
 Jacobi check and Killing form against the earlier dense loops over
 coordinate tuples (same verdict, same failing triple).
 
+The structure tensor of a bracket closure, read from the constants the
+closure recorded, is checked against the pair-by-pair path over the same
+basis as a plain list: on the catalog at default and admissible
+parameters, and on random invertible recombinations of its generators.
+
 ``generic_rank``, which grows one nonzero minor by bordering, is checked
 against the earlier search through every k x k minor, largest k first,
 on random families with parameters and exponentials, many of them
@@ -747,6 +752,55 @@ def test_catalog_structure_constants_and_killing_det_match_reference():
         assert tensor.constants == reference_structure_constants(basis), entry.id
         killing = tensor.killing_form()
         assert tensor.killing_det() == reference_det(killing), entry.id
+
+
+def assert_closure_tensor_matches_general_path(fields):
+    """The tensor read from a closure has exactly the constants of the
+    pair-by-pair path over the same basis as a plain list."""
+    closure = close_under_bracket(fields)
+    assert structure_tensor(closure).constants == structure_tensor(list(closure)).constants
+
+
+def test_closure_tensor_matches_general_path_on_catalog():
+    for entry in catalog.load_builtin():
+        gens = entry.generators_at(entry.default_assignment())
+        assert_closure_tensor_matches_general_path(list(gens.values()))
+
+
+@pytest.mark.parametrize("entry_id, params", [
+    ("heisenberg.2", {"lambda": Fraction(-3, 2)}),
+    ("sl2.2", {"l": Fraction(5)}),
+    ("sl2xsl2.1", {"beta": Fraction(1, 3)}),
+    ("sl2xsl2.3", {"a": Fraction(4), "b": Fraction(-8)}),
+])
+def test_closure_tensor_matches_general_path_at_parameters(entry_id, params):
+    entry = catalog.get(entry_id)
+    assignment = {**entry.default_assignment(), **params}
+    assert entry.constraints_satisfied(assignment)
+    gens = entry.generators_at(assignment)
+    assert_closure_tensor_matches_general_path(list(gens.values()))
+
+
+_SMALL_ENTRIES = [e.id for e in catalog.load_builtin() if len(e.generators) <= 8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SMALL_ENTRIES), st.integers(0, 2**32), st.booleans())
+def test_closure_tensor_matches_general_path_on_recombined_generators(entry_id, seed, dependent):
+    # an invertible recombination, cut to its first few fields, changes the
+    # discovery order and leaves brackets that add basis fields; a dependent
+    # third input shifts the insertion index of every later field
+    rng = random.Random(seed)
+    entry = catalog.get(entry_id)
+    gens = list(entry.generators_at(entry.default_assignment()).values())
+    matrix = rand_invertible(rng, len(gens))
+    fields = [
+        sum((g * c for g, c in zip(gens, row) if c), VectorField.zero(entry.dim))
+        for row in matrix[:rng.randint(2, len(gens))]
+    ]
+    if dependent:
+        fields.insert(2, fields[0] * Fraction(-2) + fields[1])
+    assert_closure_tensor_matches_general_path(fields)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: canonical form, ring laws, differentiation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -154,3 +155,18 @@ def test_as_fraction_refuses_exponent_notation():
     assert as_fraction("-3/4") == Fraction(-3, 4)
     assert as_fraction("0.25") == Fraction(1, 4)
     assert as_fraction(" 7 ") == 7
+
+
+# the interpreter's limit on digits converted to an integer (Python 3.11+)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter converts integers of any length")
+def test_as_fraction_refuses_literal_over_the_digit_limit():
+    text = "0." + "5" * 5000
+    with pytest.raises(LvfError) as info:
+        as_fraction(text)
+    assert str(info.value) == f"literal has 5001 digits; at most {INT_DIGITS} are accepted"
+    assert as_fraction("0." + "5" * (INT_DIGITS - 1)) == Fraction(
+        int("5" * (INT_DIGITS - 1)), 10 ** (INT_DIGITS - 1)
+    )

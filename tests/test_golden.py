@@ -12,7 +12,13 @@ orientation shared one chain among its sign flips); any change to a
 basis, a rank, a verdict, a witness or a record line shows up here.  The ``solve_equals`` files cover the
 ``equals`` path: a consistent system that reaches full column rank
 early, one whose witness comes after full rank (exit 1), and one whose
-witness comes while the matrix is rank deficient (exit 1).  To
+witness comes while the matrix is rank deficient (exit 1).  The
+``verify_all.txt`` and ``verify_tampered.txt`` files were captured before
+the relation residuals and the structure tensor began reading their
+brackets from the bracket closure; ``verify_tampered.lvf`` is the
+builtin catalog with one relation of ``a2.1`` broken, one whose
+generators come in reverse basis order, so its residual reads a negated
+closure bracket.  To
 regenerate one after an intended output change, run the command from the
 table below with ``python -m lvf.cli`` and redirect stdout to the file.
 """
@@ -43,6 +49,7 @@ CASES = [
     (["centralizer", "--form", "heisenberg.2", "--max-degree", "4"],
      "centralizer_heisenberg2_deg4.txt", 0),
     (["verify", "--all", "--format", "records"], "verify_all.records", 0),
+    (["verify", "--all"], "verify_all.txt", 0),
     (["solve", str(GOLDEN / "solve_staged.lvf")], "solve_staged.txt", 0),
     (["solve", str(GOLDEN / "solve_graded.lvf")], "solve_graded.txt", 0),
     (["g2-check", "--form", "3", "--max-degree", "10", "--verbose", "--control"],
@@ -57,11 +64,20 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, name, exit_code", CASES, ids=[name for _, name, _ in CASES])
-def test_output_is_byte_identical(argv, name, exit_code, monkeypatch):
-    monkeypatch.delenv("LVF_CATALOG", raising=False)
+def _assert_golden(argv, name, exit_code):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code == exit_code
     assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, name, exit_code", CASES, ids=[name for _, name, _ in CASES])
+def test_output_is_byte_identical(argv, name, exit_code, monkeypatch):
+    monkeypatch.delenv("LVF_CATALOG", raising=False)
+    _assert_golden(argv, name, exit_code)
+
+
+def test_tampered_catalog_verify_is_byte_identical(monkeypatch):
+    monkeypatch.setenv("LVF_CATALOG", str(GOLDEN / "verify_tampered.lvf"))
+    _assert_golden(["verify", "--all"], "verify_tampered.txt", 1)

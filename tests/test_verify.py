@@ -1,4 +1,7 @@
-"""Verifier reports: catalog-wide pass, tamper detection, determinism."""
+"""Verifier reports: catalog-wide pass, tamper detection, determinism,
+one bracket per pair of closure basis fields, and the relation residuals
+read from the closure or, where it has no bracket to give, computed by
+``catalog._relation_residual``."""
 
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 
 from lvf import catalog, verify
 from lvf.errors import LvfError
+from lvf.fields import VectorField, format_field
 
 
 def test_builtin_catalog_passes():
@@ -61,17 +65,78 @@ def test_admissible_parameters_pass():
     assert report.passed
 
 
-def test_tampered_entry_reports_residual():
+def _tampered_sl2():
     entry = catalog.get("sl2.2")
-    tampered = catalog.loads(
+    return catalog.loads(
         catalog.dumps([entry]).replace("1/2*y^2*exp(-x)", "y^2*exp(-x)"),
         verify=False,
     )[0]
-    report = verify.verify_realization(tampered)
+
+
+def test_tampered_entry_reports_residual():
+    report = verify.verify_realization(_tampered_sl2())
     bad = [c for c in report.relations if not c.ok]
     assert bad and bad[0].residual != "0"
     assert "[X, Y] = H" in {c.label for c in bad}
     assert not report.passed
+
+
+def _assert_residuals_match_direct(entry, report):
+    """Each reported residual is the one of bracketing the relation's
+    generators directly."""
+    gens = entry.generators_at(report.assignment)
+    assert [c.label for c in report.relations] == [r.label() for r in entry.relations]
+    for rel, check in zip(entry.relations, report.relations):
+        residual = catalog._relation_residual(rel, gens)
+        assert check.ok == residual.is_zero(), rel.label()
+        assert check.residual == ("0" if check.ok else format_field(residual)), rel.label()
+
+
+def test_tampered_residual_equals_direct_residual():
+    tampered = _tampered_sl2()
+    _assert_residuals_match_direct(tampered, verify.verify_realization(tampered))
+
+
+def test_unfinished_closure_residuals_fall_back():
+    entry = catalog.get("sl2xsl2.1")
+    full = verify.verify_realization(entry)
+    cut = verify.verify_realization(entry, closure_bound=2)
+    assert not full.error and cut.error
+    assert cut.closure_dim is None and cut.semisimple is None
+    assert cut.relations == full.relations
+
+
+def test_dependent_and_repeated_generators_fall_back():
+    # W = 2*Z depends on an earlier generator, [X, X] names one twice,
+    # and the reverse-order relations read negated closure brackets
+    text = catalog.dumps([catalog.get("heisenberg.1")]).replace(
+        'gen Y = "y*Dx + Dz";',
+        'gen W = "2*Dx"; gen Y = "y*Dx + Dz";',
+    ).replace(
+        "rel [X, Y] = Z;",
+        "rel [X, Y] = Z; rel [Y, X] = Z; rel [W, Y] = 0; rel [Y, W] = X; rel [X, X] = 0;",
+    )
+    entry = catalog.loads(text, verify=False)[0]
+    report = verify.verify_realization(entry)
+    assert report.closure_dim == 3
+    assert [c.ok for c in report.relations] == [True, False, True, False, True, True, True]
+    _assert_residuals_match_direct(entry, report)
+
+
+def test_verify_brackets_each_closure_pair_once(monkeypatch):
+    calls = []
+    bracket = VectorField.bracket
+
+    def counting(self, other):
+        calls.append(1)
+        return bracket(self, other)
+
+    monkeypatch.setattr(VectorField, "bracket", counting)
+    for entry in catalog.load_builtin():
+        calls.clear()
+        report = verify.verify_realization(entry)
+        m = report.closure_dim
+        assert len(calls) == m * (m - 1) // 2, entry.id
 
 
 def test_reports_deterministic():
