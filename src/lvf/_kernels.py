@@ -14,7 +14,7 @@ expression layer:
   positive, gcd(den, n_1, .., n_k) = 1) -- all-int keys keep dict
   hashing cheap;
 * a sparse matrix row is a dict mapping a column index to a nonzero
-  ``Fraction``.
+  ``Fraction``; inside the elimination, to a nonzero ``int``.
 
 Every sum goes through one add-into step: ``add_into`` adds a value to
 one key of a map and drops the key when the sum vanishes, and
@@ -31,9 +31,16 @@ The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the
 table once at the end; ``rref`` is built on the two, and so are the
 nullspace, affine solve, inverse and determinant of ``_linalg`` and the
-span tracker of ``algebra``.  Callers look the kernels up through this
-module (``K.ep_mul``, ``K.rref``, ...), so each has exactly one
-implementation.
+span tracker of ``algebra``.  The table holds primitive integer rows
+(gcd 1, positive pivot entry) and is reduced fraction-free, by
+cross-multiplication: the integer-preserving elimination of Bareiss
+(1968), with each stored row divided by its content instead of by the
+previous pivot.  ``Fraction`` appears only at the boundary: a rational
+row is scaled to integers once, as it is inserted, and
+``back_substitute`` returns rational rows with pivot entry 1.
+
+Callers look the kernels up through this module (``K.ep_mul``,
+``K.rref``, ...), so each has exactly one implementation.
 """
 
 import math
@@ -205,60 +212,120 @@ def ep_bracket(xs, ys):
     return out
 
 
+def _integer_row(row):
+    """``row`` as a new primitive integer row: times the lcm of its
+    denominators, divided by the gcd of the numerators.  A one-entry
+    row is ``{c: 1}`` and an all-integer row skips the lcm."""
+    if len(row) <= 1:
+        return {c: 1 for c in row}
+    den = 1
+    for v in row.values():
+        if v.denominator != 1:
+            den = math.lcm(den, v.denominator)
+    if den == 1:
+        out = {c: v.numerator for c, v in row.items()}
+    else:
+        out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = math.gcd(*out.values())
+    if g != 1:
+        out = {c: v // g for c, v in out.items()}
+    return out
+
+
+def _primitive(row, lead):
+    """A nonzero integer row divided by its content, with the sign of
+    ``lead`` (one of its entries), so that entry becomes positive."""
+    g = math.gcd(*row.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
 def _eliminate(row, col, prow):
-    """Clear column ``col`` of ``row`` with the pivot row ``prow``
-    (``prow[col] == 1``), in place."""
-    fac = row.pop(col)
+    """Clear column ``col`` of the integer ``row`` with the pivot row
+    ``prow`` by cross-multiplication: ``(p/g)*row - (r/g)*prow`` for
+    ``p = prow[col] > 0``, ``r = row[col]`` and ``g = gcd(p, r)``.
+
+    The result is returned; ``row`` is changed in place when ``p/g`` is
+    1 and replaced otherwise.  The scale ``p/g`` is positive.
+    """
+    r = row.pop(col)
+    p = prow[col]
+    if p != 1:
+        g = math.gcd(p, r)
+        if g != 1:
+            p //= g
+            r //= g
+        if p != 1:
+            row = {c: v * p for c, v in row.items()}
     for c, v in prow.items():
         if c == col:
             continue
         s = row.get(c)
         if s is None:
-            row[c] = -fac * v
+            row[c] = -r * v
         else:
-            s -= fac * v
+            s -= r * v
             if s:
                 row[c] = s
             else:
                 del row[c]
+    return row
 
 
 def echelon_insert(table, row):
     """Reduce ``row`` by the pivots of ``table`` and insert what is left.
 
-    ``table`` maps each pivot column to its row: pivot entry 1 and no
-    entry left of the pivot.  ``row`` is consumed (pass a copy).  Only
-    the leading entry is eliminated, repeatedly, so a stored row may
+    ``row`` maps columns to rationals (``Fraction`` or ``int``) and is
+    not mutated: it is converted once, on entry, to a primitive integer
+    row.  ``table`` maps each pivot column to its row, which holds
+    integers with gcd 1, a positive pivot entry and no entry left of
+    the pivot.  Only the leading entry is eliminated, repeatedly, by
+    cross-multiplication (:func:`_eliminate`), so a stored row may
     still hold entries in later pivot columns; :func:`back_substitute`
-    clears those once at the end.  Returns the new pivot column, or
+    clears those once at the end.  A row that was reduced is divided by
+    its content before it is stored.  Returns the new pivot column, or
     None when the row reduces to zero.
     """
+    row = _integer_row(row)
+    reduced = False
     while row:
         col = min(row)
         prow = table.get(col)
         if prow is None:
-            inv = 1 / row[col]
-            if inv != 1:
-                row = {c: v * inv for c, v in row.items()}
+            if reduced or row[col] < 0:
+                row = _primitive(row, row[col])
             table[col] = row
             return col
-        _eliminate(row, col, prow)
+        row = _eliminate(row, col, prow)
+        reduced = True
     return None
 
 
 def back_substitute(table):
     """Reduced row echelon form ``(pivots, rows)`` of an echelon table.
 
-    Rows are fully reduced in place, from the last pivot to the first:
-    the rows of later pivots are final by then and hold no other pivot
-    column, so each elimination only adds free columns.
+    Rows are fully reduced, in integers, from the last pivot to the
+    first: the rows of later pivots are final by then and hold no other
+    pivot column, so each elimination only adds free columns.  The
+    table is left holding the reduced primitive rows; the returned rows
+    are ``Fraction`` rows with pivot entry 1.
     """
     pivots = sorted(table)
+    out = []
     for p in reversed(pivots):
         row = table[p]
-        for q in [c for c in row if c != p and c in table]:
-            _eliminate(row, q, table[q])
-    return pivots, [table[p] for p in pivots]
+        later = [c for c in row if c != p and c in table]
+        if later:
+            for q in later:
+                row = _eliminate(row, q, table[q])
+            table[p] = row = _primitive(row, row[p])
+        lead = row[p]
+        out.append({c: Fraction(v, lead) for c, v in row.items()})
+    out.reverse()
+    return pivots, out
 
 
 def rref(rows, ncols):
@@ -274,7 +341,7 @@ def rref(rows, ncols):
     table = {}
     for r in rows:
         if r:
-            echelon_insert(table, dict(r))
+            echelon_insert(table, r)
             if len(table) == ncols:
                 break
     return back_substitute(table)

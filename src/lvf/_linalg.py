@@ -3,7 +3,8 @@
 Thin wrappers around the row-insert elimination kernel: rref,
 nullspaces, affine solves and, through the rows of ``[A | I]``, the
 determinant and the inverse.  Rows are dicts mapping column index to a
-nonzero Fraction.
+nonzero Fraction; the echelon tables in between hold the kernel's
+primitive integer rows.
 """
 
 from __future__ import annotations
@@ -86,13 +87,13 @@ def solve_affine(
     ``ncols + 1`` pivots, so the rank is that of all of M, not of a
     prefix.
     """
-    table: Dict[int, Row] = {}
+    table: Dict[int, Dict[int, int]] = {}
     witness = None
     i = 0
     while i < len(rows) and len(table) < ncols + (witness is not None):
-        row = dict(rows[i])
+        row = rows[i]
         if rhs[i]:
-            row[ncols] = rhs[i]
+            row = {**row, ncols: rhs[i]}
         if row and K.echelon_insert(table, row) == ncols:
             witness = i
         i += 1
@@ -119,18 +120,20 @@ def rank(rows: List[Row], ncols: int) -> int:
 
 def echelon_with_identity(
     rows: List[List[Fraction]],
-) -> Optional[Tuple[Dict[int, Row], List[int]]]:
+) -> Optional[Tuple[Dict[int, Dict[int, int]], List[int]]]:
     """Insert the rows of ``[A | I]`` into one echelon table.
 
     Returns the table and the pivot column of each row of the n x n
     matrix A, or None as soon as a pivot falls in the identity block
     (column n or later), which happens exactly when A is singular.  Row
-    i's marker entry (column n + i) is 1 over its leading entry: only
-    earlier rows, with markers left of it, are subtracted from it, and a
-    stored row is never touched again.
+    i's marker entry (column n + i) is the total scale the integer
+    elimination applied to row i: only earlier rows, with markers left
+    of it, are subtracted from it, and a stored row is never touched
+    again.  So the stored row is its marker times row i of U, where
+    L A = U for a unit lower triangular L.
     """
     n = len(rows)
-    table: Dict[int, Row] = {}
+    table: Dict[int, Dict[int, int]] = {}
     pivots = []
     for i, row in enumerate(rows):
         aug = {j: v for j, v in enumerate(row) if v}
@@ -143,15 +146,18 @@ def echelon_with_identity(
 
 
 def det(matrix: List[List[Fraction]]) -> Fraction:
-    """Exact determinant: the product of the leading entries of the
-    echelon rows times the sign of their pivot permutation."""
+    """Exact determinant: sign of the pivot permutation times the
+    product of the pivot entries of the echelon rows over the product of
+    their marker entries (see ``echelon_with_identity``)."""
     echelon = echelon_with_identity(matrix)
     if echelon is None:
         return Fraction(0)
     table, pivots = echelon
     n = len(pivots)
-    markers = Fraction(1)
+    num = den = 1
     for i, p in enumerate(pivots):
-        markers *= table[p][n + i]
+        row = table[p]
+        num *= row[p]
+        den *= row[n + i]
     inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1:])
-    return (-1 if inversions % 2 else 1) / markers
+    return Fraction(-num if inversions % 2 else num, den)

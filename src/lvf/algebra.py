@@ -53,12 +53,15 @@ class SpanTracker:
     ``_linalg.echelon_with_identity``.  Key columns are negative, so
     ``min(row)`` pivots on them first; a row whose keys cancel has its
     pivot in a combination column, so the field is a member, and its
-    combination columns give its coordinates.
+    combination columns give its coordinates.  The table holds the
+    core's primitive integer rows, so a member's row is an integer
+    relation ``sum_j row[j] * field_j = 0`` with ``lead = row[idx]``
+    nonzero, and coordinate j is ``Fraction(-row[j], lead)``.
     """
 
     def __init__(self):
         self.key_index: Dict[Key, int] = {}
-        self.table: Dict[int, Dict[int, Fraction]] = {}
+        self.table: Dict[int, Dict[int, int]] = {}
         self.count = 0  # fields inserted so far (successfully or not)
 
     def _vectorize(self, field: VectorField) -> Dict[int, Fraction]:
@@ -91,7 +94,7 @@ class SpanTracker:
         # keys cancelled: 0 = sum(row[j] * field_j), and row[idx] != 0
         row = self.table.pop(pivot)
         lead = row[idx]
-        return False, {j: -v / lead for j, v in row.items() if j != idx}
+        return False, {j: Fraction(-v, lead) for j, v in row.items() if j != idx}
 
 
 def _basis_tracker(basis: Sequence[VectorField]) -> SpanTracker:

@@ -40,6 +40,17 @@ def coord_names(dim: int) -> Tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
+def check_digits(literal: str) -> None:
+    """Refuse a number literal with more digits than the interpreter
+    converts to an integer, with an input error instead of the
+    interpreter's own advice."""
+    # 0 (or no such setting, before Python 3.11) means no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = sum(ch.isdigit() for ch in literal)
+    if limit and digits > limit:
+        raise LvfError(f"literal has {digits} digits; at most {limit} are accepted")
+
+
 def as_fraction(value) -> Fraction:
     """An exact rational from a Fraction, an int or a literal like '-3/4'
     or '0.25'; a literal with a zero denominator, in exponent notation
@@ -53,11 +64,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         if _EXPONENT_NOTATION.match(value):
             raise LvfError(f"exponent notation in {value.strip()!r}; write p/q or a decimal")
-        # 0 (or no such setting, before Python 3.11) means no limit
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        digits = sum(ch.isdigit() for ch in value)
-        if limit and digits > limit:
-            raise LvfError(f"literal has {digits} digits; at most {limit} are accepted")
+        check_digits(value)
         try:
             return Fraction(value)
         except ZeroDivisionError:

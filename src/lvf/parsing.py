@@ -14,7 +14,10 @@ once per level), a power's exponent and polynomial degree are at most
 ``MAX_EXPONENT``, the term products of the whole parse are at most
 ``MAX_PRODUCTS``, counted before each product (a power is computed by
 squaring and multiplying), and the dimension is at most ``MAX_DIM``,
-checked before the coordinate tables are built.
+checked before the coordinate tables are built.  A number, also a
+power's exponent, with more digits than the interpreter converts to an
+integer is refused by ``expr.check_digits``, the check that literal
+parameter values go through.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from lvf.errors import LvfError, ParseError, UnknownIdentifier
-from lvf.expr import ExpPoly, coord_names
+from lvf.expr import ExpPoly, check_digits, coord_names
 from lvf.fields import VectorField
 
 # a parsed value: a scalar, or a field (a sum of frame symbols)
@@ -192,6 +195,7 @@ class Parser:
                     raise ParseError("exponent must be a natural number", npos)
                 if isinstance(value, VectorField):
                     raise ParseError("cannot raise a vector field to a power", pos)
+                check_digits(nval)
                 n = int(nval)
                 if max(n, n * value.max_poly_degree()) > MAX_EXPONENT:
                     raise ParseError(f"power of degree above {MAX_EXPONENT}", npos)
@@ -210,6 +214,7 @@ class Parser:
     def _atom(self, toks: _Tokens) -> Value:
         kind, val, pos = toks.next()
         if kind == "num":
+            check_digits(val)
             return ExpPoly.const(self.dim, int(val))
         if kind == "op" and val == "(":
             self._enter(pos)

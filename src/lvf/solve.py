@@ -426,8 +426,11 @@ def _common_kernel(constraints, ansatz: AnsatzSpace, target_bound: int):
     column when none is graded).  Each constraint in turn is built only
     over the columns N uses; the kernel W of those rows times N gives
     the new basis N W.  The solve stops once N is empty, so most of the
-    target rows of the stacked matrix are never built.  ``target_bound``
-    bounds the rows built over all stages.  The basis is returned in
+    target rows of the stacked matrix are never built.  A graded
+    constraint's diagonal terms can cancel on the columns kept for it,
+    leaving empty rows; they are dropped before the elimination.
+    ``target_bound`` bounds the nonempty rows built over all stages,
+    and the targets of any one stage's build.  The basis is returned in
     the reduced form ``nullspace_from_rref`` gives for the stacked
     matrix: that form depends only on the kernel.
     """
@@ -445,10 +448,13 @@ def _common_kernel(constraints, ansatz: AnsatzSpace, target_bound: int):
         if not basis:
             return []
         try:
-            rows = _build_system([cons], ansatz, target_bound - built, set().union(*basis))[2]
+            rows = _build_system([cons], ansatz, target_bound, set().union(*basis))[2]
         except AnsatzExplosion as exc:
             raise AnsatzExplosion(built + exc.size, target_bound) from None
+        rows = [row for row in rows if row]
         built += len(rows)
+        if built > target_bound:
+            raise AnsatzExplosion(built, target_bound)
         k = len(basis)
         pivots, rrows = _linalg.rref(_compose(rows, basis), k)
         kernel = _linalg.nullspace_from_rref(pivots, rrows, k)

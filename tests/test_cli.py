@@ -245,6 +245,18 @@ def test_over_long_param_literal_exit_2():
     assert err == f"error: literal has 5001 digits; at most {limit} are accepted\n"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(),
+    reason="the interpreter converts integers of any length",
+)
+@pytest.mark.parametrize("field", ["1" * 5000 + "*Dx", "x^" + "1" * 5000 + "*Dx"])
+def test_over_long_number_in_expression_exit_2(field):
+    code, out, err = run(["bracket", field, "x*Dx"])
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: literal has 5000 digits; at most {limit} are accepted\n"
+
+
 @pytest.mark.parametrize("old, new", [
     ("lambda = 0;", "lambda = 1/0;"),
     ("rel [X, Y] = Z;", "rel [X, Y] = 1/0*Z;"),

@@ -18,6 +18,12 @@ them exactly, including the order of the constraint rows (the
 inconsistency message depends on it) and the key order of the basis
 vectors.
 
+The elimination keeps primitive integer rows, so the rref, affine solve,
+inverse and determinant are also drawn with wide entries (numerators up
+to 10^20, denominators that include large primes), which exercise the
+lcm, content and sign normalisation, and a property test checks that
+every table row stays primitive with a positive pivot entry.
+
 The joint obstruction solve (one ``solve`` over every exponent block)
 is checked against the earlier per-block solves, on the obstruction's
 own systems and on random systems whose blocks do not interact.
@@ -39,6 +45,7 @@ rank-deficient by construction.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import List
@@ -508,12 +515,21 @@ def reference_solve_by_blocks(constraints, dim, exponents, degree, components=No
 values = st.builds(
     Fraction, st.integers(-4, 4).filter(bool), st.sampled_from((1, 1, 2, 3))
 )
+# Entries whose integer rows need a real lcm, content and sign
+# normalisation: numerators up to 10^20 in size, denominators small or
+# large primes, so that no two rows share a denominator by accident.
+LARGE_PRIMES = (1_000_003, 2_147_483_647, 2_305_843_009_213_693_951, 10**9 + 7)
+wide_values = st.builds(
+    Fraction,
+    st.integers(-10**20, 10**20).filter(bool),
+    st.one_of(st.integers(1, 12), st.sampled_from(LARGE_PRIMES)),
+)
 
 
-def _combine(draw, rows):
+def _combine(draw, rows, vals=values):
     """x*a + y*b for two rows drawn from ``rows``; it may cancel to {}."""
     a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-    x, y = draw(values), draw(values)
+    x, y = draw(vals), draw(vals)
     row = {}
     for c in set(a) | set(b):
         v = x * a.get(c, _ZERO) + y * b.get(c, _ZERO)
@@ -523,17 +539,17 @@ def _combine(draw, rows):
 
 
 @st.composite
-def matrices(draw, max_cols=7):
+def matrices(draw, max_cols=7, vals=values):
     """Sparse rows, some of them combinations of earlier ones, so that
     rank deficiency and zero rows occur often."""
     ncols = draw(st.integers(1, max_cols))
     rows = []
     for _ in range(draw(st.integers(0, 2 * ncols + 2))):
         if rows and draw(st.booleans()):
-            row = _combine(draw, rows)
+            row = _combine(draw, rows, vals)
         else:
             cols = draw(st.sets(st.integers(0, ncols - 1), max_size=3))
-            row = {c: draw(values) for c in cols}
+            row = {c: draw(vals) for c in cols}
         rows.append(row)
     return rows, ncols
 
@@ -546,7 +562,7 @@ def affine_systems(draw):
 
 
 @st.composite
-def tall_affine_systems(draw):
+def tall_affine_systems(draw, vals=values):
     """Tall systems with a planted solution x: a triangular full-rank
     block first (some of its rows left out for a rank-deficient
     system), then many combinations of earlier rows with the
@@ -555,39 +571,39 @@ def tall_affine_systems(draw):
     empty row with b != 0.  Inside the block its witness comes before
     full rank; after it, the witness is a row checked against x."""
     ncols = draw(st.integers(1, 6))
-    x = {c: draw(st.one_of(st.just(_ZERO), values)) for c in range(ncols)}
+    x = {c: draw(st.one_of(st.just(_ZERO), vals)) for c in range(ncols)}
     order = draw(st.permutations(range(ncols)))
     deficient = draw(st.integers(0, 2)) == 0
     dropped = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1)) if deficient else set()
     rows = []
     for k, p in enumerate(order):
         if k not in dropped:
-            rows.append({p: draw(values), **{
-                q: draw(values) for q in order[k + 1:] if draw(st.integers(0, 2)) == 0
+            rows.append({p: draw(vals), **{
+                q: draw(vals) for q in order[k + 1:] if draw(st.integers(0, 2)) == 0
             }})
     for _ in range(draw(st.integers(0, 5 * ncols))):
-        rows.append(_combine(draw, rows))
+        rows.append(_combine(draw, rows, vals))
     rhs = [sum(v * x[c] for c, v in row.items()) for row in rows]
     bad = draw(st.sampled_from((None, "row", "empty")))
     if bad is not None:
         at = draw(st.integers(0, len(rows)))
-        row = _combine(draw, rows[:at]) if bad == "row" and at else {}
+        row = _combine(draw, rows[:at], vals) if bad == "row" and at else {}
         rows.insert(at, row)
-        rhs.insert(at, sum(v * x[c] for c, v in row.items()) + draw(values))
+        rhs.insert(at, sum(v * x[c] for c, v in row.items()) + draw(vals))
     return rows, rhs, ncols
 
 
 @st.composite
-def square_matrices(draw):
-    """Dense n x n rational matrices, n = 0..4; a row is often a
+def square_matrices(draw, vals=values):
+    """Dense n x n rational matrices, n = 0..7; a row is often a
     combination of earlier ones, so singular matrices occur often."""
-    n = draw(st.integers(0, 4))
-    small = st.one_of(st.just(_ZERO), values, values)
+    n = draw(st.integers(0, 7))
+    small = st.one_of(st.just(_ZERO), vals, vals)
     rows = []
     for _ in range(n):
         if rows and draw(st.integers(0, 2)) == 0:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            x, y = draw(values), draw(small)
+            x, y = draw(vals), draw(small)
             rows.append(tuple(x * u + y * v for u, v in zip(a, b)))
         else:
             rows.append(tuple(draw(small) for _ in range(n)))
@@ -676,7 +692,7 @@ def staged_systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices())
+@given(st.one_of(matrices(), matrices(vals=wide_values)))
 def test_rref_matches_column_scan(system):
     rows, ncols = system
     assert _kernels.rref(rows, ncols) == reference_rref(rows, ncols)
@@ -692,7 +708,7 @@ def test_solve_affine_matches_binary_search(system):
 
 
 @settings(max_examples=400, deadline=None)
-@given(tall_affine_systems())
+@given(st.one_of(tall_affine_systems(), tall_affine_systems(vals=wide_values)))
 def test_tall_solve_affine_matches_binary_search(system):
     rows, rhs, ncols = system
     got = solve_affine(rows, rhs, ncols)
@@ -716,7 +732,7 @@ def test_build_matches_exppoly_loop(system):
 
 
 @settings(max_examples=300, deadline=None)
-@given(square_matrices())
+@given(st.one_of(square_matrices(), square_matrices(vals=wide_values)))
 def test_invert_matches_dense(rows):
     try:
         expected = reference_invert(rows)
@@ -728,7 +744,11 @@ def test_invert_matches_dense(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(square_matrices().flatmap(lambda m: st.tuples(st.just(m), st.permutations(m))))
+@given(
+    st.one_of(square_matrices(), square_matrices(vals=wide_values)).flatmap(
+        lambda m: st.tuples(st.just(m), st.permutations(m))
+    )
+)
 def test_det_matches_dense(case):
     # a row permutation often moves a zero onto the diagonal, so the
     # dense reference swaps rows and the echelon pivots are permuted
@@ -742,6 +762,33 @@ def test_span_tracker_matches_reference(fields):
     tracker, ref = SpanTracker(), ReferenceSpanTracker()
     for f in fields:
         assert tracker.insert(f) == ref.insert(f)
+        assert_primitive_table(tracker.table)
+
+
+def assert_primitive_table(table):
+    """Every row of an echelon table is a primitive integer row: its
+    pivot is its least column, with a positive entry, and the gcd of
+    its entries is 1."""
+    for p, row in table.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(), matrices(vals=wide_values)))
+def test_echelon_table_rows_stay_primitive(system):
+    # a content left in a stored row would grow through every later
+    # cross-multiplication with it
+    rows, _ = system
+    table = {}
+    for row in rows:
+        before = dict(row)
+        _kernels.echelon_insert(table, row)
+        assert row == before and list(row) == list(before)
+        assert_primitive_table(table)
+    _kernels.back_substitute(table)
+    assert_primitive_table(table)
 
 
 def test_catalog_structure_constants_and_killing_det_match_reference():

@@ -1,11 +1,12 @@
 """Grammar coverage, error reporting and round-trip fixpoints."""
 
 import random
+import sys
 
 import pytest
 
 from lvf import parsing
-from lvf.errors import ParseError, UnknownIdentifier
+from lvf.errors import LvfError, ParseError, UnknownIdentifier
 from lvf.expr import format_scalar
 from lvf.fields import format_field
 from lvf.parsing import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCTS, parse_field, parse_scalar
@@ -30,6 +31,21 @@ def test_power_bounded():
     for text in ("x^100000000", f"(x*y)^{MAX_EXPONENT}", "exp(x)^65"):
         with pytest.raises(ParseError, match="power"):
             parse_scalar(text)
+
+
+# the interpreter's limit on digits converted to an integer (Python 3.11+)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize("template", ["{}*x", "x^{}"])
+def test_number_over_the_digit_limit_refused(template):
+    # a coefficient and a power's exponent take the check literal
+    # parameter values take, not the interpreter's own error
+    with pytest.raises(LvfError) as info:
+        parse_scalar(template.format("1" * 5000))
+    assert str(info.value) == f"literal has 5000 digits; at most {INT_DIGITS} are accepted"
+    assert parse_scalar(f"{'1' * INT_DIGITS}*x") == parse_scalar("x") * int("1" * INT_DIGITS)
 
 
 def test_products_bounded():

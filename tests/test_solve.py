@@ -75,13 +75,13 @@ class TestContracts:
 
     @staticmethod
     def _count_builds(monkeypatch):
-        """Rows of each ``_build_system`` call, in call order."""
+        """Nonempty rows of each ``_build_system`` call, in call order."""
         rows_built = []
         build = solve_module._build_system
 
         def counting(*args, **kwargs):
             out = build(*args, **kwargs)
-            rows_built.append(len(out[2]))
+            rows_built.append(sum(1 for row in out[2] if row))
             return out
 
         monkeypatch.setattr(solve_module, "_build_system", counting)
@@ -138,11 +138,22 @@ class TestContracts:
         rows_built = self._count_builds(monkeypatch)
         # x*Dx keeps the 15 columns of weight 0 (x^m d_c with m_x = 1 for
         # c = x, m_x = 0 otherwise) though it comes second: y*Dz is built
-        # over those 15 columns, x*Dx over the 9 its kernel uses
+        # over those 15 columns, x*Dx over the 9 its kernel uses, where
+        # its diagonal terms cancel: its 2 target rows are empty, and
+        # neither goes to the elimination nor counts against the bound
         cons = [BracketConstraint.commutes(F("y*Dz")), BracketConstraint.commutes(F("x*Dx"))]
         ansatz = AnsatzSpace(3, max_degree=2)
+        eliminated = []
+        rref = solve_module._linalg.rref
+
+        def counting_rref(rows, ncols):
+            eliminated.append(len(rows))
+            return rref(rows, ncols)
+
+        monkeypatch.setattr(solve_module._linalg, "rref", counting_rref)
         solve(cons, ansatz)
-        assert rows_built == [10, 2]
+        assert rows_built == [10, 0]
+        assert eliminated == [10, 0]
         total = sum(rows_built)
         solve(cons, ansatz, target_bound=total)
         with pytest.raises(AnsatzExplosion) as info:
