@@ -34,6 +34,9 @@ from lvf.fields import VectorField
 
 Key = Tuple[int, tuple, tuple]
 
+# the largest basis ``close_under_bracket`` builds before it gives up
+CLOSURE_BOUND = 32
+
 
 def _require_parameter_free(fields: Iterable[VectorField]):
     for f in fields:
@@ -163,16 +166,14 @@ class Closure(tuple):
         return self
 
 
-def close_under_bracket(
-    fields: Sequence[VectorField], max_dim: int = 64
-) -> Closure:
+def close_under_bracket(fields: Sequence[VectorField]) -> Closure:
     """Basis of the smallest bracket-closed span containing the fields.
 
     Basis order is input order, then discovery order.  Each pair of
     basis fields is bracketed once; the result records every bracket
     and its coordinates (see ``Closure``).  Raises
     NotFiniteDimensionalWithinBound when the dimension would pass
-    ``max_dim``.
+    ``CLOSURE_BOUND``.
     """
     _require_parameter_free(fields)
     tracker = SpanTracker()
@@ -188,8 +189,8 @@ def close_under_bracket(
             return {at[j]: v for j, v in combo.items()}
         at.append(len(basis))
         basis.append(field)
-        if len(basis) > max_dim:
-            raise NotFiniteDimensionalWithinBound(max_dim)
+        if len(basis) > CLOSURE_BOUND:
+            raise NotFiniteDimensionalWithinBound(CLOSURE_BOUND)
         return {at[-1]: Fraction(1)}
 
     for f in fields:
@@ -212,9 +213,8 @@ class StructureTensor:
 
     Stored for i < j; antisymmetry fills the rest.  Construction builds
     the sparse table ``[b_a, b_b] = {k: c^k_ab}`` of the nonzero
-    constants for every ordered pair, which the Jacobi check, ``c``,
-    ``ad_matrix`` and the Killing form read, and checks the Jacobi
-    identity exactly.
+    constants for every ordered pair, which the Jacobi check, ``c`` and
+    the Killing form read, and checks the Jacobi identity exactly.
     """
 
     def __init__(self, dim: int, constants: Dict[Tuple[int, int], Tuple[Fraction, ...]]):
@@ -274,15 +274,6 @@ class StructureTensor:
                         raise LvfError(
                             f"Jacobi identity fails on basis triple ({i},{j},{k})"
                         )
-
-    def ad_matrix(self, i: int):
-        """Matrix of ad(b_i): column j holds [b_i, b_j]."""
-        m = self.dim
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for j, vec in self._table[i].items():
-            for k, v in vec.items():
-                out[k][j] = v
-        return out
 
     def killing_form(self):
         """K_ij = trace(ad_i . ad_j) = sum_{s,t} c^t_is c^s_jt, symmetric

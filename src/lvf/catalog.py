@@ -1,4 +1,4 @@
-"""Built-in library of canonical realizations.
+"""Built-in library of canonical realizations and its text format.
 
 Sixteen entries: three Heisenberg forms, four sl2 forms, four sl2 x sl2
 forms, three A2 forms and two B2 forms.  Each entry carries generators
@@ -14,9 +14,17 @@ reads with ``check_entry`` (the verifier is the arbiter).
 Derived generators (Cartan elements, root vectors for non-simple roots)
 are computed from the primary ones by exact brackets at build time.
 
+One constructor, ``_entry``, builds every entry, builtin or read from
+text: it parses the generator texts, adds the derived generators,
+reads the relations with ``_parse_relation`` and refuses a malformed
+entry (dimension, expected rank, missing or repeated generators).
+
 The serialization is a UTF-8 structured text, one ``realization`` record
 per entry; writing is canonical, so a given catalog always produces the
-same bytes.
+same bytes.  The reader runs on the parser's tokenizer
+(``parsing._Tokens``) under the catalog's own token pattern, and hands
+each ``rel`` statement's text, up to its ``;``, to ``_parse_relation``.
+A refusal is a ``CatalogError`` naming an offset into the text.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from lvf.errors import CatalogError, LvfError
-from lvf.expr import ExpPoly, as_fraction, join_signed, signed_term
+from lvf.expr import ExpPoly, as_fraction, check_digits, join_signed, signed_term
 from lvf.fields import VectorField, format_field, generic_rank
-from lvf.parsing import parse_field, parse_scalar
+from lvf.parsing import _Tokens, check_dimension, parse_field, parse_scalar
 
 Coef = Tuple[Fraction, str]
 
@@ -103,38 +111,53 @@ class Realization:
 def _entry(
     id: str,
     gens: Sequence[Tuple[str, str]],
-    derived: Sequence[Tuple[str, str, str, Fraction]],
     rels: Sequence[str],
-    expected_rank: int,
-    expect_semisimple: bool,
-    source: str,
+    expected_rank: int = 0,
+    expect_semisimple: bool = False,
+    source: str = "",
     params: Sequence[Tuple[str, str]] = (),
     constraints: Sequence[str] = (),
     notes: str = "",
     dim: int = 3,
+    derived: Sequence[Tuple[str, str, str, Fraction]] = (),
 ) -> Realization:
-    """Build an entry from expression text.
+    """The one constructor of entries, builtin or read from text.
 
-    ``derived`` rows are (name, a, b, scale): generator = scale*[a, b]
-    computed from already-present generators.
+    ``gens`` and ``rels`` are expression and relation texts, ``params``
+    (name, literal) pairs.  ``derived`` rows (name, a, b, scale) add the
+    generator scale*[a, b] of generators already present.  Refused with
+    CatalogError: a dimension outside 1..MAX_DIM, an expected rank
+    outside 0..dim, no generator, a generator or parameter name used
+    twice, a generator text that does not parse.
     """
+    names = [name for name, _ in gens] + [row[0] for row in derived]
     pnames = tuple(name for name, _ in params)
-    gen_map: Dict[str, VectorField] = {}
-    order: List[str] = []
-    for name, text in gens:
-        gen_map[name] = parse_field(text, dim, pnames)
-        order.append(name)
+    where = ""
+    try:
+        check_dimension(dim)
+        if not 0 <= expected_rank <= dim:
+            raise LvfError(f"expected_rank {expected_rank} is outside 0..{dim}")
+        if not names:
+            raise LvfError("no generator")
+        for what, seq in (("generator", names), ("parameter", pnames)):
+            twice = sorted({name for name in seq if seq.count(name) > 1})
+            if twice:
+                raise LvfError(f"{what} {', '.join(twice)} defined twice")
+        gen_map = {}
+        for name, text in gens:
+            where = f"generator {name}: "
+            gen_map[name] = parse_field(text, dim, pnames)
+    except LvfError as exc:
+        raise CatalogError(f"{id}: {where}{exc}") from exc
     for name, a, b, scale in derived:
         gen_map[name] = gen_map[a].bracket(gen_map[b]) * scale
-        order.append(name)
-    relations = tuple(_parse_relation(r) for r in rels)
     return Realization(
         id=id,
         dim=dim,
         params=tuple((n, as_fraction(v)) for n, v in params),
         constraints=tuple(constraints),
-        generators=tuple((n, gen_map[n]) for n in order),
-        relations=relations,
+        generators=tuple((n, gen_map[n]) for n in names),
+        relations=tuple(_parse_relation(r) for r in rels),
         expected_rank=expected_rank,
         expect_semisimple=expect_semisimple,
         source=source,
@@ -142,35 +165,40 @@ def _entry(
     )
 
 
-_REL_RE = re.compile(r"^\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.+)$")
-
-
 def _parse_relation(text: str) -> Relation:
-    m = _REL_RE.match(text.strip())
-    if not m:
-        raise CatalogError(f"bad relation syntax: {text!r}")
-    return Relation(m.group(1), m.group(2), parse_rhs(m.group(3)))
+    """Read ``[a, b] = rhs``: rhs is ``0`` or a signed sum of generators,
+    each with an optional ``p/q*`` coefficient, like ``2*X - 1/2*H``."""
 
+    def error(message, pos):
+        return CatalogError(f"bad relation {text.strip()!r}: {message}")
 
-def parse_rhs(text: str) -> Tuple[Coef, ...]:
-    """Parse '0' or a signed sum like '2*X - 1/2*H'."""
-    text = text.strip()
-    if text == "0":
-        return ()
-    out: List[Coef] = []
-    token = re.compile(r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_]\w*)")
-    pos = 0
-    first = True
-    while pos < len(text):
-        m = token.match(text, pos)
-        if not m or (not first and m.group(1) is None):
-            raise CatalogError(f"bad linear combination: {text!r} at {pos}")
-        sign = -1 if m.group(1) == "-" else 1
-        coef = as_fraction(m.group(2)) if m.group(2) else Fraction(1)
-        out.append((sign * coef, m.group(3)))
-        pos = m.end()
-        first = False
-    return tuple(out)
+    toks = _Tokens(text, _CAT_TOKEN, error)
+    toks.expect("punct", "[")
+    a = toks.expect("name")
+    toks.expect("punct", ",")
+    b = toks.expect("name")
+    toks.expect("punct", "]")
+    toks.expect("punct", "=")
+    if toks.peek()[:2] == ("num", "0") and toks.i + 1 == len(toks.items):
+        return Relation(a, b, ())
+    rhs: List[Coef] = []
+    while not rhs or toks.peek()[0] is not None:
+        kind, value, pos = toks.next()
+        sign = 1
+        if kind == "punct" and value in ("+", "-"):
+            sign = -1 if value == "-" else 1
+            kind, value, pos = toks.next()
+        elif rhs:
+            raise error(f"expected '+' or '-', found {value!r}", pos)
+        coef = Fraction(1)
+        if kind == "num":
+            coef = as_fraction(value)
+            toks.expect("punct", "*")
+            kind, value, pos = toks.next()
+        if kind != "name":
+            raise error(f"expected name, found {value!r}", pos)
+        rhs.append((sign * coef, value))
+    return Relation(a, b, tuple(rhs))
 
 
 _SL2_RELS = ["[H, X] = X", "[H, Y] = -Y", "[X, Y] = H"]
@@ -269,7 +297,6 @@ def load_builtin() -> List[Realization]:
         _entry(
             "heisenberg.1",
             gens=[("Z", "Dx"), ("X", "Dy"), ("Y", "y*Dx + Dz")],
-            derived=[],
             rels=_HEIS_RELS,
             expected_rank=3,
             expect_semisimple=False,
@@ -278,7 +305,6 @@ def load_builtin() -> List[Realization]:
         _entry(
             "heisenberg.2",
             gens=[("Z", "Dx"), ("X", "Dy"), ("Y", "y*Dx + lambda*Dy")],
-            derived=[],
             rels=_HEIS_RELS,
             expected_rank=2,
             expect_semisimple=False,
@@ -289,7 +315,6 @@ def load_builtin() -> List[Realization]:
         _entry(
             "heisenberg.3",
             gens=[("Z", "Dx"), ("X", "Dy"), ("Y", "y*Dx + z*Dy")],
-            derived=[],
             rels=_HEIS_RELS,
             expected_rank=2,
             expect_semisimple=False,
@@ -298,7 +323,6 @@ def load_builtin() -> List[Realization]:
         _entry(
             "sl2.1",
             gens=[("H", "Dx"), ("X", "exp(x)*Dx"), ("Y", "-1/2*exp(-x)*Dx")],
-            derived=[],
             rels=_SL2_RELS,
             expected_rank=1,
             expect_semisimple=True,
@@ -316,7 +340,6 @@ def load_builtin() -> List[Realization]:
                 ("X", "exp(x)*Dy"),
                 ("Y", "exp(-x)*(y*Dx + (y^2/2 + l)*Dy)"),
             ],
-            derived=[],
             rels=_SL2_RELS,
             expected_rank=2,
             expect_semisimple=True,
@@ -334,7 +357,6 @@ def load_builtin() -> List[Realization]:
                 ("X", "exp(x)*Dy"),
                 ("Y", "exp(-x)*(y*Dx + (y^2/2 + z)*Dy)"),
             ],
-            derived=[],
             rels=_SL2_RELS,
             expected_rank=2,
             expect_semisimple=True,
@@ -351,7 +373,6 @@ def load_builtin() -> List[Realization]:
                 ("X", "exp(x)*Dy"),
                 ("Y", "exp(-x)*(y*Dx + y^2/2*Dy + Dz)"),
             ],
-            derived=[],
             rels=_SL2_RELS,
             expected_rank=3,
             expect_semisimple=True,
@@ -367,7 +388,6 @@ def load_builtin() -> List[Realization]:
                 ("Y", "exp(y)*Dy"),
                 ("Ym", "-1/2*exp(-y)*Dy"),
             ],
-            derived=[],
             rels=_SL2X2_RELS,
             expected_rank=3,
             expect_semisimple=True,
@@ -385,7 +405,6 @@ def load_builtin() -> List[Realization]:
                 ("Y", "exp(y)*(Dx - Dy + z*Dz)"),
                 ("Ym", "1/2*exp(-y)*(Dx + Dy + z*Dz)"),
             ],
-            derived=[],
             rels=_SL2X2_RELS,
             expected_rank=3,
             expect_semisimple=True,
@@ -402,7 +421,6 @@ def load_builtin() -> List[Realization]:
                 ("Y", "exp(y)*(Dx - Dy + (z + a)*Dz)"),
                 ("Ym", "1/2*exp(-y)*(Dx + Dy + (z - a)*Dz)"),
             ],
-            derived=[],
             rels=_SL2X2_RELS,
             expected_rank=3,
             expect_semisimple=True,
@@ -424,7 +442,6 @@ def load_builtin() -> List[Realization]:
                 ("Y", "exp(y)*Dy"),
                 ("Ym", "-1/2*exp(-y)*Dy"),
             ],
-            derived=[],
             rels=_SL2X2_RELS,
             expected_rank=2,
             expect_semisimple=True,
@@ -603,46 +620,15 @@ def dumps(entries: Sequence[Realization]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the tokens of catalog text: numbers are unsigned, a sign is punctuation
 _CAT_TOKEN = re.compile(
     r'\s*(?:"(?P<str>[^"]*)"|(?P<name>[A-Za-z_][A-Za-z0-9_.]*)'
-    r"|(?P<num>-?\d+(?:/\d+)?)|(?P<punct>[{}\[\];=,*+-]))"
+    r"|(?P<num>\d+(?:/\d+)?)|(?P<punct>[{}\[\];=,*+-]))"
 )
 
 
-class _CatTokens:
-    def __init__(self, text: str):
-        self.items = []
-        pos = 0
-        while pos < len(text):
-            m = _CAT_TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                at = len(text) - len(rest)
-                raise CatalogError(f"bad catalog syntax at offset {at}: {rest[:20]!r}")
-            for kind in ("str", "name", "num", "punct"):
-                if m.group(kind) is not None:
-                    self.items.append((kind, m.group(kind), m.start()))
-                    break
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.items[self.i] if self.i < len(self.items) else (None, "", -1)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        k, v, pos = self.next()
-        if k != kind or (value is not None and v != value):
-            raise CatalogError(
-                f"expected {value or kind}, found {v!r} at offset {pos}"
-            )
-        return v
+def _syntax_error(message: str, pos: int) -> CatalogError:
+    return CatalogError(f"{message} at offset {pos}")
 
 
 def read(path: str, verify: bool = True) -> List[Realization]:
@@ -651,7 +637,7 @@ def read(path: str, verify: bool = True) -> List[Realization]:
 
 
 def loads(text: str, verify: bool = True) -> List[Realization]:
-    toks = _CatTokens(text)
+    toks = _Tokens(text, _CAT_TOKEN, _syntax_error)
     entries = []
     while toks.peek()[0] is not None:
         entries.append(_read_entry(toks))
@@ -661,96 +647,80 @@ def loads(text: str, verify: bool = True) -> List[Realization]:
     return entries
 
 
-def _read_entry(toks: _CatTokens) -> Realization:
+def _read_entry(toks: _Tokens) -> Realization:
+    """One ``realization`` record, built by ``_entry``; a refusal of the
+    constructor names the record's offset."""
+    start = toks.peek()[2]
     toks.expect("name", "realization")
     entry_id = toks.expect("name")
     toks.expect("punct", "{")
-    dim = 3
-    params: List[Tuple[str, Fraction]] = []
-    constraints: List[str] = []
-    gen_texts: List[Tuple[str, str]] = []
-    relations: List[Relation] = []
-    expected_rank = 0
-    expect_semisimple = False
-    source = ""
-    notes = ""
+    fields = {"gens": [], "rels": [], "params": [], "constraints": []}
     while True:
         kind, value, pos = toks.next()
-        if kind == "punct" and value == "}":
+        if (kind, value) == ("punct", "}"):
             break
         if kind != "name":
-            raise CatalogError(f"unexpected token {value!r} at offset {pos}")
-        if value == "dim":
-            dim = int(toks.expect("num"))
-            toks.expect("punct", ";")
+            raise toks.error(f"unexpected token {value!r}", pos)
+        if value in ("dim", "expected_rank"):
+            fields[value] = _natural(toks)
+        elif value == "expect_semisimple":
+            kind, flag, at = toks.next()
+            if kind != "name" or flag not in ("true", "false"):
+                raise toks.error(f"expected true or false, found {flag!r}", at)
+            fields[value] = flag == "true"
+        elif value in ("source", "notes"):
+            fields[value] = toks.expect("str")
         elif value == "params":
             toks.expect("punct", "{")
             while toks.peek()[1] != "}":
-                pname = toks.expect("name")
+                name = toks.expect("name")
                 toks.expect("punct", "=")
-                k, v, _ = toks.next()
-                if k == "punct" and v == "-":
-                    v = "-" + toks.expect("num")
-                elif k != "num":
-                    raise CatalogError(f"bad parameter value for {pname}")
-                params.append((pname, as_fraction(v)))
+                sign = toks.next()[1] if toks.peek()[:2] == ("punct", "-") else ""
+                fields["params"].append((name, sign + toks.expect("num")))
                 toks.expect("punct", ";")
             toks.expect("punct", "}")
-            toks.expect("punct", ";")
         elif value == "constraints":
             toks.expect("punct", "{")
             while toks.peek()[1] != "}":
-                constraints.append(toks.expect("str"))
+                fields["constraints"].append(toks.expect("str"))
                 toks.expect("punct", ";")
             toks.expect("punct", "}")
-            toks.expect("punct", ";")
         elif value == "gen":
             name = toks.expect("name")
             toks.expect("punct", "=")
-            gen_texts.append((name, toks.expect("str")))
-            toks.expect("punct", ";")
+            fields["gens"].append((name, toks.expect("str")))
         elif value == "rel":
-            toks.expect("punct", "[")
-            a = toks.expect("name")
-            toks.expect("punct", ",")
-            b = toks.expect("name")
-            toks.expect("punct", "]")
-            toks.expect("punct", "=")
-            rhs_parts = []
-            while toks.peek()[1] != ";":
-                rhs_parts.append(toks.next()[1])
-            toks.expect("punct", ";")
-            relations.append(Relation(a, b, parse_rhs(" ".join(rhs_parts))))
-        elif value == "expected_rank":
-            expected_rank = int(toks.expect("num"))
-            toks.expect("punct", ";")
-        elif value == "expect_semisimple":
-            expect_semisimple = toks.expect("name") == "true"
-            toks.expect("punct", ";")
-        elif value == "source":
-            source = toks.expect("str")
-            toks.expect("punct", ";")
-        elif value == "notes":
-            notes = toks.expect("str")
-            toks.expect("punct", ";")
+            fields["rels"].append(_statement_text(toks))
+            continue  # the statement's ';' is read
         else:
-            raise CatalogError(f"unknown field '{value}' at offset {pos}")
-    pnames = tuple(n for n, _ in params)
+            raise toks.error(f"unknown field {value!r}", pos)
+        toks.expect("punct", ";")
     try:
-        generators = tuple(
-            (name, parse_field(text, dim, pnames)) for name, text in gen_texts
-        )
+        return _entry(entry_id, **fields)
+    except CatalogError as exc:
+        raise CatalogError(f"{exc} (realization at offset {start})") from None
+
+
+def _natural(toks: _Tokens) -> int:
+    """The number of a ``dim`` or ``expected_rank`` statement; a token
+    that is no natural number, or has too many digits, names its offset."""
+    kind, value, pos = toks.next()
+    if kind != "num" or "/" in value:
+        raise toks.error(f"expected a natural number, found {value!r}", pos)
+    try:
+        check_digits(value)
     except LvfError as exc:
-        raise CatalogError(f"{entry_id}: bad generator expression: {exc}") from exc
-    return Realization(
-        id=entry_id,
-        dim=dim,
-        params=tuple(params),
-        constraints=tuple(constraints),
-        generators=generators,
-        relations=tuple(relations),
-        expected_rank=expected_rank,
-        expect_semisimple=expect_semisimple,
-        source=source,
-        notes=notes,
-    )
+        raise toks.error(str(exc), pos) from None
+    return int(value)
+
+
+def _statement_text(toks: _Tokens) -> str:
+    """The source text from the next token up to the statement's ``;``,
+    which is read too."""
+    start = toks.peek()[2]
+    for i in range(toks.i, len(toks.items)):
+        kind, value, pos = toks.items[i]
+        if (kind, value) == ("punct", ";"):
+            toks.i = i + 1
+            return toks.text[start:pos]
+    raise toks.error("end of input inside a statement", len(toks.text))

@@ -18,6 +18,10 @@ checked before the coordinate tables are built.  A number, also a
 power's exponent, with more digits than the interpreter converts to an
 integer is refused by ``expr.check_digits``, the check that literal
 parameter values go through.
+
+``_Tokens`` is the package's one tokenizer: it takes the token pattern
+and the error to raise, so the catalog text format (``lvf.catalog``)
+reads its files and relations with it under its own pattern.
 """
 
 from __future__ import annotations
@@ -62,21 +66,26 @@ _TOKEN = re.compile(
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    """The tokens ``(kind, value, offset)`` of ``text``: one per match of
+    ``pattern``, whose kind is the name of the group that matched.  A
+    character no token starts with, and every ``expect`` that fails,
+    raises ``error(message, offset)``; the end of input reads as the
+    token ``(None, "", len(text))``."""
+
+    def __init__(self, text: str, pattern=_TOKEN, error=ParseError):
         self.text = text
+        self.error = error
         self.items = []
         pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
+        for m in pattern.finditer(text):
+            if m.start() != pos:
+                break
             kind = m.lastgroup
             self.items.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
+        stripped = text[pos:].lstrip()
+        if stripped:
+            raise error(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         self.i = 0
 
     def peek(self):
@@ -89,10 +98,13 @@ class _Tokens:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected '{op}', found {val!r}", pos)
+    def expect(self, kind: str, value=None) -> str:
+        """The next token's value; it must be of ``kind`` (and be ``value``)."""
+        k, v, pos = self.next()
+        if k != kind or (value is not None and v != value):
+            wanted = kind if value is None else repr(value)
+            raise self.error(f"expected {wanted}, found {v!r}", pos)
+        return v
 
 
 class Parser:
@@ -219,15 +231,15 @@ class Parser:
         if kind == "op" and val == "(":
             self._enter(pos)
             inner = self._expr(toks)
-            toks.expect_op(")")
+            toks.expect("op", ")")
             self.depth -= 1
             return inner
         if kind == "ident":
             if val == "exp":
-                toks.expect_op("(")
+                toks.expect("op", "(")
                 self._enter(pos)
                 inner = self._expr(toks)
-                toks.expect_op(")")
+                toks.expect("op", ")")
                 self.depth -= 1
                 if isinstance(inner, VectorField):
                     raise ParseError("exp() takes a scalar argument", pos)

@@ -38,6 +38,7 @@ from lvf.fields import VectorField, generic_rank
 from lvf.parsing import check_dimension
 
 DEFAULT_TARGET_BOUND = 20000
+_ZERO = Fraction(0)  # shared by every right-hand side entry that starts at zero
 
 
 def _monomials(dim: int, max_degree: int):
@@ -320,8 +321,8 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                 continue
             for fkey, value in _field_keys(cons.target):
                 idx = index_of((ci, *fkey))
-                rhs_entries[idx] = rhs_entries.get(idx, Fraction(0)) + value
-        rhs = [rhs_entries.get(i, Fraction(0)) for i in range(len(rows))]
+                rhs_entries[idx] = rhs_entries.get(idx, _ZERO) + value
+        rhs = [rhs_entries.get(i, _ZERO) for i in range(len(rows))]
     return list(keys), list(target_index), rows, rhs
 
 

@@ -24,8 +24,6 @@ from lvf.errors import LvfError
 from lvf.expr import as_fraction
 from lvf.fields import VectorField, format_field, generic_rank
 
-DEFAULT_CLOSURE_BOUND = 32
-
 
 @dataclass(frozen=True)
 class RelationCheck:
@@ -137,7 +135,6 @@ def _residual(
 def verify_realization(
     entry: _catalog.Realization,
     params: Optional[Dict[str, object]] = None,
-    closure_bound: int = DEFAULT_CLOSURE_BOUND,
 ) -> Report:
     """Check one realization under default or caller-supplied parameters.
 
@@ -158,7 +155,7 @@ def verify_realization(
     semisimple: Optional[bool] = None
     error = ""
     try:
-        closure = close_under_bracket(list(gens.values()), max_dim=closure_bound)
+        closure = close_under_bracket(list(gens.values()))
         closure_dim = len(closure)
         tensor = structure_tensor(closure)
         semisimple = tensor.is_semisimple()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lvf import algebra
 from lvf.algebra import (
     StructureTensor,
     close_under_bracket,
@@ -89,11 +90,10 @@ class TestClosure:
         ]
         assert len(close_under_bracket(gens)) == 8
 
-    def test_bound_enforced(self):
+    def test_bound_enforced(self, monkeypatch):
+        monkeypatch.setattr(algebra, "CLOSURE_BOUND", 5)
         with pytest.raises(NotFiniteDimensionalWithinBound):
-            close_under_bracket(
-                [F("Dy"), F("y*Dx"), F("-x*y*Dx - y^2*Dy"), F("x*Dy")], max_dim=5
-            )
+            close_under_bracket([F("Dy"), F("y*Dx"), F("-x*y*Dx - y^2*Dy"), F("x*Dy")])
 
     def test_idempotent(self):
         gens = [F("exp(x)*Dy"), F("exp(-x)*(y*Dx + y^2/2*Dy + Dz)")]

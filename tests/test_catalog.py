@@ -1,8 +1,14 @@
 """Builtin catalog content and the serialization round trip."""
 
+import contextlib
+import random
+import re
+import signal
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lvf import catalog
 from lvf.errors import CatalogError
@@ -109,3 +115,101 @@ class TestSerialization:
         with pytest.raises(CatalogError) as info:
             catalog.loads(bad)
         assert "[X, Y]" in str(info.value)
+
+
+# -- the reader on malformed and re-spaced text --------------------------------
+
+_SMALL = 'realization bad.1 {{ {} }}'
+
+
+@pytest.mark.parametrize("body, message", [
+    ('dim -3; expected_rank 0; expect_semisimple true;',
+     "expected a natural number, found '-' at offset 24"),
+    ('dim 3/2; gen X = "Dx";', "expected a natural number, found '3/2' at offset 24"),
+    ('dim 0; gen X = "Dx";', "bad.1: dimension must be at least 1, not 0 (realization at offset 0)"),
+    ('dim 65; gen X = "Dx";', "bad.1: dimension must be at most 64, not 65"),
+    ('expected_rank 4; gen X = "Dx";', "bad.1: expected_rank 4 is outside 0..3"),
+    ('dim 3; expected_rank 0; expect_semisimple true;', "bad.1: no generator (realization at offset 0)"),
+    ('gen X = "Dx"; gen X = "Dy";', "bad.1: generator X defined twice"),
+    ('params { l = 0; l = 1; }; gen X = "l*Dx";', "bad.1: parameter l defined twice"),
+    ('gen X = "Dx"; expect_semisimple yes;', "expected true or false, found 'yes' at offset 52"),
+    ('gen X = "Dx +";', "bad.1: generator X: unexpected token ''"),
+    ('gen X = "Dx"; rel [X X] = X;', "bad relation '[X X] = X': expected ',', found 'X'"),
+    ('gen X = "Dx"; rel [X, X] = X X;', "bad relation '[X, X] = X X': expected '+' or '-'"),
+    ('gen X = "Dx"; rel [X, X] = ;', "bad relation '[X, X] =': expected name, found ''"),
+])
+def test_malformed_entry_refused(body, message):
+    with pytest.raises(CatalogError) as info:
+        catalog.loads(_SMALL.format(body), verify=False)
+    assert message in str(info.value)
+    assert "offset" in str(info.value)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(),
+    reason="the interpreter converts integers of any length",
+)
+@pytest.mark.parametrize("field", ["dim", "expected_rank"])
+def test_over_long_count_refused(field):
+    text = _SMALL.format(f'{field} {"1" * 5000}; gen X = "Dx";')
+    at = text.index("1" * 5000)
+    with pytest.raises(CatalogError, match=f"literal has 5000 digits.* at offset {at}$"):
+        catalog.loads(text, verify=False)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("entry", catalog.load_builtin(), ids=lambda e: e.id)
+def test_text_cut_at_any_token_boundary_refused(entry):
+    text = catalog.dumps([entry])
+    ends = [m.end() for m in catalog._CAT_TOKEN.finditer(text)]
+    assert ends[-1] == len(text.rstrip())
+    with _time_limit(2):
+        for end in ends[:-1]:
+            with pytest.raises(CatalogError, match="offset"):
+                catalog.loads(text[:end], verify=False)
+
+
+def test_builtin_relations_read_back_from_text():
+    builtin = catalog.load_builtin()
+    back = catalog.loads(catalog.dumps(builtin), verify=False)
+    for a, b in zip(builtin, back):
+        assert a.relations == b.relations
+        for rel in a.relations:
+            assert catalog._parse_relation(rel.label()) == rel
+
+
+def _respaced(tokens, rng):
+    """``tokens`` joined by random whitespace, often none (except
+    between two tokens that would merge), so statements share lines."""
+    out = [tokens[0]]
+    for prev, tok in zip(tokens, tokens[1:]):
+        word = re.match(r"[\w.]", tok) and re.search(r"[\w.]$", prev)
+        out.append(rng.choice([" ", "\n", "\t  ", " \n "] + [""] * (not word)))
+        out.append(tok)
+    return "".join(out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32))
+def test_respaced_catalog_reads_back_equal(seed):
+    builtin = catalog.load_builtin()
+    text = catalog.dumps(builtin)
+    tokens = [m.group(0).lstrip() for m in catalog._CAT_TOKEN.finditer(text)]
+    respaced = _respaced(tokens, random.Random(seed))
+    assert catalog.loads(respaced, verify=False) == builtin

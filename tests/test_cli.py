@@ -271,6 +271,35 @@ def test_catalog_zero_denominator_exit_2(tmp_path, monkeypatch, old, new):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("body", [
+    'dim -3; expected_rank 0; expect_semisimple true;',
+    'dim 3; expected_rank 0; expect_semisimple true;',
+    'gen X = "Dx"; gen X = "Dy"; expected_rank 1; expect_semisimple false;',
+    'gen X = "Dx"; expected_rank 1; expect_semisimple yes;',
+    'dim 3/2; gen X = "Dx";',
+    f'dim {"1" * 5000}; gen X = "Dx";',
+    f'expected_rank {"1" * 5000}; gen X = "Dx";',
+    'gen X = "Dx"; rel [X, X] = X',
+])
+def test_malformed_catalog_exit_2_with_offset(tmp_path, monkeypatch, body):
+    path = tmp_path / "cat.lvf"
+    path.write_text(f"realization bad.1 {{ {body} }}")
+    monkeypatch.setenv("LVF_CATALOG", str(path))
+    code, out, err = run(["verify", "--all"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "offset" in err
+
+
+def test_catalog_cut_inside_rel_exits_2_at_once(tmp_path, monkeypatch):
+    path = tmp_path / "cut.lvf"
+    path.write_text('realization cut.1 {\n  dim 3;\n  gen X = "Dx";\n  rel [X, X] = X')
+    monkeypatch.setenv("LVF_CATALOG", str(path))
+    proc = _run_cli(["catalog", "list"], timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: end of input inside a statement at offset 61\n"
+
+
 def test_solve_from_file(tmp_path):
     path = tmp_path / "problem.lvf"
     path.write_text(
@@ -409,13 +438,14 @@ def test_closed_stdout_pipe_exits_141_silently(unbuffered):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-def _run_cli(argv):
-    """``python -m lvf.cli argv`` in a child process, killed after 60 s."""
+def _run_cli(argv, timeout=60):
+    """``python -m lvf.cli argv`` in a child process, killed after
+    ``timeout`` seconds."""
     src = os.path.dirname(os.path.dirname(lvf.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "lvf.cli", *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        env=dict(os.environ, PYTHONPATH=path), timeout=timeout,
     )
 
 

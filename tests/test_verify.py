@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lvf import catalog, verify
+from lvf import algebra, catalog, verify
 from lvf.errors import LvfError
 from lvf.fields import VectorField, format_field
 
@@ -97,10 +97,11 @@ def test_tampered_residual_equals_direct_residual():
     _assert_residuals_match_direct(tampered, verify.verify_realization(tampered))
 
 
-def test_unfinished_closure_residuals_fall_back():
+def test_unfinished_closure_residuals_fall_back(monkeypatch):
     entry = catalog.get("sl2xsl2.1")
     full = verify.verify_realization(entry)
-    cut = verify.verify_realization(entry, closure_bound=2)
+    monkeypatch.setattr(algebra, "CLOSURE_BOUND", 2)
+    cut = verify.verify_realization(entry)
     assert not full.error and cut.error
     assert cut.closure_dim is None and cut.semisimple is None
     assert cut.relations == full.relations
