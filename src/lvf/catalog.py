@@ -637,14 +637,26 @@ def read(path: str, verify: bool = True) -> List[Realization]:
 
 
 def loads(text: str, verify: bool = True) -> List[Realization]:
+    """The records of ``text``; an id already read is refused at the
+    offset of its second record."""
     toks = _Tokens(text, _CAT_TOKEN, _syntax_error)
     entries = []
+    ids = set()
     while toks.peek()[0] is not None:
-        entries.append(_read_entry(toks))
+        start = toks.peek()[2]
+        entry = _read_entry(toks)
+        if entry.id in ids:
+            raise _syntax_error(f"realization {entry.id} defined twice", start)
+        ids.add(entry.id)
+        entries.append(entry)
     if verify:
         for entry in entries:
             check_entry(entry)
     return entries
+
+
+# statements that set one value of a record: a second one is refused
+_SCALAR_STATEMENTS = ("dim", "expected_rank", "expect_semisimple", "source", "notes")
 
 
 def _read_entry(toks: _Tokens) -> Realization:
@@ -661,6 +673,8 @@ def _read_entry(toks: _Tokens) -> Realization:
             break
         if kind != "name":
             raise toks.error(f"unexpected token {value!r}", pos)
+        if value in fields and value in _SCALAR_STATEMENTS:
+            raise toks.error(f"repeated {value} statement", pos)
         if value in ("dim", "expected_rank"):
             fields[value] = _natural(toks)
         elif value == "expect_semisimple":

@@ -6,17 +6,20 @@ of allowed components.  Constraints are of three kinds against a known
 parameter-free field K: ``[K, X] = c X`` (eigen), ``[K, X] = 0`` (zero)
 and ``[K, X] = T`` (equals).  Each constraint maps the ansatz linearly
 into a finite-dimensional target space whose basis is derived from the
-images.  With an ``equals`` constraint the stacked system is solved in
-one exact elimination pass; once the matrix reaches full column rank,
-each later row is checked against the unique solution instead of being
-reduced, which leaves the witness and the rank of the whole matrix
-unchanged.  Homogeneous constraints are solved one at a time, each on
-the kernel left by the ones before it.  A graded known field,
+images.  Both kinds of system are solved in one staged loop, one
+constraint at a time on the solution set of the ones before it, each
+built only over the columns that set uses, so most of the target rows
+of the stacked matrix are never built.  The basis, particular
+solution and rank are those one elimination of the stacked matrix
+gives, and so is the inconsistency witness: the first conflicting
+image row of any constraint, else the first target term that no
+ansatz field reaches.  A stage without a solution is built again over
+every column to find it (see ``_staged_solve``).  A graded known field,
 H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
-the obstruction pipeline), confines every solution to the basis fields
-of one weight, wherever its constraint stands: the first stage starts
-on the columns all graded constraints keep, and every constraint then
-takes the same build.
+the obstruction pipeline), confines every solution of a homogeneous
+system to the basis fields of one weight, wherever its constraint
+stands: the first stage starts on the columns all graded constraints
+keep, and every constraint then takes the same build.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from lvf.parsing import check_dimension
 
 DEFAULT_TARGET_BOUND = 20000
 _ZERO = Fraction(0)  # shared by every right-hand side entry that starts at zero
+_ONE = Fraction(1)
 
 
 def _monomials(dim: int, max_degree: int):
@@ -215,11 +219,15 @@ def _raw_terms(comp: ExpPoly):
 def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=None):
     """The constraint matrix over the ansatz basis.
 
-    Returns ``(keys, targets, rows, rhs)``: the column keys, one target
-    key ``(constraint, component, exp, mono)`` per row in order of first
-    appearance, the sparse rows, and the right-hand side (None without
-    an ``equals`` constraint).  With ``columns``, a set of column
-    indices, only the images of those basis fields are built.
+    Returns ``(targets, rows, rhs, images)``: one target key
+    ``(constraint, component, exp, mono)`` per row in order of first
+    appearance, the sparse rows, the right-hand side (None without an
+    ``equals`` constraint) and the number of image rows.  The image rows
+    of every constraint come first; the rows from ``images`` on are
+    target terms that no built column reaches, in constraint order, so
+    each is empty with a nonzero right-hand side.  With ``columns``, a
+    set of column indices, only the images of those basis fields are
+    built.
 
     One-term basis fields make the constraint images cheap:
       [K, f d_c] = K(f) d_c - f * sum_j (dK^j/dx_c) d_j
@@ -313,6 +321,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                             key = (ci, j, e, tuple(map(add, mono, mk)))
                             add_into(rows[index_of(key)], col, v)
 
+    images = len(rows)
     rhs = None
     if any(c.kind == "equals" for c in constraints):
         rhs_entries: Dict[int, Fraction] = {}
@@ -323,13 +332,14 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                 idx = index_of((ci, *fkey))
                 rhs_entries[idx] = rhs_entries.get(idx, _ZERO) + value
         rhs = [rhs_entries.get(i, _ZERO) for i in range(len(rows))]
-    return list(keys), list(target_index), rows, rhs
+    return list(target_index), rows, rhs, images
 
 
 def _compose(rows, basis):
     """The rows of the product M N, for the sparse rows of M and the
-    columns of N given as the sparse vectors ``basis``.  Entries of N
-    equal to 1 (every start vector, every free column) skip the product."""
+    columns of N given as the sparse vectors ``basis``.  A column of M
+    that no vector uses adds nothing.  Entries of N equal to 1 (every
+    start vector, every free column) skip the product."""
     by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
     for j, vec in enumerate(basis):
         for c, v in vec.items():
@@ -338,10 +348,25 @@ def _compose(rows, basis):
     for row in rows:
         acc: Dict[int, Fraction] = {}
         for c, a in row.items():
-            for j, v in by_col[c]:
+            for j, v in by_col.get(c, ()):
                 add_into(acc, j, a if v == 1 else a * v)
         out.append(acc)
     return out
+
+
+def _on_affine_set(rows, rhs, basis, particular):
+    """The rows ``rows . v = rhs`` on v = particular + N w, as rows in w:
+    the rows composed with N and each right-hand side less the row times
+    the particular solution.  The particular solution is composed as one
+    more basis vector, so only a row that meets its support pays for a
+    subtraction.  ``rhs`` None stands for zeros."""
+    k = len(basis)
+    composed = _compose(rows, basis + [particular])
+    shifted = []
+    for row, b in zip(composed, rhs or itertools.repeat(_ZERO)):
+        at = row.pop(k, None)
+        shifted.append(b if at is None else b - at)
+    return composed, shifted
 
 
 def _combine(coeffs, basis):
@@ -419,48 +444,132 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
     return sorted(columns)
 
 
-def _common_kernel(constraints, ansatz: AnsatzSpace, target_bound: int):
-    """Kernel basis of homogeneous constraints, one constraint at a time.
+def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
+    """Solution set of the constraints, one constraint at a time.
 
-    The basis N starts as the unit vectors of the columns
-    ``_graded_columns`` keeps for the graded constraints (of every
-    column when none is graded).  Each constraint in turn is built only
-    over the columns N uses; the kernel W of those rows times N gives
-    the new basis N W.  The solve stops once N is empty, so most of the
-    target rows of the stacked matrix are never built.  A graded
-    constraint's diagonal terms can cancel on the columns kept for it,
-    leaving empty rows; they are dropped before the elimination.
-    ``target_bound`` bounds the nonempty rows built over all stages,
-    and the targets of any one stage's build.  The basis is returned in
-    the reduced form ``nullspace_from_rref`` gives for the stacked
-    matrix: that form depends only on the kernel.
+    Returns ``(basis, particular, rank, witness)``.  The solution set is
+    carried as particular + span N (particular is None for homogeneous
+    constraints).  N starts as the unit vectors of every column, or for
+    homogeneous constraints of the columns ``_graded_columns`` keeps for
+    the graded ones.  Each constraint in turn is built only over the
+    columns that N and the particular solution use, and its rows are
+    solved on the set so far: ``_linalg.rref`` of the rows times N for
+    a homogeneous stage, ``_linalg.solve_affine`` of the rows on the
+    affine set (``_on_affine_set``) otherwise.  A homogeneous solve
+    stops once N is empty, so most of the target rows of the stacked
+    matrix are never built.
+
+    The witness, ``(constraint, component)`` or None, is the row the
+    stacked solve reports: the first row of the stacked matrix whose
+    prefix has no solution, where the image rows of every constraint,
+    in constraint order, come before the target terms that no column
+    reaches (``_build_system``).  A stage without a solution is built
+    again over every column (stage 0 already is), which puts its rows in
+    stacked order, and its image rows are solved on the set so far.  A
+    failing image row is the witness, and every later stage is
+    homogeneous: only its kernel is still needed.  Otherwise the
+    constraint's first unreachable term is the witness, unless an
+    earlier constraint has one, and the stages go on, since a later
+    image row would still come first.  ``rank`` is the rank of the
+    stacked matrix, ``ncols - dim N``, with or without a witness.
+
+    ``target_bound`` bounds the rows built over all stages that are not
+    empty or have a nonzero right-hand side, and the targets of any one
+    build.  A stage built again counts its second build in place of its
+    first, whose targets it holds, so the count never exceeds the rows
+    of the stacked matrix.  The basis is returned in the reduced form
+    ``nullspace_from_rref`` gives for the stacked matrix, and the
+    particular solution as the one that is zero at each of its free
+    columns, keys ascending, as the stacked ``solve_affine`` gives it:
+    both forms depend only on the solution set.
     """
     ncols = len(ansatz._columns[0])
-    graded = []
-    for cons in constraints:
-        weights = _graded_weights(cons.known)
-        if weights is not None:
-            eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else Fraction(0)
-            graded.append((*weights, eig))
-    columns = _graded_columns(graded, ansatz) if graded else range(ncols)
-    basis = [{m: Fraction(1)} for m in columns]
+    if any(cons.kind == "equals" for cons in constraints):
+        particular, columns = {}, range(ncols)
+    else:
+        graded = []
+        for cons in constraints:
+            weights = _graded_weights(cons.known)
+            if weights is not None:
+                eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else _ZERO
+                graded.append((*weights, eig))
+        particular = None
+        columns = _graded_columns(graded, ansatz) if graded else range(ncols)
+    basis = [{m: _ONE} for m in columns]
+    witness = None
     built = 0
-    for cons in constraints:
-        if not basis:
-            return []
+
+    def build(cons, support):
+        """The system of ``cons`` over ``support`` (every column when
+        None) and the row count with its rows."""
         try:
-            rows = _build_system([cons], ansatz, target_bound, set().union(*basis))[2]
+            system = _build_system([cons], ansatz, target_bound, support)
         except AnsatzExplosion as exc:
             raise AnsatzExplosion(built + exc.size, target_bound) from None
-        rows = [row for row in rows if row]
-        built += len(rows)
-        if built > target_bound:
-            raise AnsatzExplosion(built, target_bound)
+        _, rows, rhs, _ = system
+        if rhs is None:
+            count = built + sum(1 for row in rows if row)
+        else:
+            count = built + sum(1 for row, b in zip(rows, rhs) if row or b)
+        if count > target_bound:
+            raise AnsatzExplosion(count, target_bound)
+        return system, count
+
+    for ci, cons in enumerate(constraints):
+        if particular is None and not basis:
+            break
+        support = set().union(*basis)
+        if particular:
+            support.update(particular)
+        restricted = len(support) < ncols
+        (targets, rows, rhs, images), count = build(cons, support if restricted else None)
         k = len(basis)
-        pivots, rrows = _linalg.rref(_compose(rows, basis), k)
-        kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
-        basis = [_combine(w, basis) for w in kernel]
-    return _linalg.reduced_kernel_basis(basis, ncols)
+        # N holds every unit vector, in order, until a stage has rank > 0:
+        # rows need no composing then, and the particular solution is 0
+        identity = k == ncols
+        if particular is None:
+            built = count
+            rows = [row for row in rows if row]
+            pivots, rrows = _linalg.rref(rows if identity else _compose(rows, basis), k)
+            kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
+            basis = kernel if identity else [_combine(w, basis) for w in kernel]
+            continue
+        if identity:
+            composed, shifted = rows[:images], rhs or [_ZERO] * images
+        else:
+            composed, shifted = _on_affine_set(
+                rows if restricted else rows[:images], rhs, basis, particular
+            )
+        step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
+        if bad is not None and restricted:
+            # no solution: the constraint again, its rows in stacked order
+            (targets, rows, rhs, images), count = build(cons, None)
+            composed, shifted = _on_affine_set(rows[:images], rhs, basis, particular)
+            step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
+        built = count
+        if bad is not None:
+            witness = (ci, targets[bad][1])
+            particular = None
+            pivots, rrows = _linalg.rref(composed, k)
+            kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
+        else:
+            if witness is None and images < len(rows):
+                # after a full build: a target term no column reaches
+                witness = (ci, targets[images][1])
+            particular = step if identity else _combine({**step, k: _ONE}, basis + [particular])
+        basis = kernel if identity else [_combine(w, basis) for w in kernel]
+
+    rank = ncols - len(basis)
+    if witness is not None:
+        return [], None, rank, witness
+    if basis:
+        basis = _linalg.reduced_kernel_basis(basis, ncols)
+    if particular:
+        # already zero at every free column: each stage's solve leaves its
+        # own free columns at zero, and each vector of N is 1 at its free
+        # column and 0 at the others
+        particular = {c: particular[c] for c in sorted(particular)}
+    return basis, particular, rank, None
 
 
 def solve(
@@ -494,19 +603,17 @@ def solve(
             [ExpPoly(ansatz.dim, terms[c]) for c in range(ansatz.dim)]
         )
 
-    if any(c.kind == "equals" for c in constraints):
-        _, targets, rows, rhs = _build_system(constraints, ansatz, target_bound)
-        particular_vec, hom, mrank, witness = _linalg.solve_affine(rows, rhs, ncols)
-        if witness is not None:
-            ci, comp = targets[witness][:2]
-            detail = f"constraint {ci} has no solution at component {comp + 1}"
-            return SolveResult([], None, mrank, ncols, detail)
-        basis = [to_field(v) for v in hom]
-        particular = to_field(particular_vec)
-        result = SolveResult(basis, particular, mrank, ncols)
-    else:
-        hom = _common_kernel(constraints, ansatz, target_bound)
-        result = SolveResult([to_field(v) for v in hom], None, ncols - len(hom), ncols)
+    hom, particular, mrank, witness = _staged_solve(constraints, ansatz, target_bound)
+    if witness is not None:
+        ci, comp = witness
+        detail = f"constraint {ci} has no solution at component {comp + 1}"
+        return SolveResult([], None, mrank, ncols, detail)
+    result = SolveResult(
+        [to_field(v) for v in hom],
+        None if particular is None else to_field(particular),
+        mrank,
+        ncols,
+    )
 
     # soundness: every reported solution satisfies every constraint exactly
     for x in result.basis:

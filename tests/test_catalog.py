@@ -137,12 +137,29 @@ _SMALL = 'realization bad.1 {{ {} }}'
     ('gen X = "Dx"; rel [X X] = X;', "bad relation '[X X] = X': expected ',', found 'X'"),
     ('gen X = "Dx"; rel [X, X] = X X;', "bad relation '[X, X] = X X': expected '+' or '-'"),
     ('gen X = "Dx"; rel [X, X] = ;', "bad relation '[X, X] =': expected name, found ''"),
+    ('dim 3; dim 2; gen X = "Dx";', "repeated dim statement at offset 27"),
+    ('expected_rank 1; gen X = "Dx"; expected_rank 1;', "repeated expected_rank statement at offset 51"),
+    ('expect_semisimple false; expect_semisimple true; gen X = "Dx";',
+     "repeated expect_semisimple statement at offset 45"),
+    ('source "a"; gen X = "Dx"; source "b";', "repeated source statement at offset 46"),
+    ('notes "a"; notes "a"; gen X = "Dx";', "repeated notes statement at offset 31"),
 ])
 def test_malformed_entry_refused(body, message):
     with pytest.raises(CatalogError) as info:
         catalog.loads(_SMALL.format(body), verify=False)
     assert message in str(info.value)
     assert "offset" in str(info.value)
+
+
+def test_repeated_id_refused_at_its_second_record():
+    first = 'realization a { gen X = "Dx"; }\n'
+    text = first + 'realization b { gen X = "Dx"; }\nrealization a { gen X = "Dy"; }\n'
+    with pytest.raises(CatalogError) as info:
+        catalog.loads(text, verify=False)
+    assert str(info.value) == f"realization a defined twice at offset {2 * len(first)}"
+    builtin = catalog.load_builtin()
+    with pytest.raises(CatalogError, match=r"realization b2\.2 defined twice at offset"):
+        catalog.loads(catalog.dumps(builtin + builtin[-1:]), verify=False)
 
 
 @pytest.mark.skipif(

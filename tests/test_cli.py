@@ -280,6 +280,8 @@ def test_catalog_zero_denominator_exit_2(tmp_path, monkeypatch, old, new):
     f'dim {"1" * 5000}; gen X = "Dx";',
     f'expected_rank {"1" * 5000}; gen X = "Dx";',
     'gen X = "Dx"; rel [X, X] = X',
+    'dim 3; dim 2; gen X = "Dx"; expected_rank 1; expect_semisimple false;',
+    'gen X = "Dx"; expected_rank 1; expect_semisimple false; notes "a"; notes "b";',
 ])
 def test_malformed_catalog_exit_2_with_offset(tmp_path, monkeypatch, body):
     path = tmp_path / "cat.lvf"
@@ -289,6 +291,19 @@ def test_malformed_catalog_exit_2_with_offset(tmp_path, monkeypatch, body):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "offset" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list"], ["verify", "--all"], ["centralizer", "--form", "a"],
+])
+def test_catalog_repeated_id_exit_2(tmp_path, monkeypatch, argv):
+    record = 'realization a {{ gen X = "{}"; expected_rank 1; expect_semisimple false; }}\n'
+    path = tmp_path / "cat.lvf"
+    path.write_text(record.format("Dx") + record.format("Dy"))
+    monkeypatch.setenv("LVF_CATALOG", str(path))
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: realization a defined twice at offset {len(record.format('Dx'))}\n"
 
 
 def test_catalog_cut_inside_rel_exits_2_at_once(tmp_path, monkeypatch):

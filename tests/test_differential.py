@@ -13,6 +13,14 @@ loop (also for the structure constants of the builtin catalog), the
 per-free-column ``nullspace_from_rref`` and the stacked homogeneous
 solve (one build, one elimination); the columns kept for graded
 constraints are checked to hold the kernel of that full build.  The
+staged solve of systems with an ``equals`` constraint is checked
+against the stacked affine solve (one build of every constraint, one
+``solve_affine``, the witness row mapped to its constraint and
+component), also with the stacked matrix's row count as the target
+bound: on planted systems, the same systems with target terms no
+column reaches or with conflicting terms in some constraint's image,
+mixed eigen/zero/equals lists and ansatze with exponentials, and on
+one example per rule of the witness order.  The
 reduced row echelon form is unique, so the fast paths must agree with
 them exactly, including the order of the constraint rows (the
 inconsistency message depends on it) and the key order of the basis
@@ -67,10 +75,10 @@ from lvf.solve import (
     AnsatzSpace,
     BracketConstraint,
     _build_system,
-    _common_kernel,
     _field_keys,
     _graded_columns,
     _graded_weights,
+    _staged_solve,
     solve,
 )
 
@@ -383,10 +391,26 @@ def reference_build(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND):
 def reference_homogeneous_solve(constraints, ansatz):
     """The stacked solve: every constraint built over the whole ansatz,
     one elimination.  Returns (basis vectors, matrix rank, ansatz dim)."""
-    keys, _, rows, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
-    ncols = len(keys)
+    _, rows, _, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    ncols = len(ansatz.basis_keys())
     pivots, rrows = _linalg.rref(rows, ncols)
     return reference_nullspace_from_rref(pivots, rrows, ncols), len(pivots), ncols
+
+
+def reference_affine_solve(constraints, ansatz):
+    """The stacked solve of a system with an ``equals`` constraint: every
+    constraint built over the whole ansatz, one ``solve_affine``, and the
+    witness row mapped to its constraint and component.  Returns (basis
+    vectors, particular vector, matrix rank, inconsistency text, number
+    of target rows)."""
+    targets, rows, rhs, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    ncols = len(ansatz.basis_keys())
+    particular, hom, mrank, witness = solve_affine(rows, rhs, ncols)
+    if witness is not None:
+        ci, comp = targets[witness][:2]
+        detail = f"constraint {ci} has no solution at component {comp + 1}"
+        return [], None, mrank, detail, len(targets)
+    return hom, particular, mrank, None, len(targets)
 
 
 def reference_apply(x, f):
@@ -723,7 +747,7 @@ def test_tall_solve_affine_matches_binary_search(system):
 @given(constraint_systems())
 def test_build_matches_exppoly_loop(system):
     constraints, ansatz = system
-    _, targets, rows, rhs = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    targets, rows, rhs, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
     ref_targets, ref_rows, ref_rhs = reference_build(constraints, ansatz)
     assert targets == ref_targets
     assert rows == ref_rows
@@ -878,7 +902,7 @@ def _to_field(vec, ansatz):
 
 def _check_staged(constraints, ansatz):
     ref, ref_rank, ref_cols = reference_homogeneous_solve(constraints, ansatz)
-    staged = _common_kernel(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    staged = _staged_solve(constraints, ansatz, DEFAULT_TARGET_BOUND)[0]
     assert [list(v.items()) for v in staged] == [list(v.items()) for v in ref]
     result = solve(constraints, ansatz)
     assert (result.matrix_rank, result.ansatz_dim) == (ref_rank, ref_cols)
@@ -901,12 +925,12 @@ def test_build_over_columns_restricts_the_full_build(system, data):
     ncols = len(ansatz.basis_keys())
     mask = data.draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
     columns = {m for m, keep in enumerate(mask) if keep}
-    _, targets, rows, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    targets, rows, _, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
     full = {
         t: {c: v for c, v in row.items() if c in columns}
         for t, row in zip(targets, rows)
     }
-    _, targets, rows, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns)
+    targets, rows, _, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns)
     assert {t: r for t, r in zip(targets, rows) if r} == {t: r for t, r in full.items() if r}
 
 
@@ -920,6 +944,193 @@ def test_build_over_columns_restricts_the_full_build(system, data):
 def test_staged_solve_matches_stacked_examples(fields, degree):
     constraints = [BracketConstraint.commutes(parse_field(f)) for f in fields]
     _check_staged(constraints, AnsatzSpace(3, max_degree=degree))
+
+
+# -- staged affine solve --------------------------------------------------------
+
+# a term that no field of STAGE_FIELDS or rand_field reaches from the
+# ansatz exponents of EXPONENTS: its exponent is far from their sums
+UNREACHABLE = ("x^9*exp(7*y)*Dx", "x^9*exp(7*y)*Dy", "x^9*exp(7*y)*Dz")
+
+
+def _known_field(draw, rng, pool):
+    """A combination of fields with large centralizers, or a random field
+    with exponentials (which mostly cuts the kernel to {0} at once)."""
+    if draw(st.booleans()):
+        return rand_field(rng, max_terms=2)
+    known = VectorField.zero(3)
+    for f in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)):
+        known = known + f * draw(values)
+    return known
+
+
+@st.composite
+def planted_systems(draw, kinds=("equals",)):
+    """[K_i, X] = [K_i, X0] for an X0 in the ansatz (eigen and zero
+    constraints among them when ``kinds`` allows), perturbed by nothing,
+    by terms no column reaches (target-only rows) or by a term of some
+    [K_j, e] for a basis field e (a conflicting image row)."""
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [parse_field(text) for text in STAGE_FIELDS]
+    exponents = draw(st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=2))
+    components = draw(st.sets(st.integers(0, 2), min_size=1))
+    ansatz = AnsatzSpace(3, exponents, draw(st.integers(0, 2)), sorted(components))
+    keys = ansatz.basis_keys()
+    x0 = VectorField.zero(3)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        x0 = x0 + ansatz.basis_field(key) * draw(values)
+    constraints = []
+    for _ in range(draw(st.integers(1, 4))):
+        known = _known_field(draw, rng, pool)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "eigen":
+            constraints.append(BracketConstraint.eigen(known, draw(st.sampled_from((0, 1, -1)))))
+        elif kind == "zero":
+            constraints.append(BracketConstraint.commutes(known))
+        else:
+            constraints.append(BracketConstraint.equals(known, known.bracket(x0)))
+    if not any(c.kind == "equals" for c in constraints):
+        constraints.append(BracketConstraint.equals(pool[0], pool[0].bracket(x0)))
+    equals = [i for i, c in enumerate(constraints) if c.kind == "equals"]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.sampled_from(equals))
+        cons = constraints[i]
+        if draw(st.booleans()):
+            extra = parse_field(draw(st.sampled_from(UNREACHABLE)))
+        else:
+            image = cons.known.bracket(ansatz.basis_field(draw(st.sampled_from(keys))))
+            comp = draw(st.integers(0, 2))
+            terms = image.components[comp].term_map()
+            if not terms:
+                continue
+            key = draw(st.sampled_from(sorted(terms)))
+            parts = [ExpPoly.zero(3)] * 3
+            parts[comp] = ExpPoly(3, {key: {(): draw(values)}})
+            extra = VectorField(parts)
+        constraints[i] = BracketConstraint.equals(cons.known, cons.target + extra)
+    return constraints, ansatz
+
+
+def _check_affine(constraints, ansatz):
+    """``solve`` against the stacked solve: witness text, rank, basis and
+    particular solution (values and key order), also at the stacked
+    matrix's row count as the target bound."""
+    hom, particular, mrank, detail, nrows = reference_affine_solve(constraints, ansatz)
+    got = _staged_solve(constraints, ansatz, nrows)
+    assert got[2] == mrank
+    if detail is not None:
+        assert got[:2] == ([], None)
+    else:
+        assert [list(v.items()) for v in got[0]] == [list(v.items()) for v in hom]
+        assert list(got[1].items()) == list(particular.items())
+    result = solve(constraints, ansatz, target_bound=nrows)
+    assert (result.inconsistency, result.matrix_rank) == (detail, mrank)
+    assert result.ansatz_dim == len(ansatz.basis_keys())
+    if detail is None:
+        expected = _to_field(particular, ansatz)
+        assert result.particular == expected
+        assert format_field(result.particular) == format_field(expected)
+        assert result.basis == [_to_field(v, ansatz) for v in hom]
+    else:
+        assert (result.basis, result.particular) == ([], None)
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    planted_systems(),
+    planted_systems(kinds=("equals", "zero", "eigen")),
+    constraint_systems().filter(lambda system: not _is_homogeneous(system)),
+))
+def test_staged_affine_solve_matches_stacked(system):
+    _check_affine(*system)
+
+
+def _equals(known, x0, extra=None):
+    known = parse_field(known)
+    target = known.bracket(parse_field(x0))
+    return BracketConstraint.equals(known, target + parse_field(extra) if extra else target)
+
+
+KERNEL_ZERO_AFTER_3 = ("x*Dx + 2*y*Dy + 3*z*Dz", "x*Dy + y*Dz", "Dx", "Dy", "Dz")
+
+
+def test_staged_affine_kernel_zero_midway():
+    constraints = [_equals(k, "x*y*Dz") for k in KERNEL_ZERO_AFTER_3]
+    ansatz = AnsatzSpace(3, max_degree=2)
+    assert [_check_affine(constraints[:n], ansatz).dimension for n in (2, 3)] == [2, 0]
+    result = _check_affine(constraints, ansatz)
+    assert format_field(result.particular) == "x*y*Dz"
+
+
+# One system per ordering rule of the stacked witness.  X0 = x*y*Dz; in
+# [Dz, X] = [Dz, X0] + y*Dx the extra term is in the image of Dz, and it
+# conflicts with [Dy, X] = [Dy, X0], which X0 + y*z*Dx would break.
+@pytest.mark.parametrize("constraints, degree, detail", [
+    # a target-only row of constraint 0 comes after every image row, and
+    # constraint 2 has a conflicting image row
+    ([_equals("Dx", "x*y*Dz", "x^9*Dz"), _equals("Dy", "x*y*Dz"),
+      _equals("Dz", "x*y*Dz", "y*Dx")], 2,
+     "constraint 2 has no solution at component 1"),
+    # only target-only rows: the first constraint that has one
+    ([_equals("Dx", "x*y*Dz"), _equals("Dy", "x*y*Dz", "x^9*Dy"),
+      _equals("Dz", "x*y*Dz", "x^9*Dx")], 2,
+     "constraint 1 has no solution at component 2"),
+    # within one constraint, a conflicting image row before its own
+    # target-only row
+    ([_equals("Dy", "x*y*Dz"), _equals("Dz", "x*y*Dz", "x^9*Dz + y*Dx")], 2,
+     "constraint 1 has no solution at component 1"),
+    # conflicting image rows in constraints 1 and 2 (z*Dx conflicts with
+    # [Dz, X] = 0) after a target-only row: the earlier one
+    ([_equals("Dy", "x*y*Dz", "x^9*Dz"), _equals("Dz", "x*y*Dz", "y*Dx"),
+      _equals("Dx", "x*y*Dz", "z*Dx")], 2,
+     "constraint 1 has no solution at component 1"),
+    # [x*Dx, x*Dx] = 0 leaves an empty image row at x*Dx: a target term
+    # there is a conflicting image row, not a target-only one
+    ([_equals("Dy", "x*y*Dz", "x^9*Dz"), _equals("x*Dx", "x*y*Dz", "x*Dx")], 2,
+     "constraint 1 has no solution at component 1"),
+    # the same at the first stage, which is built over every column
+    ([_equals("x*Dx", "x*y*Dz", "x^9*Dz + x*Dx")], 2,
+     "constraint 0 has no solution at component 1"),
+    # the kernel is {0} after three constraints (KERNEL_ZERO_AFTER_3), so
+    # the later stages run on the particular solution X0 alone, and any
+    # term in the image conflicts
+    ([_equals(k, "x*y*Dz", extra) for k, extra in zip(
+        KERNEL_ZERO_AFTER_3, (None, "x^9*Dy", None, "Dx", None))], 2,
+     "constraint 3 has no solution at component 1"),
+], ids=[
+    "image-row-after-target-only-row", "target-only-rows", "own-image-row-first",
+    "earlier-image-row", "emptied-image-row", "emptied-image-row-at-stage-0",
+    "kernel-zero-midway",
+])
+def test_staged_affine_witness_examples(constraints, degree, detail):
+    result = _check_affine(constraints, AnsatzSpace(3, max_degree=degree))
+    assert result.inconsistency == detail
+
+
+def test_staged_affine_rank_counts_every_constraint():
+    # [Dx, X] = Dy conflicts with [Dx, X] = Dx; [Dz, X] = 0, after the
+    # witness, still adds to the rank of the stacked matrix
+    constraints = [
+        BracketConstraint.equals(parse_field("Dx"), parse_field("Dx")),
+        BracketConstraint.equals(parse_field("Dx"), parse_field("Dy")),
+        BracketConstraint.commutes(parse_field("Dz")),
+    ]
+    ansatz = AnsatzSpace(3, max_degree=1)
+    result = _check_affine(constraints, ansatz)
+    assert result.inconsistency == "constraint 1 has no solution at component 1"
+    prefix = _check_affine(constraints[:2], ansatz)
+    assert prefix.matrix_rank < result.matrix_rank
+
+
+def test_staged_affine_particular_is_zero_at_free_columns():
+    # X0 = z*Dx + x*Dy is one solution of [Dz, X] = Dx; the reported one
+    # is zero at every free column of the kernel of ad Dz
+    constraints = [_equals("Dz", "z*Dx + x*Dy")]
+    ansatz = AnsatzSpace(3, max_degree=1)
+    result = _check_affine(constraints, ansatz)
+    assert format_field(result.particular) == "z*Dx"
+    assert result.dimension == 9
 
 
 @st.composite
@@ -1050,8 +1261,9 @@ def _graded_of(constraints):
 
 def _build_kernel(cons, ansatz):
     """Kernel of one constraint by the full build and elimination."""
-    keys, _, rows, _ = _build_system([cons], ansatz, DEFAULT_TARGET_BOUND)
-    return _linalg.reduced_kernel_basis(nullspace(rows, len(keys)), len(keys))
+    _, rows, _, _ = _build_system([cons], ansatz, DEFAULT_TARGET_BOUND)
+    ncols = len(ansatz.basis_keys())
+    return _linalg.reduced_kernel_basis(nullspace(rows, ncols), ncols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1064,7 +1276,7 @@ def test_graded_kernel_matches_build(system):
     columns = _graded_columns(graded, ansatz)
     assert columns == _weight_columns(graded, ansatz)
     assert set().union(*ref) <= set(columns)
-    got = _common_kernel([cons], ansatz, DEFAULT_TARGET_BOUND)
+    got = _staged_solve([cons], ansatz, DEFAULT_TARGET_BOUND)[0]
     assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
 
 
@@ -1079,7 +1291,7 @@ def test_graded_lists_match_stacked(system):
     columns = _graded_columns(graded, ansatz)
     assert columns == _weight_columns(graded, ansatz)
     assert set().union(*ref) <= set(columns)
-    got = _common_kernel(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    got = _staged_solve(constraints, ansatz, DEFAULT_TARGET_BOUND)[0]
     assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
 
 
@@ -1098,9 +1310,9 @@ def test_ungraded_fields_take_the_build(text, monkeypatch):
         return build(constraints, ansatz, target_bound, columns)
 
     monkeypatch.setattr(solve_module, "_build_system", counting)
-    got = _common_kernel([cons], ansatz, DEFAULT_TARGET_BOUND)
+    got = _staged_solve([cons], ansatz, DEFAULT_TARGET_BOUND)[0]
     # no graded constraint: the one build covers every column
-    assert built == [set(range(len(ansatz.basis_keys())))]
+    assert built == [None]
     assert [list(v.items()) for v in got] == [
         list(v.items()) for v in _build_kernel(cons, ansatz)
     ]

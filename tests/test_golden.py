@@ -13,6 +13,12 @@ basis, a rank, a verdict, a witness or a record line shows up here.  The ``solve
 ``equals`` path: a consistent system that reaches full column rank
 early, one whose witness comes after full rank (exit 1), and one whose
 witness comes while the matrix is rank deficient (exit 1).  The
+``solve_equals_b2`` files, captured before ``equals`` systems were
+solved one constraint at a time, cover the ten fields of ``b2.2`` at
+degree 3: a consistent system (exit 0), and the same system with a
+target term no ansatz field reaches in constraint 1 and a conflicting
+term in the image of constraint 4, whose image row is the witness
+(exit 1).  The
 ``verify_all.txt`` and ``verify_tampered.txt`` files were captured before
 the relation residuals and the structure tensor began reading their
 brackets from the bracket closure; ``verify_tampered.lvf`` is the
@@ -59,6 +65,9 @@ CASES = [
      "solve_equals_inconsistent.txt", 1),
     (["solve", str(GOLDEN / "solve_equals_early_witness.lvf")],
      "solve_equals_early_witness.txt", 1),
+    (["solve", str(GOLDEN / "solve_equals_b2.lvf")], "solve_equals_b2.txt", 0),
+    (["solve", str(GOLDEN / "solve_equals_b2_witness.lvf")],
+     "solve_equals_b2_witness.txt", 1),
     (["g2-check", "--form", "3", "--max-degree", "20", "--format", "records"],
      "g2_form3_deg20.records", 0),
 ]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lvf import catalog
 from lvf import solve as solve_module
 from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput
 from lvf.fields import VectorField
@@ -81,7 +82,7 @@ class TestContracts:
 
         def counting(*args, **kwargs):
             out = build(*args, **kwargs)
-            rows_built.append(sum(1 for row in out[2] if row))
+            rows_built.append(sum(1 for row in out[1] if row))
             return out
 
         monkeypatch.setattr(solve_module, "_build_system", counting)
@@ -159,6 +160,70 @@ class TestContracts:
         with pytest.raises(AnsatzExplosion) as info:
             solve(cons, ansatz, target_bound=total - 1)
         assert (info.value.size, info.value.bound) == (total, total - 1)
+
+    @staticmethod
+    def _count_affine_builds(monkeypatch):
+        """``(constraint, columns, rows)`` of each ``_build_system`` call,
+        counting the rows that are not empty or have a nonzero
+        right-hand side."""
+        builds = []
+        build = solve_module._build_system
+
+        def counting(constraints, ansatz, target_bound, columns=None):
+            out = build(constraints, ansatz, target_bound, columns)
+            _, rows, rhs, _ = out
+            kept = sum(1 for row, b in zip(rows, rhs or [0] * len(rows)) if row or b)
+            builds.append((id(constraints[0]), columns, kept))
+            return out
+
+        monkeypatch.setattr(solve_module, "_build_system", counting)
+        return builds
+
+    @staticmethod
+    def _b2_system(witness):
+        """The golden ``solve_equals_b2`` systems: [g_i, X] = [g_i, X0] for
+        the ten fields of b2.2, with an unreachable target term in
+        constraint 1 and a conflicting image term in constraint 4 when
+        ``witness``."""
+        gens = list(catalog.get("b2.2").generators_at({}).values())
+        x0 = F("x*y*Dx - 2*z*Dy + (3 + y^2)*Dz")
+        targets = [g.bracket(x0) for g in gens]
+        if witness:
+            targets[1] = targets[1] + F("x^9*Dx")
+            targets[4] = targets[4] + F("y*Dz")
+        return [BracketConstraint.equals(g, t) for g, t in zip(gens, targets)]
+
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_target_bound_counts_affine_rows_over_all_stages(self, monkeypatch, witness):
+        builds = self._count_affine_builds(monkeypatch)
+        cons = self._b2_system(witness)
+        ansatz = AnsatzSpace(3, max_degree=3)
+        first = solve(cons, ansatz)
+        assert (first.inconsistency is not None) == witness
+        # an inconsistent stage is built again over every column, and
+        # that build counts in place of the first
+        order, counted = [], {}
+        for key, columns, kept in builds:
+            if key in counted:
+                assert columns is None and counted[key][0] is not None
+            else:
+                order.append(key)
+            counted[key] = (columns, kept)
+        # constraint 0 is built over every column; the kernel is {0}
+        # before the witness in constraint 4, so no later one is built
+        assert builds[0][1] is None
+        assert order == [id(c) for c in (cons[:5] if witness else cons)]
+        # constraint 1 (unreachable term) and constraint 4 (image conflict)
+        assert len(builds) - len(order) == (2 if witness else 0)
+        total = sum(kept for _, kept in counted.values())
+        assert solve(cons, ansatz, target_bound=total).inconsistency == first.inconsistency
+        with pytest.raises(AnsatzExplosion) as info:
+            solve(cons, ansatz, target_bound=total - 1)
+        assert (info.value.size, info.value.bound) == (total, total - 1)
+        # the stacked matrix has more rows: a bound it met is met
+        stacked = len(solve_module._build_system(cons, ansatz, 10 ** 6)[0])
+        assert total < stacked
+        assert solve(cons, ansatz, target_bound=stacked).inconsistency == first.inconsistency
 
     def test_constraint_order_gives_the_same_basis(self):
         ansatz = AnsatzSpace(3, max_degree=2)
