@@ -524,22 +524,16 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
         restricted = len(support) < ncols
         (targets, rows, rhs, images), count = build(cons, support if restricted else None)
         k = len(basis)
-        # N holds every unit vector, in order, until a stage has rank > 0:
-        # rows need no composing then, and the particular solution is 0
-        identity = k == ncols
         if particular is None:
             built = count
             rows = [row for row in rows if row]
-            pivots, rrows = _linalg.rref(rows if identity else _compose(rows, basis), k)
+            pivots, rrows = _linalg.rref(_compose(rows, basis), k)
             kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
-            basis = kernel if identity else [_combine(w, basis) for w in kernel]
+            basis = [_combine(w, basis) for w in kernel]
             continue
-        if identity:
-            composed, shifted = rows[:images], rhs or [_ZERO] * images
-        else:
-            composed, shifted = _on_affine_set(
-                rows if restricted else rows[:images], rhs, basis, particular
-            )
+        composed, shifted = _on_affine_set(
+            rows if restricted else rows[:images], rhs, basis, particular
+        )
         step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
         if bad is not None and restricted:
             # no solution: the constraint again, its rows in stacked order
@@ -556,8 +550,8 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
             if witness is None and images < len(rows):
                 # after a full build: a target term no column reaches
                 witness = (ci, targets[images][1])
-            particular = step if identity else _combine({**step, k: _ONE}, basis + [particular])
-        basis = kernel if identity else [_combine(w, basis) for w in kernel]
+            particular = _combine({**step, k: _ONE}, basis + [particular])
+        basis = [_combine(w, basis) for w in kernel]
 
     rank = ncols - len(basis)
     if witness is not None:
