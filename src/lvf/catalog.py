@@ -30,7 +30,7 @@ A refusal is a ``CatalogError`` naming an offset into the text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,6 +72,8 @@ class Realization:
     expect_semisimple: bool
     source: str
     notes: str = ""
+    # the constraint texts parsed, in the same order
+    constraint_exprs: Tuple[ExpPoly, ...] = field(default=(), compare=False)
 
     @property
     def family(self) -> str:
@@ -87,10 +89,7 @@ class Realization:
         return dict(self.generators)
 
     def constraint_polys(self) -> List[ExpPoly]:
-        return [
-            parse_scalar(text, self.dim, self.param_names())
-            for text in self.constraints
-        ]
+        return list(self.constraint_exprs)
 
     def constraints_satisfied(self, assignment: Dict[str, Fraction]) -> bool:
         return all(
@@ -128,7 +127,7 @@ def _entry(
     generator scale*[a, b] of generators already present.  Refused with
     CatalogError: a dimension outside 1..MAX_DIM, an expected rank
     outside 0..dim, no generator, a generator or parameter name used
-    twice, a generator text that does not parse.
+    twice, a generator or constraint text that does not parse.
     """
     names = [name for name, _ in gens] + [row[0] for row in derived]
     pnames = tuple(name for name, _ in params)
@@ -147,6 +146,10 @@ def _entry(
         for name, text in gens:
             where = f"generator {name}: "
             gen_map[name] = parse_field(text, dim, pnames)
+        polys = []
+        for text in constraints:
+            where = f"constraint {text!r}: "
+            polys.append(parse_scalar(text, dim, pnames))
     except LvfError as exc:
         raise CatalogError(f"{id}: {where}{exc}") from exc
     for name, a, b, scale in derived:
@@ -156,6 +159,7 @@ def _entry(
         dim=dim,
         params=tuple((n, as_fraction(v)) for n, v in params),
         constraints=tuple(constraints),
+        constraint_exprs=tuple(polys),
         generators=tuple((n, gen_map[n]) for n in names),
         relations=tuple(_parse_relation(r) for r in rels),
         expected_rank=expected_rank,

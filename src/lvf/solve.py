@@ -19,7 +19,10 @@ H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
 the obstruction pipeline), confines every solution of a homogeneous
 system to the basis fields of one weight, wherever its constraint
 stands: the first stage starts on the columns all graded constraints
-keep, and every constraint then takes the same build.
+keep, and every constraint then takes the same build.  Columns are
+computed by arithmetic from a basis field's component, block and
+monomial rank, and back; ``basis_keys()`` builds its list only when
+asked.
 """
 
 from __future__ import annotations
@@ -46,15 +49,14 @@ _ONE = Fraction(1)
 
 
 def _monomials(dim: int, max_degree: int):
-    """All coordinate multi-indices of total degree <= max_degree."""
-    out = []
-    for total in range(max_degree + 1):
-        for cuts in itertools.combinations_with_replacement(range(dim), total):
-            mono = [0] * dim
-            for i in cuts:
-                mono[i] += 1
-            out.append(tuple(mono))
-    return sorted(out)
+    """All coordinate multi-indices of total degree <= max_degree, ascending."""
+    if dim == 1:
+        return [(d,) for d in range(max_degree + 1)]
+    return [
+        (first, *rest)
+        for first in range(max_degree + 1)
+        for rest in _monomials(dim - 1, max_degree - first)
+    ]
 
 
 def _ansatz_size(dim: int, max_degree: int, blocks: int) -> int:
@@ -118,26 +120,54 @@ class AnsatzSpace:
         object.__setattr__(self, "components", tuple(sorted(comps)))
 
     @cached_property
-    def _columns(self):
-        """Setup shared by every build over this space: the basis keys,
-        their column indices, the encoded exponents and the monomials."""
+    def _layout(self):
+        """One block's monomials and their ranks, and the encoded exponents
+        and their block positions, in ``exponents`` order."""
         monos = _monomials(self.dim, self.max_degree)
         encoded = [encode_exponents(e) for e in self.exponents]
-        keys = tuple(
-            (c, exp, mono)
-            for c in self.components
-            for exp in encoded
-            for mono in monos
-        )
-        return keys, {key: m for m, key in enumerate(keys)}, sorted(encoded), monos
+        rank = {mono: r for r, mono in enumerate(monos)}
+        return monos, rank, encoded, {exp: b for b, exp in enumerate(encoded)}
+
+    def column(self, comp: int, exp: tuple, mono: tuple) -> int:
+        """The column of ``(comp, exp, mono)``: by component, then block in
+        ``exponents`` order, then monomial, as ``basis_keys`` lists them."""
+        monos, rank, _, block = self._layout
+        at = self.components.index(comp) * len(block) + block[exp]
+        return at * len(monos) + rank[mono]
+
+    def columns(self, exp: tuple, mono: tuple) -> List[Tuple[int, int]]:
+        """``(comp, column(comp, exp, mono))`` for every component, ascending."""
+        monos, rank, _, block = self._layout
+        at = block[exp] * len(monos) + rank[mono]
+        stride = len(block) * len(monos)
+        return [(c, p * stride + at) for p, c in enumerate(self.components)]
+
+    def key(self, col: int) -> Tuple[int, tuple, tuple]:
+        """The basis key ``(comp, exp, mono)`` of column ``col``."""
+        monos, _, encoded, _ = self._layout
+        at, r = divmod(col, len(monos))
+        c, b = divmod(at, len(encoded))
+        return self.components[c], encoded[b], monos[r]
+
+    def blocks(self, columns=None) -> Dict[tuple, List[tuple]]:
+        """``{exp: monomials}`` of every basis field, or of ``columns``:
+        blocks in sorted encoded order, monomials ascending."""
+        monos, _, encoded, _ = self._layout
+        if columns is None:
+            return {exp: monos for exp in sorted(encoded)}
+        ranks: Dict[tuple, set] = {exp: set() for exp in sorted(encoded)}
+        for col in columns:
+            at, r = divmod(col, len(monos))
+            ranks[encoded[at % len(encoded)]].add(r)
+        return {exp: [monos[r] for r in sorted(rs)] for exp, rs in ranks.items() if rs}
 
     def basis_keys(self) -> List[Tuple[int, tuple, tuple]]:
-        """Canonical ordered basis of one-term fields.
+        """Canonical ordered basis of one-term fields, built when asked.
 
         Exponent vectors appear in their canonical integer encoding, as
         used by the term maps themselves.
         """
-        return list(self._columns[0])
+        return [self.key(m) for m in range(self.dimension())]
 
     def basis_field(self, key) -> VectorField:
         c, exp, mono = key
@@ -237,16 +267,8 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
     arithmetic, so row order (and the inconsistency witness) matches a
     build through ``ExpPoly``.
     """
-    keys, col_index, exps, monos = ansatz._columns
     dim = ansatz.dim
-    by_exp = {exp: monos for exp in exps}
-    if columns is not None:
-        # visit only the monomials of the wanted columns, in the same order
-        by_exp = {}
-        for col in columns:
-            _, exp, mono = keys[col]
-            by_exp.setdefault(exp, set()).add(mono)
-        by_exp = {exp: sorted(by_exp[exp]) for exp in exps if exp in by_exp}
+    by_exp = ansatz.blocks(columns)
     target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
     rows: List[Dict[int, Fraction]] = []
 
@@ -284,7 +306,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                 for c, images in dk.items()
             }
             for mono in exp_monos:
-                cols = [(c, col_index[(c, exp, mono)]) for c in ansatz.components]
+                cols = ansatz.columns(exp, mono)
                 if columns is not None:
                     cols = [(c, col) for c, col in cols if col in columns]
                 if not cols:
@@ -413,7 +435,7 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
     invertible on every weight but c: each solution lives on the
     columns of weight c, for each graded constraint.
     """
-    _, col_index, exps, monos = ansatz._columns
+    monos, _, encoded, _ = ansatz._layout
     scaled = []
     for a, b, c in graded:
         # integer weights: everything scaled by the common denominator
@@ -421,11 +443,12 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
         ia = [int(v * scale) for v in a]
         ib = [int(v * scale) for v in b]
         scaled.append((ia, ib, int(c * scale)))
-    # a.m of the first constraint once per monomial; the others only on
-    # the monomials that pass it
-    am = [sum(map(mul, scaled[0][0], mono)) for mono in monos]
+    # monomials by a.m of the first constraint; the others filter a group
+    groups: Dict[int, List[tuple]] = {}
+    for mono in monos:
+        groups.setdefault(sum(map(mul, scaled[0][0], mono)), []).append(mono)
     columns = []
-    for exp in exps:
+    for exp in encoded:
         den, nums = exp[0], exp[1:]
         if any(x and n for ia, _, _ in scaled for x, n in zip(ia, nums)):
             continue
@@ -437,10 +460,10 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
             ]
             if any(rem for _, rem in need):
                 continue
-            kept = [mono for mono, w in zip(monos, am) if w == need[0][0]]
+            kept = groups.get(need[0][0], ())
             for (ia, _, _), (n, _) in zip(scaled[1:], need[1:]):
                 kept = [mono for mono in kept if sum(map(mul, ia, mono)) == n]
-            columns.extend(col_index[(comp, exp, mono)] for mono in kept)
+            columns.extend(ansatz.column(comp, exp, mono) for mono in kept)
     return sorted(columns)
 
 
@@ -483,7 +506,7 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     columns, keys ascending, as the stacked ``solve_affine`` gives it:
     both forms depend only on the solution set.
     """
-    ncols = len(ansatz._columns[0])
+    ncols = ansatz.dimension()
     if any(cons.kind == "equals" for cons in constraints):
         particular, columns = {}, range(ncols)
     else:
@@ -585,13 +608,12 @@ def solve(
         if c.known.dim != ansatz.dim:
             raise LvfError("constraint dimension does not match the ansatz")
 
-    keys = ansatz._columns[0]
-    ncols = len(keys)
+    ncols = ansatz.dimension()
 
     def to_field(vec: Dict[int, Fraction]) -> VectorField:
         terms: Dict[int, dict] = {c: {} for c in range(ansatz.dim)}
         for m, v in vec.items():
-            comp, exp, mono = keys[m]
+            comp, exp, mono = ansatz.key(m)
             terms[comp][(exp, mono)] = {(): v}
         return VectorField(
             [ExpPoly(ansatz.dim, terms[c]) for c in range(ansatz.dim)]

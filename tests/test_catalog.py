@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lvf import catalog
 from lvf.errors import CatalogError
-from lvf.parsing import parse_field
+from lvf.parsing import parse_field, parse_scalar
 
 
 def test_sixteen_entries():
@@ -64,6 +64,17 @@ def test_constraint_gate():
     assert not entry.constraints_satisfied({"a": Fraction(2), "b": Fraction(0)})
     with pytest.raises(CatalogError):
         catalog.check_entry(entry, {"a": Fraction(2), "b": Fraction(0)})
+
+
+def test_constraints_parsed_on_load(monkeypatch):
+    entry = catalog.loads(catalog.dumps([catalog.get("sl2xsl2.3")]))[0]
+    assert entry.constraint_polys() == [parse_scalar("a^2 + 2*b", 3, ("a", "b"))]
+
+    def refuse(*args):
+        raise AssertionError("constraint parsed again")
+
+    monkeypatch.setattr(catalog, "parse_scalar", refuse)
+    assert entry.constraints_satisfied({"a": Fraction(2), "b": Fraction(-2)})
 
 
 def test_unknown_id():
@@ -134,6 +145,8 @@ _SMALL = 'realization bad.1 {{ {} }}'
     ('params { l = 0; l = 1; }; gen X = "l*Dx";', "bad.1: parameter l defined twice"),
     ('gen X = "Dx"; expect_semisimple yes;', "expected true or false, found 'yes' at offset 52"),
     ('gen X = "Dx +";', "bad.1: generator X: unexpected token ''"),
+    ('params { a = 1; }; constraints { "a +"; }; gen X = "Dx";',
+     "bad.1: constraint 'a +': unexpected token ''"),
     ('gen X = "Dx"; rel [X X] = X;', "bad relation '[X X] = X': expected ',', found 'X'"),
     ('gen X = "Dx"; rel [X, X] = X X;', "bad relation '[X, X] = X X': expected '+' or '-'"),
     ('gen X = "Dx"; rel [X, X] = ;', "bad relation '[X, X] =': expected name, found ''"),

@@ -282,6 +282,7 @@ def test_catalog_zero_denominator_exit_2(tmp_path, monkeypatch, old, new):
     'gen X = "Dx"; rel [X, X] = X',
     'dim 3; dim 2; gen X = "Dx"; expected_rank 1; expect_semisimple false;',
     'gen X = "Dx"; expected_rank 1; expect_semisimple false; notes "a"; notes "b";',
+    'gen X = "Dx"; expected_rank 1; expect_semisimple false; constraints { "a +"; };',
 ])
 def test_malformed_catalog_exit_2_with_offset(tmp_path, monkeypatch, body):
     path = tmp_path / "cat.lvf"

@@ -50,6 +50,11 @@ parameters, and on random invertible recombinations of its generators.
 against the earlier search through every k x k minor, largest k first,
 on random families with parameters and exponentials, many of them
 rank-deficient by construction.
+
+The column of an ansatz basis field, computed by arithmetic, and its
+inverse are checked against the key table every ansatz once built over
+all its columns (``reference_columns``), on spaces whose exponent
+vectors sort differently as ``Fraction`` tuples and encoded.
 """
 
 import itertools
@@ -67,7 +72,7 @@ from lvf import solve as solve_module
 from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
 from lvf.algebra import SpanTracker, StructureTensor, close_under_bracket, structure_tensor
 from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput, SingularMap
-from lvf.expr import ExpPoly, decode_exponents
+from lvf.expr import ExpPoly, decode_exponents, encode_exponents
 from lvf.fields import VectorField, _ep_det, _invert, format_field, generic_rank
 from lvf.parsing import parse_field
 from lvf.solve import (
@@ -386,6 +391,25 @@ def reference_build(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND):
     rows = [rows_map[i] for i in range(nrows)]
     rhs = [rhs_entries.get(i, Fraction(0)) for i in range(nrows)] if has_equals else None
     return sorted(target_index, key=target_index.get), rows, rhs
+
+
+def reference_columns(ansatz):
+    """The key table an ansatz once built over every column: the keys in
+    column order (components, then exponent blocks in ``exponents``
+    order, then monomials ascending) and the column of each key."""
+    monos = []
+    for total in range(ansatz.max_degree + 1):
+        for cuts in itertools.combinations_with_replacement(range(ansatz.dim), total):
+            mono = [0] * ansatz.dim
+            for i in cuts:
+                mono[i] += 1
+            monos.append(tuple(mono))
+    monos.sort()
+    encoded = [encode_exponents(e) for e in ansatz.exponents]
+    keys = tuple(
+        (c, exp, mono) for c in ansatz.components for exp in encoded for mono in monos
+    )
+    return keys, {key: m for m, key in enumerate(keys)}
 
 
 def reference_homogeneous_solve(constraints, ansatz):
@@ -1219,6 +1243,45 @@ def graded_systems(draw):
     if draw(st.booleans()):
         return BracketConstraint.commutes(draw(graded_fields())[0]), ansatz
     return _graded_eigen(draw, draw(st.sampled_from(ansatz.basis_keys()))), ansatz
+
+
+# (1/2, 0, 0) comes before (1, 0, 0) as Fractions but after it encoded
+COLUMN_EXPONENT_ENTRIES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
+
+
+@st.composite
+def column_spaces(draw):
+    """Ansatze of dimension 1-4 and degree 0-6 over 1-3 exponent vectors,
+    drawn in any order, and a subset of the components."""
+    dim = draw(st.integers(1, 4))
+    entry = st.sampled_from(COLUMN_EXPONENT_ENTRIES)
+    vector = st.tuples(*[entry] * dim)
+    exponents = draw(st.lists(vector, min_size=1, max_size=3))
+    components = draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    return AnsatzSpace(dim, exponents, draw(st.integers(0, 6)), components)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_spaces(), st.data())
+def test_column_mapping_matches_key_table(ansatz, data):
+    keys, col_index = reference_columns(ansatz)
+    assert ansatz.basis_keys() == list(keys)
+    assert ansatz.dimension() == len(keys)
+    for m, (c, exp, mono) in enumerate(keys):
+        assert ansatz.key(m) == (c, exp, mono)
+        assert ansatz.column(c, exp, mono) == m
+        assert ansatz.columns(exp, mono) == [
+            (comp, col_index[(comp, exp, mono)]) for comp in ansatz.components
+        ]
+    # the blocks a build visits: sorted encoded order, monomials ascending
+    columns = data.draw(st.sets(st.integers(0, len(keys) - 1)))
+    for wanted in (None, columns):
+        by_exp = {}
+        for m in range(len(keys)) if wanted is None else columns:
+            by_exp.setdefault(keys[m][1], set()).add(keys[m][2])
+        expected = {exp: sorted(by_exp[exp]) for exp in sorted(by_exp)}
+        assert ansatz.blocks(wanted) == expected
+        assert list(ansatz.blocks(wanted)) == list(expected)
 
 
 UNGRADED_FIELDS = ("y*Dx", "z*Dy", "x*Dz", "exp(z)*Dx", "exp(x)*Dy", "z*Dx + Dy", "x*Dx + Dx")

@@ -8,7 +8,9 @@ replaced its build, the ``solve_equals`` files before the affine solve
 began checking rows against the solution at full column rank, the
 degree-20 file before graded constraints took the common build over the
 columns they keep, the form 1 and form 2 verbose files before each
-orientation shared one chain among its sign flips); any change to a
+orientation shared one chain among its sign flips, the degree-32 files
+before the column of a basis field was computed by arithmetic instead of
+read from a table over the whole ansatz); any change to a
 basis, a rank, a verdict, a witness or a record line shows up here.  The ``solve_equals`` files cover the
 ``equals`` path: a consistent system that reaches full column rank
 early, one whose witness comes after full rank (exit 1), and one whose
@@ -70,6 +72,12 @@ CASES = [
      "solve_equals_b2_witness.txt", 1),
     (["g2-check", "--form", "3", "--max-degree", "20", "--format", "records"],
      "g2_form3_deg20.records", 0),
+    (["g2-check", "--form", "1", "--max-degree", "32", "--format", "records"],
+     "g2_form1_deg32.records", 0),
+    (["g2-check", "--form", "2", "--max-degree", "32", "--format", "records"],
+     "g2_form2_deg32.records", 0),
+    (["g2-check", "--form", "3", "--max-degree", "32", "--format", "records"],
+     "g2_form3_deg32.records", 0),
 ]
 
 
