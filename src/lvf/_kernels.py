@@ -13,6 +13,9 @@ expression layer:
   ``(den, n_1, .., n_k)`` of the rational covector ``n_i/den`` (den
   positive, gcd(den, n_1, .., n_k) = 1) -- all-int keys keep dict
   hashing cheap;
+* an integer form (:class:`IntegerForm`) is a vector field scaled to
+  integers, one dict per component mapping ``(exponents, monomial,
+  pmono)`` to a nonzero ``int`` over the field's common denominator;
 * a sparse matrix row is a dict mapping a column index to a nonzero
   ``Fraction``; inside the elimination, to a nonzero ``int``.
 
@@ -21,11 +24,17 @@ one key of a map and drops the key when the sum vanishes, and
 ``pp_add_into`` does the same with a parameter polynomial as the value
 (only ``_eliminate``, the innermost loop of the elimination, is inline).
 Products accumulate in place: ``ep_mul_into`` adds ``f*g`` into a term
-map, ``ep_mul`` is its call on an empty map, and ``ep_bracket`` sums
-every product of a vector-field bracket ``[X, Y]`` into one term map
-per component instead of copying a running sum per step.  Parameter
-polynomials are never mutated, so sums and products share them with
-their operands instead of copying them.
+map and ``ep_mul`` is its call on an empty map.  Parameter polynomials
+are never mutated, so sums and products share them with their operands
+instead of copying them.
+
+The bracket ``[X, Y]`` runs on integer forms: ``integer_form`` scales a
+field to integers once (times the lcm of its coefficient denominators),
+its partial derivatives are scaled by the lcm of its exponent
+denominators and computed only when a bracket asks for them, and
+``ep_bracket`` multiplies ints, sums every product into one map per
+component and divides once per output term.  A parameter monomial is
+part of the key, so parameters stay in the same kernel.
 
 The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the
@@ -35,9 +44,13 @@ span tracker of ``algebra``.  The table holds primitive integer rows
 (gcd 1, positive pivot entry) and is reduced fraction-free, by
 cross-multiplication: the integer-preserving elimination of Bareiss
 (1968), with each stored row divided by its content instead of by the
-previous pivot.  ``Fraction`` appears only at the boundary: a rational
-row is scaled to integers once, as it is inserted, and
-``back_substitute`` returns rational rows with pivot entry 1.
+previous pivot.
+
+In both the elimination and the bracket ``Fraction`` appears only at
+the boundary: a rational row or field is scaled to integers once, as it
+enters, and a rational value is made once per entry that leaves
+(``back_substitute`` returns rational rows with pivot entry 1,
+``ep_bracket`` term maps with ``Fraction`` coefficients).
 
 Callers look the kernels up through this module (``K.ep_mul``,
 ``K.rref``, ...), so each has exactly one implementation.
@@ -190,25 +203,114 @@ def ep_diff(f, i):
     return out
 
 
-def ep_bracket(xs, ys):
-    """Components of the bracket ``[X, Y]`` of two vector fields given
-    as lists of term maps.
+class IntegerForm:
+    """A vector field scaled to integers: the operand of :func:`ep_bracket`.
 
-    Component i is sum_j X^j d_j Y^i - Y^j d_j X^i, accumulated into one
-    term map by :func:`ep_mul_into`; no intermediate sum is copied.
+    ``comps[i]`` maps ``(exponents, monomial, pmono)`` to a nonzero
+    ``int``, the coefficient of component i times ``den``, the lcm of
+    the field's coefficient denominators; the keys come in term-map
+    order.  ``diff(i, j)`` is the partial derivative of component i
+    along coordinate j in the same keys, times ``den * eden`` with
+    ``eden`` the lcm of the field's exponent denominators, so it is
+    integer too.  Each derivative is computed when a bracket first asks
+    for it and kept.  Nothing else changes after construction.
     """
-    n = len(xs)
+
+    __slots__ = ("comps", "den", "eden", "_diffs")
+
+    def __init__(self, comps, den, eden):
+        self.comps = comps
+        self.den = den
+        self.eden = eden
+        self._diffs = {}
+
+    def diff(self, i, j):
+        d = self._diffs.get((i, j))
+        if d is None:
+            d = self._diffs[(i, j)] = {}
+            eden = self.eden
+            for (exp, mono, pm), v in self.comps[i].items():
+                m = mono[j]
+                if m:
+                    key = (exp, mono[:j] + (m - 1,) + mono[j + 1:], pm)
+                    add_into(d, key, v * m * eden)
+                n = exp[1 + j]
+                if n:
+                    add_into(d, (exp, mono, pm), v * n * (eden // exp[0]))
+        return d
+
+
+def integer_form(term_maps):
+    """The :class:`IntegerForm` of a vector field given as a list of
+    term maps, one per component."""
+    den = 1
+    eden = 1
+    for terms in term_maps:
+        for (exp, _), pp in terms.items():
+            if exp[0] != 1:
+                eden = math.lcm(eden, exp[0])
+            for v in pp.values():
+                if v.denominator != 1:
+                    den = math.lcm(den, v.denominator)
+    comps = [
+        {
+            (exp, mono, pm): v.numerator * (den // v.denominator)
+            for (exp, mono), pp in terms.items()
+            for pm, v in pp.items()
+        }
+        for terms in term_maps
+    ]
+    return IntegerForm(comps, den, eden)
+
+
+def _int_mul_into(acc, f, g, scale):
+    """Add ``scale*f*g`` into ``acc``, for integer forms ``f``, ``g``
+    keyed ``(exponents, monomial, pmono)``."""
+    for (ef, mf, pf), a in f.items():
+        a *= scale
+        for (eg, mg, pg), b in g.items():
+            key = (exp_add(ef, eg), tuple(map(add, mf, mg)), pmono_mul(pf, pg))
+            add_into(acc, key, a * b)
+
+
+def ep_bracket(x, y):
+    """Components of the bracket ``[X, Y]`` of two vector fields given
+    by their :class:`IntegerForm`, as term maps.
+
+    Component i is sum_j X^j d_j Y^i - Y^j d_j X^i.  Both parts are
+    summed in integers over the one denominator
+    ``x.den * y.den * lcm(x.eden, y.eden)``, each product in its own key
+    ``(exponents, monomial, pmono)``, and every surviving key is divided
+    once, as it leaves.  The X part comes before the Y part and each
+    product is added in the order of the ``Fraction`` loop before it,
+    so on parameter-free fields the term maps come out in that loop's
+    insertion order.
+    """
+    n = len(x.comps)
+    lx, ly = x.eden, y.eden
+    eden = math.lcm(lx, ly)
+    den = x.den * y.den * eden
+    # X^j is over x.den and d_j Y^i over y.den * ly: raise both parts to den
+    sx = eden // ly
+    sy = -(eden // lx)
     out = []
     for i in range(n):
         acc = {}
-        yi, xi = ys[i], xs[i]
-        for j in range(n):
-            if xs[j] and yi:
-                ep_mul_into(acc, xs[j], ep_diff(yi, j))
-        for j in range(n):
-            if ys[j] and xi:
-                ep_mul_into(acc, ys[j], ep_diff(xi, j), negate=True)
-        out.append(acc)
+        for f, g, scale in ((x, y, sx), (y, x, sy)):
+            if g.comps[i]:
+                for j, fj in enumerate(f.comps):
+                    if fj:
+                        d = g.diff(i, j)
+                        if d:
+                            _int_mul_into(acc, fj, d, scale)
+        terms = {}
+        for (exp, mono, pm), v in acc.items():
+            pp = terms.get((exp, mono))
+            if pp is None:
+                terms[(exp, mono)] = {pm: Fraction(v, den)}
+            else:
+                pp[pm] = Fraction(v, den)
+        out.append(terms)
     return out
 
 

@@ -4,6 +4,14 @@ A :class:`VectorField` on C^n is a tuple of n :class:`ExpPoly`
 components, the coefficients of d/dx_1 .. d/dx_n.  The Lie bracket is
 the commutator of derivations, computed exactly componentwise:
 ``[X,Y]^i = X(Y^i) - Y(X^i)``.
+
+The bracket runs on each field's integer form (``_kernels.IntegerForm``):
+the field scaled to integers, with its partial derivatives added as
+brackets ask for them.  A field builds its form on first use and keeps
+it, so a basis field bracketed against every other one is scaled once.
+Keeping it is safe because a field is immutable: its components, their
+term maps and the parameter polynomials in them are never written to
+after construction, so the form can never disagree with the field.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from lvf.expr import ExpPoly, as_fraction, coord_names, format_scalar, join_sign
 class VectorField:
     """Immutable vector field; components share dimension and parameters."""
 
-    __slots__ = ("dim", "components")
+    __slots__ = ("dim", "components", "_form")
 
     def __init__(self, components: Sequence[ExpPoly]):
         comps = tuple(components)
@@ -37,6 +45,7 @@ class VectorField:
             )
         self.dim = dim
         self.components = comps
+        self._form = None
 
     # -- constructors ---------------------------------------------------
 
@@ -125,13 +134,18 @@ class VectorField:
 
     __call__ = apply
 
+    def _integer_form(self) -> K.IntegerForm:
+        """The field scaled to integers, built on first use and kept."""
+        form = self._form
+        if form is None:
+            form = self._form = K.integer_form([c.term_map() for c in self.components])
+        return form
+
     def bracket(self, other: "VectorField") -> "VectorField":
-        """[X, Y]^i = X(Y^i) - Y(X^i), in one kernel call."""
+        """[X, Y]^i = X(Y^i) - Y(X^i), in one kernel call on the two
+        integer forms."""
         self._check_dim(other)
-        comps = K.ep_bracket(
-            [c.term_map() for c in self.components],
-            [c.term_map() for c in other.components],
-        )
+        comps = K.ep_bracket(self._integer_form(), other._integer_form())
         return VectorField([ExpPoly(self.dim, t) for t in comps])
 
     # -- equality and display ----------------------------------------------

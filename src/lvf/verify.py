@@ -2,9 +2,9 @@
 
 For one realization: the bracket closure is computed and its structure
 tensor classified through the Killing form, every stated bracket
-relation is evaluated exactly from the closure's brackets (failures
-carry the residual field), and the generic rank is compared with the
-expected one.  Failures are report entries, never exceptions, so a
+relation is evaluated exactly from the closure's brackets and their
+coordinates (failures carry the residual field), and the generic rank
+is compared with the expected one.  Failures are report entries, never exceptions, so a
 tampered catalog produces a readable diff of what broke.
 
 Reports render to human text and to a machine format (one record per
@@ -120,16 +120,38 @@ class Report:
 
 def _residual(
     rel: _catalog.Relation, gens: Dict[str, VectorField], closure: Optional[Closure]
-) -> VectorField:
-    """The relation's residual, its bracket read from ``closure`` when
-    both generators are closure basis elements (the independent
-    generators are its first elements, in order)."""
+) -> Optional[VectorField]:
+    """The relation's residual, or None when the closure's coordinates
+    show that it holds.
+
+    When both generators and every right-hand-side generator are
+    closure basis elements (the independent generators are its first
+    elements, in order), the coordinates of ``[a, b]`` that the closure
+    recorded are compared with the right-hand side's coefficients,
+    summed per basis position.  The closure's tracker certified each
+    bracket as exactly that combination of an independent basis, so the
+    relation holds exactly when the two agree.  Otherwise the residual
+    is built: its bracket read from ``closure`` when both generators are
+    basis elements, else by ``catalog._relation_residual``.
+    """
     at = dict(zip(gens, closure.positions)) if closure is not None else {}
     a, b = at.get(rel.a), at.get(rel.b)
     if a is None or b is None or a == b:
         return _catalog._relation_residual(rel, gens)
-    lhs = closure.brackets[(a, b)] if a < b else -closure.brackets[(b, a)]
-    return _catalog._subtract_rhs(rel, gens, lhs)
+    lo, hi = sorted((a, b))
+    rhs: Dict[int, Fraction] = {}
+    for c, name in rel.rhs:
+        k = at.get(name)
+        if k is None:
+            break
+        rhs[k] = rhs.get(k, 0) + c
+    else:
+        sign = 1 if a < b else -1
+        coords = closure.constants.get((lo, hi), {})
+        if {k: sign * v for k, v in coords.items()} == {k: v for k, v in rhs.items() if v}:
+            return None
+    lhs = closure.brackets[(lo, hi)]
+    return _catalog._subtract_rhs(rel, gens, lhs if a < b else -lhs)
 
 
 def verify_realization(
@@ -140,9 +162,10 @@ def verify_realization(
 
     The bracket closure runs first and brackets each pair of its basis
     once; the structure tensor and the relation residuals read their
-    brackets from it.  A relation falls back to bracketing its own
-    generators when the closure failed, when a generator depends on
-    earlier ones, or when both sides name the same generator.
+    brackets from it, and a relation that holds is read from the
+    closure's coordinates alone.  A relation falls back to bracketing
+    its own generators when the closure failed, when a generator depends
+    on earlier ones, or when both sides name the same generator.
     """
     assignment = entry.default_assignment()
     if params:
@@ -164,7 +187,7 @@ def verify_realization(
     checks = []
     for rel in entry.relations:
         residual = _residual(rel, gens, closure)
-        ok = residual.is_zero()
+        ok = residual is None or residual.is_zero()
         checks.append(
             RelationCheck(rel.label(), ok, "0" if ok else format_field(residual))
         )

@@ -39,7 +39,14 @@ own systems and on random systems whose blocks do not interact.
 The bracket and ``apply`` are checked against the earlier loop that
 adds ``ExpPoly`` products one component at a time, and the sparse
 Jacobi check and Killing form against the earlier dense loops over
-coordinate tuples (same verdict, same failing triple).
+coordinate tuples (same verdict, same failing triple).  The bracket
+kernel on integer forms is checked against the ``Fraction`` kernel it
+replaced (``reference_ep_bracket``): equal term maps, in the same
+insertion order on parameter-free fields, for coefficients with
+numerators up to 10^20, exponent denominators 2 and 3, parameters,
+parameter multiples whose brackets cancel, zero components and
+``[X, X]``; and a field's kept form is checked to give every partner,
+in any order, the bracket of a fresh copy without changing any input.
 
 The structure tensor of a bracket closure, read from the constants the
 closure recorded, is checked against the pair-by-pair path over the same
@@ -455,6 +462,26 @@ def reference_bracket(x, y):
             for i in range(x.dim)
         ]
     )
+
+
+def reference_ep_bracket(xs, ys):
+    """Components of ``[X, Y]`` from two lists of term maps by the
+    ``Fraction`` kernel: every product a ``Fraction`` product and a
+    parameter-polynomial merge, every partial derivative computed
+    again for each bracket."""
+    n = len(xs)
+    out = []
+    for i in range(n):
+        acc = {}
+        yi, xi = ys[i], xs[i]
+        for j in range(n):
+            if xs[j] and yi:
+                _kernels.ep_mul_into(acc, xs[j], _kernels.ep_diff(yi, j))
+        for j in range(n):
+            if ys[j] and xi:
+                _kernels.ep_mul_into(acc, ys[j], _kernels.ep_diff(xi, j), negate=True)
+        out.append(acc)
+    return out
 
 
 def _reference_c(dim, constants, i, j):
@@ -1441,6 +1468,109 @@ def test_bracket_of_parameter_multiples_cancels():
     assert reference_bracket(x, y).is_zero()
     assert x.bracket(y).is_zero()
     assert all(not c.term_map() for c in x.bracket(y).components)
+
+
+# each field takes its exponent entries over one of these denominator
+# sets, so that the two operands' exponent denominators often differ
+# (2 and 3) and the bracket needs their lcm
+EXPONENT_DENOMINATORS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
+WIDE_PMONOS = ((), (("a", 1),), (("b", 1),), (("a", 2),), (("a", 1), ("b", 1)))
+
+
+@st.composite
+def wide_fields(draw, dim, with_params=True):
+    """A field whose coefficients have numerators up to 10^20 and, with
+    ``with_params``, parameter monomials, whose exponents have
+    denominators 2 and 3, and whose components are often zero."""
+    pmonos = WIDE_PMONOS if with_params else ((),)
+    dens = draw(st.sampled_from(EXPONENT_DENOMINATORS))
+    entries = st.sampled_from([Fraction(n, d) for n in (-2, -1, 0, 1, 2) for d in dens])
+    comps = []
+    for _ in range(dim):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exp = encode_exponents(draw(st.tuples(*[entries] * dim)))
+            mono = draw(st.tuples(*[st.integers(0, 2)] * dim))
+            pp = terms.setdefault((exp, mono), {})
+            pp[draw(st.sampled_from(pmonos))] = draw(wide_values)
+        comps.append(ExpPoly(dim, terms))
+    return VectorField(comps)
+
+
+@st.composite
+def wide_bracket_pairs(draw):
+    """Two wide fields, parameter-free or not; the second is often the
+    first itself, a multiple of it (whose bracket with it cancels term
+    by term, parameters among them) or a sum with such a multiple."""
+    dim = draw(st.integers(1, 3))
+    with_params = draw(st.booleans())
+    x = draw(wide_fields(dim, with_params))
+    z = draw(wide_fields(dim, with_params))
+    c = draw(wide_values)
+    if with_params:
+        c = ExpPoly.param(dim, "a") * c + ExpPoly.param(dim, "b")
+    kind = draw(st.sampled_from(("free", "self", "multiple", "sum")))
+    if kind == "self":
+        y = x
+    elif kind == "multiple":
+        y = x * c
+    elif kind == "sum":
+        y = x * c + z
+    else:
+        y = z
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+def _term_maps(field):
+    return [c.term_map() for c in field.components]
+
+
+def _assert_kernel_matches_reference(x, y, got):
+    want = reference_ep_bracket(_term_maps(x), _term_maps(y))
+    assert _term_maps(got) == want
+    if x.is_parameter_free() and y.is_parameter_free():
+        # the insertion order is what the constraint build's rows read
+        assert [list(t.items()) for t in _term_maps(got)] == [list(t.items()) for t in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_bracket_pairs())
+def test_integer_bracket_matches_fraction_kernel(pair):
+    x, y = pair
+    _assert_kernel_matches_reference(x, y, x.bracket(y))
+    _assert_kernel_matches_reference(y, x, y.bracket(x))
+    _assert_kernel_matches_reference(x, x, x.bracket(x))
+    assert x.bracket(x).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kept_integer_form_serves_every_partner(data):
+    """One field object bracketed against partners in any order, on
+    both sides: each result is the one of a fresh copy of the field, and
+    the inputs' text never changes, so the kept form is never written
+    to."""
+    dim = data.draw(st.integers(1, 3))
+    x = data.draw(wide_fields(dim))
+    partners = [x] + data.draw(st.lists(wide_fields(dim), min_size=1, max_size=4))
+    partners.append(partners[1] * ExpPoly.param(dim, "b"))
+    texts = [format_field(p) for p in partners]
+
+    def fresh(f):
+        return VectorField(f.components)
+
+    want = {
+        i: (fresh(x).bracket(fresh(p)), fresh(p).bracket(fresh(x)))
+        for i, p in enumerate(partners)
+    }
+    for i in data.draw(st.permutations(range(len(partners)))):
+        p = partners[i]
+        got = (x.bracket(p), p.bracket(x))
+        assert [_term_maps(f) for f in got] == [_term_maps(f) for f in want[i]]
+        assert format_field(x) == texts[0]
+        assert [format_field(q) for q in partners] == texts
 
 
 _CATALOG_TENSORS = []

@@ -26,7 +26,11 @@ the relation residuals and the structure tensor began reading their
 brackets from the bracket closure; ``verify_tampered.lvf`` is the
 builtin catalog with one relation of ``a2.1`` broken, one whose
 generators come in reverse basis order, so its residual reads a negated
-closure bracket.  To
+closure bracket.  The ``structure_*`` files (the Chevalley constants
+of the B2 and A2 models, each built from many brackets) and
+``bracket_parametric_exp.txt`` (a bracket of two fields with parameters
+and exponent denominators 2 and 3) were captured before brackets ran
+on integer forms of the fields.  To
 regenerate one after an intended output change, run the command from the
 table below with ``python -m lvf.cli`` and redirect stdout to the file.
 """
@@ -78,6 +82,21 @@ CASES = [
      "g2_form2_deg32.records", 0),
     (["g2-check", "--form", "3", "--max-degree", "32", "--format", "records"],
      "g2_form3_deg32.records", 0),
+    (["structure", "--type", "B2", "--model", "sl4", "--format", "records"],
+     "structure_b2_sl4.records", 0),
+    (["structure", "--type", "B2", "--model", "b2.1", "--format", "records"],
+     "structure_b2_b2.1.records", 0),
+    (["structure", "--type", "B2", "--model", "b2.2", "--format", "records"],
+     "structure_b2_b2.2.records", 0),
+    (["structure", "--type", "A2", "--model", "a2.1", "--format", "records"],
+     "structure_a2_a2.1.records", 0),
+    (["structure", "--type", "A2", "--model", "a2.2", "--format", "records"],
+     "structure_a2_a2.2.records", 0),
+    (["structure", "--type", "A2", "--model", "a2.3", "--format", "records"],
+     "structure_a2_a2.3.records", 0),
+    (["bracket", "a*x^2*exp(x/2)*Dx + (b*y - 3/4)*exp(z/3)*Dy + 2/5*x*y*Dz",
+      "b*exp(y/2)*Dx + exp(-x/3)*Dy + (a^2*z + 5/6*x)*Dz", "--param", "a=1", "--param", "b=2"],
+     "bracket_parametric_exp.txt", 0),
 ]
 
 

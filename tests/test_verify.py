@@ -1,8 +1,10 @@
 """Verifier reports: catalog-wide pass, tamper detection, determinism,
 one bracket per pair of closure basis fields, and the relation residuals
-read from the closure or, where it has no bracket to give, computed by
+read from the closure (a relation that holds from its coordinates alone)
+or, where it has no bracket to give, computed by
 ``catalog._relation_residual``."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -122,6 +124,66 @@ def test_dependent_and_repeated_generators_fall_back():
     assert report.closure_dim == 3
     assert [c.ok for c in report.relations] == [True, False, True, False, True, True, True]
     _assert_residuals_match_direct(entry, report)
+
+
+def test_coordinate_residuals_match_direct_residuals():
+    # b2.1 with a dependent generator D = 2*X_ab and relations tampered
+    # from [X_alpha, X_beta] = X_ab and [X_beta, X_ab] = X_a2b
+    entry = catalog.get("b2.1")
+    gens = dict(entry.generators)
+    rel = catalog.Relation
+    half = Fraction(1, 2)
+    tampered = [
+        rel("X_alpha", "X_beta", ((Fraction(1), "X_ab"),)),  # holds
+        rel("X_beta", "X_alpha", ((Fraction(-1), "X_ab"),)),  # holds, reversed
+        rel("X_alpha", "X_beta", ((Fraction(2), "X_ab"),)),  # wrong coefficient
+        rel("X_beta", "X_alpha", ((Fraction(1), "X_ab"),)),  # wrong sign
+        rel("X_alpha", "X_beta", ((Fraction(1), "X_a2b"),)),  # wrong name
+        rel("X_alpha", "X_beta", ((half, "X_ab"), (half, "X_ab"))),  # repeated name, holds
+        rel("X_alpha", "X_beta", ((Fraction(1), "X_ab"), (Fraction(1), "X_ab"))),  # repeated name
+        rel("X_alpha", "X_beta", ((Fraction(1), "X_ab"), (Fraction(0), "X_a2b"))),  # zero term, holds
+        rel("X_alpha", "X_beta", ((Fraction(1), "X_ab"), (Fraction(1), "X_a2b"), (Fraction(-1), "X_a2b"))),
+        rel("X_alpha", "X_alpha", ()),  # one generator twice, holds
+        rel("X_alpha", "X_alpha", ((Fraction(1), "X_ab"),)),  # one generator twice
+        rel("X_alpha", "X_beta", ((half, "D"),)),  # dependent generator, holds
+        rel("X_alpha", "X_beta", ((Fraction(1), "D"),)),  # dependent generator
+        rel("X_alpha", "D", ()),  # dependent generator on the left
+        rel("X_beta", "X_ab", ()),  # zero right-hand side, nonzero bracket
+        rel("X_alpha", "X_mbeta", ()),  # zero right-hand side, zero bracket
+        rel("X_alpha", "X_mbeta", ((Fraction(1), "X_ab"),)),  # zero bracket, nonzero rhs
+    ]
+    tampered_entry = dataclasses.replace(
+        entry,
+        generators=entry.generators + (("D", gens["X_ab"] * 2),),
+        relations=tuple(tampered),
+    )
+    report = verify.verify_realization(tampered_entry)
+    assert report.closure_dim == 10
+    assert [c.ok for c in report.relations] == [
+        True, True, False, False, False, True, False, True, True,
+        True, False, True, False, True, False, True, False,
+    ]
+    _assert_residuals_match_direct(tampered_entry, report)
+    unknown = dataclasses.replace(
+        entry, relations=(rel("X_alpha", "X_beta", ((Fraction(1), "nope"),)),)
+    )
+    with pytest.raises(LvfError, match="unknown generator 'nope'"):
+        verify.verify_realization(unknown)
+
+
+def test_holding_relations_build_no_residual(monkeypatch):
+    # every builtin relation names closure basis elements only, so it is
+    # decided by the closure's coordinates, with no field arithmetic
+    calls = []
+    subtract = catalog._subtract_rhs
+
+    def counting(*args):
+        calls.append(1)
+        return subtract(*args)
+
+    monkeypatch.setattr(catalog, "_subtract_rhs", counting)
+    assert verify.verify_all().passed
+    assert not calls
 
 
 def test_verify_brackets_each_closure_pair_once(monkeypatch):
