@@ -264,8 +264,8 @@ def integer_form(term_maps):
 
 
 def _int_mul_into(acc, f, g, scale):
-    """Add ``scale*f*g`` into ``acc``, for integer forms ``f``, ``g``
-    keyed ``(exponents, monomial, pmono)``."""
+    """Add ``scale*f*g`` into ``acc``, for components ``f``, ``g`` of
+    integer forms, keyed ``(exponents, monomial, pmono)``."""
     for (ef, mf, pf), a in f.items():
         a *= scale
         for (eg, mg, pg), b in g.items():
@@ -281,10 +281,11 @@ def ep_bracket(x, y):
     summed in integers over the one denominator
     ``x.den * y.den * lcm(x.eden, y.eden)``, each product in its own key
     ``(exponents, monomial, pmono)``, and every surviving key is divided
-    once, as it leaves.  The X part comes before the Y part and each
-    product is added in the order of the ``Fraction`` loop before it,
-    so on parameter-free fields the term maps come out in that loop's
-    insertion order.
+    once, as it leaves.  The X part comes before the Y part, and the
+    terms of X^j are the outer loop over those of d_j Y^i, so on
+    parameter-free fields the term maps come out in the insertion order
+    of :func:`ep_mul_into` over :func:`ep_diff`, which the constraint
+    build's row order reads.
     """
     n = len(x.comps)
     lx, ly = x.eden, y.eden
