@@ -1,40 +1,36 @@
-"""Kernels for the hot inner loops: term-map arithmetic and exact
+"""Kernels for the hot inner loops: integer term-map arithmetic and exact
 elimination.
 
-These functions operate on the raw term representations used by the
+These functions operate on the raw representations used by the
 expression layer:
 
-* a parameter polynomial ("pp") is a dict mapping a parameter monomial
-  (a tuple of ``(name, power)`` pairs sorted by name) to a nonzero
-  ``Fraction``;
-* an exponential-polynomial term map ("ep") is a dict mapping a key
-  ``(exponents, monomial)`` to a nonzero pp, where ``monomial`` is a
-  tuple of ints and ``exponents`` is the integer encoding
-  ``(den, n_1, .., n_k)`` of the rational covector ``n_i/den`` (den
-  positive, gcd(den, n_1, .., n_k) = 1) -- all-int keys keep dict
-  hashing cheap;
-* an integer form (:class:`IntegerForm`) is a vector field scaled to
-  integers, one dict per component mapping ``(exponents, monomial,
-  pmono)`` to a nonzero ``int`` over the field's common denominator;
+* an integer term map is a dict mapping a key ``(exponents, monomial,
+  pmono)`` to a nonzero ``int``; with one positive denominator it is
+  the storage of an ``ExpPoly``.  ``monomial`` is a tuple of ints,
+  ``pmono`` a parameter monomial (a tuple of ``(name, power)`` pairs
+  sorted by name) and ``exponents`` the integer encoding ``(den, n_1,
+  .., n_k)`` of the rational covector ``n_i/den`` (den positive,
+  gcd(den, n_1, .., n_k) = 1) -- all-int keys keep dict hashing cheap;
 * a sparse matrix row is a dict mapping a column index to a nonzero
   ``Fraction``; inside the elimination, to a nonzero ``int``.
 
-Every sum goes through one add-into step: ``add_into`` adds a value to
-one key of a map and drops the key when the sum vanishes, and
-``pp_add_into`` does the same with a parameter polynomial as the value
-(only ``_eliminate``, the innermost loop of the elimination, is inline).
-Products accumulate in place: ``ep_mul_into`` adds ``f*g`` into a term
-map and ``ep_mul`` is its call on an empty map.  Parameter polynomials
-are never mutated, so sums and products share them with their operands
-instead of copying them.
+A value ``num/den`` is canonical when ``den`` is positive, no entry of
+``num`` is zero and gcd(den, numerators) = 1: the layout of FLINT's
+rational polynomials (an integer polynomial over one denominator; Hart,
+*FLINT: Fast Library for Number Theory*, ICMS 2010).  ``normalise``
+divides by that gcd and is the one step that makes a value canonical.
 
-The bracket ``[X, Y]`` runs on integer forms: ``integer_form`` scales a
-field to integers once (times the lcm of its coefficient denominators),
-its partial derivatives are scaled by the lcm of its exponent
-denominators and computed only when a bracket asks for them, and
-``ep_bracket`` multiplies ints, sums every product into one map per
-component and divides once per output term.  A parameter monomial is
-part of the key, so parameters stay in the same kernel.
+Every sum goes through one add-into step: ``add_into`` adds a value to
+one key of a map and drops the key when the sum vanishes (only
+``_eliminate``, the innermost loop of the elimination, is inline).
+Products accumulate in place: ``mul_into`` adds ``scale*f*g`` into a
+map, exponents adding by ``exp_add`` and parameter monomials by
+``pmono_mul``, so parameters run in the same kernel as everything else.
+``diff`` is the partial derivative, in integers times the lcm of the
+exponent denominators (``exp_den``).  A sum of products over different
+denominators (the derivation ``X(f)`` and the bracket) scales each
+product to the lcm of the denominators as it is added and divides by
+the content once, at the end.
 
 The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the
@@ -44,15 +40,11 @@ span tracker of ``algebra``.  The table holds primitive integer rows
 (gcd 1, positive pivot entry) and is reduced fraction-free, by
 cross-multiplication: the integer-preserving elimination of Bareiss
 (1968), with each stored row divided by its content instead of by the
-previous pivot.
+previous pivot.  ``Fraction`` appears only at its boundary: a rational
+row is scaled to integers once, as it enters, and ``back_substitute``
+returns rational rows with pivot entry 1.
 
-In both the elimination and the bracket ``Fraction`` appears only at
-the boundary: a rational row or field is scaled to integers once, as it
-enters, and a rational value is made once per entry that leaves
-(``back_substitute`` returns rational rows with pivot entry 1,
-``ep_bracket`` term maps with ``Fraction`` coefficients).
-
-Callers look the kernels up through this module (``K.ep_mul``,
+Callers look the kernels up through this module (``K.mul_into``,
 ``K.rref``, ...), so each has exactly one implementation.
 """
 
@@ -74,33 +66,17 @@ def add_into(out, key, value):
             del out[key]
 
 
-def pp_add_into(out, key, pp):
-    """:func:`add_into` for a term map: the parameter polynomial ``pp``
-    is added to ``out[key]`` by :func:`pp_add`, which makes a new one."""
-    cur = out.get(key)
-    if cur is None:
-        out[key] = pp
-    else:
-        cur = pp_add(cur, pp)
-        if cur:
-            out[key] = cur
-        else:
-            del out[key]
-
-
-def pp_add(a, b):
-    """Sum of two parameter polynomials."""
-    out = dict(a)
-    for k, v in b.items():
-        add_into(out, k, v)
-    return out
-
-
-def pp_scale(a, c):
-    """Parameter polynomial times a rational."""
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+def normalise(num, den):
+    """The canonical ``(num, den)`` of the value ``num/den`` (den
+    positive): both divided by gcd(den, numerators).  The zero value
+    comes out as ``({}, 1)``."""
+    if den == 1:
+        return num, den
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {k: v // g for k, v in num.items()}
+        den //= g
+    return num, den
 
 
 def pmono_mul(p, q):
@@ -113,17 +89,6 @@ def pmono_mul(p, q):
     for name, e in q:
         merged[name] = merged.get(name, 0) + e
     return tuple(sorted(merged.items()))
-
-
-def pp_mul(a, b):
-    """Product of two parameter polynomials."""
-    if not a or not b:
-        return {}
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            add_into(out, pmono_mul(ka, kb), va * vb)
-    return out
 
 
 def exp_add(e1, e2):
@@ -148,170 +113,43 @@ def exp_add(e1, e2):
     return (den, *nums)
 
 
-def ep_add(f, g):
-    """Sum of two term maps; it shares their parameter polynomials."""
-    if not f:
-        return dict(g)
-    out = dict(f)
-    for k, pp in g.items():
-        pp_add_into(out, k, pp)
-    return out
+def mul_into(acc, f, g, scale=1):
+    """Add ``scale*f*g`` into ``acc``, in place, for integer term maps
+    ``f`` and ``g``.
 
-
-def ep_scale(f, c):
-    """Term map times a rational."""
-    if not c:
-        return {}
-    return {k: {pk: pv * c for pk, pv in pp.items()} for k, pp in f.items()}
-
-
-def ep_mul_into(out, f, g, negate=False):
-    """Add ``f*g`` (``-f*g`` when ``negate``) into the term map ``out``,
-    in place, and return ``out``.
-
-    Exponents add and monomials add.  A parameter polynomial already in
-    ``out`` is replaced by the sum, never mutated, so ``out`` may share
-    them with other term maps.
+    The terms of ``f`` are the outer loop, so on parameter-free maps the
+    keys of ``acc`` come in the order the constraint build reads.
     """
-    if not f or not g:
-        return out
-    for (ef, mf), ppf in f.items():
-        if negate:
-            ppf = {k: -v for k, v in ppf.items()}
-        for (eg, mg), ppg in g.items():
-            key = (exp_add(ef, eg), tuple(map(add, mf, mg)))
-            pp_add_into(out, key, pp_mul(ppf, ppg))
-    return out
-
-
-def ep_mul(f, g):
-    """Product of two term maps."""
-    return ep_mul_into({}, f, g)
-
-
-def ep_diff(f, i):
-    """Partial derivative of a term map along coordinate ``i``."""
-    out = {}
-    for (exp, mono), pp in f.items():
-        m = mono[i]
-        if m:
-            key = (exp, mono[:i] + (m - 1,) + mono[i + 1:])
-            pp_add_into(out, key, pp if m == 1 else pp_scale(pp, m))
-        n = exp[1 + i]
-        if n:
-            pp_add_into(out, (exp, mono), pp_scale(pp, Fraction(n, exp[0])))
-    return out
-
-
-class IntegerForm:
-    """A vector field scaled to integers: the operand of :func:`ep_bracket`.
-
-    ``comps[i]`` maps ``(exponents, monomial, pmono)`` to a nonzero
-    ``int``, the coefficient of component i times ``den``, the lcm of
-    the field's coefficient denominators; the keys come in term-map
-    order.  ``diff(i, j)`` is the partial derivative of component i
-    along coordinate j in the same keys, times ``den * eden`` with
-    ``eden`` the lcm of the field's exponent denominators, so it is
-    integer too.  Each derivative is computed when a bracket first asks
-    for it and kept.  Nothing else changes after construction.
-    """
-
-    __slots__ = ("comps", "den", "eden", "_diffs")
-
-    def __init__(self, comps, den, eden):
-        self.comps = comps
-        self.den = den
-        self.eden = eden
-        self._diffs = {}
-
-    def diff(self, i, j):
-        d = self._diffs.get((i, j))
-        if d is None:
-            d = self._diffs[(i, j)] = {}
-            eden = self.eden
-            for (exp, mono, pm), v in self.comps[i].items():
-                m = mono[j]
-                if m:
-                    key = (exp, mono[:j] + (m - 1,) + mono[j + 1:], pm)
-                    add_into(d, key, v * m * eden)
-                n = exp[1 + j]
-                if n:
-                    add_into(d, (exp, mono, pm), v * n * (eden // exp[0]))
-        return d
-
-
-def integer_form(term_maps):
-    """The :class:`IntegerForm` of a vector field given as a list of
-    term maps, one per component."""
-    den = 1
-    eden = 1
-    for terms in term_maps:
-        for (exp, _), pp in terms.items():
-            if exp[0] != 1:
-                eden = math.lcm(eden, exp[0])
-            for v in pp.values():
-                if v.denominator != 1:
-                    den = math.lcm(den, v.denominator)
-    comps = [
-        {
-            (exp, mono, pm): v.numerator * (den // v.denominator)
-            for (exp, mono), pp in terms.items()
-            for pm, v in pp.items()
-        }
-        for terms in term_maps
-    ]
-    return IntegerForm(comps, den, eden)
-
-
-def _int_mul_into(acc, f, g, scale):
-    """Add ``scale*f*g`` into ``acc``, for components ``f``, ``g`` of
-    integer forms, keyed ``(exponents, monomial, pmono)``."""
     for (ef, mf, pf), a in f.items():
         a *= scale
         for (eg, mg, pg), b in g.items():
             key = (exp_add(ef, eg), tuple(map(add, mf, mg)), pmono_mul(pf, pg))
             add_into(acc, key, a * b)
+    return acc
 
 
-def ep_bracket(x, y):
-    """Components of the bracket ``[X, Y]`` of two vector fields given
-    by their :class:`IntegerForm`, as term maps.
+def exp_den(num):
+    """The lcm of the exponent denominators of an integer term map."""
+    return math.lcm(*{exp[0] for exp, _, _ in num})
 
-    Component i is sum_j X^j d_j Y^i - Y^j d_j X^i.  Both parts are
-    summed in integers over the one denominator
-    ``x.den * y.den * lcm(x.eden, y.eden)``, each product in its own key
-    ``(exponents, monomial, pmono)``, and every surviving key is divided
-    once, as it leaves.  The X part comes before the Y part, and the
-    terms of X^j are the outer loop over those of d_j Y^i, so on
-    parameter-free fields the term maps come out in the insertion order
-    of :func:`ep_mul_into` over :func:`ep_diff`, which the constraint
-    build's row order reads.
+
+def diff(num, j, e):
+    """Partial derivative of an integer term map along coordinate ``j``,
+    times ``e``, a multiple of its exponent denominators
+    (:func:`exp_den`), so that it is integer too.
+
+    A term ``x^m exp(q.x)`` gives ``m_j x^(m - e_j) exp(q.x)`` and then
+    ``q_j x^m exp(q.x)``, in that order.
     """
-    n = len(x.comps)
-    lx, ly = x.eden, y.eden
-    eden = math.lcm(lx, ly)
-    den = x.den * y.den * eden
-    # X^j is over x.den and d_j Y^i over y.den * ly: raise both parts to den
-    sx = eden // ly
-    sy = -(eden // lx)
-    out = []
-    for i in range(n):
-        acc = {}
-        for f, g, scale in ((x, y, sx), (y, x, sy)):
-            if g.comps[i]:
-                for j, fj in enumerate(f.comps):
-                    if fj:
-                        d = g.diff(i, j)
-                        if d:
-                            _int_mul_into(acc, fj, d, scale)
-        terms = {}
-        for (exp, mono, pm), v in acc.items():
-            pp = terms.get((exp, mono))
-            if pp is None:
-                terms[(exp, mono)] = {pm: Fraction(v, den)}
-            else:
-                pp[pm] = Fraction(v, den)
-        out.append(terms)
+    out = {}
+    for key, v in num.items():
+        exp, mono, pm = key
+        m = mono[j]
+        if m:
+            add_into(out, (exp, mono[:j] + (m - 1,) + mono[j + 1:], pm), v * m * e)
+        n = exp[1 + j]
+        if n:
+            add_into(out, key, v * n * (e // exp[0]))
     return out
 
 

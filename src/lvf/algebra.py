@@ -70,15 +70,13 @@ class SpanTracker:
     def _vectorize(self, field: VectorField) -> Dict[int, Fraction]:
         vec: Dict[int, Fraction] = {}
         for i, comp in enumerate(field.components):
-            for (exp, mono), pp in comp.term_map().items():
-                if list(pp) != [()]:
-                    raise ParameterizedInput("parameterized field in exact span")
+            for (exp, mono), c in comp.rational_terms():
                 key = (i, exp, mono)
                 col = self.key_index.get(key)
                 if col is None:
                     col = -1 - len(self.key_index)
                     self.key_index[key] = col
-                vec[col] = pp[()]
+                vec[col] = c
         return vec
 
     def insert(self, field: VectorField) -> Tuple[bool, Dict[int, Fraction]]:

@@ -6,8 +6,18 @@ An :class:`ExpPoly` is a finite sum of terms
 
 with ``m`` a coordinate multi-index and ``q`` a rational covector.  The
 functions ``x^m exp(q . x)`` for distinct ``(m, q)`` are linearly
-independent, so a value is the zero function exactly when its term map
-is empty; equality is a structural check on canonical term maps.
+independent, so a value is the zero function exactly when it has no
+term.
+
+A value is stored as one integer term map, keyed ``(exponents,
+monomial, parameter monomial)``, over one positive denominator, and is
+kept canonical: no zero numerator, and gcd(denominator, numerators) = 1.
+Equal values therefore have equal storage, so equality and hashing are
+structural.  Every ring operation, derivative and derivation runs on
+the integer kernels of ``_kernels`` and ends in one normalise step;
+``Fraction`` appears only where rationals come in (:meth:`ExpPoly.from_terms`)
+or go out (:meth:`ExpPoly.rational_terms`, :meth:`ExpPoly.term_map`,
+printing).  Only this module reads the storage.
 
 Values are immutable and safe to share between threads.  All arithmetic
 is exact.
@@ -19,14 +29,16 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from lvf import _kernels as K
-from lvf.errors import DimensionMismatch, LvfError, UnassignedParameter
+from lvf.errors import DimensionMismatch, LvfError, ParameterizedInput, UnassignedParameter
 
-Rat = Fraction
+Rational = Union[int, Fraction]
 PMono = Tuple[Tuple[str, int], ...]
-TermKey = Tuple[Tuple[Fraction, ...], Tuple[int, ...]]
+# (den, n_1, .., n_k) for the rational covector n_i/den; see encode_exponents
+Exponents = Tuple[int, ...]
+TermKey = Tuple[Exponents, Tuple[int, ...], PMono]
 
 _AXIS_NAMES = ("x", "y", "z", "w")
 # the start of a literal like '1e9' or '-2.5E-3', which Fraction accepts
@@ -104,15 +116,35 @@ def zero_exponents(dim: int) -> Tuple[int, ...]:
 
 
 class ExpPoly:
-    """Canonical exponential-polynomial scalar in ``dim`` coordinates."""
+    """Canonical exponential-polynomial scalar in ``dim`` coordinates.
 
-    __slots__ = ("dim", "_terms")
+    Stored as one integer term map ``(exponents, monomial, pmono) ->
+    int`` (see ``_kernels``) over one positive denominator, canonical:
+    no zero numerator and gcd(denominator, numerators) = 1.  The
+    constructor takes that storage as it is; values from rationals come
+    from :meth:`from_terms`.
+    """
 
-    def __init__(self, dim: int, terms: Dict[TermKey, dict] | None = None):
+    __slots__ = ("dim", "_num", "_den")
+
+    def __init__(self, dim: int, num: Dict[TermKey, int] | None = None, den: int = 1):
         self.dim = dim
-        self._terms = terms or {}
+        self._num = num or {}
+        self._den = den
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_terms(cls, dim: int, terms: Mapping[TermKey, Rational]) -> "ExpPoly":
+        """The sum of ``c * x^mono exp(q.x) * pmono`` over a map from
+        keys ``(exponents, monomial, pmono)`` to rationals, in the map's
+        order; zero entries are left out.  Over the lcm of the
+        denominators of reduced rationals the numerators are already
+        coprime to the denominator, so the value is canonical as built.
+        """
+        den = math.lcm(*(q.denominator for q in terms.values()))
+        num = {k: q.numerator * (den // q.denominator) for k, q in terms.items() if q}
+        return cls(dim, num, den if num else 1)
 
     @classmethod
     def zero(cls, dim: int) -> "ExpPoly":
@@ -120,24 +152,19 @@ class ExpPoly:
 
     @classmethod
     def const(cls, dim: int, value) -> "ExpPoly":
-        q = as_fraction(value)
-        if not q:
-            return cls(dim)
-        key = (zero_exponents(dim), (0,) * dim)
-        return cls(dim, {key: {(): q}})
+        key = (zero_exponents(dim), (0,) * dim, ())
+        return cls.from_terms(dim, {key: as_fraction(value)})
 
     @classmethod
     def coord(cls, dim: int, i: int) -> "ExpPoly":
         if not 0 <= i < dim:
             raise IndexError(f"coordinate {i} out of range for dimension {dim}")
         mono = tuple(1 if j == i else 0 for j in range(dim))
-        key = (zero_exponents(dim), mono)
-        return cls(dim, {key: {(): Fraction(1)}})
+        return cls(dim, {(zero_exponents(dim), mono, ()): 1})
 
     @classmethod
     def param(cls, dim: int, name: str) -> "ExpPoly":
-        key = (zero_exponents(dim), (0,) * dim)
-        return cls(dim, {key: {((name, 1),): Fraction(1)}})
+        return cls(dim, {(zero_exponents(dim), (0,) * dim, ((name, 1),)): 1})
 
     @classmethod
     def exponential(cls, dim: int, qvec) -> "ExpPoly":
@@ -145,54 +172,67 @@ class ExpPoly:
         q = tuple(as_fraction(c) for c in qvec)
         if len(q) != dim:
             raise DimensionMismatch(f"exponent vector of length {len(q)} in dimension {dim}")
-        key = (encode_exponents(q), (0,) * dim)
-        return cls(dim, {key: {(): Fraction(1)}})
+        return cls(dim, {(encode_exponents(q), (0,) * dim, ()): 1})
 
     @classmethod
     def monomial(cls, dim: int, mono, coeff=1) -> "ExpPoly":
         m = tuple(int(e) for e in mono)
         if len(m) != dim or any(e < 0 for e in m):
             raise ValueError(f"bad monomial {mono} in dimension {dim}")
-        q = as_fraction(coeff)
-        if not q:
-            return cls(dim)
-        key = (zero_exponents(dim), m)
-        return cls(dim, {key: {(): q}})
+        return cls.from_terms(dim, {(zero_exponents(dim), m, ()): as_fraction(coeff)})
 
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
+
+    def term_map(self) -> Dict[Tuple[Exponents, Tuple[int, ...]], dict]:
+        """A read-only view ``{(exponents, monomial): {pmono: Fraction}}``,
+        built on each call, in first-appearance order."""
+        out: Dict[Tuple[Exponents, Tuple[int, ...]], dict] = {}
+        den = self._den
+        for (exp, mono, pm), v in self._num.items():
+            out.setdefault((exp, mono), {})[pm] = Fraction(v, den)
+        return out
 
     def terms(self) -> Iterable[Tuple[Tuple[Fraction, ...], Tuple[int, ...], dict]]:
-        """Terms in the canonical (exponent, monomial) order."""
-        for exp, mono in sorted(self._terms):
-            yield decode_exponents(exp), mono, self._terms[(exp, mono)]
+        """Terms in the canonical (exponent, monomial) order, each with
+        its ``{pmono: Fraction}`` coefficient."""
+        view = self.term_map()
+        for exp, mono in sorted(view):
+            yield decode_exponents(exp), mono, view[(exp, mono)]
 
-    def term_map(self) -> Dict[TermKey, dict]:
-        """The raw term map (treat as read-only)."""
-        return self._terms
+    def rational_terms(self) -> List[Tuple[Tuple[Exponents, Tuple[int, ...]], Rational]]:
+        """``((exponents, monomial), coefficient)`` of every term of a
+        parameter-free value, in storage order; ParameterizedInput when
+        a parameter occurs.  A coefficient is an exact rational: the
+        ``int`` itself over the denominator 1, else a ``Fraction``."""
+        if not self.is_parameter_free():
+            raise ParameterizedInput(f"substitute parameters first: {list(self.params())}")
+        den = self._den
+        if den == 1:
+            return [((exp, mono), v) for (exp, mono, _), v in self._num.items()]
+        return [((exp, mono), Fraction(v, den)) for (exp, mono, _), v in self._num.items()]
+
+    def term_count(self) -> int:
+        """Coefficient terms: one per parameter monomial of each
+        (exponent, monomial) term."""
+        return len(self._num)
 
     def params(self) -> Tuple[str, ...]:
-        names = set()
-        for pp in self._terms.values():
-            for pmono in pp:
-                for name, _ in pmono:
-                    names.add(name)
-        return tuple(sorted(names))
+        return tuple(sorted({name for _, _, pm in self._num for name, _ in pm}))
 
     def is_parameter_free(self) -> bool:
-        return all(pmono == () for pp in self._terms.values() for pmono in pp)
+        return all(not pm for _, _, pm in self._num)
 
     def rational_value(self) -> Fraction:
         """The value of a constant, or raise ``LvfError``."""
-        if not self._terms:
+        if not self._num:
             return Fraction(0)
-        if len(self._terms) == 1:
-            (key, pp), = self._terms.items()
-            exp, mono = key
-            if not any(exp[1:]) and not any(mono) and list(pp) == [()]:
-                return pp[()]
+        if len(self._num) == 1:
+            ((exp, mono, pm), v), = self._num.items()
+            if not any(exp[1:]) and not any(mono) and not pm:
+                return Fraction(v, self._den)
         raise LvfError(f"not a rational constant: {self}")
 
     def constant_multiple_of(self, other: "ExpPoly"):
@@ -201,26 +241,20 @@ class ExpPoly:
             return Fraction(0) if self.is_zero() else None
         if self.is_zero():
             return Fraction(0)
-        if set(self._terms) != set(other._terms):
+        f, g = self._num, other._num
+        if f.keys() != g.keys():
             return None
-        ratio = None
-        for key, pp in self._terms.items():
-            opp = other._terms[key]
-            if set(pp) != set(opp):
-                return None
-            for pm, v in pp.items():
-                r = v / opp[pm]
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return None
-        return ratio
+        k0 = next(iter(f))
+        a0, b0 = f[k0], g[k0]
+        if any(a * b0 != a0 * g[k] for k, a in f.items()):
+            return None
+        return Fraction(a0 * other._den, b0 * self._den)
 
     def max_poly_degree(self) -> int:
-        return max((sum(mono) for _, mono in self._terms), default=0)
+        return max((sum(mono) for _, mono, _ in self._num), default=0)
 
     def exponents(self) -> set:
-        return {decode_exponents(exp) for exp, _ in self._terms}
+        return {decode_exponents(exp) for exp, _, _ in self._num}
 
     def _check_dim(self, other: "ExpPoly"):
         if self.dim != other.dim:
@@ -236,12 +270,22 @@ class ExpPoly:
     def __add__(self, other) -> "ExpPoly":
         other = self._coerce(other)
         self._check_dim(other)
-        return ExpPoly(self.dim, K.ep_add(self._terms, other._terms))
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        den = math.lcm(self._den, other._den)
+        sf = den // self._den
+        sg = den // other._den
+        out = dict(self._num) if sf == 1 else {k: v * sf for k, v in self._num.items()}
+        for k, v in other._num.items():
+            K.add_into(out, k, v * sg)
+        return ExpPoly(self.dim, *K.normalise(out, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly(self.dim, K.ep_scale(self._terms, Fraction(-1)))
+        return ExpPoly(self.dim, {k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "ExpPoly":
         return self + (-self._coerce(other))
@@ -251,10 +295,15 @@ class ExpPoly:
 
     def __mul__(self, other) -> "ExpPoly":
         if isinstance(other, (int, Fraction)):
-            return ExpPoly(self.dim, K.ep_scale(self._terms, as_fraction(other)))
+            if not other:
+                return ExpPoly(self.dim)
+            p, q = other.numerator, other.denominator
+            num = {k: v * p for k, v in self._num.items()}
+            return ExpPoly(self.dim, *K.normalise(num, self._den * q))
         other = self._coerce(other)
         self._check_dim(other)
-        return ExpPoly(self.dim, K.ep_mul(self._terms, other._terms))
+        acc = K.mul_into({}, self._num, other._num)
+        return ExpPoly(self.dim, *K.normalise(acc, self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -262,26 +311,26 @@ class ExpPoly:
         """Exact partial derivative along coordinate i."""
         if not 0 <= i < self.dim:
             raise IndexError(f"coordinate {i} out of range")
-        return ExpPoly(self.dim, K.ep_diff(self._terms, i))
+        e = K.exp_den(self._num)
+        return ExpPoly(self.dim, *K.normalise(K.diff(self._num, i, e), self._den * e))
 
     # -- parameters ----------------------------------------------------
 
     def subst_params(self, assignment: Mapping[str, object]) -> "ExpPoly":
         """Substitute rationals for every parameter occurring here."""
+        if self.is_parameter_free():
+            return self
         values = {name: as_fraction(v) for name, v in assignment.items()}
-        out: Dict[TermKey, dict] = {}
-        for key, pp in self._terms.items():
-            total = Fraction(0)
-            for pmono, c in pp.items():
-                v = c
-                for name, e in pmono:
-                    if name not in values:
-                        raise UnassignedParameter(f"parameter '{name}' not assigned")
-                    v *= values[name] ** e
-                total += v
-            if total:
-                out[key] = {(): total}
-        return ExpPoly(self.dim, out)
+        out: Dict[TermKey, Fraction] = {}
+        for (exp, mono, pmono), v in self._num.items():
+            v = Fraction(v, self._den)
+            for name, e in pmono:
+                if name not in values:
+                    raise UnassignedParameter(f"parameter '{name}' not assigned")
+                v *= values[name] ** e
+            key = (exp, mono, ())
+            out[key] = out.get(key, 0) + v
+        return ExpPoly.from_terms(self.dim, out)
 
     # -- coordinates ----------------------------------------------------
 
@@ -305,7 +354,7 @@ class ExpPoly:
                     img = img + ExpPoly.coord(dim, j) * rows[i][j]
             images.append(img)
         out = ExpPoly.zero(dim)
-        for (exp_key, mono), pp in self._terms.items():
+        for (exp_key, mono, pm), v in self._num.items():
             exp = decode_exponents(exp_key)
             drift = sum((q * c for q, c in zip(exp, cvec)), Fraction(0))
             if drift:
@@ -317,7 +366,7 @@ class ExpPoly:
                 sum((exp[i] * rows[i][j] for i in range(dim)), Fraction(0))
                 for j in range(dim)
             )
-            piece = ExpPoly(dim, {(new_exp, (0,) * dim): dict(pp)})
+            piece = ExpPoly.from_terms(dim, {(new_exp, (0,) * dim, pm): Fraction(v, self._den)})
             for i, m in enumerate(mono):
                 for _ in range(m):
                     piece = piece * images[i]
@@ -331,23 +380,49 @@ class ExpPoly:
             other = ExpPoly.const(self.dim, other)
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return self.dim == other.dim and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        frozen = tuple(
-            (key, tuple(sorted(pp.items())))
-            for key, pp in sorted(self._terms.items())
-        )
-        return hash((self.dim, frozen))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __repr__(self) -> str:
         return f"ExpPoly({self.dim}, {format_scalar(self)!r})"
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+def derivation_sum(dim: int, parts) -> ExpPoly:
+    """``sum sign * X(f)`` over ``parts`` of ``(X, f, sign)``, with X a
+    sequence of components, ``X(f) = sum_j X^j df/dx_j`` and sign +1 or
+    -1: ``X(f)`` itself, and each component of a bracket.
+
+    Each product ``X^j * df/dx_j`` is taken in integers and scaled, as
+    it is added, to the lcm of the products' denominators; the sum is
+    divided by its content once.  Products are added in the order
+    given, the terms of ``X^j`` the outer loop of each, which is the
+    term order the constraint build reads.
+    """
+    prods = []
+    for xs, f, sign in parts:
+        fnum = f._num
+        if not fnum:
+            continue
+        e = K.exp_den(fnum)
+        fden = sign * f._den * e
+        for j, c in enumerate(xs):
+            if c._num:
+                d = K.diff(fnum, j, e)
+                if d:
+                    prods.append((c._num, d, c._den * fden))
+    den = math.lcm(*[p[2] for p in prods])
+    acc: Dict[TermKey, int] = {}
+    for c, d, pden in prods:
+        K.mul_into(acc, c, d, den // pden)
+    return ExpPoly(dim, *K.normalise(acc, den))
 
 
 # -- canonical text form ---------------------------------------------------

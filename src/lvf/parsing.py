@@ -30,8 +30,8 @@ import re
 from fractions import Fraction
 from typing import Tuple, Union
 
-from lvf.errors import LvfError, ParseError, UnknownIdentifier
-from lvf.expr import ExpPoly, check_digits, coord_names
+from lvf.errors import LvfError, ParameterizedInput, ParseError, UnknownIdentifier
+from lvf.expr import ExpPoly, check_digits, coord_names, zero_exponents
 from lvf.fields import VectorField
 
 # a parsed value: a scalar, or a field (a sum of frame symbols)
@@ -57,7 +57,7 @@ def _terms(value: Value) -> int:
     term, so that a product of values with s and t terms makes s*t
     term products."""
     comps = value.components if isinstance(value, VectorField) else (value,)
-    return sum(len(pp) for c in comps for pp in c.term_map().values())
+    return sum(c.term_count() for c in comps)
 
 
 _TOKEN = re.compile(
@@ -256,18 +256,21 @@ class Parser:
     def _make_exponential(self, arg: ExpPoly, pos: int) -> ExpPoly:
         """exp of a rational linear form in the coordinates."""
         qvec = [Fraction(0)] * self.dim
-        for exp, mono, pp in arg.terms():
-            if any(exp):
+        try:
+            terms = arg.rational_terms()
+        except ParameterizedInput:
+            raise ParseError("exponent must not contain parameters", pos) from None
+        zero = zero_exponents(self.dim)
+        for (exp, mono), c in sorted(terms):
+            if exp != zero:
                 raise ParseError("nested exponentials are not allowed", pos)
-            if list(pp) != [()]:
-                raise ParseError("exponent must not contain parameters", pos)
             total = sum(mono)
             if total == 0:
                 raise ParseError("exponent must have no constant term", pos)
             if total > 1:
                 raise ParseError("exponent must be linear in the coordinates", pos)
             i = mono.index(1)
-            qvec[i] += pp[()]
+            qvec[i] += c
         return ExpPoly.exponential(self.dim, qvec)
 
     def parse(self, text: str) -> Value:

@@ -172,7 +172,7 @@ class AnsatzSpace:
     def basis_field(self, key) -> VectorField:
         c, exp, mono = key
         comps = [ExpPoly.zero(self.dim) for _ in range(self.dim)]
-        comps[c] = ExpPoly(self.dim, {(exp, mono): {(): Fraction(1)}})
+        comps[c] = ExpPoly.from_terms(self.dim, {(exp, mono, ()): 1})
         return VectorField(comps)
 
     def dimension(self) -> int:
@@ -236,14 +236,8 @@ class SolveResult:
 
 def _field_keys(field: VectorField):
     for i, comp in enumerate(field.components):
-        for (exp, mono), pp in comp.term_map().items():
-            yield (i, exp, mono), pp[()]
-
-
-def _raw_terms(comp: ExpPoly):
-    """``((exp, mono), value)`` pairs of a parameter-free scalar, in
-    term-map order."""
-    return [(key, pp[()]) for key, pp in comp.term_map().items()]
+        for (exp, mono), c in comp.rational_terms():
+            yield (i, exp, mono), c
 
 
 def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=None):
@@ -284,12 +278,12 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
 
     for ci, cons in enumerate(constraints):
         known = cons.known.components
-        kc = [_raw_terms(comp) for comp in known]
+        kc = [comp.rational_terms() for comp in known]
         # the nonzero dK^j/dx_c, negated, for the f*dK images
         dk = {c: [] for c in ansatz.components}
         for c in ansatz.components:
             for j in range(dim):
-                terms = _raw_terms(known[j].diff(c))
+                terms = known[j].diff(c).rational_terms()
                 if terms:
                     dk[c].append((j, [(e, mk, -v) for (e, mk), v in terms]))
         eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else 0
@@ -403,17 +397,19 @@ def _combine(coeffs, basis):
 def _graded_weights(known: VectorField):
     """``(a, b)`` when known = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0
     for every j, else None."""
+    if not known.is_parameter_free():
+        return None
     zero = zero_exponents(known.dim)
     a = [Fraction(0)] * known.dim
     b = [Fraction(0)] * known.dim
     for j, comp in enumerate(known.components):
-        for (exp, mono), pp in comp.term_map().items():
-            if exp != zero or list(pp) != [()]:
+        for (exp, mono), c in comp.rational_terms():
+            if exp != zero:
                 return None
             if not any(mono):
-                b[j] = pp[()]
+                b[j] = c
             elif mono[j] == 1 and sum(mono) == 1:
-                a[j] = pp[()]
+                a[j] = c
             else:
                 return None
         if a[j] and b[j]:
@@ -611,13 +607,11 @@ def solve(
     ncols = ansatz.dimension()
 
     def to_field(vec: Dict[int, Fraction]) -> VectorField:
-        terms: Dict[int, dict] = {c: {} for c in range(ansatz.dim)}
+        terms: List[dict] = [{} for _ in range(ansatz.dim)]
         for m, v in vec.items():
             comp, exp, mono = ansatz.key(m)
-            terms[comp][(exp, mono)] = {(): v}
-        return VectorField(
-            [ExpPoly(ansatz.dim, terms[c]) for c in range(ansatz.dim)]
-        )
+            terms[comp][(exp, mono, ())] = v
+        return VectorField([ExpPoly.from_terms(ansatz.dim, t) for t in terms])
 
     hom, particular, mrank, witness = _staged_solve(constraints, ansatz, target_bound)
     if witness is not None:

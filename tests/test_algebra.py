@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lvf import _kernels, algebra, catalog
+from lvf import algebra, catalog
 from lvf.algebra import (
     StructureTensor,
     close_under_bracket,
@@ -104,28 +104,20 @@ class TestClosure:
             express_in_basis(b, first)
 
 
-def test_closure_builds_each_integer_form_once(monkeypatch):
-    # fresh copies of b2.1's generators: the catalog's own fields may
-    # hold forms from earlier brackets
+def test_closure_brackets_each_pair_once(monkeypatch):
     entry = catalog.get("b2.1")
-    gens = [VectorField(g.components) for g in entry.generators_at({}).values()]
-    builds, brackets = [], []
-    build, bracket = _kernels.integer_form, VectorField.bracket
-
-    def counting_build(term_maps):
-        builds.append(1)
-        return build(term_maps)
+    gens = list(entry.generators_at({}).values())
+    brackets = []
+    bracket = VectorField.bracket
 
     def counting_bracket(self, other):
         brackets.append(1)
         return bracket(self, other)
 
-    monkeypatch.setattr(_kernels, "integer_form", counting_build)
     monkeypatch.setattr(VectorField, "bracket", counting_bracket)
     m = len(close_under_bracket(gens))
     assert m == 10
-    assert len(brackets) == m * (m - 1) // 2
-    assert len(builds) == m
+    assert len(brackets) == m * (m - 1) // 2 == 45
 
 
 class TestStructureTensor:

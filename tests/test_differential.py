@@ -66,6 +66,7 @@ vectors sort differently as ``Fraction`` tuples and encoded.
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import List
@@ -79,9 +80,9 @@ from lvf import solve as solve_module
 from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
 from lvf.algebra import SpanTracker, StructureTensor, close_under_bracket, structure_tensor
 from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput, SingularMap
-from lvf.expr import ExpPoly, decode_exponents, encode_exponents
+from lvf.expr import ExpPoly, decode_exponents, encode_exponents, format_scalar, zero_exponents
 from lvf.fields import VectorField, _ep_det, _invert, format_field, generic_rank
-from lvf.parsing import parse_field
+from lvf.parsing import parse_field, parse_scalar
 from lvf.solve import (
     DEFAULT_TARGET_BOUND,
     AnsatzSpace,
@@ -367,7 +368,7 @@ def reference_build(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND):
         kc = cons.known.components
         dk = [[kc[j].diff(c) for c in range(dim)] for j in range(dim)]
         for exp, mono in term_keys:
-            f = ExpPoly(dim, {(exp, mono): {(): Fraction(1)}})
+            f = ExpPoly.from_terms(dim, {(exp, mono, ()): 1})
             fd = [f.diff(j) for j in range(dim)]
             kf = ExpPoly.zero(dim)
             for j in range(dim):
@@ -464,6 +465,184 @@ def reference_bracket(x, y):
     )
 
 
+# The Fraction ExpPoly that the integer storage replaced.  A term map maps
+# ``(exponents, monomial)`` to a parameter polynomial ("pp"): a dict from
+# a parameter monomial to a nonzero Fraction.  Parameter polynomials are
+# never mutated, so sums and products share them with their operands.
+
+
+def pp_add_into(out, key, pp):
+    """``out[key] += pp`` for a term map, dropping the key when the sum
+    vanishes; the sum is a new parameter polynomial."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = pp
+    else:
+        cur = pp_add(cur, pp)
+        if cur:
+            out[key] = cur
+        else:
+            del out[key]
+
+
+def pp_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        _kernels.add_into(out, k, v)
+    return out
+
+
+def pp_scale(a, c):
+    if not c:
+        return {}
+    return {k: v * c for k, v in a.items()}
+
+
+def pp_mul(a, b):
+    if not a or not b:
+        return {}
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            _kernels.add_into(out, _kernels.pmono_mul(ka, kb), va * vb)
+    return out
+
+
+def ep_add(f, g):
+    if not f:
+        return dict(g)
+    out = dict(f)
+    for k, pp in g.items():
+        pp_add_into(out, k, pp)
+    return out
+
+
+def ep_scale(f, c):
+    if not c:
+        return {}
+    return {k: {pk: pv * c for pk, pv in pp.items()} for k, pp in f.items()}
+
+
+def ep_mul_into(out, f, g, negate=False):
+    """Add ``f*g`` (``-f*g`` when ``negate``) into the term map ``out``."""
+    if not f or not g:
+        return out
+    for (ef, mf), ppf in f.items():
+        if negate:
+            ppf = {k: -v for k, v in ppf.items()}
+        for (eg, mg), ppg in g.items():
+            key = (_kernels.exp_add(ef, eg), tuple(map(operator.add, mf, mg)))
+            pp_add_into(out, key, pp_mul(ppf, ppg))
+    return out
+
+
+def ep_mul(f, g):
+    return ep_mul_into({}, f, g)
+
+
+def ep_diff(f, i):
+    out = {}
+    for (exp, mono), pp in f.items():
+        m = mono[i]
+        if m:
+            key = (exp, mono[:i] + (m - 1,) + mono[i + 1:])
+            pp_add_into(out, key, pp if m == 1 else pp_scale(pp, m))
+        n = exp[1 + i]
+        if n:
+            pp_add_into(out, (exp, mono), pp_scale(pp, Fraction(n, exp[0])))
+    return out
+
+
+class ReferenceExpPoly:
+    """The ``Fraction`` ExpPoly: a term map, and the arithmetic of the
+    kernels above.  ``format_scalar`` prints it as it printed the old
+    ``ExpPoly``, through ``dim`` and ``terms()``."""
+
+    def __init__(self, dim, terms):
+        self.dim = dim
+        self.tmap = terms
+
+    @classmethod
+    def of(cls, value):
+        return cls(value.dim, value.term_map())
+
+    @classmethod
+    def const(cls, dim, c):
+        key = (zero_exponents(dim), (0,) * dim)
+        return cls(dim, {key: {(): Fraction(c)}} if c else {})
+
+    def __add__(self, other):
+        return ReferenceExpPoly(self.dim, ep_add(self.tmap, other.tmap))
+
+    def __neg__(self):
+        return ReferenceExpPoly(self.dim, ep_scale(self.tmap, Fraction(-1)))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ReferenceExpPoly(self.dim, ep_scale(self.tmap, Fraction(other)))
+        return ReferenceExpPoly(self.dim, ep_mul(self.tmap, other.tmap))
+
+    def diff(self, i):
+        return ReferenceExpPoly(self.dim, ep_diff(self.tmap, i))
+
+    def subst_params(self, assignment):
+        out = {}
+        for key, pp in self.tmap.items():
+            total = Fraction(0)
+            for pmono, c in pp.items():
+                v = c
+                for name, e in pmono:
+                    v *= Fraction(assignment[name]) ** e
+                total += v
+            if total:
+                out[key] = {(): total}
+        return ReferenceExpPoly(self.dim, out)
+
+    def subst_affine(self, rows, cvec):
+        dim = self.dim
+        images = []
+        for i in range(dim):
+            img = ReferenceExpPoly.const(dim, cvec[i])
+            for j in range(dim):
+                if rows[i][j]:
+                    mono = tuple(int(k == j) for k in range(dim))
+                    coord = ReferenceExpPoly(dim, {(zero_exponents(dim), mono): {(): Fraction(1)}})
+                    img = img + coord * rows[i][j]
+            images.append(img)
+        out = ReferenceExpPoly(dim, {})
+        for (exp_key, mono), pp in self.tmap.items():
+            exp = decode_exponents(exp_key)
+            if sum(q * c for q, c in zip(exp, cvec)):
+                raise LvfError("drift")
+            new_exp = encode_exponents(
+                sum((exp[i] * rows[i][j] for i in range(dim)), Fraction(0))
+                for j in range(dim)
+            )
+            piece = ReferenceExpPoly(dim, {(new_exp, (0,) * dim): dict(pp)})
+            for i, m in enumerate(mono):
+                for _ in range(m):
+                    piece = piece * images[i]
+            out = out + piece
+        return out
+
+    def terms(self):
+        for exp, mono in sorted(self.tmap):
+            yield decode_exponents(exp), mono, self.tmap[(exp, mono)]
+
+
+def reference_ep_apply(xs, f):
+    """``X(f)`` from the term maps of X's components and of ``f`` by the
+    ``Fraction`` kernel."""
+    out = {}
+    for i, c in enumerate(xs):
+        if c:
+            ep_mul_into(out, c, ep_diff(f, i))
+    return out
+
+
 def reference_ep_bracket(xs, ys):
     """Components of ``[X, Y]`` from two lists of term maps by the
     ``Fraction`` kernel: every product a ``Fraction`` product and a
@@ -476,10 +655,10 @@ def reference_ep_bracket(xs, ys):
         yi, xi = ys[i], xs[i]
         for j in range(n):
             if xs[j] and yi:
-                _kernels.ep_mul_into(acc, xs[j], _kernels.ep_diff(yi, j))
+                ep_mul_into(acc, xs[j], ep_diff(yi, j))
         for j in range(n):
             if ys[j] and xi:
-                _kernels.ep_mul_into(acc, ys[j], _kernels.ep_diff(xi, j), negate=True)
+                ep_mul_into(acc, ys[j], ep_diff(xi, j), negate=True)
         out.append(acc)
     return out
 
@@ -947,8 +1126,8 @@ def _to_field(vec, ansatz):
     terms = {c: {} for c in range(ansatz.dim)}
     for m, v in vec.items():
         comp, exp, mono = keys[m]
-        terms[comp][(exp, mono)] = {(): v}
-    return VectorField([ExpPoly(ansatz.dim, terms[c]) for c in range(ansatz.dim)])
+        terms[comp][(exp, mono, ())] = v
+    return VectorField([ExpPoly.from_terms(ansatz.dim, terms[c]) for c in range(ansatz.dim)])
 
 
 def _check_staged(constraints, ansatz):
@@ -1056,7 +1235,7 @@ def planted_systems(draw, kinds=("equals",)):
                 continue
             key = draw(st.sampled_from(sorted(terms)))
             parts = [ExpPoly.zero(3)] * 3
-            parts[comp] = ExpPoly(3, {key: {(): draw(values)}})
+            parts[comp] = ExpPoly.from_terms(3, {(*key, ()): draw(values)})
             extra = VectorField(parts)
         constraints[i] = BracketConstraint.equals(cons.known, cons.target + extra)
     return constraints, ansatz
@@ -1439,11 +1618,7 @@ def bracket_pairs(draw):
 
 
 def _canonical(field):
-    return all(
-        pp and all(pp.values())
-        for comp in field.components
-        for pp in comp.term_map().values()
-    )
+    return all(is_canonical(comp) for comp in field.components)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1478,23 +1653,30 @@ WIDE_PMONOS = ((), (("a", 1),), (("b", 1),), (("a", 2),), (("a", 1), ("b", 1)))
 
 
 @st.composite
-def wide_fields(draw, dim, with_params=True):
-    """A field whose coefficients have numerators up to 10^20 and, with
-    ``with_params``, parameter monomials, whose exponents have
-    denominators 2 and 3, and whose components are often zero."""
+def wide_scalars(draw, dim, with_params=True, dens=None):
+    """A scalar of up to 3 terms whose coefficients have numerators up
+    to 10^20 and, with ``with_params``, parameter monomials, and whose
+    exponent entries have the denominators ``dens`` (drawn when None);
+    often zero."""
     pmonos = WIDE_PMONOS if with_params else ((),)
-    dens = draw(st.sampled_from(EXPONENT_DENOMINATORS))
+    if dens is None:
+        dens = draw(st.sampled_from(EXPONENT_DENOMINATORS))
     entries = st.sampled_from([Fraction(n, d) for n in (-2, -1, 0, 1, 2) for d in dens])
-    comps = []
-    for _ in range(dim):
-        terms = {}
-        for _ in range(draw(st.integers(0, 3))):
-            exp = encode_exponents(draw(st.tuples(*[entries] * dim)))
-            mono = draw(st.tuples(*[st.integers(0, 2)] * dim))
-            pp = terms.setdefault((exp, mono), {})
-            pp[draw(st.sampled_from(pmonos))] = draw(wide_values)
-        comps.append(ExpPoly(dim, terms))
-    return VectorField(comps)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exp = encode_exponents(draw(st.tuples(*[entries] * dim)))
+        mono = draw(st.tuples(*[st.integers(0, 2)] * dim))
+        terms[(exp, mono, draw(st.sampled_from(pmonos)))] = draw(wide_values)
+    return ExpPoly.from_terms(dim, terms)
+
+
+@st.composite
+def wide_fields(draw, dim, with_params=True):
+    """A field of wide scalars over one set of exponent denominators, so
+    that two fields' denominators often differ (2 and 3) and the bracket
+    needs their lcm; its components are often zero."""
+    dens = draw(st.sampled_from(EXPONENT_DENOMINATORS))
+    return VectorField([draw(wide_scalars(dim, with_params, dens)) for _ in range(dim)])
 
 
 @st.composite
@@ -1530,6 +1712,7 @@ def _term_maps(field):
 def _assert_kernel_matches_reference(x, y, got):
     want = reference_ep_bracket(_term_maps(x), _term_maps(y))
     assert _term_maps(got) == want
+    assert _canonical(got)
     if x.is_parameter_free() and y.is_parameter_free():
         # the insertion order is what the constraint build's rows read
         assert [list(t.items()) for t in _term_maps(got)] == [list(t.items()) for t in want]
@@ -1547,11 +1730,11 @@ def test_integer_bracket_matches_fraction_kernel(pair):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_kept_integer_form_serves_every_partner(data):
+def test_bracket_keeps_nothing_between_partners(data):
     """One field object bracketed against partners in any order, on
     both sides: each result is the one of a fresh copy of the field, and
-    the inputs' text never changes, so the kept form is never written
-    to."""
+    the inputs' text never changes, so no bracket leaves state behind on
+    a field or writes to an operand."""
     dim = data.draw(st.integers(1, 3))
     x = data.draw(wide_fields(dim))
     partners = [x] + data.draw(st.lists(wide_fields(dim), min_size=1, max_size=4))
@@ -1571,6 +1754,109 @@ def test_kept_integer_form_serves_every_partner(data):
         assert [_term_maps(f) for f in got] == [_term_maps(f) for f in want[i]]
         assert format_field(x) == texts[0]
         assert [format_field(q) for q in partners] == texts
+
+
+# -- integer storage against the Fraction ExpPoly -----------------------------
+
+
+def is_canonical(value):
+    """The storage invariant that structural equality relies on: a
+    positive denominator, no zero numerator, and gcd(denominator,
+    numerators) = 1."""
+    num, den = value._num, value._den
+    return den >= 1 and all(num.values()) and math.gcd(den, *num.values()) == 1
+
+
+@st.composite
+def scalar_cases(draw):
+    """``(dim, f, g, c, x)``: two wide scalars, the second often built
+    from the first so that terms cancel, a wide rational and a wide
+    field, all parameter-free or all with parameters."""
+    dim = draw(st.integers(1, 3))
+    with_params = draw(st.booleans())
+    f = draw(wide_scalars(dim, with_params))
+    z = draw(wide_scalars(dim, with_params))
+    c = draw(wide_values)
+    kind = draw(st.sampled_from(("free", "self", "multiple", "sum")))
+    g = {"free": z, "self": f, "multiple": f * c, "sum": f * c + z}[kind]
+    if draw(st.booleans()):
+        f, g = g, f
+    return dim, f, g, c, draw(wide_fields(dim, with_params))
+
+
+def _affine_data(data, dim):
+    """A random invertible matrix and a shift that is often zero; a
+    nonzero shift usually meets an exponential and is refused."""
+    rows = rand_invertible(random.Random(data.draw(st.integers(0, 2**32))), dim)
+    if data.draw(st.booleans()):
+        return rows, [Fraction(0)] * dim
+    return rows, [data.draw(values) for _ in range(dim)]
+
+
+def _scalar_results(case, data):
+    """``(label, result, reference)`` of every scalar operation on a
+    case: ring operations, derivatives, parameter and affine
+    substitution and ``apply``; a refused affine substitution gives
+    ``None`` on both sides."""
+    dim, f, g, c, x = case
+    rf, rg = ReferenceExpPoly.of(f), ReferenceExpPoly.of(g)
+    out = [
+        ("f+g", f + g, rf + rg),
+        ("f-g", f - g, rf - rg),
+        ("-f", -f, -rf),
+        ("f*g", f * g, rf * rg),
+        ("f*c", f * c, rf * c),
+        ("f*0", f * 0, rf * 0),
+    ]
+    out += [(f"d{i}f", f.diff(i), rf.diff(i)) for i in range(dim)]
+    assignment = {"a": data.draw(wide_values), "b": data.draw(wide_values)}
+    out.append(("subst_params", f.subst_params(assignment), rf.subst_params(assignment)))
+    rows, shift = _affine_data(data, dim)
+    try:
+        want = rf.subst_affine(rows, shift)
+    except LvfError:
+        with pytest.raises(LvfError):
+            f.subst_affine(rows, shift)
+    else:
+        out.append(("subst_affine", f.subst_affine(rows, shift), want))
+    xs = [ReferenceExpPoly.of(comp).tmap for comp in x.components]
+    out.append(("apply", x.apply(f), ReferenceExpPoly(dim, reference_ep_apply(xs, rf.tmap))))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_cases(), st.data())
+def test_scalar_ops_match_fraction_reference(case, data):
+    """Every scalar operation gives the term map and the text of the
+    ``Fraction`` ExpPoly; on parameter-free operands also its insertion
+    order, which the constraint build's rows read.  (With parameters,
+    a term whose first parameter monomial cancelled may move; printing
+    sorts and equality ignores order.)"""
+    _, f, g, _, x = case
+    ordered = f.is_parameter_free() and g.is_parameter_free() and x.is_parameter_free()
+    for label, got, want in _scalar_results(case, data):
+        assert got.term_map() == want.tmap, label
+        if ordered:
+            assert list(got.term_map().items()) == list(want.tmap.items()), label
+        assert format_scalar(got) == format_scalar(want), label
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_cases(), st.data())
+def test_results_are_canonical(case, data):
+    """Every value made by an operation is stored canonically, so equal
+    functions compare equal: ring operations, derivatives,
+    substitutions, ``apply``, the bracket, and parsing the printed
+    text, which also gives back an equal value with an equal hash."""
+    dim, f, g, _, x = case
+    results = [got for _, got, _ in _scalar_results(case, data)]
+    y = data.draw(wide_fields(dim, not x.is_parameter_free()))
+    results += x.bracket(y).components + y.bracket(x).components
+    for value in results + [f, g]:
+        assert is_canonical(value), value
+        back = parse_scalar(format_scalar(value), dim, params=("a", "b"))
+        assert is_canonical(back)
+        assert back == value and hash(back) == hash(value)
 
 
 _CATALOG_TENSORS = []

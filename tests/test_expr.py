@@ -40,6 +40,24 @@ class TestCanonicalForm:
             f = rand_exppoly(rng, with_params=True)
             assert f + ExpPoly.zero(3) == f
 
+    def test_equal_values_built_differently_are_equal_and_hash_equal(self):
+        # equality is structural on the stored numerators and
+        # denominator, so each route must end in the same canonical data
+        x, a = ExpPoly.coord(3, 0), ExpPoly.param(3, "a")
+        half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+        pairs = [
+            ((x * half) * 2, x),
+            ((x * ExpPoly.const(3, half)) * ExpPoly.const(3, 2), x),
+            ((a * x * third) * 3, a * x),
+            ((a * x * ExpPoly.const(3, third)) * ExpPoly.const(3, 3), a * x),
+            (x * sixth + x * third, x * half),
+            ((x * x * half).diff(0), x),
+            (S("x/6 + x/3"), S("x/2")),
+        ]
+        for left, right in pairs:
+            assert left == right
+            assert hash(left) == hash(right)
+
 
 class TestMul:
     def test_exponent_cancellation(self):

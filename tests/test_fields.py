@@ -150,9 +150,11 @@ def test_bilinearity_random():
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_operations_leave_operands_unchanged(seed):
-    """Sums share parameter polynomials with their operands instead of
-    copying them, so no operation may write to an operand's term map or
-    to a parameter polynomial in it; sums are operands here too."""
+    """Sums and shortcuts share storage with their operands instead of
+    copying it (``x + 0`` is ``x``), so no operation may write to an
+    operand's stored numerators or denominator; sums are operands here
+    too.  The stored data are compared, not the ``term_map()`` view,
+    which is built anew on every call."""
     rng = random.Random(seed)
     f, g = (rand_exppoly(rng, with_params=True) for _ in range(2))
     x, y = (rand_field(rng, with_params=True) for _ in range(2))
@@ -166,9 +168,12 @@ def test_operations_leave_operands_unchanged(seed):
     calls += [(lambda a=a: a.subst_params(assignment)) for a in scalars]
     calls += [(lambda a=a, b=b: a.bracket(b)) for a in fields for b in fields]
     calls += [(lambda a=a, b=b: a.apply(b)) for a in fields for b in scalars]
-    maps = [s.term_map() for s in scalars]
-    maps += [c.term_map() for v in fields for c in v.components]
-    before = copy.deepcopy(maps)
+    values = scalars + [c for v in fields for c in v.components]
+
+    def stored():
+        return [(s._num, s._den) for s in values]
+
+    before = copy.deepcopy(stored())
     for call in calls:
         call()
-        assert maps == before
+        assert stored() == before
