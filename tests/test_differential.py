@@ -39,14 +39,20 @@ own systems and on random systems whose blocks do not interact.
 The bracket and ``apply`` are checked against the earlier loop that
 adds ``ExpPoly`` products one component at a time, and the sparse
 Jacobi check and Killing form against the earlier dense loops over
-coordinate tuples (same verdict, same failing triple).  The bracket
-kernel on integer forms is checked against the ``Fraction`` kernel it
-replaced (``reference_ep_bracket``): equal term maps, in the same
-insertion order on parameter-free fields, for coefficients with
-numerators up to 10^20, exponent denominators 2 and 3, parameters,
-parameter multiples whose brackets cancel, zero components and
-``[X, X]``; and a field's kept form is checked to give every partner,
-in any order, the bracket of a fresh copy without changing any input.
+coordinate tuples (same verdict, same failing triple).
+
+``ExpPoly`` stores integer terms over one denominator.  The ``Fraction``
+term-map kernels it replaced are kept here (``pp_*``, ``ep_*`` and
+``ReferenceExpPoly`` on them) as the reference for the ring operations,
+``diff``, ``subst_params``, ``subst_affine``, ``apply`` and printing,
+and ``reference_ep_bracket`` for the bracket: equal term maps and text,
+in the same insertion order on parameter-free operands, for
+coefficients with numerators up to 10^20, exponent denominators 1, 2
+and 3, parameters, multiples whose results cancel, zero values and
+``[X, X]``.  Every result is checked to be stored canonically (so that
+structural equality holds) and to parse back from its text to an equal
+value with an equal hash, and a field bracketed against partners in any
+order gives the bracket of a fresh copy without changing any input.
 
 The structure tensor of a bracket closure, read from the constants the
 closure recorded, is checked against the pair-by-pair path over the same
@@ -661,6 +667,14 @@ def reference_ep_bracket(xs, ys):
                 ep_mul_into(acc, ys[j], ep_diff(xi, j), negate=True)
         out.append(acc)
     return out
+
+
+def is_canonical(value):
+    """The storage invariant that structural equality relies on: a
+    positive denominator, no zero numerator, and gcd(denominator,
+    numerators) = 1."""
+    num, den = value._num, value._den
+    return den >= 1 and all(num.values()) and math.gcd(den, *num.values()) == 1
 
 
 def _reference_c(dim, constants, i, j):
@@ -1757,14 +1771,6 @@ def test_bracket_keeps_nothing_between_partners(data):
 
 
 # -- integer storage against the Fraction ExpPoly -----------------------------
-
-
-def is_canonical(value):
-    """The storage invariant that structural equality relies on: a
-    positive denominator, no zero numerator, and gcd(denominator,
-    numerators) = 1."""
-    num, den = value._num, value._den
-    return den >= 1 and all(num.values()) and math.gcd(den, *num.values()) == 1
 
 
 @st.composite
