@@ -12,7 +12,9 @@ expression layer:
   .., n_k)`` of the rational covector ``n_i/den`` (den positive,
   gcd(den, n_1, .., n_k) = 1) -- all-int keys keep dict hashing cheap;
 * a sparse matrix row is a dict mapping a column index to a nonzero
-  ``Fraction``; inside the elimination, to a nonzero ``int``.
+  rational, an ``int`` or a ``Fraction`` (the constraint build of
+  ``solve`` hands in ``int`` rows); inside the elimination, always to a
+  nonzero ``int``.
 
 A value ``num/den`` is canonical when ``den`` is positive, no entry of
 ``num`` is zero and gcd(den, numerators) = 1: the layout of FLINT's
@@ -41,8 +43,9 @@ span tracker of ``algebra``.  The table holds primitive integer rows
 cross-multiplication: the integer-preserving elimination of Bareiss
 (1968), with each stored row divided by its content instead of by the
 previous pivot.  ``Fraction`` appears only at its boundary: a rational
-row is scaled to integers once, as it enters, and ``back_substitute``
-returns rational rows with pivot entry 1.
+row is scaled to integers once, as it enters (an ``int`` row is only
+divided by its content), and ``back_substitute`` returns rational rows
+with pivot entry 1.
 
 Callers look the kernels up through this module (``K.mul_into``,
 ``K.rref``, ...), so each has exactly one implementation.

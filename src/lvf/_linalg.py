@@ -3,8 +3,8 @@
 Thin wrappers around the row-insert elimination kernel: rref,
 nullspaces, affine solves and, through the rows of ``[A | I]``, the
 determinant and the inverse.  Rows are dicts mapping column index to a
-nonzero Fraction; the echelon tables in between hold the kernel's
-primitive integer rows.
+nonzero rational (``Fraction`` or ``int``); the echelon tables in
+between hold the kernel's primitive integer rows.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ structural.  Every ring operation, derivative and derivation runs on
 the integer kernels of ``_kernels`` and ends in one normalise step;
 ``Fraction`` appears only where rationals come in (:meth:`ExpPoly.from_terms`)
 or go out (:meth:`ExpPoly.rational_terms`, :meth:`ExpPoly.term_map`,
-printing).  Only this module reads the storage.
+printing).  Only this module reads the storage; :meth:`ExpPoly.integer_terms`
+hands it out read-only, for the integer rows of the constraint build.
 
 Values are immutable and safe to share between threads.  All arithmetic
 is exact.
@@ -213,6 +214,15 @@ class ExpPoly:
         if den == 1:
             return [((exp, mono), v) for (exp, mono, _), v in self._num.items()]
         return [((exp, mono), Fraction(v, den)) for (exp, mono, _), v in self._num.items()]
+
+    def integer_terms(self) -> Tuple[Dict[TermKey, int], int]:
+        """The storage of a parameter-free value, which the caller must
+        not change: the integer term map, in storage order, and its
+        positive denominator.  ParameterizedInput when a parameter
+        occurs."""
+        if not self.is_parameter_free():
+            raise ParameterizedInput(f"substitute parameters first: {list(self.params())}")
+        return self._num, self._den
 
     def term_count(self) -> int:
         """Coefficient terms: one per parameter monomial of each

@@ -229,8 +229,8 @@ def _extension(pairs, eigenvalues, commuting, space: AnsatzSpace) -> List[Vector
     """
     constraints = []
     for (x, x_minus), eigenvalue in zip(pairs, eigenvalues):
-        x, x_minus, _ = normalize_simple_pair(x, x_minus)
-        constraints.append(BracketConstraint.eigen(x.bracket(x_minus), eigenvalue))
+        _, h, _ = normalize_simple_pair(x, x_minus)
+        constraints.append(BracketConstraint.eigen(h, eigenvalue))
     constraints += [BracketConstraint.commutes(f) for f in commuting]
     return solve(constraints, space).basis
 

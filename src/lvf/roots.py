@@ -133,8 +133,10 @@ def normalize_simple_pair(
 ) -> Tuple[VectorField, VectorField, Fraction]:
     """Rescale ``xm`` so H = [xp, xm] satisfies [H, xp] = 2 xp.
 
-    Returns (xp, scaled xm, applied scale).  Raises when the pair does
-    not span an sl2 triple in the required way.
+    Returns (scaled xm, its Cartan element H, applied scale): H is the
+    bracket of the given pair times the scale, which equals the bracket
+    with the scaled ``xm``, term order included.  Raises when the pair
+    does not span an sl2 triple in the required way.
     """
     if xp.is_zero() or xm.is_zero():
         raise ZeroRootVector("zero simple root vector")
@@ -147,7 +149,7 @@ def normalize_simple_pair(
             "[[X, X-], X] is not a nonzero multiple of X for a simple pair"
         )
     scale = Fraction(2) / t
-    return xp, xm * scale, scale
+    return xm * scale, h * scale, scale
 
 
 @dataclass
@@ -188,11 +190,10 @@ def build_chevalley(
             xp, xm = simple_vectors[a], simple_vectors[neg]
         except KeyError as missing:
             raise LvfError(f"missing simple vector for root {missing}") from None
-        xp, xm, scale = normalize_simple_pair(xp, xm)
+        xm, cartan[a], scale = normalize_simple_pair(xp, xm)
         vectors[a] = xp
         vectors[neg] = xm
         scalings[neg] = scale
-        cartan[a] = xp.bracket(xm)
 
     # inductive extension over positive roots in height order
     for r in system.positive:

@@ -19,10 +19,16 @@ H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
 the obstruction pipeline), confines every solution of a homogeneous
 system to the basis fields of one weight, wherever its constraint
 stands: the first stage starts on the columns all graded constraints
-keep, and every constraint then takes the same build.  Columns are
-computed by arithmetic from a basis field's component, block and
-monomial rank, and back; ``basis_keys()`` builds its list only when
-asked.
+keep, and every constraint then takes the same build.  Those columns
+are the lattice points of the degree simplex that solve the weight
+equations, walked from one echelon form of the weight rows, so no
+other monomial is visited.  Columns are computed by arithmetic from a
+basis field's component, block and monomial rank, and back: a
+monomial's rank is its index in the combinatorial number system, and a
+block's monomial list is built only for a build or a listing over every
+column (``blocks()``, ``basis_keys()``).  The constraint rows are
+integers, each constraint's equations times one positive scale, built
+from the integer storage of the known field.
 """
 
 from __future__ import annotations
@@ -48,15 +54,22 @@ _ZERO = Fraction(0)  # shared by every right-hand side entry that starts at zero
 _ONE = Fraction(1)
 
 
+def _simplex(dim: int, max_degree: int):
+    """Every coordinate multi-index of total degree <= max_degree, in
+    ascending order, one at a time."""
+    if dim == 0:
+        yield ()
+    elif dim == 1:
+        yield from ((d,) for d in range(max_degree + 1))
+    else:
+        for first in range(max_degree + 1):
+            for rest in _simplex(dim - 1, max_degree - first):
+                yield (first, *rest)
+
+
 def _monomials(dim: int, max_degree: int):
     """All coordinate multi-indices of total degree <= max_degree, ascending."""
-    if dim == 1:
-        return [(d,) for d in range(max_degree + 1)]
-    return [
-        (first, *rest)
-        for first in range(max_degree + 1)
-        for rest in _monomials(dim - 1, max_degree - first)
-    ]
+    return list(_simplex(dim, max_degree))
 
 
 def _ansatz_size(dim: int, max_degree: int, blocks: int) -> int:
@@ -121,45 +134,86 @@ class AnsatzSpace:
 
     @cached_property
     def _layout(self):
-        """One block's monomials and their ranks, and the encoded exponents
-        and their block positions, in ``exponents`` order."""
-        monos = _monomials(self.dim, self.max_degree)
+        """The encoded exponents in ``exponents`` order, their block
+        positions and the number of monomials of one block."""
         encoded = [encode_exponents(e) for e in self.exponents]
-        rank = {mono: r for r, mono in enumerate(monos)}
-        return monos, rank, encoded, {exp: b for b, exp in enumerate(encoded)}
+        size = math.comb(self.dim + self.max_degree, self.dim)
+        return encoded, {exp: b for b, exp in enumerate(encoded)}, size
+
+    @cached_property
+    def _block(self):
+        """``(rank, monomial)`` of every monomial of one block, built
+        only for a build or a listing over every column."""
+        return list(enumerate(_monomials(self.dim, self.max_degree)))
+
+    def rank(self, mono: tuple) -> int:
+        """The position of ``mono`` among one block's monomials, in
+        ascending order, by the combinatorial number system: the
+        monomials that share the first i coordinates of ``mono`` and
+        have a smaller coordinate i number C(k+1+r, k+1) - C(k+1+r-m_i,
+        k+1), for the k later coordinates and the degree r left."""
+        r = 0
+        left = self.max_degree
+        k = self.dim
+        for m in mono:
+            k -= 1
+            if m:
+                r += math.comb(k + 1 + left, k + 1) - math.comb(k + 1 + left - m, k + 1)
+                left -= m
+        return r
+
+    def monomial(self, r: int) -> tuple:
+        """The monomial of rank ``r``, the inverse of :meth:`rank`."""
+        mono = []
+        left = self.max_degree
+        for k in range(self.dim - 1, 0, -1):
+            m = 0
+            # C(k + left - m, k) monomials have coordinate m here
+            while r >= (count := math.comb(k + left - m, k)):
+                r -= count
+                m += 1
+            mono.append(m)
+            left -= m
+        mono.append(r)
+        return tuple(mono)
+
+    def starts(self, exp: tuple) -> List[Tuple[int, int]]:
+        """``(comp, column of (comp, exp, monomial of rank 0))`` for every
+        component, ascending: the column of rank r is the start plus r."""
+        encoded, block, size = self._layout
+        at = block[exp] * size
+        stride = len(encoded) * size
+        return [(c, p * stride + at) for p, c in enumerate(self.components)]
 
     def column(self, comp: int, exp: tuple, mono: tuple) -> int:
         """The column of ``(comp, exp, mono)``: by component, then block in
         ``exponents`` order, then monomial, as ``basis_keys`` lists them."""
-        monos, rank, _, block = self._layout
-        at = self.components.index(comp) * len(block) + block[exp]
-        return at * len(monos) + rank[mono]
-
-    def columns(self, exp: tuple, mono: tuple) -> List[Tuple[int, int]]:
-        """``(comp, column(comp, exp, mono))`` for every component, ascending."""
-        monos, rank, _, block = self._layout
-        at = block[exp] * len(monos) + rank[mono]
-        stride = len(block) * len(monos)
-        return [(c, p * stride + at) for p, c in enumerate(self.components)]
+        encoded, block, size = self._layout
+        at = self.components.index(comp) * len(encoded) + block[exp]
+        return at * size + self.rank(mono)
 
     def key(self, col: int) -> Tuple[int, tuple, tuple]:
         """The basis key ``(comp, exp, mono)`` of column ``col``."""
-        monos, _, encoded, _ = self._layout
-        at, r = divmod(col, len(monos))
+        encoded, _, size = self._layout
+        at, r = divmod(col, size)
         c, b = divmod(at, len(encoded))
-        return self.components[c], encoded[b], monos[r]
+        return self.components[c], encoded[b], self.monomial(r)
 
-    def blocks(self, columns=None) -> Dict[tuple, List[tuple]]:
-        """``{exp: monomials}`` of every basis field, or of ``columns``:
-        blocks in sorted encoded order, monomials ascending."""
-        monos, _, encoded, _ = self._layout
+    def blocks(self, columns=None) -> Dict[tuple, List[Tuple[int, tuple]]]:
+        """``{exp: [(rank, monomial), ...]}`` of every basis field, or of
+        ``columns``: blocks in sorted encoded order, ranks ascending."""
+        encoded, _, size = self._layout
         if columns is None:
-            return {exp: monos for exp in sorted(encoded)}
+            return {exp: self._block for exp in sorted(encoded)}
         ranks: Dict[tuple, set] = {exp: set() for exp in sorted(encoded)}
         for col in columns:
-            at, r = divmod(col, len(monos))
+            at, r = divmod(col, size)
             ranks[encoded[at % len(encoded)]].add(r)
-        return {exp: [monos[r] for r in sorted(rs)] for exp, rs in ranks.items() if rs}
+        return {
+            exp: [(r, self.monomial(r)) for r in sorted(rs)]
+            for exp, rs in ranks.items()
+            if rs
+        }
 
     def basis_keys(self) -> List[Tuple[int, tuple, tuple]]:
         """Canonical ordered basis of one-term fields, built when asked.
@@ -167,7 +221,13 @@ class AnsatzSpace:
         Exponent vectors appear in their canonical integer encoding, as
         used by the term maps themselves.
         """
-        return [self.key(m) for m in range(self.dimension())]
+        encoded = self._layout[0]
+        return [
+            (c, exp, mono)
+            for c in self.components
+            for exp in encoded
+            for _, mono in self._block
+        ]
 
     def basis_field(self, key) -> VectorField:
         c, exp, mono = key
@@ -240,8 +300,35 @@ def _field_keys(field: VectorField):
             yield (i, exp, mono), c
 
 
+def _known_terms(known: VectorField, components, k_mul: int, d_mul: int):
+    """The known field K in integers: ``(scale, kc, dk)``.
+
+    ``scale`` is the lcm of K's component denominators times the lcm
+    of its exponent denominators, ``kc[j]`` lists the terms ``(exp,
+    mono, v)`` of k_mul * scale * K^j and ``dk[c]`` the pairs ``(j,
+    terms)`` of the nonzero -d_mul * scale * dK^j/dx_c, for c in
+    ``components``, all read from the components' integer storage in
+    storage order.
+    """
+    parts = [comp.integer_terms() for comp in known.components]
+    den = math.lcm(*(d for _, d in parts))
+    e = math.lcm(*(K.exp_den(num) for num, _ in parts))
+    kc = []
+    for num, d in parts:
+        f = den // d * e * k_mul
+        kc.append([(exp, mono, v * f) for (exp, mono, _), v in num.items()])
+    dk = {c: [] for c in components}
+    for c in components:
+        for j, (num, d) in enumerate(parts):
+            terms = K.diff(num, c, e)
+            if terms:
+                f = -(den // d) * d_mul
+                dk[c].append((j, [(exp, mono, v * f) for (exp, mono, _), v in terms.items()]))
+    return den * e, kc, dk
+
+
 def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=None):
-    """The constraint matrix over the ansatz basis.
+    """The constraint matrix over the ansatz basis, in integers.
 
     Returns ``(targets, rows, rhs, images)``: one target key
     ``(constraint, component, exp, mono)`` per row in order of first
@@ -253,18 +340,29 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
     set of column indices, only the images of those basis fields are
     built.
 
+    The rows of a constraint hold ``int``s: its equations times one
+    positive scale, the lcm of the known field's component denominators
+    times the lcm of its exponent denominators (``_known_terms``), times
+    the lcm of the ansatz's exponent denominators, times the
+    eigenvalue's denominator, whatever ``columns`` is.  An ``equals``
+    right-hand side is scaled by the same number.  The elimination
+    stores primitive rows, so the scale changes no table, kernel,
+    solution or witness.
+
     One-term basis fields make the constraint images cheap:
       [K, f d_c] = K(f) d_c - f * sum_j (dK^j/dx_c) d_j
     and f = x^m exp(q.x) has coefficient 1, so K(f) and f*dK are key
-    shifts of the raw terms of K.  K(f) is shared across the ansatz
+    shifts of the integer terms of K.  K(f) is shared across the ansatz
     components.  Terms are produced in the order of the term-map
     arithmetic, so row order (and the inconsistency witness) matches a
     build through ``ExpPoly``.
     """
     dim = ansatz.dim
     by_exp = ansatz.blocks(columns)
+    block_den = math.lcm(*(exp[0] for exp in ansatz._layout[0]))
     target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, int]] = []
+    scales = []
 
     def index_of(full):
         idx = target_index.get(full)
@@ -277,20 +375,21 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
         return idx
 
     for ci, cons in enumerate(constraints):
-        known = cons.known.components
-        kc = [comp.rational_terms() for comp in known]
-        # the nonzero dK^j/dx_c, negated, for the f*dK images
-        dk = {c: [] for c in ansatz.components}
-        for c in ansatz.components:
-            for j in range(dim):
-                terms = known[j].diff(c).rational_terms()
-                if terms:
-                    dk[c].append((j, [(e, mk, -v) for (e, mk), v in terms]))
-        eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else 0
+        eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else _ZERO
+        # the row scale is known_scale * block_den * eig.denominator: K
+        # takes the eigenvalue's denominator here and the block's in the
+        # factors of df/dx_j below, dK takes both here
+        known_scale, kc, dk = _known_terms(
+            cons.known, ansatz.components, eig.denominator, eig.denominator * block_den
+        )
+        scales.append(known_scale * block_den * eig.denominator)
+        diag_eig = -eig.numerator * known_scale * block_den
         for exp, exp_monos in by_exp.items():
-            q = [Fraction(n, exp[0]) for n in exp[1:]]
+            # q_j = n_j / den_b: its factor in df/dx_j is n_j * block_den / den_b
+            qf = [n * (block_den // exp[0]) for n in exp[1:]]
+            starts = ansatz.starts(exp)
             k_shifted = [
-                [(K.exp_add(ek, exp), mk, a) for (ek, mk), a in terms] for terms in kc
+                [(K.exp_add(ek, exp), mk, a) for ek, mk, a in terms] for terms in kc
             ]
             dk_shifted = {
                 c: [
@@ -299,24 +398,24 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                 ]
                 for c, images in dk.items()
             }
-            for mono in exp_monos:
-                cols = ansatz.columns(exp, mono)
+            for r, mono in exp_monos:
+                cols = [(c, start + r) for c, start in starts]
                 if columns is not None:
                     cols = [(c, col) for c, col in cols if col in columns]
                 if not cols:
                     continue
                 # K(f) = sum_j K^j df/dx_j, df/dx_j = m_j x^(m-e_j) e^(q.x) + q_j f
-                kf: Dict[tuple, Fraction] = {}
+                kf: Dict[tuple, int] = {}
                 for j in range(dim):
                     m = mono[j]
-                    if not k_shifted[j] or not (m or q[j]):
+                    if not k_shifted[j] or not (m or qf[j]):
                         continue
                     fd = []
                     if m:
-                        fd.append((mono[:j] + (m - 1,) + mono[j + 1:], m))
-                    if q[j]:
-                        fd.append((mono, q[j]))
-                    prod: Dict[tuple, Fraction] = {}
+                        fd.append((mono[:j] + (m - 1,) + mono[j + 1:], m * block_den))
+                    if qf[j]:
+                        fd.append((mono, qf[j]))
+                    prod: Dict[tuple, int] = {}
                     for e, mk, a in k_shifted[j]:
                         for mf, b in fd:
                             add_into(prod, (e, tuple(map(add, mk, mf))), a * b)
@@ -326,9 +425,9 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                     else:
                         kf = prod
                 diag = kf
-                if eig:
+                if diag_eig:
                     diag = dict(kf)
-                    add_into(diag, (exp, mono), -eig)
+                    add_into(diag, (exp, mono), diag_eig)
                 for c, col in cols:
                     for (e, mk), v in diag.items():
                         add_into(rows[index_of((ci, c, e, mk))], col, v)
@@ -346,7 +445,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
                 continue
             for fkey, value in _field_keys(cons.target):
                 idx = index_of((ci, *fkey))
-                rhs_entries[idx] = rhs_entries.get(idx, _ZERO) + value
+                rhs_entries[idx] = rhs_entries.get(idx, _ZERO) + value * scales[ci]
         rhs = [rhs_entries.get(i, _ZERO) for i in range(len(rows))]
     return list(target_index), rows, rhs, images
 
@@ -430,37 +529,93 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
     a.m + b.q - a_c (b_i != 0 only where a_i = 0), and ad H - c is
     invertible on every weight but c: each solution lives on the
     columns of weight c, for each graded constraint.
+
+    So the columns of weight c are the lattice points of the degree
+    simplex with a_k.m = n_k for every graded constraint k, where n_k
+    depends only on the block and the component.  One fraction-free
+    echelon pass over the rows [a_k | e_k] (``_kernels.echelon_insert``,
+    then ``back_substitute``) solves that system once per call: a row
+    with no pivot among the coordinates says that its combination of
+    the n_k vanishes, and a reduced pivot row fixes its coordinate from
+    the free ones.  For each block and component only the points of the
+    solution set are walked (``_solution_ranks``), so no monomial
+    outside it is visited.
     """
-    monos, _, encoded, _ = ansatz._layout
+    dim = ansatz.dim
     scaled = []
     for a, b, c in graded:
         # integer weights: everything scaled by the common denominator
         scale = math.lcm(c.denominator, *(v.denominator for v in a + b))
-        ia = [int(v * scale) for v in a]
-        ib = [int(v * scale) for v in b]
-        scaled.append((ia, ib, int(c * scale)))
-    # monomials by a.m of the first constraint; the others filter a group
-    groups: Dict[int, List[tuple]] = {}
-    for mono in monos:
-        groups.setdefault(sum(map(mul, scaled[0][0], mono)), []).append(mono)
+        ia = [v.numerator * (scale // v.denominator) for v in a]
+        ib = [v.numerator * (scale // v.denominator) for v in b]
+        scaled.append((ia, ib, c.numerator * (scale // c.denominator)))
+    table: Dict[int, Dict[int, int]] = {}
+    for k, (ia, _, _) in enumerate(scaled):
+        row = {j: v for j, v in enumerate(ia) if v}
+        row[dim + k] = 1
+        K.echelon_insert(table, row)
+    K.back_substitute(table)
+    # each reduced row reads a.m = t.n, t in the columns from dim on, and
+    # a pivot row holds no other pivot coordinate
+    free = [j for j in range(dim) if j not in table]
+    checks, solved = [], []
+    for p in sorted(table):
+        row = table[p]
+        combo = [row.get(dim + k, 0) for k in range(len(scaled))]
+        if p >= dim:
+            checks.append(combo)
+        else:
+            solved.append((p, row[p], [row.get(f, 0) for f in free], combo))
+    encoded, _, size = ansatz._layout
     columns = []
+    walked: Dict[tuple, List[int]] = {}
     for exp in encoded:
         den, nums = exp[0], exp[1:]
         if any(x and n for ia, _, _ in scaled for x, n in zip(ia, nums)):
             continue
-        for comp in ansatz.components:
-            # weight c, times den: den * (a.m - a_c - c) + b.(den q) = 0
-            need = [
-                divmod(den * (ia[comp] + ic) - sum(map(mul, ib, nums)), den)
-                for ia, ib, ic in scaled
-            ]
-            if any(rem for _, rem in need):
+        # weight c: a.m = a_c + c - b.q, an integer only where b.q is
+        bq = [divmod(sum(map(mul, ib, nums)), den) for _, ib, _ in scaled]
+        if any(rem for _, rem in bq):
+            continue
+        for comp, start in ansatz.starts(exp):
+            n = [ia[comp] + ic - q for (ia, _, ic), (q, _) in zip(scaled, bq)]
+            if any(sum(map(mul, combo, n)) for combo in checks):
                 continue
-            kept = groups.get(need[0][0], ())
-            for (ia, _, _), (n, _) in zip(scaled[1:], need[1:]):
-                kept = [mono for mono in kept if sum(map(mul, ia, mono)) == n]
-            columns.extend(ansatz.column(comp, exp, mono) for mono in kept)
+            if not solved:
+                # no weight fixes a coordinate: the whole block is kept
+                columns.extend(range(start, start + size))
+                continue
+            # the kept ranks depend only on the pivot rows' right-hand sides
+            targets = tuple(sum(map(mul, combo, n)) for _, _, _, combo in solved)
+            ranks = walked.get(targets)
+            if ranks is None:
+                ranks = walked[targets] = _solution_ranks(ansatz, free, solved, targets)
+            columns.extend(start + r for r in ranks)
     return sorted(columns)
+
+
+def _solution_ranks(ansatz: AnsatzSpace, free, solved, targets) -> List[int]:
+    """Ranks of the monomials of degree <= ``ansatz.max_degree`` whose
+    pivot coordinates p solve ``lead * m_p + coef . m_free = target``
+    for each ``(p, lead, coef, _)`` of ``solved``: the free coordinates
+    are walked within the degree and each pivot coordinate must come
+    out a natural number within what is left of it."""
+    degree = ansatz.max_degree
+    ranks = []
+    for point in _simplex(len(free), degree):
+        left = degree - sum(point)
+        mono = [0] * ansatz.dim
+        for (p, lead, coef, _), t in zip(solved, targets):
+            m, rem = divmod(t - sum(map(mul, coef, point)), lead)
+            if rem or not 0 <= m <= left:
+                break
+            mono[p] = m
+            left -= m
+        else:
+            for j, v in zip(free, point):
+                mono[j] = v
+            ranks.append(ansatz.rank(mono))
+    return ranks
 
 
 def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):

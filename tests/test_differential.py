@@ -67,7 +67,22 @@ rank-deficient by construction.
 The column of an ansatz basis field, computed by arithmetic, and its
 inverse are checked against the key table every ansatz once built over
 all its columns (``reference_columns``), on spaces whose exponent
-vectors sort differently as ``Fraction`` tuples and encoded.
+vectors sort differently as ``Fraction`` tuples and encoded, and a
+monomial's rank and its inverse against ``solve._monomials`` in
+dimensions 1-5 and in dimension 3 up to degree 32.
+
+The graded start, which walks only the solutions of the weight
+equations, is checked against the ``Fraction`` weight of every key
+(``_weight_columns``): degrees 0-10, weight rows of rank 0-3, lists
+shaped like the obstruction's (two Cartan elements and two
+translations), fractional weights and eigenvalues, and exponent
+denominators 2 and 3.  A graded solve never lists a block's monomials.
+
+The integer constraint build is checked against the ``Fraction`` build
+it replaced (``reference_build_system``): the same targets and image
+count, ``int`` entries, and each constraint's rows and right-hand side
+the reference's times one positive rational, also over restricted
+columns, with eigenvalues, targets and exponents over denominators.
 """
 
 import itertools
@@ -78,7 +93,7 @@ from fractions import Fraction
 from typing import List
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lvf import _kernels, _linalg
 from lvf import catalog, obstruction
@@ -424,6 +439,128 @@ def reference_columns(ansatz):
         (c, exp, mono) for c in ansatz.components for exp in encoded for mono in monos
     )
     return keys, {key: m for m, key in enumerate(keys)}
+
+
+def reference_build_system(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND, columns=None):
+    """The ``Fraction`` build that ``_build_system`` replaced: the same
+    ``(targets, rows, rhs, images)``, with the known field's terms and
+    derivatives taken from ``rational_terms`` and ``ExpPoly.diff`` and
+    every entry the rational value of the equation itself.  Columns come
+    from the key table (``reference_columns``)."""
+    dim = ansatz.dim
+    keys, col_index = reference_columns(ansatz)
+    by_exp = {}
+    for m in range(len(keys)) if columns is None else columns:
+        by_exp.setdefault(keys[m][1], set()).add(keys[m][2])
+    by_exp = {exp: sorted(by_exp[exp]) for exp in sorted(by_exp)}
+    target_index = {}
+    rows = []
+
+    def index_of(full):
+        idx = target_index.get(full)
+        if idx is None:
+            idx = len(target_index)
+            target_index[full] = idx
+            if idx >= target_bound:
+                raise AnsatzExplosion(idx + 1, target_bound)
+            rows.append({})
+        return idx
+
+    for ci, cons in enumerate(constraints):
+        known = cons.known.components
+        kc = [comp.rational_terms() for comp in known]
+        dk = {c: [] for c in ansatz.components}
+        for c in ansatz.components:
+            for j in range(dim):
+                terms = known[j].diff(c).rational_terms()
+                if terms:
+                    dk[c].append((j, [(e, mk, -v) for (e, mk), v in terms]))
+        eig = cons.eigenvalue if cons.kind == "eigen" else 0
+        for exp, exp_monos in by_exp.items():
+            q = [Fraction(n, exp[0]) for n in exp[1:]]
+            k_shifted = [
+                [(_kernels.exp_add(ek, exp), mk, a) for (ek, mk), a in terms] for terms in kc
+            ]
+            dk_shifted = {
+                c: [
+                    (j, [(_kernels.exp_add(exp, e), mk, v) for e, mk, v in terms])
+                    for j, terms in images
+                ]
+                for c, images in dk.items()
+            }
+            for mono in exp_monos:
+                cols = [(c, col_index[(c, exp, mono)]) for c in ansatz.components]
+                if columns is not None:
+                    cols = [(c, col) for c, col in cols if col in columns]
+                if not cols:
+                    continue
+                kf = {}
+                for j in range(dim):
+                    m = mono[j]
+                    if not k_shifted[j] or not (m or q[j]):
+                        continue
+                    fd = []
+                    if m:
+                        fd.append((mono[:j] + (m - 1,) + mono[j + 1:], m))
+                    if q[j]:
+                        fd.append((mono, q[j]))
+                    prod = {}
+                    for e, mk, a in k_shifted[j]:
+                        for mf, b in fd:
+                            _kernels.add_into(prod, (e, tuple(map(operator.add, mk, mf))), a * b)
+                    if kf:
+                        for key, v in prod.items():
+                            _kernels.add_into(kf, key, v)
+                    else:
+                        kf = prod
+                diag = kf
+                if eig:
+                    diag = dict(kf)
+                    _kernels.add_into(diag, (exp, mono), -eig)
+                for c, col in cols:
+                    for (e, mk), v in diag.items():
+                        _kernels.add_into(rows[index_of((ci, c, e, mk))], col, v)
+                    for j, terms in dk_shifted[c]:
+                        for e, mk, v in terms:
+                            key = (ci, j, e, tuple(map(operator.add, mono, mk)))
+                            _kernels.add_into(rows[index_of(key)], col, v)
+
+    images = len(rows)
+    rhs = None
+    if any(c.kind == "equals" for c in constraints):
+        rhs_entries = {}
+        for ci, cons in enumerate(constraints):
+            if cons.kind != "equals":
+                continue
+            for fkey, value in _field_keys(cons.target):
+                idx = index_of((ci, *fkey))
+                rhs_entries[idx] = rhs_entries.get(idx, _ZERO) + value
+        rhs = [rhs_entries.get(i, _ZERO) for i in range(len(rows))]
+    return list(target_index), rows, rhs, images
+
+
+def assert_scaled_build(got, ref):
+    """``got`` is the build ``ref`` in integers: the same targets (and
+    the same image count when ``ref`` has one), every row entry an
+    ``int``, and each constraint's rows and right-hand side the
+    reference's times one positive rational, with keys in the same
+    order."""
+    targets, rows, rhs = got[:3]
+    assert targets == ref[0]
+    if len(ref) > 3:
+        assert got[3] == ref[3]
+    assert all(type(v) is int for row in rows for v in row.values())
+    assert [list(row) for row in rows] == [list(row) for row in ref[1]]
+    assert (rhs is None) == (ref[2] is None)
+    ratios = {}
+    for i, (ci, *_) in enumerate(targets):
+        pairs = [(v, ref[1][i][c]) for c, v in rows[i].items()]
+        if rhs is not None:
+            pairs.append((rhs[i], ref[2][i]))
+        for v, w in pairs:
+            if v or w:
+                ratio = ratios.setdefault(ci, Fraction(v) / w)
+                assert ratio > 0 and v == ratio * w
 
 
 def reference_homogeneous_solve(constraints, ansatz):
@@ -991,12 +1128,8 @@ def test_tall_solve_affine_matches_binary_search(system):
 @given(constraint_systems())
 def test_build_matches_exppoly_loop(system):
     constraints, ansatz = system
-    targets, rows, rhs, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
-    ref_targets, ref_rows, ref_rhs = reference_build(constraints, ansatz)
-    assert targets == ref_targets
-    assert rows == ref_rows
-    assert [list(r) for r in rows] == [list(r) for r in ref_rows]
-    assert rhs == ref_rhs
+    got = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
+    assert_scaled_build(got, reference_build(constraints, ansatz))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1176,6 +1309,63 @@ def test_build_over_columns_restricts_the_full_build(system, data):
     }
     targets, rows, _, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns)
     assert {t: r for t, r in zip(targets, rows) if r} == {t: r for t, r in full.items() if r}
+
+
+# exponent vectors over denominators 2 and 3, besides those of EXPONENTS
+FRACTIONAL_EXPONENTS = EXPONENTS + (
+    (0, Fraction(1, 3), 0), (Fraction(-1, 2), 0, Fraction(2, 3)), (0, 0, Fraction(3, 2)),
+)
+FRACTIONAL_EIGENVALUES = (0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+
+
+def _fractional_field(rng):
+    """A random field, at times with a component times exp(q.x) for a q
+    over denominators 2 and 3."""
+    field = rand_field(rng, max_terms=2)
+    comps = list(field.components)
+    if rng.random() < 0.6:
+        i = rng.randrange(3)
+        q = [rng.choice((0, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3))) for _ in range(3)]
+        comps[i] = comps[i] * ExpPoly.exponential(3, q)
+    return VectorField(comps)
+
+
+@st.composite
+def integer_build_systems(draw):
+    """Constraint lists with eigenvalues and ``equals`` targets over
+    denominators, known fields and ansatz blocks with exponent
+    denominators 2 and 3, and at times a subset of the columns."""
+    rng = draw(st.randoms(use_true_random=False))
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("eigen", "zero", "equals")))
+        known = _fractional_field(rng)
+        if kind == "eigen":
+            value = draw(st.sampled_from(FRACTIONAL_EIGENVALUES))
+            constraints.append(BracketConstraint.eigen(known, value))
+        elif kind == "zero":
+            constraints.append(BracketConstraint.commutes(known))
+        else:
+            scale = draw(st.sampled_from((1, Fraction(1, 7), Fraction(-5, 6))))
+            target = _fractional_field(rng) * scale
+            constraints.append(BracketConstraint.equals(known, target))
+    exponents = draw(st.lists(st.sampled_from(FRACTIONAL_EXPONENTS), min_size=1, max_size=3))
+    components = draw(st.sets(st.integers(0, 2), min_size=1))
+    ansatz = AnsatzSpace(3, exponents, draw(st.integers(0, 2)), sorted(components))
+    columns = None
+    if draw(st.booleans()):
+        ncols = ansatz.dimension()
+        columns = set(draw(st.lists(st.integers(0, ncols - 1), max_size=ncols)))
+    return constraints, ansatz, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_build_systems())
+def test_integer_build_matches_fraction_build(system):
+    constraints, ansatz, columns = system
+    got = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns)
+    ref = reference_build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns)
+    assert_scaled_build(got, ref)
 
 
 # Later stages combine kernel vectors of several terms, so the sums come
@@ -1487,21 +1677,53 @@ def test_column_mapping_matches_key_table(ansatz, data):
     keys, col_index = reference_columns(ansatz)
     assert ansatz.basis_keys() == list(keys)
     assert ansatz.dimension() == len(keys)
+    # a monomial's rank is its position in one block of the table
+    ranks = {mono: r for r, mono in enumerate(sorted({key[2] for key in keys}))}
     for m, (c, exp, mono) in enumerate(keys):
         assert ansatz.key(m) == (c, exp, mono)
         assert ansatz.column(c, exp, mono) == m
-        assert ansatz.columns(exp, mono) == [
+        r = ranks[mono]
+        assert ansatz.rank(mono) == r and ansatz.monomial(r) == mono
+        assert [(comp, start + r) for comp, start in ansatz.starts(exp)] == [
             (comp, col_index[(comp, exp, mono)]) for comp in ansatz.components
         ]
-    # the blocks a build visits: sorted encoded order, monomials ascending
+    # the blocks a build visits: sorted encoded order, ranks ascending,
+    # each monomial with its rank
     columns = data.draw(st.sets(st.integers(0, len(keys) - 1)))
     for wanted in (None, columns):
         by_exp = {}
         for m in range(len(keys)) if wanted is None else columns:
             by_exp.setdefault(keys[m][1], set()).add(keys[m][2])
-        expected = {exp: sorted(by_exp[exp]) for exp in sorted(by_exp)}
+        expected = {
+            exp: [(ranks[mono], mono) for mono in sorted(by_exp[exp])]
+            for exp in sorted(by_exp)
+        }
         assert ansatz.blocks(wanted) == expected
         assert list(ansatz.blocks(wanted)) == list(expected)
+
+
+@pytest.mark.parametrize("dim, degrees", [
+    (1, range(7)), (2, range(7)), (3, range(7)), (4, range(7)), (5, range(7)),
+    (3, range(12, 33, 5)),
+])
+def test_ranks_match_the_monomial_list(dim, degrees):
+    exponents = [(0,) * dim, (Fraction(1, 2),) + (0,) * (dim - 1)]
+    for degree in degrees:
+        monos = solve_module._monomials(dim, degree)
+        ansatz = AnsatzSpace(dim, exponents, degree, range(dim - 1, -1, -2))
+        assert [ansatz.rank(mono) for mono in monos] == list(range(len(monos)))
+        assert [ansatz.monomial(r) for r in range(len(monos))] == monos
+        encoded = [encode_exponents(e) for e in ansatz.exponents]
+        keys = [(c, exp, mono) for c in ansatz.components for exp in encoded for mono in monos]
+        assert ansatz.basis_keys() == keys
+        assert [ansatz.key(m) for m in range(len(keys))] == keys
+        assert [ansatz.column(*key) for key in keys] == list(range(len(keys)))
+        pairs = list(enumerate(monos))
+        assert ansatz.blocks() == {exp: pairs for exp in sorted(encoded)}
+        # runs of two columns and gaps, in the last block of the last component
+        columns = {m for m in range(len(keys) - len(monos), len(keys)) if m % 3}
+        kept = [pairs[m % len(monos)] for m in sorted(columns)]
+        assert ansatz.blocks(columns) == ({encoded[-1]: kept} if kept else {})
 
 
 UNGRADED_FIELDS = ("y*Dx", "z*Dy", "x*Dz", "exp(z)*Dx", "exp(x)*Dy", "z*Dx + Dy", "x*Dx + Dx")
@@ -1576,6 +1798,164 @@ def test_graded_lists_match_stacked(system):
     assert set().union(*ref) <= set(columns)
     got = _staged_solve(constraints, ansatz, DEFAULT_TARGET_BOUND)[0]
     assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+
+
+# Blocks over denominators 2 and 3 for the graded start.  A block
+# survives only where every a_i of its nonzero q_i vanishes.
+WEIGHT_EXPONENTS = GRADED_EXPONENTS + (
+    (Fraction(1, 2), 0, 0), (0, 0, Fraction(2, 3)), (0, Fraction(-3, 2), Fraction(1, 3)),
+)
+WEIGHT_ENTRIES = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))
+
+
+def _graded_triples(draw, a_rows, b_rows, ansatz):
+    """``(a, b, c)`` for each row pair.  Half the lists take as every c
+    the weight of one basis field in a block that no a_i q_i != 0 drops,
+    so that field and often many more are kept; the others take the
+    weight or a random value for each c."""
+    a_rows = [[Fraction(v) for v in a] for a in a_rows]
+    b_rows = [[Fraction(v) for v in b] for b in b_rows]
+    keys = ansatz.basis_keys()
+    kept = [
+        key for key in keys
+        if not any(x and q for a in a_rows for x, q in zip(a, decode_exponents(key[1])))
+    ]
+    key = draw(st.sampled_from(kept or keys))
+    exact = draw(st.booleans())
+    graded = []
+    for a, b in zip(a_rows, b_rows):
+        weight = _weight(a, b, key)
+        graded.append((a, b, weight if exact else draw(st.sampled_from((weight, draw(values))))))
+    return draw(st.permutations(graded))
+
+
+def _b_where_a_vanishes(draw, a):
+    return [draw(st.sampled_from(WEIGHT_ENTRIES)) if not x else 0 for x in a]
+
+
+def _translation(draw):
+    b = [draw(st.sampled_from(WEIGHT_ENTRIES)) for _ in range(3)]
+    return [0, 0, 0], b if any(b) else [0, 0, 1]
+
+
+def _weight_ansatz(draw):
+    # the zero block, which no a drops, and one to three others
+    others = draw(st.lists(st.sampled_from(WEIGHT_EXPONENTS), min_size=1, max_size=3))
+    exponents = [(0, 0, 0)] + others
+    components = draw(st.sets(st.integers(0, 2), min_size=1))
+    return AnsatzSpace(3, exponents, draw(st.integers(0, 10)), sorted(components))
+
+
+@st.composite
+def weight_systems(draw):
+    """Graded constraints whose weight rows a_k have rank 0-3 (rank-many
+    independent rows, at times a combination of them, and translations
+    a = 0), with fractional a, b and c, over degrees 0-10."""
+    ansatz = _weight_ansatz(draw)
+    rank_wanted = draw(st.integers(0, 3))
+    a_rows = [
+        [draw(st.sampled_from(WEIGHT_ENTRIES)) for _ in range(3)] for _ in range(rank_wanted)
+    ]
+    assume(rank([{j: Fraction(v) for j, v in enumerate(a) if v} for a in a_rows], 3) == rank_wanted)
+    if a_rows and draw(st.booleans()):
+        x, y = draw(values), draw(values)
+        i, j = draw(st.integers(0, len(a_rows) - 1)), draw(st.integers(0, len(a_rows) - 1))
+        combo = [x * u + y * v for u, v in zip(a_rows[i], a_rows[j])]
+        if any(combo):
+            a_rows.append(combo)
+    b_rows = [_b_where_a_vanishes(draw, a) for a in a_rows]
+    for _ in range(draw(st.integers(0 if a_rows else 1, 2))):
+        a, b = _translation(draw)
+        a_rows.append(a)
+        b_rows.append(b)
+    return _graded_triples(draw, a_rows, b_rows, ansatz), ansatz
+
+
+@st.composite
+def g2_shaped_systems(draw):
+    """Four graded constraints shaped like the obstruction's: two
+    Cartan-type with a != 0 and two translations."""
+    ansatz = _weight_ansatz(draw)
+    a_rows, b_rows = [], []
+    for _ in range(2):
+        a = [draw(st.sampled_from(WEIGHT_ENTRIES)) for _ in range(3)]
+        if not any(a):
+            a[draw(st.integers(0, 2))] = draw(values)
+        a_rows.append(a)
+        b_rows.append(_b_where_a_vanishes(draw, a))
+    for _ in range(2):
+        a, b = _translation(draw)
+        a_rows.append(a)
+        b_rows.append(b)
+    return _graded_triples(draw, a_rows, b_rows, ansatz), ansatz
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(weight_systems(), g2_shaped_systems()))
+def test_graded_columns_match_weight_reference(system):
+    graded, ansatz = system
+    assert _graded_columns(graded, ansatz) == _weight_columns(graded, ansatz)
+
+
+# (a rows, b rows, block, component, monomial) with weight rows of rank
+# 0, 1, 2 and 3; the eigenvalues are the weights of that basis field
+RANK_EXAMPLES = [
+    ([(0, 0, 0), (0, 0, 0)], [(0, 0, Fraction(3, 2)), (Fraction(1, 2), 0, 0)],
+     (0, 0, Fraction(2, 3)), 2, (1, 2, 0)),
+    ([(Fraction(1, 2), -1, 0), (0, 0, 0)], [(0, 0, Fraction(3, 2)), (0, 0, 3)],
+     (0, 0, Fraction(2, 3)), 0, (2, 1, 1)),
+    ([(1, -2, 0), (Fraction(1, 3), 1, 0), (0, 0, 0), (0, 0, 0)],
+     [(0, 0, Fraction(3, 2)), (0, 0, Fraction(-3, 4)), (0, 0, 1), (0, Fraction(1, 2), 0)],
+     (0, 0, Fraction(2, 3)), 1, (3, 1, 2)),
+    ([(1, -2, 0), (0, Fraction(1, 3), 1), (Fraction(1, 2), 0, -1), (2, -3, 1)],
+     [(0, 0, Fraction(1, 2)), (Fraction(2, 3), 0, 0), (0, 3, 0), (0, 0, 0)],
+     (0, 0, 0), 1, (2, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("weights", range(4))
+def test_graded_columns_by_weight_rank(weights):
+    a_rows, b_rows, exp, comp, mono = RANK_EXAMPLES[weights]
+    a_rows = [[Fraction(v) for v in a] for a in a_rows]
+    b_rows = [[Fraction(v) for v in b] for b in b_rows]
+    matrix = [{j: v for j, v in enumerate(a) if v} for a in a_rows]
+    assert rank(matrix, 3) == weights
+    exponents = [(0, 0, 0), exp, (Fraction(1, 2), 0, 0), (0, Fraction(-1, 3), 0)]
+    key = (comp, encode_exponents(exp), mono)
+    graded = [(a, b, _weight(a, b, key)) for a, b in zip(a_rows, b_rows)]
+    for degree in range(11):
+        ansatz = AnsatzSpace(3, exponents, degree)
+        columns = _graded_columns(graded, ansatz)
+        assert columns == _weight_columns(graded, ansatz)
+        if degree >= sum(mono):
+            assert ansatz.column(*key) in columns
+
+
+def test_graded_solve_builds_no_monomial_table(monkeypatch):
+    """The graded start and the builds over its columns list no block's
+    monomials: ``_monomials`` is never called."""
+    expected = [
+        obstruction.g2_obstruction(form, AnsatzSpace(3, max_degree=32)).to_records()
+        for form in (1, 2, 3)
+    ]
+    space = AnsatzSpace(3, [(0, 0, 0), (0, 0, 1)], 32)
+    cons = [
+        BracketConstraint.eigen(parse_field("-x*Dx - 2*y*Dy"), 1),
+        BracketConstraint.commutes(parse_field("Dz")),
+    ]
+    kept = solve(cons, space)
+
+    def refuse(dim, max_degree):
+        raise AssertionError("the monomial list was built")
+
+    monkeypatch.setattr(solve_module, "_monomials", refuse)
+    assert [
+        obstruction.g2_obstruction(form, AnsatzSpace(3, max_degree=32)).to_records()
+        for form in (1, 2, 3)
+    ] == expected
+    got = solve(cons, AnsatzSpace(3, [(0, 0, 0), (0, 0, 1)], 32))
+    assert got.dimension > 0
+    assert (got.basis, got.matrix_rank) == (kept.basis, kept.matrix_rank)
 
 
 @pytest.mark.parametrize("text", [

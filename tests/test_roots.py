@@ -81,15 +81,22 @@ class TestNormalization:
     def test_noop_for_standard_pair(self):
         xp = parse_field("y*Dz", dim=4)
         xm = parse_field("z*Dy", dim=4)
-        _, xm2, scale = normalize_simple_pair(xp, xm)
+        xm2, h, scale = normalize_simple_pair(xp, xm)
         assert scale == 1 and xm2 == xm
+        assert h == bracket(xp, xm)
 
     def test_rescales_quarter_pair(self):
         xp = parse_field("exp((-x+y)/2)*(Dx - Dy - (z + 1/4)*Dz)")
         xm = parse_field("exp((x-y)/2)*(z*Dx + (z + 1/2)*Dy + (z^2 + z/4)*Dz)")
-        _, xm2, scale = normalize_simple_pair(xp, xm)
+        xm2, h, scale = normalize_simple_pair(xp, xm)
         assert scale == 4
-        h = bracket(xp, xm2)
+        # the Cartan element is the bracket with the scaled xm, and its
+        # terms are stored in the same order
+        direct = bracket(xp, xm2)
+        assert h == direct
+        assert [list(c.term_map()) for c in h.components] == [
+            list(c.term_map()) for c in direct.components
+        ]
         assert bracket(h, xp) == xp * Fraction(2)
 
     def test_rejects_commuting_pair(self):
