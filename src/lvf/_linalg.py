@@ -123,6 +123,8 @@ def echelon_with_identity(
 ) -> Optional[Tuple[Dict[int, Dict[int, int]], List[int]]]:
     """Insert the rows of ``[A | I]`` into one echelon table.
 
+    A's entries are ``int`` or ``Fraction`` and the identity block holds
+    ``int`` 1s, so an integer matrix enters the elimination as it is.
     Returns the table and the pivot column of each row of the n x n
     matrix A, or None as soon as a pivot falls in the identity block
     (column n or later), which happens exactly when A is singular.  Row
@@ -137,7 +139,7 @@ def echelon_with_identity(
     pivots = []
     for i, row in enumerate(rows):
         aug = {j: v for j, v in enumerate(row) if v}
-        aug[n + i] = Fraction(1)
+        aug[n + i] = 1
         p = K.echelon_insert(table, aug)
         if p >= n:
             return None
@@ -146,9 +148,11 @@ def echelon_with_identity(
 
 
 def det(matrix: List[List[Fraction]]) -> Fraction:
-    """Exact determinant: sign of the pivot permutation times the
-    product of the pivot entries of the echelon rows over the product of
-    their marker entries (see ``echelon_with_identity``)."""
+    """Exact determinant of a matrix of ``int`` or ``Fraction`` entries:
+    sign of the pivot permutation times the product of the pivot
+    entries of the echelon rows over the product of their marker
+    entries (see ``echelon_with_identity``).  Always a ``Fraction``;
+    an integer matrix runs without one until that last division."""
     echelon = echelon_with_identity(matrix)
     if echelon is None:
         return Fraction(0)

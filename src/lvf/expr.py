@@ -18,7 +18,8 @@ the integer kernels of ``_kernels`` and ends in one normalise step;
 ``Fraction`` appears only where rationals come in (:meth:`ExpPoly.from_terms`)
 or go out (:meth:`ExpPoly.rational_terms`, :meth:`ExpPoly.term_map`,
 printing).  Only this module reads the storage; :meth:`ExpPoly.integer_terms`
-hands it out read-only, for the integer rows of the constraint build.
+hands it out read-only, for the integer rows of the constraint build
+and of the span tracker.
 
 Values are immutable and safe to share between threads.  All arithmetic
 is exact.

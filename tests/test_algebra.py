@@ -17,6 +17,7 @@ from lvf.algebra import (
 )
 from lvf.errors import (
     DependentBasis,
+    LvfError,
     NotFiniteDimensionalWithinBound,
     NotInSpan,
     ParameterizedInput,
@@ -168,11 +169,31 @@ class TestStructureTensor:
             StructureTensor(
                 3,
                 {
-                    (0, 1): (0, Fraction(1), 0),
-                    (0, 2): (0, 0, Fraction(1)),
-                    (1, 2): (Fraction(1), 0, 0),
+                    (0, 1): {1: Fraction(1)},
+                    (0, 2): {2: Fraction(1)},
+                    (1, 2): {0: Fraction(1)},
                 },
             )
+
+    def test_constants_refuse_floats(self):
+        # 0.1 would be stored as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="not an exact rational"):
+            StructureTensor(2, {(0, 1): {0: 0.1}})
+
+    def test_constants_read_exact_rationals(self):
+        # [b0, b1] = 1/2*b0 - 3/4*b1, from a literal and a Fraction
+        t = StructureTensor(2, {(0, 1): {0: "1/2", 1: Fraction(-3, 4)}})
+        assert t.c(0, 1) == (Fraction(1, 2), Fraction(-3, 4))
+        assert t.c(1, 0) == (Fraction(-1, 2), Fraction(3, 4))
+        assert t.constants == {(0, 1): (Fraction(1, 2), Fraction(-3, 4))}
+
+    @pytest.mark.parametrize("constants", [
+        {(1, 0): {0: 1}},  # pairs are given with i < j
+        {(0, 1): {2: 1}},  # coordinate index past the dimension
+    ])
+    def test_constants_out_of_range(self, constants):
+        with pytest.raises(LvfError):
+            StructureTensor(2, constants)
 
 
 class TestKilling:
@@ -180,9 +201,9 @@ class TestKilling:
         t = StructureTensor(
             3,
             {
-                (0, 1): (0, Fraction(2), 0),
-                (0, 2): (0, 0, Fraction(-2)),
-                (1, 2): (Fraction(1), 0, 0),
+                (0, 1): {1: Fraction(2)},
+                (0, 2): {2: Fraction(-2)},
+                (1, 2): {0: Fraction(1)},
             },
         )
         K = t.killing_form()

@@ -39,7 +39,14 @@ own systems and on random systems whose blocks do not interact.
 The bracket and ``apply`` are checked against the earlier loop that
 adds ``ExpPoly`` products one component at a time, and the sparse
 Jacobi check and Killing form against the earlier dense loops over
-coordinate tuples (same verdict, same failing triple).
+coordinate tuples (same verdict, same failing triple).  The tensor
+holds integers over one denominator D, so ``c``, ``constants``,
+``bracket_vectors``, ``killing_form`` and ``killing_det`` are checked
+against the dense references, and to be ``Fraction``s, also on
+perturbed and rebased tensors, whose mixed denominators make D > 1.
+The span tracker's integer rows are checked against the ``Fraction``
+rows it read before (``FractionRowSpanTracker``): identical stored
+rows, on fields whose components have different denominators.
 
 ``ExpPoly`` stores integer terms over one denominator.  The ``Fraction``
 term-map kernels it replaced are kept here (``pp_*``, ``ep_*`` and
@@ -116,7 +123,7 @@ from lvf.solve import (
     solve,
 )
 
-from _rand import rand_exppoly, rand_field, rand_invertible
+from _rand import rand_exppoly, rand_field, rand_fraction, rand_invertible
 
 _ZERO = Fraction(0)
 
@@ -1164,6 +1171,79 @@ def test_span_tracker_matches_reference(fields):
     for f in fields:
         assert tracker.insert(f) == ref.insert(f)
         assert_primitive_table(tracker.table)
+
+
+class FractionRowSpanTracker(SpanTracker):
+    """The tracker on the rows it built before it read integer storage:
+    one ``Fraction`` per term from ``rational_terms()`` and a
+    ``Fraction(1)`` marker, which ``echelon_insert`` scales to
+    integers."""
+
+    def _vectorize(self, field, idx):
+        vec = {}
+        for i, comp in enumerate(field.components):
+            for (exp, mono), c in comp.rational_terms():
+                key = (i, exp, mono)
+                col = self.key_index.get(key)
+                if col is None:
+                    col = -1 - len(self.key_index)
+                    self.key_index[key] = col
+                vec[col] = Fraction(c)
+        vec[idx] = Fraction(1)
+        return vec
+
+
+def assert_tracker_matches_fraction_rows(fields):
+    """Every insert gives the reference's answer, with ``Fraction``
+    coordinates, and leaves the table the ``Fraction`` rows leave, row
+    for row and entry order for entry order."""
+    tracker, frac, ref = SpanTracker(), FractionRowSpanTracker(), ReferenceSpanTracker()
+    for f in fields:
+        got = tracker.insert(f)
+        assert got == frac.insert(f) == ref.insert(f)
+        assert all(type(v) is Fraction for v in got[1].values())
+        assert [(p, list(row.items())) for p, row in tracker.table.items()] == [
+            (p, list(row.items())) for p, row in frac.table.items()
+        ]
+        assert list(tracker.key_index.items()) == list(frac.key_index.items())
+        assert_primitive_table(tracker.table)
+
+
+def test_span_tracker_rows_over_mixed_denominators():
+    fields = [parse_field(t, 2) for t in (
+        "1/3*x*Dx + 2/5*exp(y/2)*Dy",
+        "2/7*Dx - 5/3*y*Dy",
+        "1/3*x*Dx",
+        # (first - third) + 2*second
+        "2/5*exp(y/2)*Dy + 4/7*Dx - 10/3*y*Dy",
+        "3/11*x*y*Dx + 7/4*Dy",
+    )]
+    assert_tracker_matches_fraction_rows(fields)
+    tracker = SpanTracker()
+    for f in fields[:3]:
+        assert tracker.insert(f) == (True, {})
+    assert tracker.insert(fields[3]) == (False, {0: 1, 1: 2, 2: -1})
+
+
+@st.composite
+def mixed_denominator_sequences(draw):
+    """``insert_sequences`` with each component axis scaled by its own
+    rational, the same for every field, so the components of one field
+    have different denominators and the dependencies stay."""
+    scales = draw(st.lists(
+        st.builds(Fraction, st.integers(-7, 7).filter(bool), st.sampled_from((1, 3, 5, 7, 9))),
+        min_size=3, max_size=3,
+    ))
+    return [
+        VectorField([c * s for c, s in zip(f.components, scales)])
+        for f in draw(insert_sequences())
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_denominator_sequences())
+def test_span_tracker_rows_match_fraction_rows(fields):
+    assert_tracker_matches_fraction_rows(fields)
 
 
 def assert_primitive_table(table):
@@ -2266,14 +2346,44 @@ def _jacobi_outcome(check, dim, constants):
     return None
 
 
+def _sparse(constants):
+    """Dense constant tuples as the sparse coordinates a
+    ``StructureTensor`` is built from."""
+    return {ij: {k: v for k, v in enumerate(vec) if v} for ij, vec in constants.items()}
+
+
+def assert_tensor_matches_reference(tensor, constants, rng):
+    """``c``, ``constants``, ``bracket_vectors``, ``killing_form`` and
+    ``killing_det`` of ``tensor`` against the dense references on the
+    constants it was built from: equal, and every entry a ``Fraction``."""
+    m = tensor.dim
+    assert tensor.constants == {ij: vec for ij, vec in constants.items() if any(vec)}
+    for i in range(m):
+        for j in range(m):
+            got = tensor.c(i, j)
+            assert got == _reference_c(m, constants, i, j)
+            assert all(type(v) is Fraction for v in got)
+    u = [rng.choice((_ZERO, rand_fraction(rng))) for _ in range(m)]
+    v = [rand_fraction(rng) for _ in range(m)]
+    want = [_ZERO] * m
+    for i in range(m):
+        for j in range(m):
+            for k, c in enumerate(_reference_c(m, constants, i, j)):
+                want[k] += u[i] * v[j] * c
+    got = tensor.bracket_vectors(u, v)
+    assert got == want and all(type(x) is Fraction for x in got)
+    killing = reference_killing_form(m, constants)
+    got = tensor.killing_form()
+    assert got == killing and all(type(x) is Fraction for row in got for x in row)
+    assert tensor.killing_det() == reference_det(killing)
+
+
 def test_catalog_tensors_match_dense_jacobi_and_killing():
+    rng = random.Random(24)
     for entry_id, tensor in _catalog_tensors():
         m = tensor.dim
         assert reference_check_jacobi(m, tensor.constants) is None, entry_id
-        assert tensor.killing_form() == reference_killing_form(m, tensor.constants), entry_id
-        for i in range(m):
-            for j in range(m):
-                assert tensor.c(i, j) == _reference_c(m, tensor.constants, i, j)
+        assert_tensor_matches_reference(tensor, tensor.constants, rng)
 
 
 @st.composite
@@ -2292,16 +2402,22 @@ def perturbed_tensors(draw):
     return m, constants
 
 
+def _tensor(m, constants):
+    return StructureTensor(m, _sparse(constants))
+
+
 @settings(max_examples=300, deadline=None)
-@given(perturbed_tensors())
-def test_sparse_jacobi_matches_dense(case):
+@given(perturbed_tensors(), st.randoms(use_true_random=False))
+def test_sparse_jacobi_matches_dense(case, rng):
+    # the perturbed constants have denominators 1-3 beside the catalog's
+    # 1, 2 and 4, so the common denominator D and the D^(2m) of the
+    # determinant vary
     m, constants = case
     expected = _jacobi_outcome(reference_check_jacobi, m, constants)
-    got = _jacobi_outcome(StructureTensor, m, constants)
+    got = _jacobi_outcome(_tensor, m, constants)
     assert got == expected
     if got is None:
-        tensor = StructureTensor(m, constants)
-        assert tensor.killing_form() == reference_killing_form(m, tensor.constants)
+        assert_tensor_matches_reference(_tensor(m, constants), constants, rng)
 
 
 @st.composite
@@ -2323,12 +2439,11 @@ def rebased_tensors(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rebased_tensors())
-def test_killing_form_matches_dense_in_random_bases(case):
+@given(rebased_tensors(), st.randoms(use_true_random=False))
+def test_killing_form_matches_dense_in_random_bases(case, rng):
     m, constants = case
     assert reference_check_jacobi(m, constants) is None
-    tensor = StructureTensor(m, constants)
-    assert tensor.killing_form() == reference_killing_form(m, tensor.constants)
+    assert_tensor_matches_reference(_tensor(m, constants), constants, rng)
 
 
 # -- joint obstruction solve --------------------------------------------------

@@ -26,7 +26,12 @@ the relation residuals and the structure tensor began reading their
 brackets from the bracket closure; ``verify_tampered.lvf`` is the
 builtin catalog with one relation of ``a2.1`` broken, one whose
 generators come in reverse basis order, so its residual reads a negated
-closure bracket.  The ``structure_*`` files (the Chevalley constants
+closure bracket.  ``verify_fractional.lvf`` holds an sl2 whose
+generators are scaled by 1/3, 5/2 and -2/15, so its structure constants
+have denominators, and the affine line ``2/7*Dx``, ``3/5*x*Dx``, whose
+Killing determinant is 0; its two report files were captured before
+structure tensors held their constants as integers over one
+denominator.  The ``structure_*`` files (the Chevalley constants
 of the B2 and A2 models, each built from many brackets) and
 ``bracket_parametric_exp.txt`` (a bracket of two fields with parameters
 and exponent denominators 2 and 3) were captured before brackets ran
@@ -117,3 +122,17 @@ def test_output_is_byte_identical(argv, name, exit_code, monkeypatch):
 def test_tampered_catalog_verify_is_byte_identical(monkeypatch):
     monkeypatch.setenv("LVF_CATALOG", str(GOLDEN / "verify_tampered.lvf"))
     _assert_golden(["verify", "--all"], "verify_tampered.txt", 1)
+
+
+FRACTIONAL_CASES = [
+    (["verify", "--all"], "verify_fractional.txt", 0),
+    (["verify", "--all", "--format", "records"], "verify_fractional.records", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, exit_code", FRACTIONAL_CASES, ids=[name for _, name, _ in FRACTIONAL_CASES]
+)
+def test_fractional_catalog_verify_is_byte_identical(argv, name, exit_code, monkeypatch):
+    monkeypatch.setenv("LVF_CATALOG", str(GOLDEN / "verify_fractional.lvf"))
+    _assert_golden(argv, name, exit_code)
