@@ -17,14 +17,18 @@ are computed from the primary ones by exact brackets at build time.
 One constructor, ``_entry``, builds every entry, builtin or read from
 text: it parses the generator texts, adds the derived generators,
 reads the relations with ``_parse_relation`` and refuses a malformed
-entry (dimension, expected rank, missing or repeated generators).
+entry (dimension, expected rank, missing or repeated generators,
+parameters named like a builtin).
 
 The serialization is a UTF-8 structured text, one ``realization`` record
 per entry; writing is canonical, so a given catalog always produces the
 same bytes.  The reader runs on the parser's tokenizer
-(``parsing._Tokens``) under the catalog's own token pattern, and hands
-each ``rel`` statement's text, up to its ``;``, to ``_parse_relation``.
-A refusal is a ``CatalogError`` naming an offset into the text.
+(``parsing._Tokens``) under the catalog's own token pattern, and the
+text is tokenized once: each ``rel`` statement's tokens, up to its
+``;``, are detached from the record's and handed to ``_parse_relation``
+as they are, while a builtin relation string is tokenized by
+``_parse_relation`` itself.  A refusal is a ``CatalogError`` naming an
+offset into the text.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from lvf.errors import CatalogError, LvfError
 from lvf.expr import ExpPoly, as_fraction, check_digits, join_signed, signed_term
 from lvf.fields import VectorField, format_field, generic_rank
-from lvf.parsing import _Tokens, check_dimension, parse_field, parse_scalar
+from lvf.parsing import _Tokens, check_dimension, check_params, parse_field, parse_scalar
 
 Coef = Tuple[Fraction, str]
 
@@ -110,7 +114,7 @@ class Realization:
 def _entry(
     id: str,
     gens: Sequence[Tuple[str, str]],
-    rels: Sequence[str],
+    rels: Sequence[Union[str, _Tokens]],
     expected_rank: int = 0,
     expect_semisimple: bool = False,
     source: str = "",
@@ -122,12 +126,14 @@ def _entry(
 ) -> Realization:
     """The one constructor of entries, builtin or read from text.
 
-    ``gens`` and ``rels`` are expression and relation texts, ``params``
+    ``gens`` are expression texts, ``rels`` relation texts or the
+    tokens of relation statements (``_parse_relation``), ``params``
     (name, literal) pairs.  ``derived`` rows (name, a, b, scale) add the
     generator scale*[a, b] of generators already present.  Refused with
     CatalogError: a dimension outside 1..MAX_DIM, an expected rank
     outside 0..dim, no generator, a generator or parameter name used
-    twice, a generator or constraint text that does not parse.
+    twice, a parameter named like a builtin, a generator or constraint
+    text that does not parse, a malformed relation.
     """
     names = [name for name, _ in gens] + [row[0] for row in derived]
     pnames = tuple(name for name, _ in params)
@@ -142,6 +148,7 @@ def _entry(
             twice = sorted({name for name in seq if seq.count(name) > 1})
             if twice:
                 raise LvfError(f"{what} {', '.join(twice)} defined twice")
+        check_params(dim, pnames)
         gen_map = {}
         for name, text in gens:
             where = f"generator {name}: "
@@ -169,14 +176,22 @@ def _entry(
     )
 
 
-def _parse_relation(text: str) -> Relation:
-    """Read ``[a, b] = rhs``: rhs is ``0`` or a signed sum of generators,
-    each with an optional ``p/q*`` coefficient, like ``2*X - 1/2*H``."""
+def _relation_error(text: str):
+    """The refusal of the relation ``text``, for ``_Tokens``."""
 
     def error(message, pos):
         return CatalogError(f"bad relation {text.strip()!r}: {message}")
 
-    toks = _Tokens(text, _CAT_TOKEN, error)
+    return error
+
+
+def _parse_relation(rel: Union[str, _Tokens]) -> Relation:
+    """Read ``[a, b] = rhs`` from a relation text or from the tokens of
+    a ``rel`` statement (``_relation_tokens``): rhs is ``0`` or a signed
+    sum of generators, each with an optional ``p/q*`` coefficient, like
+    ``2*X - 1/2*H``."""
+    toks = _Tokens(rel, _CAT_TOKEN, _relation_error(rel)) if isinstance(rel, str) else rel
+    error = toks.error
     toks.expect("punct", "[")
     a = toks.expect("name")
     toks.expect("punct", ",")
@@ -196,7 +211,10 @@ def _parse_relation(text: str) -> Relation:
             raise error(f"expected '+' or '-', found {value!r}", pos)
         coef = Fraction(1)
         if kind == "num":
-            coef = as_fraction(value)
+            try:
+                coef = as_fraction(value)
+            except LvfError as exc:
+                raise error(str(exc), pos) from None
             toks.expect("punct", "*")
             kind, value, pos = toks.next()
         if kind != "name":
@@ -708,7 +726,7 @@ def _read_entry(toks: _Tokens) -> Realization:
             toks.expect("punct", "=")
             fields["gens"].append((name, toks.expect("str")))
         elif value == "rel":
-            fields["rels"].append(_statement_text(toks))
+            fields["rels"].append(_relation_tokens(toks))
             continue  # the statement's ';' is read
         else:
             raise toks.error(f"unknown field {value!r}", pos)
@@ -732,13 +750,15 @@ def _natural(toks: _Tokens) -> int:
     return int(value)
 
 
-def _statement_text(toks: _Tokens) -> str:
-    """The source text from the next token up to the statement's ``;``,
-    which is read too."""
+def _relation_tokens(toks: _Tokens) -> _Tokens:
+    """The tokens from the next one up to the statement's ``;``, which
+    is read too, detached as a stream whose refusals name the
+    statement's text."""
     start = toks.peek()[2]
     for i in range(toks.i, len(toks.items)):
         kind, value, pos = toks.items[i]
         if (kind, value) == ("punct", ";"):
-            toks.i = i + 1
-            return toks.text[start:pos]
+            rel = toks.detach(i, _relation_error(toks.text[start:pos]))
+            toks.next()  # the ';'
+            return rel
     raise toks.error("end of input inside a statement", len(toks.text))

@@ -39,10 +39,15 @@ from lvf.solve import AnsatzSpace, BracketConstraint, centralizer, exponent_vect
 
 
 def _load_catalog() -> List[catmod.Realization]:
+    """The catalog file ``LVF_CATALOG`` names, or the builtin catalog; a
+    file with no record is refused, so that nothing passes silently."""
     path = os.environ.get("LVF_CATALOG")
-    if path:
-        return catmod.read(path, verify=False)
-    return catmod.load_builtin()
+    if not path:
+        return catmod.load_builtin()
+    entries = catmod.read(path, verify=False)
+    if not entries:
+        raise LvfError(f"catalog file {path} holds no realization record")
+    return entries
 
 
 def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Fraction]:

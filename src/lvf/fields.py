@@ -49,13 +49,6 @@ class VectorField:
     def zero(cls, dim: int) -> "VectorField":
         return cls(tuple(ExpPoly.zero(dim) for _ in range(dim)))
 
-    @classmethod
-    def coordinate(cls, dim: int, i: int) -> "VectorField":
-        """The frame field d/dx_i."""
-        comps = [ExpPoly.zero(dim) for _ in range(dim)]
-        comps[i] = ExpPoly.const(dim, 1)
-        return cls(comps)
-
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:

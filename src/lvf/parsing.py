@@ -8,28 +8,46 @@ symbols ``Dx Dy Dz Dw`` (or ``D1..Dn``) with scalar coefficients.
 ``parse_scalar`` / ``parse_field`` round-trip with the canonical
 formatters: ``parse(format(v)) == v`` for every canonical value.
 
+A product is evaluated term by term while it stays one term: a number,
+coordinate, parameter, frame symbol or ``exp(<linear form>)``, and any
+product, power, quotient by a constant or negation of such factors, is
+a ``_Term`` (an integer coefficient over a denominator, the encoded
+exponents, the monomial, the parameter monomial and the frame index).
+It becomes an ``ExpPoly`` or a ``VectorField`` only where it meets a
+sum: at a ``+`` or ``-``, at a product with a parenthesized value, and
+at the end of a parenthesized or whole expression.  A single term is
+stored canonically, so the values, and the term order of every sum,
+are the ones that multiplying ``ExpPoly`` atoms gives.
+
 Hostile input is refused with a ``ParseError``: parentheses, ``exp(``
 and unary minus nest at most ``MAX_NESTING`` deep (the parser recurses
 once per level), a power's exponent and polynomial degree are at most
 ``MAX_EXPONENT``, the term products of the whole parse are at most
 ``MAX_PRODUCTS``, counted before each product (a power is computed by
-squaring and multiplying), and the dimension is at most ``MAX_DIM``,
-checked before the coordinate tables are built.  A number, also a
-power's exponent, with more digits than the interpreter converts to an
-integer is refused by ``expr.check_digits``, the check that literal
-parameter values go through.
+squaring and multiplying, so ``v^n`` counts popcount(n) + bitlen(n) - 1
+products of ``v`` with itself; a zero factor has no terms), and the
+dimension is at most ``MAX_DIM``, checked before the coordinate tables
+are built.  A number, also a power's exponent, with more digits than
+the interpreter converts to an integer is refused by
+``expr.check_digits``, the check that literal parameter values go
+through.  A parameter named like a coordinate, a frame symbol or
+``exp`` is refused by ``check_params``.
 
 ``_Tokens`` is the package's one tokenizer: it takes the token pattern
 and the error to raise, so the catalog text format (``lvf.catalog``)
-reads its files and relations with it under its own pattern.
+reads its files with it under its own pattern, and reads each relation
+from the tokens of its statement (``_Tokens.detach``).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Tuple, Union
+from operator import add
+from typing import Dict, Tuple, Union
 
+from lvf import _kernels as K
 from lvf.errors import LvfError, ParameterizedInput, ParseError, UnknownIdentifier
 from lvf.expr import ExpPoly, check_digits, coord_names, zero_exponents
 from lvf.fields import VectorField
@@ -52,11 +70,121 @@ def check_dimension(dim: int) -> None:
         raise LvfError(f"dimension must be at most {MAX_DIM}, not {dim}")
 
 
-def _terms(value: Value) -> int:
+def _builtin_names(dim: int) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """The coordinate and frame symbols of dimension ``dim``, each with
+    its coordinate index."""
+    coords = {name: i for i, name in enumerate(coord_names(dim))}
+    for i in range(dim):
+        coords.setdefault(f"x{i + 1}", i)
+    frames = {f"D{name}": i for i, name in enumerate(coord_names(dim))} if dim <= 4 else {}
+    for i in range(dim):
+        frames.setdefault(f"D{i + 1}", i)
+    return coords, frames
+
+
+def check_params(dim: int, params) -> None:
+    """Refuse a parameter named like a coordinate, a frame symbol or
+    ``exp`` in dimension ``dim``."""
+    if not params:
+        return
+    coords, frames = _builtin_names(dim)
+    bad = sorted(set(params) & (coords.keys() | frames.keys() | {"exp"}))
+    if bad:
+        raise LvfError(f"parameter {', '.join(bad)} named like a builtin")
+
+
+class _Term:
+    """One term while a product is parsed: ``num/den * x^mono *
+    exp(q.x) * pmono``, times the frame field ``D<frame>`` when
+    ``frame`` is not None.  ``num/den`` is reduced with ``den``
+    positive, ``num`` 0 is the zero value, and ``exp`` is the encoded
+    covector q (``expr.encode_exponents``)."""
+
+    __slots__ = ("num", "den", "exp", "mono", "pmono", "frame")
+
+    def __init__(self, num, den, exp, mono, pmono=(), frame=None):
+        self.num = num
+        self.den = den
+        self.exp = exp
+        self.mono = mono
+        self.pmono = pmono
+        self.frame = frame
+
+    def times(self, other: "_Term") -> "_Term":
+        num = self.num * other.num
+        den = self.den * other.den
+        g = math.gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+        return _Term(
+            num,
+            den,
+            K.exp_add(self.exp, other.exp),
+            tuple(map(add, self.mono, other.mono)),
+            K.pmono_mul(self.pmono, other.pmono),
+            self.frame if other.frame is None else other.frame,
+        )
+
+    def power(self, n: int) -> "_Term":
+        """The n-th power, n >= 1, of a scalar term."""
+        e = self.exp
+        nums = [a * n for a in e[1:]]
+        g = math.gcd(e[0], *nums)
+        return _Term(
+            self.num ** n,
+            self.den ** n,
+            (e[0] // g, *(a // g for a in nums)),
+            tuple(m * n for m in self.mono),
+            tuple((name, k * n) for name, k in self.pmono),
+        )
+
+    def over(self, q: Fraction) -> "_Term":
+        """The term divided by a nonzero rational."""
+        num = self.num * q.denominator
+        den = self.den * q.numerator
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        return _Term(num // g, den // g, self.exp, self.mono, self.pmono, self.frame)
+
+    def __neg__(self) -> "_Term":
+        return _Term(-self.num, self.den, self.exp, self.mono, self.pmono, self.frame)
+
+    def rational_value(self) -> Fraction:
+        """The value of a constant scalar, or raise ``LvfError``."""
+        if self.num and (any(self.exp[1:]) or any(self.mono) or self.pmono):
+            raise LvfError("not a rational constant")
+        return Fraction(self.num, self.den)
+
+    def value(self, dim: int) -> Value:
+        """The term as an ``ExpPoly``, or as a ``VectorField`` when it
+        has a frame."""
+        scalar = ExpPoly(dim)
+        if self.num:
+            scalar = ExpPoly(dim, {(self.exp, self.mono, self.pmono): self.num}, self.den)
+        if self.frame is None:
+            return scalar
+        comps = [ExpPoly(dim)] * dim
+        comps[self.frame] = scalar
+        return VectorField(comps)
+
+
+# a value while a product is parsed
+Factor = Union[_Term, ExpPoly, VectorField]
+
+
+def _is_field(v: Factor) -> bool:
+    return v.frame is not None if isinstance(v, _Term) else isinstance(v, VectorField)
+
+
+def _terms(v: Factor) -> int:
     """Coefficient terms of a value: one per parameter monomial of each
     term, so that a product of values with s and t terms makes s*t
     term products."""
-    comps = value.components if isinstance(value, VectorField) else (value,)
+    if isinstance(v, _Term):
+        return 1 if v.num else 0
+    comps = v.components if isinstance(v, VectorField) else (v,)
     return sum(c.term_count() for c in comps)
 
 
@@ -69,8 +197,8 @@ class _Tokens:
     """The tokens ``(kind, value, offset)`` of ``text``: one per match of
     ``pattern``, whose kind is the name of the group that matched.  A
     character no token starts with, and every ``expect`` that fails,
-    raises ``error(message, offset)``; the end of input reads as the
-    token ``(None, "", len(text))``."""
+    raises ``error(message, offset)``; the end of the tokens reads as
+    the token ``(None, "", len(text))``."""
 
     def __init__(self, text: str, pattern=_TOKEN, error=ParseError):
         self.text = text
@@ -87,6 +215,18 @@ class _Tokens:
         if stripped:
             raise error(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         self.i = 0
+
+    def detach(self, end: int, error) -> "_Tokens":
+        """The tokens from the next one up to index ``end`` (not
+        included), as a stream of their own over the same text that
+        raises ``error``; this stream goes on at ``end``."""
+        part = _Tokens.__new__(_Tokens)
+        part.text = self.text
+        part.error = error
+        part.items = self.items[self.i:end]
+        part.i = 0
+        self.i = end
+        return part
 
     def peek(self):
         if self.i < len(self.items):
@@ -110,34 +250,30 @@ class _Tokens:
 class Parser:
     def __init__(self, dim: int = 3, params: Tuple[str, ...] = ()):
         check_dimension(dim)
+        check_params(dim, params)
         self.dim = dim
-        self.coords = {}
-        for i, name in enumerate(coord_names(dim)):
-            self.coords[name] = i
-        for i in range(dim):
-            self.coords.setdefault(f"x{i + 1}", i)
-        self.frames = {}
-        if dim <= 4:
-            for i, name in enumerate(coord_names(dim)):
-                self.frames[f"D{name}"] = i
-        for i in range(dim):
-            self.frames.setdefault(f"D{i + 1}", i)
+        self.coords, self.frames = _builtin_names(dim)
         self.params = set(params)
-        bad = self.params & (set(self.coords) | set(self.frames) | {"exp"})
-        if bad:
-            raise ValueError(f"parameter names collide with builtins: {sorted(bad)}")
+        self.zero_exp = zero_exponents(dim)
+        self.zero_mono = (0,) * dim
+
+    def _const(self, n: int) -> _Term:
+        return _Term(n, 1, self.zero_exp, self.zero_mono)
 
     # expr := term (('+'|'-') term)*
     def _expr(self, toks: _Tokens) -> Value:
-        value = self._term(toks)
+        value = self._value(self._term(toks))
         while True:
             kind, val, pos = toks.peek()
             if kind == "op" and val in "+-":
                 toks.next()
-                rhs = self._term(toks)
+                rhs = self._value(self._term(toks))
                 value = self._combine(value, rhs, val, pos)
             else:
                 return value
+
+    def _value(self, v: Factor) -> Value:
+        return v.value(self.dim) if isinstance(v, _Term) else v
 
     def _combine(self, a: Value, b: Value, op: str, pos: int) -> Value:
         if isinstance(a, VectorField) != isinstance(b, VectorField):
@@ -145,7 +281,7 @@ class Parser:
         return a + b if op == "+" else a - b
 
     # term := unary (('*'|'/') unary)*
-    def _term(self, toks: _Tokens) -> Value:
+    def _term(self, toks: _Tokens) -> Factor:
         value = self._unary(toks)
         while True:
             kind, val, pos = toks.peek()
@@ -156,9 +292,9 @@ class Parser:
             else:
                 return value
 
-    def _mul_div(self, a: Value, b: Value, op: str, pos: int) -> Value:
+    def _mul_div(self, a: Factor, b: Factor, op: str, pos: int) -> Factor:
         if op == "/":
-            if isinstance(b, VectorField):
+            if _is_field(b):
                 raise ParseError("cannot divide by a vector field", pos)
             try:
                 q = b.rational_value()
@@ -166,17 +302,24 @@ class Parser:
                 raise ParseError("divisor must be a nonzero rational constant", pos)
             if not q:
                 raise ParseError("division by zero", pos)
-            return a * (1 / q)
-        if isinstance(a, VectorField) and isinstance(b, VectorField):
+            return a.over(q) if isinstance(a, _Term) else a * (1 / q)
+        if _is_field(a) and _is_field(b):
             raise ParseError("cannot multiply two vector fields", pos)
         return self._times(a, b, pos)
 
-    def _times(self, a: Value, b: Value, pos: int) -> Value:
-        """``a * b``, once its term products fit in what is left of
-        ``MAX_PRODUCTS`` for this parse."""
-        self.products += _terms(a) * _terms(b)
+    def _count(self, products: int, pos: int) -> None:
+        """Count ``products`` term products against ``MAX_PRODUCTS`` for
+        this parse, before they are made."""
+        self.products += products
         if self.products > MAX_PRODUCTS:
             raise ParseError(f"expression needs more than {MAX_PRODUCTS} term products", pos)
+
+    def _times(self, a: Factor, b: Factor, pos: int) -> Factor:
+        """``a * b``: one term when both are, else on ``ExpPoly``."""
+        self._count(_terms(a) * _terms(b), pos)
+        if isinstance(a, _Term) and isinstance(b, _Term):
+            return a.times(b)
+        a, b = self._value(a), self._value(b)
         return b * a if isinstance(b, VectorField) else a * b
 
     def _enter(self, pos: int):
@@ -185,7 +328,7 @@ class Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     # unary := '-' unary | power
-    def _unary(self, toks: _Tokens) -> Value:
+    def _unary(self, toks: _Tokens) -> Factor:
         kind, val, pos = toks.peek()
         if kind == "op" and val == "-":
             toks.next()
@@ -196,7 +339,7 @@ class Parser:
         return self._power(toks)
 
     # power := atom ('^' nat)*
-    def _power(self, toks: _Tokens) -> Value:
+    def _power(self, toks: _Tokens) -> Factor:
         value = self._atom(toks)
         while True:
             kind, val, pos = toks.peek()
@@ -205,29 +348,40 @@ class Parser:
                 nkind, nval, npos = toks.next()
                 if nkind != "num":
                     raise ParseError("exponent must be a natural number", npos)
-                if isinstance(value, VectorField):
+                if _is_field(value):
                     raise ParseError("cannot raise a vector field to a power", pos)
                 check_digits(nval)
                 n = int(nval)
-                if max(n, n * value.max_poly_degree()) > MAX_EXPONENT:
+                if isinstance(value, _Term):
+                    degree = sum(value.mono) if value.num else 0
+                else:
+                    degree = value.max_poly_degree()
+                if max(n, n * degree) > MAX_EXPONENT:
                     raise ParseError(f"power of degree above {MAX_EXPONENT}", npos)
-                # square and multiply, each product counted
-                power = ExpPoly.const(self.dim, 1)
-                while n:
-                    if n & 1:
-                        power = self._times(power, value, pos)
-                    n >>= 1
-                    if n:
-                        value = self._times(value, value, pos)
-                value = power
+                value = self._raise(value, n, pos)
             else:
                 return value
 
-    def _atom(self, toks: _Tokens) -> Value:
+    def _raise(self, value: Factor, n: int, pos: int) -> Factor:
+        """``value^n`` by squaring and multiplying, each product counted."""
+        if isinstance(value, _Term):
+            if n and value.num:
+                self._count(bin(n).count("1") + n.bit_length() - 1, pos)
+            return value.power(n) if n else self._const(1)
+        power = ExpPoly.const(self.dim, 1)
+        while n:
+            if n & 1:
+                power = self._times(power, value, pos)
+            n >>= 1
+            if n:
+                value = self._times(value, value, pos)
+        return power
+
+    def _atom(self, toks: _Tokens) -> Factor:
         kind, val, pos = toks.next()
         if kind == "num":
             check_digits(val)
-            return ExpPoly.const(self.dim, int(val))
+            return self._const(int(val))
         if kind == "op" and val == "(":
             self._enter(pos)
             inner = self._expr(toks)
@@ -245,33 +399,35 @@ class Parser:
                     raise ParseError("exp() takes a scalar argument", pos)
                 return self._make_exponential(inner, pos)
             if val in self.coords:
-                return ExpPoly.coord(self.dim, self.coords[val])
+                mono = [0] * self.dim
+                mono[self.coords[val]] = 1
+                return _Term(1, 1, self.zero_exp, tuple(mono))
             if val in self.frames:
-                return VectorField.coordinate(self.dim, self.frames[val])
+                return _Term(1, 1, self.zero_exp, self.zero_mono, (), self.frames[val])
             if val in self.params:
-                return ExpPoly.param(self.dim, val)
+                return _Term(1, 1, self.zero_exp, self.zero_mono, ((val, 1),))
             raise UnknownIdentifier(f"unknown identifier '{val}'", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
-    def _make_exponential(self, arg: ExpPoly, pos: int) -> ExpPoly:
-        """exp of a rational linear form in the coordinates."""
-        qvec = [Fraction(0)] * self.dim
+    def _make_exponential(self, arg: ExpPoly, pos: int) -> _Term:
+        """exp of a rational linear form in the coordinates.  The form's
+        storage is canonical, so its coefficients over its denominator
+        are the encoded exponents."""
+        nums = [0] * self.dim
         try:
-            terms = arg.rational_terms()
+            terms, den = arg.integer_terms()
         except ParameterizedInput:
             raise ParseError("exponent must not contain parameters", pos) from None
-        zero = zero_exponents(self.dim)
-        for (exp, mono), c in sorted(terms):
-            if exp != zero:
+        for (exp, mono, _), c in sorted(terms.items()):
+            if exp != self.zero_exp:
                 raise ParseError("nested exponentials are not allowed", pos)
             total = sum(mono)
             if total == 0:
                 raise ParseError("exponent must have no constant term", pos)
             if total > 1:
                 raise ParseError("exponent must be linear in the coordinates", pos)
-            i = mono.index(1)
-            qvec[i] += c
-        return ExpPoly.exponential(self.dim, qvec)
+            nums[mono.index(1)] = c
+        return _Term(1, 1, (den, *nums), self.zero_mono)
 
     def parse(self, text: str) -> Value:
         toks = _Tokens(text)

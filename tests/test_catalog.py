@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lvf import catalog
+from lvf import catalog, parsing
 from lvf.errors import CatalogError
 from lvf.parsing import parse_field, parse_scalar
 
@@ -156,6 +156,15 @@ _SMALL = 'realization bad.1 {{ {} }}'
      "repeated expect_semisimple statement at offset 45"),
     ('source "a"; gen X = "Dx"; source "b";', "repeated source statement at offset 46"),
     ('notes "a"; notes "a"; gen X = "Dx";', "repeated notes statement at offset 31"),
+    ('gen X = "Dx"; rel [X, X] = 1/0*X;',
+     "bad relation '[X, X] = 1/0*X': zero denominator in '1/0' (realization at offset 0)"),
+    ('params { x = 1; }; gen X = "Dx";',
+     "bad.1: parameter x named like a builtin (realization at offset 0)"),
+    ('params { exp = 1; Dy = 2; }; gen X = "Dx";', "bad.1: parameter Dy, exp named like a builtin"),
+    # a refusal of the generators comes before one of the relations
+    ('gen X = "Dx +"; rel [X, X] = 1/0*X;', "bad.1: generator X: unexpected token ''"),
+    ('params { x = 1; }; gen X = "Dx +"; rel [X X] = X;',
+     "bad.1: parameter x named like a builtin"),
 ])
 def test_malformed_entry_refused(body, message):
     with pytest.raises(CatalogError) as info:
@@ -185,6 +194,46 @@ def test_over_long_count_refused(field):
     at = text.index("1" * 5000)
     with pytest.raises(CatalogError, match=f"literal has 5000 digits.* at offset {at}$"):
         catalog.loads(text, verify=False)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(),
+    reason="the interpreter converts integers of any length",
+)
+def test_over_long_relation_coefficient_names_its_relation():
+    text = _SMALL.format(f'gen X = "Dx"; rel [X, X] = {"1" * 5000}*X;')
+    with pytest.raises(CatalogError) as info:
+        catalog.loads(text, verify=False)
+    limit = sys.get_int_max_str_digits()
+    assert str(info.value) == (
+        f"bad relation '[X, X] = {'1' * 5000}*X': literal has 5000 digits; "
+        f"at most {limit} are accepted (realization at offset 0)"
+    )
+
+
+def test_parameter_named_like_a_builtin_of_another_dimension():
+    # z and Dz are no builtin names in dimension 2
+    text = _SMALL.format('dim 2; params { z = 1; Dz = 2; }; gen X = "z*Dz*Dx"; expected_rank 1;')
+    (entry,) = catalog.loads(text, verify=False)
+    assert entry.param_names() == ("z", "Dz")
+    assert entry.generators[0][1] == parse_field("z*Dz*Dx", 2, ("z", "Dz"))
+
+
+def test_relations_read_from_the_record_tokens(monkeypatch):
+    # the file is tokenized once, and each relation is read from the
+    # tokens of its statement; a builtin relation text is tokenized once
+    texts = []
+
+    def tokens(text, *args):
+        texts.append(text)
+        return parsing._Tokens(text, *args)
+
+    monkeypatch.setattr(catalog, "_Tokens", tokens)
+    text = catalog.dumps(catalog.load_builtin())
+    assert catalog.loads(text, verify=False) == catalog.load_builtin()
+    assert texts == [text]
+    assert catalog._parse_relation("[H, X] = 2*X") == catalog.Relation("H", "X", ((2, "X"),))
+    assert texts == [text, "[H, X] = 2*X"]
 
 
 @contextlib.contextmanager

@@ -268,7 +268,31 @@ def test_catalog_zero_denominator_exit_2(tmp_path, monkeypatch, old, new):
     monkeypatch.setenv("LVF_CATALOG", str(path))
     code, out, err = run(["verify", "--all"])
     assert (code, out) == (2, "")
-    assert err == "error: zero denominator in '1/0'\n"
+    message = "zero denominator in '1/0'"
+    if old.startswith("rel"):
+        # a relation's refusal names the relation and its record
+        message = f"bad relation '[X, Y] = 1/0*Z': {message} (realization at offset 0)"
+    assert err == f"error: {message}\n"
+
+
+def test_catalog_without_records_exit_2(tmp_path, monkeypatch):
+    path = tmp_path / "empty.lvf"
+    path.write_text("\n")
+    monkeypatch.setenv("LVF_CATALOG", str(path))
+    for argv in (["verify", "--all"], ["catalog", "list"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: catalog file {path} holds no realization record\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "x*Dx", "Dy", "--param", "x=1"],
+    ["rank", "Dx", "--param", "exp=1"],
+])
+def test_param_named_like_a_builtin_exit_2(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: parameter {argv[-1][:-2]} named like a builtin\n"
 
 
 @pytest.mark.parametrize("body", [

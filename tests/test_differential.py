@@ -90,12 +90,23 @@ it replaced (``reference_build_system``): the same targets and image
 count, ``int`` entries, and each constraint's rows and right-hand side
 the reference's times one positive rational, also over restricted
 columns, with eigenvalues, targets and exponents over denominators.
+
+The parser, which keeps a product of single-term factors as one term
+until it meets a sum, is checked against the evaluator it replaced
+(``ReferenceParser``: an ``ExpPoly`` or ``VectorField`` for every atom
+and every product) on drawn texts with products, quotients, powers
+(also ``0^n`` and ``x^0``), unary minus, ``exp``, parameters, frames,
+parenthesized sums and zero factors, and on the catalog's generator
+texts: an accepted text gives the same value with the same item order
+in each component's storage, and a refused one the same error class,
+message and offset, also with ``MAX_PRODUCTS`` patched small.
 """
 
 import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from typing import List
 
@@ -103,12 +114,27 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lvf import _kernels, _linalg
-from lvf import catalog, obstruction
+from lvf import catalog, obstruction, parsing
 from lvf import solve as solve_module
 from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
 from lvf.algebra import SpanTracker, StructureTensor, close_under_bracket, structure_tensor
-from lvf.errors import AnsatzExplosion, LvfError, ParameterizedInput, SingularMap
-from lvf.expr import ExpPoly, decode_exponents, encode_exponents, format_scalar, zero_exponents
+from lvf.errors import (
+    AnsatzExplosion,
+    LvfError,
+    ParameterizedInput,
+    ParseError,
+    SingularMap,
+    UnknownIdentifier,
+)
+from lvf.expr import (
+    ExpPoly,
+    check_digits,
+    coord_names,
+    decode_exponents,
+    encode_exponents,
+    format_scalar,
+    zero_exponents,
+)
 from lvf.fields import VectorField, _ep_det, _invert, format_field, generic_rank
 from lvf.parsing import parse_field, parse_scalar
 from lvf.solve import (
@@ -920,6 +946,182 @@ def reference_solve_by_blocks(constraints, dim, exponents, degree, components=No
         ansatz = AnsatzSpace(dim, [exp], degree, components)
         basis.extend(solve(constraints, ansatz).basis)
     return basis
+
+
+class ReferenceParser:
+    """The earlier evaluator of the expression grammar: every atom an
+    ``ExpPoly`` or a ``VectorField``, every ``*`` and every power a
+    product of them, counted against ``parsing.MAX_PRODUCTS`` as it is
+    made.  It reads the limits from ``lvf.parsing`` when it runs, so a
+    limit patched there holds for both parsers."""
+
+    def __init__(self, dim=3, params=()):
+        parsing.check_dimension(dim)
+        parsing.check_params(dim, params)
+        self.dim = dim
+        self.coords = {}
+        for i, name in enumerate(coord_names(dim)):
+            self.coords[name] = i
+        for i in range(dim):
+            self.coords.setdefault(f"x{i + 1}", i)
+        self.frames = {}
+        if dim <= 4:
+            for i, name in enumerate(coord_names(dim)):
+                self.frames[f"D{name}"] = i
+        for i in range(dim):
+            self.frames.setdefault(f"D{i + 1}", i)
+        self.params = set(params)
+
+    @staticmethod
+    def _terms(value):
+        comps = value.components if isinstance(value, VectorField) else (value,)
+        return sum(c.term_count() for c in comps)
+
+    def _expr(self, toks):
+        value = self._term(toks)
+        while True:
+            kind, val, pos = toks.peek()
+            if kind == "op" and val in "+-":
+                toks.next()
+                rhs = self._term(toks)
+                if isinstance(value, VectorField) != isinstance(rhs, VectorField):
+                    raise ParseError("cannot add a scalar and a vector field", pos)
+                value = value + rhs if val == "+" else value - rhs
+            else:
+                return value
+
+    def _term(self, toks):
+        value = self._unary(toks)
+        while True:
+            kind, val, pos = toks.peek()
+            if kind == "op" and val in "*/":
+                toks.next()
+                rhs = self._unary(toks)
+                value = self._mul_div(value, rhs, val, pos)
+            else:
+                return value
+
+    def _mul_div(self, a, b, op, pos):
+        if op == "/":
+            if isinstance(b, VectorField):
+                raise ParseError("cannot divide by a vector field", pos)
+            try:
+                q = b.rational_value()
+            except LvfError:
+                raise ParseError("divisor must be a nonzero rational constant", pos)
+            if not q:
+                raise ParseError("division by zero", pos)
+            return a * (1 / q)
+        if isinstance(a, VectorField) and isinstance(b, VectorField):
+            raise ParseError("cannot multiply two vector fields", pos)
+        return self._times(a, b, pos)
+
+    def _times(self, a, b, pos):
+        self.products += self._terms(a) * self._terms(b)
+        if self.products > parsing.MAX_PRODUCTS:
+            raise ParseError(f"expression needs more than {parsing.MAX_PRODUCTS} term products", pos)
+        return b * a if isinstance(b, VectorField) else a * b
+
+    def _enter(self, pos):
+        self.depth += 1
+        if self.depth > parsing.MAX_NESTING:
+            raise ParseError(f"nesting deeper than {parsing.MAX_NESTING} levels", pos)
+
+    def _unary(self, toks):
+        kind, val, pos = toks.peek()
+        if kind == "op" and val == "-":
+            toks.next()
+            self._enter(pos)
+            inner = self._unary(toks)
+            self.depth -= 1
+            return -inner
+        return self._power(toks)
+
+    def _power(self, toks):
+        value = self._atom(toks)
+        while True:
+            kind, val, pos = toks.peek()
+            if kind == "op" and val == "^":
+                toks.next()
+                nkind, nval, npos = toks.next()
+                if nkind != "num":
+                    raise ParseError("exponent must be a natural number", npos)
+                if isinstance(value, VectorField):
+                    raise ParseError("cannot raise a vector field to a power", pos)
+                check_digits(nval)
+                n = int(nval)
+                if max(n, n * value.max_poly_degree()) > parsing.MAX_EXPONENT:
+                    raise ParseError(f"power of degree above {parsing.MAX_EXPONENT}", npos)
+                power = ExpPoly.const(self.dim, 1)
+                while n:
+                    if n & 1:
+                        power = self._times(power, value, pos)
+                    n >>= 1
+                    if n:
+                        value = self._times(value, value, pos)
+                value = power
+            else:
+                return value
+
+    def _atom(self, toks):
+        kind, val, pos = toks.next()
+        if kind == "num":
+            check_digits(val)
+            return ExpPoly.const(self.dim, int(val))
+        if kind == "op" and val == "(":
+            self._enter(pos)
+            inner = self._expr(toks)
+            toks.expect("op", ")")
+            self.depth -= 1
+            return inner
+        if kind == "ident":
+            if val == "exp":
+                toks.expect("op", "(")
+                self._enter(pos)
+                inner = self._expr(toks)
+                toks.expect("op", ")")
+                self.depth -= 1
+                if isinstance(inner, VectorField):
+                    raise ParseError("exp() takes a scalar argument", pos)
+                return self._make_exponential(inner, pos)
+            if val in self.coords:
+                return ExpPoly.coord(self.dim, self.coords[val])
+            if val in self.frames:
+                comps = [ExpPoly.zero(self.dim) for _ in range(self.dim)]
+                comps[self.frames[val]] = ExpPoly.const(self.dim, 1)
+                return VectorField(comps)
+            if val in self.params:
+                return ExpPoly.param(self.dim, val)
+            raise UnknownIdentifier(f"unknown identifier '{val}'", pos)
+        raise ParseError(f"unexpected token {val!r}", pos)
+
+    def _make_exponential(self, arg, pos):
+        qvec = [Fraction(0)] * self.dim
+        try:
+            terms = arg.rational_terms()
+        except ParameterizedInput:
+            raise ParseError("exponent must not contain parameters", pos) from None
+        zero = zero_exponents(self.dim)
+        for (exp, mono), c in sorted(terms):
+            if exp != zero:
+                raise ParseError("nested exponentials are not allowed", pos)
+            total = sum(mono)
+            if total == 0:
+                raise ParseError("exponent must have no constant term", pos)
+            if total > 1:
+                raise ParseError("exponent must be linear in the coordinates", pos)
+            qvec[mono.index(1)] += c
+        return ExpPoly.exponential(self.dim, qvec)
+
+    def parse(self, text):
+        toks = parsing._Tokens(text)
+        self.depth = 0
+        self.products = 0
+        value = self._expr(toks)
+        kind, val, pos = toks.peek()
+        if kind is not None:
+            raise ParseError(f"trailing input {val!r}", pos)
+        return value
 
 
 # -- strategies ---------------------------------------------------------------
@@ -2588,3 +2790,89 @@ def test_generic_rank_of_a_combination_family():
     second = parse_field("Dy - x*exp(-x)*Dz")
     fields = [first, second, first * ExpPoly.coord(3, 0) + second]
     assert generic_rank(fields) == reference_generic_rank(fields) == 2
+
+
+# -- the parser ---------------------------------------------------------------
+
+# factors of one term, and texts the grammar refuses
+_PARSE_ATOMS = [
+    "0", "1", "2", "3", "12", "x", "y", "z", "x2", "a", "b",
+    "exp(x)", "exp(-1/2*x + y/3)", "exp((x-y)/2)", "exp(x - x)", "exp(0)", "exp(2*z/4)",
+]
+_FRAMES = ["Dx", "Dy", "Dz", "D3", "x*Dy"]
+_BAD_ATOMS = [
+    "exp(x^2)", "exp(x + 1)", "exp(a*x)", "exp(exp(x))", "exp(Dx)", "c", "x y", "/", "x^a",
+]
+
+
+def _join(children):
+    a, b = children
+    return st.sampled_from([
+        f"{a}*{b}", f"{a}*{b}", f"{a}/{b}", f"-{a}", f"{a} + {b}", f"{a} - {b}",
+        f"({a})*{b}", f"{a}*({b})", f"({a} + {b})",
+    ] + [f"{a}^{n}" for n in (0, 1, 2, 3, 5)] + [f"({a})^{n}" for n in (0, 2, 3, 64, 65)])
+
+
+def _texts(atoms):
+    return st.recursive(atoms, lambda inner: st.tuples(inner, inner).flatmap(_join), max_leaves=8)
+
+
+@st.composite
+def expression_texts(draw):
+    """Texts of the grammar: products, quotients, powers (also of zero
+    and to the 0th), unary minus, ``exp``, parameters, frames and
+    parenthesized sums, joined as text so that precedence decides; half
+    of them sums of scalars times frames."""
+    good = st.sampled_from(_PARSE_ATOMS)
+    frames = st.sampled_from(_FRAMES)
+    # a third of the texts may hold a factor the grammar refuses
+    bad = st.sampled_from(_BAD_ATOMS if draw(st.integers(0, 2)) == 0 else _PARSE_ATOMS)
+    if draw(st.booleans()):
+        return draw(_texts(st.one_of(good, good, good, frames, bad)))
+    scalars = _texts(st.one_of(good, good, good, good, bad))
+    term = st.tuples(scalars, frames).flatmap(
+        lambda p: st.sampled_from([f"{p[0]}*{p[1]}", f"({p[0]})*{p[1]}", f"{p[1]}*({p[0]})"])
+    )
+    return " + ".join(draw(st.lists(term, min_size=1, max_size=3)))
+
+
+def parse_outcome(parser, text):
+    """The storage of each component of what ``parser`` reads from
+    ``text`` (``integer_terms()`` of a parameter-free value, in item
+    order), or the class, message and offset of its refusal."""
+    try:
+        value = parser.parse(text)
+    except LvfError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    comps = value.components if isinstance(value, VectorField) else (value,)
+    return type(value), [(list(c._num.items()), c._den) for c in comps]
+
+
+@settings(max_examples=500, deadline=None)
+@given(expression_texts(), st.sampled_from([parsing.MAX_PRODUCTS, 40, 6, 1]))
+def test_parser_matches_reference_evaluator(text, max_products):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parsing, "MAX_PRODUCTS", max_products)
+        got = parse_outcome(parsing.Parser(3, ("a", "b")), text)
+        assert got == parse_outcome(ReferenceParser(3, ("a", "b")), text)
+
+
+@pytest.mark.parametrize("text", [
+    "0^0", "0^5*Dx", "x^0", "(x+y)^0", "Dx*0", "0*Dx + 0*Dy", "x*0 + y", "-(-x)^3",
+    "x*Dx/2 - 3/6*y*(Dx + Dy)", "(x + 1)*exp(x)*Dx", "Dz*(a + b)^2", "a^3*b*exp(-x/2)^2*Dy",
+    "exp(x)^64", "(x*y)^32", "x/(2 - 2)", "x/(y - y + 3)", "Dx^2", "Dx*Dy", "x/Dx",
+    "(x+y+z+1)^12*(x+y+z+1)^12", "12*x^2*y/4*z*Dx", "exp(-x)*(y*Dx + (y^2/2 + a)*Dy)",
+    "x/-1", "3*a*x/-2", "Dx/(0 - 3)*6", "(x + y)/-1",
+])
+@pytest.mark.parametrize("max_products", [parsing.MAX_PRODUCTS, 3])
+def test_parser_matches_reference_evaluator_examples(text, max_products, monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_PRODUCTS", max_products)
+    got = parse_outcome(parsing.Parser(3, ("a", "b")), text)
+    assert got == parse_outcome(ReferenceParser(3, ("a", "b")), text)
+
+
+def test_parser_matches_reference_evaluator_on_the_catalog():
+    for entry in catalog.load_builtin():
+        for text in re.findall(r'gen \S+ = "([^"]*)"', catalog.dumps([entry])):
+            got = parse_outcome(parsing.Parser(entry.dim, entry.param_names()), text)
+            assert got == parse_outcome(ReferenceParser(entry.dim, entry.param_names()), text)
