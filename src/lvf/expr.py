@@ -169,14 +169,6 @@ class ExpPoly:
         return cls(dim, {(zero_exponents(dim), (0,) * dim, ((name, 1),)): 1})
 
     @classmethod
-    def exponential(cls, dim: int, qvec) -> "ExpPoly":
-        """exp(q . x) for a rational covector q."""
-        q = tuple(as_fraction(c) for c in qvec)
-        if len(q) != dim:
-            raise DimensionMismatch(f"exponent vector of length {len(q)} in dimension {dim}")
-        return cls(dim, {(encode_exponents(q), (0,) * dim, ()): 1})
-
-    @classmethod
     def monomial(cls, dim: int, mono, coeff=1) -> "ExpPoly":
         m = tuple(int(e) for e in mono)
         if len(m) != dim or any(e < 0 for e in m):

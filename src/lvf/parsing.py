@@ -31,7 +31,8 @@ are built.  A number, also a power's exponent, with more digits than
 the interpreter converts to an integer is refused by
 ``expr.check_digits``, the check that literal parameter values go
 through.  A parameter named like a coordinate, a frame symbol or
-``exp`` is refused by ``check_params``.
+``exp`` is refused, by ``Parser`` and, before any text is parsed, by
+``check_params``.
 
 ``_Tokens`` is the package's one tokenizer: it takes the token pattern
 and the error to raise, so the catalog text format (``lvf.catalog``)
@@ -85,9 +86,11 @@ def _builtin_names(dim: int) -> Tuple[Dict[str, int], Dict[str, int]]:
 def check_params(dim: int, params) -> None:
     """Refuse a parameter named like a coordinate, a frame symbol or
     ``exp`` in dimension ``dim``."""
-    if not params:
-        return
-    coords, frames = _builtin_names(dim)
+    if params:
+        _check_param_names(params, *_builtin_names(dim))
+
+
+def _check_param_names(params, coords, frames) -> None:
     bad = sorted(set(params) & (coords.keys() | frames.keys() | {"exp"}))
     if bad:
         raise LvfError(f"parameter {', '.join(bad)} named like a builtin")
@@ -124,19 +127,6 @@ class _Term:
             tuple(map(add, self.mono, other.mono)),
             K.pmono_mul(self.pmono, other.pmono),
             self.frame if other.frame is None else other.frame,
-        )
-
-    def power(self, n: int) -> "_Term":
-        """The n-th power, n >= 1, of a scalar term."""
-        e = self.exp
-        nums = [a * n for a in e[1:]]
-        g = math.gcd(e[0], *nums)
-        return _Term(
-            self.num ** n,
-            self.den ** n,
-            (e[0] // g, *(a // g for a in nums)),
-            tuple(m * n for m in self.mono),
-            tuple((name, k * n) for name, k in self.pmono),
         )
 
     def over(self, q: Fraction) -> "_Term":
@@ -250,9 +240,9 @@ class _Tokens:
 class Parser:
     def __init__(self, dim: int = 3, params: Tuple[str, ...] = ()):
         check_dimension(dim)
-        check_params(dim, params)
         self.dim = dim
         self.coords, self.frames = _builtin_names(dim)
+        _check_param_names(params, self.coords, self.frames)
         self.params = set(params)
         self.zero_exp = zero_exponents(dim)
         self.zero_mono = (0,) * dim
@@ -364,11 +354,7 @@ class Parser:
 
     def _raise(self, value: Factor, n: int, pos: int) -> Factor:
         """``value^n`` by squaring and multiplying, each product counted."""
-        if isinstance(value, _Term):
-            if n and value.num:
-                self._count(bin(n).count("1") + n.bit_length() - 1, pos)
-            return value.power(n) if n else self._const(1)
-        power = ExpPoly.const(self.dim, 1)
+        power = self._const(1)
         while n:
             if n & 1:
                 power = self._times(power, value, pos)

@@ -5,10 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from lvf.expr import ExpPoly
+from lvf.expr import ExpPoly, encode_exponents
 from lvf.fields import AffineMap, VectorField
 
 PARAM_NAMES = ("a", "b", "lam")
+
+
+def exponential(dim: int, qvec) -> ExpPoly:
+    """exp(q . x) for a rational covector q of length ``dim``."""
+    assert len(qvec) == dim
+    return ExpPoly(dim, {(encode_exponents(qvec), (0,) * dim, ()): 1})
 
 
 def rand_fraction(rng: random.Random, small: bool = True) -> Fraction:
@@ -35,7 +41,7 @@ def rand_exppoly(
                 term = term * ExpPoly.coord(dim, i)
         if with_exp and rng.random() < 0.5:
             qvec = [Fraction(rng.randint(-1, 1)) for _ in range(dim)]
-            term = term * ExpPoly.exponential(dim, qvec)
+            term = term * exponential(dim, qvec)
         if with_params and rng.random() < 0.4:
             term = term * ExpPoly.param(dim, rng.choice(PARAM_NAMES))
         out = out + term

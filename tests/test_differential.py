@@ -149,7 +149,7 @@ from lvf.solve import (
     solve,
 )
 
-from _rand import rand_exppoly, rand_field, rand_fraction, rand_invertible
+from _rand import exponential, rand_exppoly, rand_field, rand_fraction, rand_invertible
 
 _ZERO = Fraction(0)
 
@@ -1111,7 +1111,7 @@ class ReferenceParser:
             if total > 1:
                 raise ParseError("exponent must be linear in the coordinates", pos)
             qvec[mono.index(1)] += c
-        return ExpPoly.exponential(self.dim, qvec)
+        return exponential(self.dim, qvec)
 
     def parse(self, text):
         toks = parsing._Tokens(text)
@@ -1608,7 +1608,7 @@ def _fractional_field(rng):
     if rng.random() < 0.6:
         i = rng.randrange(3)
         q = [rng.choice((0, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3))) for _ in range(3)]
-        comps[i] = comps[i] * ExpPoly.exponential(3, q)
+        comps[i] = comps[i] * exponential(3, q)
     return VectorField(comps)
 
 
@@ -2699,7 +2699,7 @@ def block_systems(draw):
             constraints.append(BracketConstraint.eigen(known, draw(st.sampled_from((0, 1, -1, 2)))))
         else:
             k = draw(st.sampled_from((0, 1, -1)))
-            known = known * ExpPoly.exponential(3, (0, 0, k))
+            known = known * exponential(3, (0, 0, k))
             constraints.append(BracketConstraint.commutes(known))
     qs = draw(st.sets(st.sampled_from((-2, -1, 0, 1, 2)), min_size=2, max_size=3))
     components = draw(st.sets(st.integers(0, 2), min_size=1))
