@@ -29,10 +29,11 @@ Products accumulate in place: ``mul_into`` adds ``scale*f*g`` into a
 map, exponents adding by ``exp_add`` and parameter monomials by
 ``pmono_mul``, so parameters run in the same kernel as everything else.
 ``diff`` is the partial derivative, in integers times the lcm of the
-exponent denominators (``exp_den``).  A sum of products over different
-denominators (the derivation ``X(f)`` and the bracket) scales each
-product to the lcm of the denominators as it is added and divides by
-the content once, at the end.
+exponent denominators (``exp_den``); its one caller is
+``ExpPoly.integer_partial``, which keeps what it returns.  A sum of
+products over different denominators (the derivation ``X(f)`` and the
+bracket) scales each product to the lcm of the denominators as it is
+added and divides by the content once, at the end.
 
 The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the

@@ -27,7 +27,7 @@ from lvf.errors import InternalError, LvfError, ParseError
 from lvf.expr import as_fraction
 from lvf.fields import format_field, generic_rank
 from lvf.obstruction import b2_sanity_control, g2_obstruction
-from lvf.parsing import check_dimension, parse_field
+from lvf.parsing import check_dimension, check_params, parse_field
 from lvf.roots import (
     ROOT_SYSTEMS,
     b2_sl4_model,
@@ -168,6 +168,7 @@ def _read_solve_file(path: str):
     dim = 3
     dim_line = None
     params: Dict[str, Fraction] = {}
+    param_lines = []  # (line, names)
     exponents = []  # (line, vector)
     degree_line, degree_text = None, "2"
     components_line, component_names = None, None
@@ -183,9 +184,12 @@ def _read_solve_file(path: str):
                 if head == "dim":
                     dim, dim_line = int(rest), lineno
                 elif head == "params":
+                    names = []
                     for chunk in rest.split():
                         name, _, value = chunk.partition("=")
                         params[name] = as_fraction(value)
+                        names.append(name)
+                    param_lines.append((lineno, names))
                 elif head == "exponents":
                     for chunk in rest.replace("(", " ").replace(")", " ").split():
                         vec = tuple(as_fraction(q) for q in chunk.split(","))
@@ -211,12 +215,17 @@ def _read_solve_file(path: str):
         parsed = parse_field(text, dim, pnames)
         return parsed.subst_params(params) if params else parsed
 
-    if constraints or exponents or component_names is not None:
+    if constraints or exponents or component_names is not None or params:
         # refused at its own line before anything is read against it (the
         # parser builds tables of size dim); a bare ansatz is left to
         # AnsatzSpace, whose size check runs first
         with _at_line(path, dim_line):
             check_dimension(dim)
+    # a parameter named like a builtin of the final dimension is refused
+    # at its own line, whether or not a constraint reads it
+    for lineno, names in param_lines:
+        with _at_line(path, lineno):
+            check_params(dim, names)
     built = []
     for lineno, kind, extra, expr in constraints:
         with _at_line(path, lineno):

@@ -21,6 +21,14 @@ printing).  Only this module reads the storage; :meth:`ExpPoly.integer_terms`
 hands it out read-only, for the integer rows of the constraint build
 and of the span tracker.
 
+A value computes its integer partial derivative along a coordinate
+when it is first asked for it, and keeps it (:meth:`ExpPoly.integer_partial`):
+``diff``, :func:`derivation_sum` (so ``apply`` and every bracket) and the
+constraint build read it there, and ``_kernels.diff`` runs nowhere
+else.  A partial is derived from the stored value alone, so filling it
+is idempotent: two threads that fill one at once store equal maps, and
+at worst one of them is computed again later.
+
 Values are immutable and safe to share between threads.  All arithmetic
 is exact.
 """
@@ -124,15 +132,17 @@ class ExpPoly:
     int`` (see ``_kernels``) over one positive denominator, canonical:
     no zero numerator and gcd(denominator, numerators) = 1.  The
     constructor takes that storage as it is; values from rationals come
-    from :meth:`from_terms`.
+    from :meth:`from_terms`.  ``_partials`` is None until
+    :meth:`integer_partial` first fills it.
     """
 
-    __slots__ = ("dim", "_num", "_den")
+    __slots__ = ("dim", "_num", "_den", "_partials")
 
     def __init__(self, dim: int, num: Dict[TermKey, int] | None = None, den: int = 1):
         self.dim = dim
         self._num = num or {}
         self._den = den
+        self._partials = None
 
     # -- constructors -------------------------------------------------
 
@@ -216,6 +226,21 @@ class ExpPoly:
         if not self.is_parameter_free():
             raise ParameterizedInput(f"substitute parameters first: {list(self.params())}")
         return self._num, self._den
+
+    def integer_partial(self, j: int) -> Tuple[int, Dict[TermKey, int]]:
+        """``(e, d)``: ``e`` the lcm of the exponent denominators and
+        ``d`` the integer term map of ``e`` times the partial derivative
+        of the numerators along coordinate ``j``, in the order
+        ``_kernels.diff`` makes it, so the value's partial is
+        ``d/(den*e)``.  Computed on the first call for ``j`` and kept;
+        the caller must not change it."""
+        memo = self._partials
+        if memo is None:
+            memo = self._partials = [K.exp_den(self._num)] + [None] * self.dim
+        d = memo[j + 1]
+        if d is None:
+            d = memo[j + 1] = K.diff(self._num, j, memo[0])
+        return memo[0], d
 
     def term_count(self) -> int:
         """Coefficient terms: one per parameter monomial of each
@@ -314,8 +339,8 @@ class ExpPoly:
         """Exact partial derivative along coordinate i."""
         if not 0 <= i < self.dim:
             raise IndexError(f"coordinate {i} out of range")
-        e = K.exp_den(self._num)
-        return ExpPoly(self.dim, *K.normalise(K.diff(self._num, i, e), self._den * e))
+        e, d = self.integer_partial(i)
+        return ExpPoly(self.dim, *K.normalise(d, self._den * e))
 
     # -- parameters ----------------------------------------------------
 
@@ -403,7 +428,8 @@ def derivation_sum(dim: int, parts) -> ExpPoly:
     sequence of components, ``X(f) = sum_j X^j df/dx_j`` and sign +1 or
     -1: ``X(f)`` itself, and each component of a bracket.
 
-    Each product ``X^j * df/dx_j`` is taken in integers and scaled, as
+    Each product ``X^j * df/dx_j`` is taken in integers, from the
+    partials ``f`` keeps (:meth:`ExpPoly.integer_partial`), and scaled, as
     it is added, to the lcm of the products' denominators; the sum is
     divided by its content once.  Products are added in the order
     given, the terms of ``X^j`` the outer loop of each, which is the
@@ -411,16 +437,14 @@ def derivation_sum(dim: int, parts) -> ExpPoly:
     """
     prods = []
     for xs, f, sign in parts:
-        fnum = f._num
-        if not fnum:
+        if not f._num:
             continue
-        e = K.exp_den(fnum)
-        fden = sign * f._den * e
+        fden = sign * f._den
         for j, c in enumerate(xs):
             if c._num:
-                d = K.diff(fnum, j, e)
+                e, d = f.integer_partial(j)
                 if d:
-                    prods.append((c._num, d, c._den * fden))
+                    prods.append((c._num, d, c._den * fden * e))
     den = math.lcm(*[p[2] for p in prods])
     acc: Dict[TermKey, int] = {}
     for c, d, pden in prods:

@@ -7,8 +7,12 @@ the commutator of derivations, computed exactly componentwise:
 
 The derivation ``X(f)`` and each bracket component are one
 ``expr.derivation_sum``: the products of the components' own integer
-numerators, summed over one denominator and normalised once.  A field
-keeps nothing but its components.
+numerators and of the partials each component keeps
+(``ExpPoly.integer_partial``), summed over one denominator and
+normalised once.  A field keeps nothing but its components; a closure
+that brackets one field with many partners differentiates each of its
+components once per coordinate.  The kept partials are derived state
+that never changes a result, so fields stay safe to share.
 """
 
 from __future__ import annotations

@@ -375,7 +375,7 @@ def b2_sanity_control(degree: int = 2) -> ControlReport:
     b2 = get_root_system("B2")
     eigenvalues = (
         b2.cartan_integer((1, 1), (1, 0)),  # <alpha+beta, alpha> = 1
-        b2.cartan_integer((1, 1), (1, 2)),  # <alpha+beta, alpha+2beta> = 0
+        b2.cartan_integer((1, 1), (1, 2)),  # <alpha+beta, alpha+2beta> = 1
     )
     # exponent blocks: none, and the block of the catalog short root
     exps = [(0, 0, 0), next(iter(x_ab_cat.components[0].exponents()))]

@@ -42,11 +42,13 @@ from the tokens of its statement (``_Tokens.detach``).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 from operator import add
-from typing import Dict, Tuple, Union
+from types import MappingProxyType
+from typing import Mapping, Tuple, Union
 
 from lvf import _kernels as K
 from lvf.errors import LvfError, ParameterizedInput, ParseError, UnknownIdentifier
@@ -71,16 +73,19 @@ def check_dimension(dim: int) -> None:
         raise LvfError(f"dimension must be at most {MAX_DIM}, not {dim}")
 
 
-def _builtin_names(dim: int) -> Tuple[Dict[str, int], Dict[str, int]]:
+@functools.lru_cache(maxsize=MAX_DIM)
+def _builtin_names(dim: int) -> Tuple[Mapping[str, int], Mapping[str, int]]:
     """The coordinate and frame symbols of dimension ``dim``, each with
-    its coordinate index."""
+    its coordinate index, as read-only views.  Built once per dimension
+    and shared by every parser of that dimension; callers check the
+    dimension first, so at most ``MAX_DIM`` pairs are kept."""
     coords = {name: i for i, name in enumerate(coord_names(dim))}
     for i in range(dim):
         coords.setdefault(f"x{i + 1}", i)
     frames = {f"D{name}": i for i, name in enumerate(coord_names(dim))} if dim <= 4 else {}
     for i in range(dim):
         frames.setdefault(f"D{i + 1}", i)
-    return coords, frames
+    return MappingProxyType(coords), MappingProxyType(frames)
 
 
 def check_params(dim: int, params) -> None:

@@ -307,8 +307,8 @@ def _known_terms(known: VectorField, components, k_mul: int, d_mul: int):
     of its exponent denominators, ``kc[j]`` lists the terms ``(exp,
     mono, v)`` of k_mul * scale * K^j and ``dk[c]`` the pairs ``(j,
     terms)`` of the nonzero -d_mul * scale * dK^j/dx_c, for c in
-    ``components``, all read from the components' integer storage in
-    storage order.
+    ``components``, all read in storage order from the components'
+    integer storage and their kept partials (``integer_partial``).
     """
     parts = [comp.integer_terms() for comp in known.components]
     den = math.lcm(*(d for _, d in parts))
@@ -319,10 +319,11 @@ def _known_terms(known: VectorField, components, k_mul: int, d_mul: int):
         kc.append([(exp, mono, v * f) for (exp, mono, _), v in num.items()])
     dk = {c: [] for c in components}
     for c in components:
-        for j, (num, d) in enumerate(parts):
-            terms = K.diff(num, c, e)
+        for j, ((_, d), comp) in enumerate(zip(parts, known.components)):
+            ej, terms = comp.integer_partial(c)
             if terms:
-                f = -(den // d) * d_mul
+                # terms / (d * ej) is dK^j/dx_c, and the scale is den * e
+                f = -(den // d) * (e // ej) * d_mul
                 dk[c].append((j, [(exp, mono, v * f) for (exp, mono, _), v in terms.items()]))
     return den * e, kc, dk
 

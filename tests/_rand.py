@@ -1,4 +1,5 @@
-"""Deterministic random generators shared by the property suites."""
+"""Deterministic random generators, and cold copies of values, shared by
+the property suites."""
 
 from __future__ import annotations
 
@@ -15,6 +16,14 @@ def exponential(dim: int, qvec) -> ExpPoly:
     """exp(q . x) for a rational covector q of length ``dim``."""
     assert len(qvec) == dim
     return ExpPoly(dim, {(encode_exponents(qvec), (0,) * dim, ()): 1})
+
+
+def cold_copy(value):
+    """A copy of a scalar or a field that shares no storage with it and
+    has kept no partial derivatives yet (``ExpPoly.integer_partial``)."""
+    if isinstance(value, VectorField):
+        return VectorField([cold_copy(c) for c in value.components])
+    return ExpPoly(value.dim, dict(value._num), value._den)
 
 
 def rand_fraction(rng: random.Random, small: bool = True) -> Fraction:

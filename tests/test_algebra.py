@@ -1,11 +1,12 @@
 """Spans, bracket closures, structure tensors, Killing forms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from lvf import algebra, catalog
+from lvf import _kernels, algebra, catalog
 from lvf.algebra import (
     StructureTensor,
     close_under_bracket,
@@ -25,7 +26,7 @@ from lvf.errors import (
 from lvf.fields import VectorField, bracket
 from lvf.parsing import parse_field
 
-from _rand import rand_fraction
+from _rand import cold_copy, rand_fraction
 
 
 def F(text):
@@ -119,6 +120,26 @@ def test_closure_brackets_each_pair_once(monkeypatch):
     m = len(close_under_bracket(gens))
     assert m == 10
     assert len(brackets) == m * (m - 1) // 2 == 45
+
+
+def test_closure_differentiates_each_scalar_once(monkeypatch):
+    """Each basis field of a b2 closure meets nine partners, and each
+    scalar keeps its partials (``ExpPoly.integer_partial``), so
+    ``_kernels.diff`` runs at most once per scalar and coordinate.  The
+    generators are copied first, so no earlier test has filled them."""
+    entry = catalog.get("b2.1")
+    gens = [cold_copy(g) for g in entry.generators_at({}).values()]
+    calls = []  # keeps every differentiated map alive, so ids stay distinct
+    diff = _kernels.diff
+
+    def counting_diff(num, j, e):
+        calls.append((num, j))
+        return diff(num, j, e)
+
+    monkeypatch.setattr(_kernels, "diff", counting_diff)
+    assert len(close_under_bracket(gens)) == 10
+    per_scalar = Counter((id(num), j) for num, j in calls)
+    assert calls and max(per_scalar.values()) == 1
 
 
 class TestStructureTensor:

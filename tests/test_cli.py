@@ -400,6 +400,11 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("dim 3\ncomponents\nzero : Dx\n", 2, "components lists no component"),
     ("dim 3\ndegree -1\nzero : Dx\n", 2, "ansatz degree must be at least 0, not -1"),
     ("degree two\ndim 3\nzero : Dx\n", 1, "ansatz degree must be an integer, not 'two'"),
+    # a parameter named like a builtin is refused at its params line,
+    # also when no constraint reads it, against the final dimension
+    ("dim 3\nparams x=1\neigen 1: Dx\n", 2, "parameter x named like a builtin"),
+    ("dim 3\nparams x=1\n", 2, "parameter x named like a builtin"),
+    ("params a=1\nparams w=2\ndim 4\n", 2, "parameter w named like a builtin"),
 ])
 def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.lvf"

@@ -102,6 +102,7 @@ in each component's storage, and a refused one the same error class,
 message and offset, also with ``MAX_PRODUCTS`` patched small.
 """
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -149,7 +150,7 @@ from lvf.solve import (
     solve,
 )
 
-from _rand import exponential, rand_exppoly, rand_field, rand_fraction, rand_invertible
+from _rand import cold_copy, exponential, rand_exppoly, rand_field, rand_fraction, rand_invertible
 
 _ZERO = Fraction(0)
 
@@ -2404,24 +2405,29 @@ def test_integer_bracket_matches_fraction_kernel(pair):
     assert x.bracket(x).is_zero()
 
 
+def _storage(value):
+    """The integer storage of a scalar or of each component of a field,
+    in insertion order."""
+    comps = value.components if isinstance(value, VectorField) else (value,)
+    return [(list(c._num.items()), c._den) for c in comps]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_bracket_keeps_nothing_between_partners(data):
     """One field object bracketed against partners in any order, on
-    both sides: each result is the one of a fresh copy of the field, and
-    the inputs' text never changes, so no bracket leaves state behind on
-    a field or writes to an operand."""
+    both sides: each result is the one of a cold copy of the field, and
+    the inputs' text never changes.  The partials a scalar keeps
+    (``ExpPoly.integer_partial``) are derived state that never changes
+    a result, and no bracket writes to an operand."""
     dim = data.draw(st.integers(1, 3))
     x = data.draw(wide_fields(dim))
     partners = [x] + data.draw(st.lists(wide_fields(dim), min_size=1, max_size=4))
     partners.append(partners[1] * ExpPoly.param(dim, "b"))
     texts = [format_field(p) for p in partners]
 
-    def fresh(f):
-        return VectorField(f.components)
-
     want = {
-        i: (fresh(x).bracket(fresh(p)), fresh(p).bracket(fresh(x)))
+        i: (cold_copy(x).bracket(cold_copy(p)), cold_copy(p).bracket(cold_copy(x)))
         for i, p in enumerate(partners)
     }
     for i in data.draw(st.permutations(range(len(partners)))):
@@ -2430,6 +2436,67 @@ def test_bracket_keeps_nothing_between_partners(data):
         assert [_term_maps(f) for f in got] == [_term_maps(f) for f in want[i]]
         assert format_field(x) == texts[0]
         assert [format_field(q) for q in partners] == texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kept_partials_match_cold_copies(data):
+    """Brackets, ``apply`` and ``diff`` of wide fields (exponent
+    denominators 2 and 3, parameters), run in a random order on the same
+    objects, so that any of them may fill a scalar's partials first:
+    each result has the storage, in insertion order, of the same
+    operation on cold copies, and the value of the ``Fraction``
+    kernels."""
+    dim = data.draw(st.integers(1, 3))
+    fields = data.draw(st.lists(wide_fields(dim), min_size=2, max_size=3))
+    scalars = [c for f in fields for c in f.components]
+    ops = [("bracket", a, b) for a in range(len(fields)) for b in range(len(fields))]
+    ops += [("apply", a, k) for a in range(len(fields)) for k in range(len(scalars))]
+    ops += [("diff", k, j) for k in range(len(scalars)) for j in range(dim)]
+    for op, a, b in data.draw(st.permutations(ops)):
+        if op == "bracket":
+            x, y = fields[a], fields[b]
+            got, cold = x.bracket(y), cold_copy(x).bracket(cold_copy(y))
+            _assert_kernel_matches_reference(x, y, got)
+        elif op == "apply":
+            x, f = fields[a], scalars[b]
+            got, cold = x.apply(f), cold_copy(x).apply(cold_copy(f))
+            xs = [c.term_map() for c in x.components]
+            assert got.term_map() == reference_ep_apply(xs, f.term_map())
+        else:
+            f = scalars[a]
+            got, cold = f.diff(b), cold_copy(f).diff(b)
+            assert got.term_map() == ReferenceExpPoly.of(f).diff(b).tmap
+        assert _storage(got) == _storage(cold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_build_systems(), st.data())
+def test_build_reads_kept_partials(system, data):
+    """The constraint build reads the known fields' kept partials: after
+    the known fields are bracketed, applied, differentiated or built in
+    a random order, a build gives the same ``int`` rows, target keys in
+    the same order, right-hand side and image count as a build on cold
+    copies, and the ``Fraction`` build."""
+    constraints, ansatz, columns = system
+    knowns = [c.known for c in constraints]
+    uses = [
+        lambda k: k.bracket(knowns[0]),
+        lambda k: knowns[-1].bracket(k),
+        lambda k: k.apply(k.components[-1]),
+        lambda k: [c.diff(j) for c in k.components for j in range(k.dim)],
+        lambda k: _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns),
+    ]
+    for i in data.draw(st.permutations(range(len(knowns)))):
+        data.draw(st.sampled_from(uses))(knowns[i])
+    cold = [dataclasses.replace(c, known=cold_copy(c.known)) for c in constraints]
+    want = _build_system(cold, ansatz, DEFAULT_TARGET_BOUND, columns)
+    for _ in range(2):
+        got = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND, columns)
+        assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
+        assert [list(r.items()) for r in got[1]] == [list(r.items()) for r in want[1]]
+    ref = reference_build_system(cold, ansatz, DEFAULT_TARGET_BOUND, columns)
+    assert_scaled_build(got, ref)
 
 
 # -- integer storage against the Fraction ExpPoly -----------------------------
