@@ -39,21 +39,21 @@ The exact elimination is one row-insert core: ``echelon_insert`` adds
 a row to a table of pivot rows and ``back_substitute`` reduces the
 table once at the end; ``rref`` is built on the two, and so are the
 nullspace, affine solve, inverse and determinant of ``_linalg`` and the
-span tracker of ``algebra``.  The table holds primitive integer rows
-(gcd 1, positive pivot entry) and is reduced fraction-free, by
-cross-multiplication: the integer-preserving elimination of Bareiss
-(1968), with each stored row divided by its content instead of by the
-previous pivot.  ``Fraction`` appears only at its boundary: a rational
+span tracker of ``algebra``; ``kernel_vectors`` reads an integer
+nullspace basis off the reduced table.  The table holds primitive
+integer rows (gcd 1, positive pivot entry) and is reduced
+fraction-free, by cross-multiplication: the integer-preserving
+elimination of Bareiss (1968), with each stored row divided by its
+content instead of by the previous pivot.  ``Fraction`` appears only at its boundary: a rational
 row is scaled to integers once, as it enters (an ``int`` row is only
-divided by its content), and ``back_substitute`` returns rational rows
-with pivot entry 1.
+divided by its content); every result is integer, and ``_linalg``
+divides by the leads where a caller wants rational rows.
 
 Callers look the kernels up through this module (``K.mul_into``,
 ``K.rref``, ...), so each has exactly one implementation.
 """
 
 import math
-from fractions import Fraction
 from operator import add
 
 
@@ -250,38 +250,68 @@ def echelon_insert(table, row):
 
 
 def back_substitute(table):
-    """Reduced row echelon form ``(pivots, rows)`` of an echelon table.
+    """Fully reduce an echelon table, in integers and in place.
 
-    Rows are fully reduced, in integers, from the last pivot to the
-    first: the rows of later pivots are final by then and hold no other
-    pivot column, so each elimination only adds free columns.  The
-    table is left holding the reduced primitive rows; the returned rows
-    are ``Fraction`` rows with pivot entry 1.
+    Rows are reduced from the last pivot to the first: the rows of later
+    pivots are final by then and hold no other pivot column, so each
+    elimination only adds free columns.  Returns ``(pivots, rows)``,
+    pivots ascending and ``rows[k]`` the reduced primitive row of
+    ``pivots[k]``, still held by the table; its pivot entry, positive,
+    is the row's lead, and the row over its lead is the row of the
+    reduced row echelon form.  This is the one full reduction: the
+    rational forms of ``_linalg`` are read from it.
     """
     pivots = sorted(table)
-    out = []
     for p in reversed(pivots):
         row = table[p]
         later = [c for c in row if c != p and c in table]
         if later:
             for q in later:
                 row = _eliminate(row, q, table[q])
-            table[p] = row = _primitive(row, row[p])
+            table[p] = _primitive(row, row[p])
+    return pivots, [table[p] for p in pivots]
+
+
+def kernel_vectors(pivots, rows, ncols):
+    """Integer nullspace basis of a reduced table (:func:`back_substitute`),
+    one vector per free column f below ``ncols``, ascending.
+
+    The vector of f is ``L`` at f and ``-row[f] * L / lead`` at each
+    pivot whose row uses f, pivots ascending, where ``L`` is the lcm of
+    those rows' leads: a positive multiple of the rational vector that
+    is 1 at f and 0 at every other free column.  One pass over the rows:
+    a reduced row holds no other pivot column, so every other entry
+    below ``ncols`` is free.
+    """
+    pivot_set = set(pivots)
+    uses = {f: [] for f in range(ncols) if f not in pivot_set}
+    for p, row in zip(pivots, rows):
         lead = row[p]
-        out.append({c: Fraction(v, lead) for c, v in row.items()})
-    out.reverse()
-    return pivots, out
+        for c, v in row.items():
+            at = uses.get(c)
+            if at is not None:
+                at.append((p, v, lead))
+    basis = []
+    for f, at in uses.items():
+        lcm = math.lcm(*(lead for _, _, lead in at))
+        vec = {f: lcm}
+        for p, v, lead in at:
+            vec[p] = -v * (lcm // lead)
+        basis.append(vec)
+    return basis
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form of a sparse rational matrix.
+    """Reduced row echelon form of a sparse rational matrix, in integers.
 
     ``rows`` is a list of sparse rows with columns in ``range(ncols)``;
-    the input is not mutated.  Returns ``(pivots, out_rows)`` where
-    ``pivots[k]`` is the pivot column of ``out_rows[k]``, pivots
-    strictly increasing, every pivot entry 1 and eliminated from all
-    other rows.  The reduced form of a matrix is unique, so it does not
-    depend on the order in which rows are inserted.
+    the input is not mutated.  Returns ``(pivots, out_rows)`` as
+    :func:`back_substitute` gives them: ``pivots[k]`` is the pivot
+    column of the primitive integer row ``out_rows[k]``, pivots strictly
+    increasing, every pivot entry positive and eliminated from all other
+    rows.  The reduced form of a matrix is unique up to the scale of
+    each row, so it does not depend on the order in which rows are
+    inserted.
     """
     table = {}
     for r in rows:

@@ -4,7 +4,10 @@ Thin wrappers around the row-insert elimination kernel: rref,
 nullspaces, affine solves and, through the rows of ``[A | I]``, the
 determinant and the inverse.  Rows are dicts mapping column index to a
 nonzero rational (``Fraction`` or ``int``); the echelon tables in
-between hold the kernel's primitive integer rows.
+between hold the kernel's primitive integer rows.  ``affine_solution``
+hands out its solution set in integers, as the kernel reduces it;
+``rref``, ``nullspace`` and ``solve_affine`` divide the same integers
+by their leads and hand out ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,31 +20,27 @@ from lvf import _kernels as K
 Row = Dict[int, Fraction]
 
 
+def _over(vec: Dict[int, int], lead: int) -> Row:
+    """The integer vector ``vec`` over ``lead``, as ``Fraction``s."""
+    return {c: Fraction(v, lead) for c, v in vec.items()}
+
+
+def _unit(vectors: List[Dict[int, int]]) -> List[Row]:
+    """``_kernels.kernel_vectors`` over their entries at their free
+    columns, which come first: 1 there."""
+    return [_over(vec, next(iter(vec.values()))) for vec in vectors]
+
+
 def rref(rows: List[Row], ncols: int) -> Tuple[List[int], List[Row]]:
-    return K.rref(rows, ncols)
-
-
-def nullspace_from_rref(pivots: List[int], rrows: List[Row], ncols: int) -> List[Row]:
-    """Nullspace basis out of an existing reduced echelon form.
-
-    One vector per free column f below ``ncols``: ``{f: 1}`` first, then
-    ``-row[f]`` at each pivot whose row uses f, pivots ascending.  One
-    pass over the rows: a reduced row holds no other pivot column, so
-    every other entry below ``ncols`` is free.
-    """
-    pivot_set = set(pivots)
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
-    for p, row in zip(pivots, rrows):
-        for c, v in row.items():
-            vec = basis.get(c)
-            if vec is not None:
-                vec[p] = -v
-    return list(basis.values())
+    """Reduced row echelon form with pivot entries 1: the integer
+    ``_kernels.rref``, each row over its lead."""
+    pivots, irows = K.rref(rows, ncols)
+    return pivots, [_over(row, row[p]) for p, row in zip(pivots, irows)]
 
 
 def reduced_kernel_basis(vectors: List[Row], ncols: int) -> List[Row]:
-    """The basis ``nullspace_from_rref`` gives for any matrix whose
-    nullspace is spanned by ``vectors``.
+    """The basis ``nullspace`` gives for any matrix whose nullspace is
+    spanned by ``vectors`` (``int`` or ``Fraction`` entries).
 
     Its vector for a free column f is 1 at f, 0 at every other free
     column and nonzero only left of f, so the basis is the reduced
@@ -51,40 +50,48 @@ def reduced_kernel_basis(vectors: List[Row], ncols: int) -> List[Row]:
     pivots, rrows = K.rref([{last - c: v for c, v in vec.items()} for vec in vectors], ncols)
     basis = []
     for p, row in zip(reversed(pivots), reversed(rrows)):
+        lead = row[p]
         vec: Row = {last - p: Fraction(1)}
         for c in sorted(row, reverse=True):
             if c != p:
-                vec[last - c] = row[c]
+                vec[last - c] = Fraction(row[c], lead)
         basis.append(vec)
     return basis
 
 
 def nullspace(rows: List[Row], ncols: int) -> List[Row]:
-    """Basis of the right nullspace, one vector per free column."""
-    pivots, rrows = K.rref(rows, ncols)
-    return nullspace_from_rref(pivots, rrows, ncols)
+    """Basis of the right nullspace, one vector per free column f: 1 at
+    f, 0 at every other free column."""
+    pivots, irows = K.rref(rows, ncols)
+    return _unit(K.kernel_vectors(pivots, irows, ncols))
 
 
-def solve_affine(
+def affine_solution(
     rows: List[Row], rhs: List[Fraction], ncols: int
-) -> Tuple[Optional[Row], List[Row], int, Optional[int]]:
-    """Solve M v = rhs exactly.
+) -> Tuple[Optional[Dict[int, int]], List[Dict[int, int]], int, Optional[int]]:
+    """Solve M v = rhs exactly, in integers.
 
-    Returns (particular, homogeneous basis, rank of M, witness) where
-    witness is the index of an inconsistent input row (particular is
-    then None): the first row whose prefix makes the system
-    inconsistent.  One echelon pass over the augmented rows gives all
-    four: the witness is the row whose insertion creates a pivot in the
-    rhs column, and the rank counts the pivots left of it.
+    Returns (point, homogeneous basis, rank of M, witness) where
+    witness is the index of an inconsistent input row (point is then
+    None): the first row whose prefix makes the system inconsistent.
+    One echelon pass over the rows ``[M | -rhs]`` gives all four: the
+    witness is the row whose insertion creates a pivot in the rhs
+    column ``ncols``, and the rank counts the pivots left of it.
+    Without a witness, column ``ncols`` is free, and
+    ``_kernels.kernel_vectors`` of the reduced table over ``ncols + 1``
+    columns gives the homogeneous basis (the vectors of the free columns
+    below ``ncols``) and, last, the vector of column ``ncols``: the point,
+    ``L`` at ``ncols`` and ``L`` times the solution that is zero at every
+    free column elsewhere.
 
     Once the table holds ``ncols`` pivots and none in the rhs column,
-    the prefix has exactly one solution x, found by one back
+    the prefix has exactly one solution, found by one back
     substitution.  A later row then needs no reduction: it is
-    consistent exactly when ``row . x == b`` (fully reduced, it would
-    leave ``b - row . x`` in the rhs column), so the first row that
-    fails is the same witness.  Before full rank, and after a witness
-    found before it, rows are still inserted, until the last row or
-    ``ncols + 1`` pivots, so the rank is that of all of M, not of a
+    consistent exactly when ``row . point == rhs * L`` (fully reduced,
+    it would leave its residual in the rhs column), so the first row
+    that fails is the same witness.  Before full rank, and after a
+    witness found before it, rows are still inserted, until the last row
+    or ``ncols + 1`` pivots, so the rank is that of all of M, not of a
     prefix.
     """
     table: Dict[int, Dict[int, int]] = {}
@@ -93,24 +100,34 @@ def solve_affine(
     while i < len(rows) and len(table) < ncols + (witness is not None):
         row = rows[i]
         if rhs[i]:
-            row = {**row, ncols: rhs[i]}
+            row = {**row, ncols: -rhs[i]}
         if row and K.echelon_insert(table, row) == ncols:
             witness = i
         i += 1
     if witness is not None:
         return None, [], len(table) - 1, witness
-    pivots, rrows = K.back_substitute(table)
-    particular: Row = {}
-    for p, row in zip(pivots, rrows):
-        b = row.get(ncols)
-        if b:
-            particular[p] = b
+    pivots, irows = K.back_substitute(table)
+    *hom, point = K.kernel_vectors(pivots, irows, ncols + 1)
     # rows are left over only when the table reached full column rank
+    scale = point[ncols]
     for j in range(i, len(rows)):
-        if sum(v * particular[c] for c, v in rows[j].items() if c in particular) != rhs[j]:
+        if sum(v * point[c] for c, v in rows[j].items() if c in point) != rhs[j] * scale:
             return None, [], ncols, j
-    hom = nullspace_from_rref(pivots, rrows, ncols)
-    return particular, hom, len(pivots), None
+    return point, hom, len(pivots), None
+
+
+def solve_affine(
+    rows: List[Row], rhs: List[Fraction], ncols: int
+) -> Tuple[Optional[Row], List[Row], int, Optional[int]]:
+    """Solve M v = rhs exactly: ``affine_solution`` with rational
+    outputs.  The particular solution is zero at every free column, its
+    keys the pivot columns with a nonzero value, ascending; the
+    homogeneous basis is the one ``nullspace`` gives."""
+    point, hom, mrank, witness = affine_solution(rows, rhs, ncols)
+    if point is None:
+        return None, [], mrank, witness
+    scale = point.pop(ncols)
+    return _over(point, scale), _unit(hom), mrank, None
 
 
 def rank(rows: List[Row], ncols: int) -> int:

@@ -192,14 +192,17 @@ def _invert(rows):
     """Exact inverse of a rational matrix; raises SingularMap.
 
     The rows of ``[A | I]`` go through the echelon core; back
-    substitution leaves ``A^-1`` in the identity block.
+    substitution leaves each row of ``A^-1``, times the row's lead, in
+    the identity block.
     """
     echelon = _linalg.echelon_with_identity(rows)
     if echelon is None:
         raise SingularMap("linear part of the affine map is singular")
     n = len(rows)
-    _, reduced = K.back_substitute(echelon[0])
-    return tuple(tuple(r.get(n + j, Fraction(0)) for j in range(n)) for r in reduced)
+    pivots, reduced = K.back_substitute(echelon[0])
+    return tuple(
+        tuple(Fraction(r.get(n + j, 0), r[p]) for j in range(n)) for p, r in zip(pivots, reduced)
+    )
 
 
 def affine_pullback(field: VectorField, t: AffineMap) -> VectorField:

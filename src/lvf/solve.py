@@ -9,26 +9,28 @@ into a finite-dimensional target space whose basis is derived from the
 images.  Both kinds of system are solved in one staged loop, one
 constraint at a time on the solution set of the ones before it, each
 built only over the columns that set uses, so most of the target rows
-of the stacked matrix are never built.  The basis, particular
-solution and rank are those one elimination of the stacked matrix
-gives, and so is the inconsistency witness: the first conflicting
-image row of any constraint, else the first target term that no
-ansatz field reaches.  A stage without a solution is built again over
-every column to find it (see ``_staged_solve``).  A graded known field,
-H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
-the obstruction pipeline), confines every solution of a homogeneous
-system to the basis fields of one weight, wherever its constraint
-stands: the first stage starts on the columns all graded constraints
-keep, and every constraint then takes the same build.  Those columns
-are the lattice points of the degree simplex that solve the weight
-equations, walked from one echelon form of the weight rows, so no
-other monomial is visited.  Columns are computed by arithmetic from a
+of the stacked matrix are never built; once that set is one point, a
+constraint is built only when the point's residual is not zero.  The
+set is carried in integers, as the elimination hands it out.  The
+basis, particular solution and rank are those one elimination of the
+stacked matrix gives, and so is the inconsistency witness: the first
+conflicting image row of any constraint, else the first target term
+that no ansatz field reaches.  A stage without a solution is built
+again over every column to find it (see ``_staged_solve``).  A graded
+known field, H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every
+Cartan element of the obstruction pipeline), confines every solution of
+a homogeneous system to the basis fields of one weight, wherever its
+constraint stands: the first stage starts on the columns all graded
+constraints keep, and every constraint then takes the same build.
+Those columns are the lattice points of the degree simplex that solve
+the weight equations, walked from one echelon form of the weight rows,
+so no other monomial is visited.  Columns are computed by arithmetic from a
 basis field's component, block and monomial rank, and back: a
 monomial's rank is its index in the combinatorial number system, and a
 block's monomial list is built only for a build or a listing over every
 column (``blocks()``, ``basis_keys()``).  The constraint rows are
 integers, each constraint's equations times one positive scale, built
-from the integer storage of the known field.
+from the integer storage of the known field and the target.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from lvf.fields import VectorField, generic_rank
 from lvf.parsing import check_dimension
 
 DEFAULT_TARGET_BOUND = 20000
-_ZERO = Fraction(0)  # shared by every right-hand side entry that starts at zero
-_ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _simplex(dim: int, max_degree: int):
@@ -294,12 +295,6 @@ class SolveResult:
         return len(self.basis)
 
 
-def _field_keys(field: VectorField):
-    for i, comp in enumerate(field.components):
-        for (exp, mono), c in comp.rational_terms():
-            yield (i, exp, mono), c
-
-
 def _known_terms(known: VectorField, components, k_mul: int, d_mul: int):
     """The known field K in integers: ``(scale, kc, dk)``.
 
@@ -345,10 +340,12 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
     positive scale, the lcm of the known field's component denominators
     times the lcm of its exponent denominators (``_known_terms``), times
     the lcm of the ansatz's exponent denominators, times the
-    eigenvalue's denominator, whatever ``columns`` is.  An ``equals``
-    right-hand side is scaled by the same number.  The elimination
-    stores primitive rows, so the scale changes no table, kernel,
-    solution or witness.
+    eigenvalue's denominator or, for ``equals``, the lcm of the target's
+    component denominators, whatever ``columns`` is.  The right-hand
+    side is scaled by the same number, so it holds ``int``s too, read
+    from the target's integer storage (``ExpPoly.integer_terms``) in
+    storage order.  The elimination stores primitive rows, so the scale
+    changes no table, kernel, solution or witness.
 
     One-term basis fields make the constraint images cheap:
       [K, f d_c] = K(f) d_c - f * sum_j (dK^j/dx_c) d_j
@@ -364,6 +361,7 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
     target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
     rows: List[Dict[int, int]] = []
     scales = []
+    parts = {}  # the integer terms of each equals target's components
 
     def index_of(full):
         idx = target_index.get(full)
@@ -377,13 +375,18 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
 
     for ci, cons in enumerate(constraints):
         eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else _ZERO
-        # the row scale is known_scale * block_den * eig.denominator: K
-        # takes the eigenvalue's denominator here and the block's in the
-        # factors of df/dx_j below, dK takes both here
-        known_scale, kc, dk = _known_terms(
-            cons.known, ansatz.components, eig.denominator, eig.denominator * block_den
-        )
-        scales.append(known_scale * block_den * eig.denominator)
+        # the equation's own denominator: the eigenvalue's, or the lcm of
+        # the target's component denominators (an equals constraint has
+        # eigenvalue 0)
+        den = eig.denominator
+        if cons.kind == "equals":
+            parts[ci] = [comp.integer_terms() for comp in cons.target.components]
+            den = math.lcm(*(d for _, d in parts[ci]))
+        # the row scale is known_scale * block_den * den: K takes den here
+        # and the block's denominator in the factors of df/dx_j below, dK
+        # takes both here
+        known_scale, kc, dk = _known_terms(cons.known, ansatz.components, den, den * block_den)
+        scales.append(known_scale * block_den * den)
         diag_eig = -eig.numerator * known_scale * block_den
         for exp, exp_monos in by_exp.items():
             # q_j = n_j / den_b: its factor in df/dx_j is n_j * block_den / den_b
@@ -439,58 +442,58 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
 
     images = len(rows)
     rhs = None
-    if any(c.kind == "equals" for c in constraints):
-        rhs_entries: Dict[int, Fraction] = {}
-        for ci, cons in enumerate(constraints):
-            if cons.kind != "equals":
-                continue
-            for fkey, value in _field_keys(cons.target):
-                idx = index_of((ci, *fkey))
-                rhs_entries[idx] = rhs_entries.get(idx, _ZERO) + value * scales[ci]
-        rhs = [rhs_entries.get(i, _ZERO) for i in range(len(rows))]
+    if parts:
+        rhs_entries: Dict[int, int] = {}
+        for ci, target in parts.items():
+            for comp, (num, d) in enumerate(target):
+                # num / d times the scale, which d divides
+                f = scales[ci] // d
+                for (exp, mono, _), v in num.items():
+                    rhs_entries[index_of((ci, comp, exp, mono))] = v * f
+        rhs = [rhs_entries.get(i, 0) for i in range(len(rows))]
     return list(target_index), rows, rhs, images
 
 
 def _compose(rows, basis):
     """The rows of the product M N, for the sparse rows of M and the
-    columns of N given as the sparse vectors ``basis``.  A column of M
-    that no vector uses adds nothing.  Entries of N equal to 1 (every
-    start vector, every free column) skip the product."""
-    by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
+    columns of N given as the sparse vectors ``basis``, all in integers.
+    A column of M that no vector uses adds nothing."""
+    by_col: Dict[int, List[Tuple[int, int]]] = {}
     for j, vec in enumerate(basis):
         for c, v in vec.items():
             by_col.setdefault(c, []).append((j, v))
     out = []
     for row in rows:
-        acc: Dict[int, Fraction] = {}
+        acc: Dict[int, int] = {}
         for c, a in row.items():
             for j, v in by_col.get(c, ()):
-                add_into(acc, j, a if v == 1 else a * v)
+                add_into(acc, j, a * v)
         out.append(acc)
     return out
 
 
-def _on_affine_set(rows, rhs, basis, particular):
-    """The rows ``rows . v = rhs`` on v = particular + N w, as rows in w:
-    the rows composed with N and each right-hand side less the row times
-    the particular solution.  The particular solution is composed as one
-    more basis vector, so only a row that meets its support pays for a
-    subtraction.  ``rhs`` None stands for zeros."""
+def _on_affine_set(rows, rhs, basis, particular, ncols):
+    """The rows ``rows . v = rhs`` on v = P/d + N w, as rows in d w:
+    the rows composed with N and each right-hand side times d less the
+    row times P, for the particular solution P with its denominator d at
+    key ``ncols`` (a column no row has).  P is composed as one more basis
+    vector.  ``rhs`` None stands for zeros."""
     k = len(basis)
+    den = particular[ncols]
     composed = _compose(rows, basis + [particular])
     shifted = []
-    for row, b in zip(composed, rhs or itertools.repeat(_ZERO)):
-        at = row.pop(k, None)
-        shifted.append(b if at is None else b - at)
+    for row, b in zip(composed, rhs or itertools.repeat(0)):
+        at = row.pop(k, 0)
+        shifted.append(b * den - at)
     return composed, shifted
 
 
 def _combine(coeffs, basis):
-    """``sum_j coeffs[j] * basis[j]`` as a sparse vector."""
-    out: Dict[int, Fraction] = {}
+    """``sum_j coeffs[j] * basis[j]`` as a sparse integer vector."""
+    out: Dict[int, int] = {}
     for j, a in coeffs.items():
         for c, v in basis[j].items():
-            add_into(out, c, a if v == 1 else a * v)
+            add_into(out, c, a * v)
     return out
 
 
@@ -623,15 +626,20 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     """Solution set of the constraints, one constraint at a time.
 
     Returns ``(basis, particular, rank, witness)``.  The solution set is
-    carried as particular + span N (particular is None for homogeneous
-    constraints).  N starts as the unit vectors of every column, or for
+    carried as P/d + span N, in integers (particular is None for
+    homogeneous constraints): N as the vectors
+    ``_kernels.kernel_vectors`` gives, P with its denominator d at key
+    ``ncols``, one past the last column, so that a combination scales
+    both.  N starts as the unit vectors of every column, or for
     homogeneous constraints of the columns ``_graded_columns`` keeps for
     the graded ones.  Each constraint in turn is built only over the
-    columns that N and the particular solution use, and its rows are
-    solved on the set so far: ``_linalg.rref`` of the rows times N for
-    a homogeneous stage, ``_linalg.solve_affine`` of the rows on the
-    affine set (``_on_affine_set``) otherwise.  A homogeneous solve
-    stops once N is empty, so most of the target rows of the stacked
+    columns that N and P use, and its rows are solved on the set so far:
+    ``_kernels.rref`` of the rows times N for a homogeneous stage,
+    ``_linalg.affine_solution`` of the rows on the affine set
+    (``_on_affine_set``) otherwise.  A homogeneous solve stops once N is
+    empty.  Once an affine solve's set is one point (N empty), each later
+    constraint is decided by the point's exact residual and built only
+    when that is not zero.  So most of the target rows of the stacked
     matrix are never built.
 
     The witness, ``(constraint, component)`` or None, is the row the
@@ -645,22 +653,24 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     homogeneous: only its kernel is still needed.  Otherwise the
     constraint's first unreachable term is the witness, unless an
     earlier constraint has one, and the stages go on, since a later
-    image row would still come first.  ``rank`` is the rank of the
-    stacked matrix, ``ncols - dim N``, with or without a witness.
+    image row would still come first.  A constraint that holds at the
+    one point has neither.  ``rank`` is the rank of the stacked matrix,
+    ``ncols - dim N``, with or without a witness.
 
     ``target_bound`` bounds the rows built over all stages that are not
     empty or have a nonzero right-hand side, and the targets of any one
-    build.  A stage built again counts its second build in place of its
-    first, whose targets it holds, so the count never exceeds the rows
-    of the stacked matrix.  The basis is returned in the reduced form
-    ``nullspace_from_rref`` gives for the stacked matrix, and the
-    particular solution as the one that is zero at each of its free
-    columns, keys ascending, as the stacked ``solve_affine`` gives it:
-    both forms depend only on the solution set.
+    build; a constraint decided by its residual builds nothing.  A stage
+    built again counts its second build in place of its first, whose
+    targets it holds, so the count never exceeds the rows of the stacked
+    matrix.  The basis is returned in the reduced form ``_linalg.nullspace``
+    gives for the stacked matrix, and the particular solution as the one
+    that is zero at each of its free columns, keys ascending, as the
+    stacked ``solve_affine`` gives it: both forms depend only on the
+    solution set, not on the scale of N or P.
     """
     ncols = ansatz.dimension()
     if any(cons.kind == "equals" for cons in constraints):
-        particular, columns = {}, range(ncols)
+        particular, columns = {ncols: 1}, range(ncols)
     else:
         graded = []
         for cons in constraints:
@@ -670,8 +680,9 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
                 graded.append((*weights, eig))
         particular = None
         columns = _graded_columns(graded, ansatz) if graded else range(ncols)
-    basis = [{m: _ONE} for m in columns]
+    basis = [{m: 1} for m in columns]
     witness = None
+    point = None  # the field of P/d once N is empty; P/d stays that point
     built = 0
 
     def build(cons, support):
@@ -691,41 +702,50 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
         return system, count
 
     for ci, cons in enumerate(constraints):
-        if particular is None and not basis:
-            break
+        if not basis:
+            if particular is None:
+                break
+            if point is None:
+                den = particular[ncols]
+                point = _to_field(
+                    ansatz, {c: Fraction(v, den) for c, v in particular.items() if c != ncols}
+                )
+            if cons.residual(point).is_zero():
+                continue
         support = set().union(*basis)
-        if particular:
+        if particular is not None:
             support.update(particular)
+            support.discard(ncols)
         restricted = len(support) < ncols
         (targets, rows, rhs, images), count = build(cons, support if restricted else None)
         k = len(basis)
         if particular is None:
             built = count
             rows = [row for row in rows if row]
-            pivots, rrows = _linalg.rref(_compose(rows, basis), k)
-            kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
-            basis = [_combine(w, basis) for w in kernel]
+            pivots, rrows = K.rref(_compose(rows, basis), k)
+            basis = [_combine(w, basis) for w in K.kernel_vectors(pivots, rrows, k)]
             continue
         composed, shifted = _on_affine_set(
-            rows if restricted else rows[:images], rhs, basis, particular
+            rows if restricted else rows[:images], rhs, basis, particular, ncols
         )
-        step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
+        step, kernel, _, bad = _linalg.affine_solution(composed, shifted, k)
         if bad is not None and restricted:
             # no solution: the constraint again, its rows in stacked order
             (targets, rows, rhs, images), count = build(cons, None)
-            composed, shifted = _on_affine_set(rows[:images], rhs, basis, particular)
-            step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
+            composed, shifted = _on_affine_set(rows[:images], rhs, basis, particular, ncols)
+            step, kernel, _, bad = _linalg.affine_solution(composed, shifted, k)
         built = count
         if bad is not None:
             witness = (ci, targets[bad][1])
             particular = None
-            pivots, rrows = _linalg.rref(composed, k)
-            kernel = _linalg.nullspace_from_rref(pivots, rrows, k)
+            pivots, rrows = K.rref(composed, k)
+            kernel = K.kernel_vectors(pivots, rrows, k)
         else:
             if witness is None and images < len(rows):
                 # after a full build: a target term no column reaches
                 witness = (ci, targets[images][1])
-            particular = _combine({**step, k: _ONE}, basis + [particular])
+            # step holds the scale of P at k, the position of P below
+            particular = _combine(step, basis + [particular])
         basis = [_combine(w, basis) for w in kernel]
 
     rank = ncols - len(basis)
@@ -733,12 +753,22 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
         return [], None, rank, witness
     if basis:
         basis = _linalg.reduced_kernel_basis(basis, ncols)
-    if particular:
+    if particular is not None:
         # already zero at every free column: each stage's solve leaves its
-        # own free columns at zero, and each vector of N is 1 at its free
-        # column and 0 at the others
-        particular = {c: particular[c] for c in sorted(particular)}
+        # own free columns at zero, and each vector of N is nonzero at its
+        # free column and 0 at the others
+        den = particular.pop(ncols)
+        particular = {c: Fraction(particular[c], den) for c in sorted(particular)}
     return basis, particular, rank, None
+
+
+def _to_field(ansatz: AnsatzSpace, vec: Dict[int, Fraction]) -> VectorField:
+    """The field sum_m vec[m] * (basis field of column m)."""
+    terms: List[dict] = [{} for _ in range(ansatz.dim)]
+    for m, v in vec.items():
+        comp, exp, mono = ansatz.key(m)
+        terms[comp][(exp, mono, ())] = v
+    return VectorField([ExpPoly.from_terms(ansatz.dim, t) for t in terms])
 
 
 def solve(
@@ -761,22 +791,14 @@ def solve(
             raise LvfError("constraint dimension does not match the ansatz")
 
     ncols = ansatz.dimension()
-
-    def to_field(vec: Dict[int, Fraction]) -> VectorField:
-        terms: List[dict] = [{} for _ in range(ansatz.dim)]
-        for m, v in vec.items():
-            comp, exp, mono = ansatz.key(m)
-            terms[comp][(exp, mono, ())] = v
-        return VectorField([ExpPoly.from_terms(ansatz.dim, t) for t in terms])
-
     hom, particular, mrank, witness = _staged_solve(constraints, ansatz, target_bound)
     if witness is not None:
         ci, comp = witness
         detail = f"constraint {ci} has no solution at component {comp + 1}"
         return SolveResult([], None, mrank, ncols, detail)
     result = SolveResult(
-        [to_field(v) for v in hom],
-        None if particular is None else to_field(particular),
+        [_to_field(ansatz, v) for v in hom],
+        None if particular is None else _to_field(ansatz, particular),
         mrank,
         ncols,
     )

@@ -20,11 +20,18 @@ component), also with the stacked matrix's row count as the target
 bound: on planted systems, the same systems with target terms no
 column reaches or with conflicting terms in some constraint's image,
 mixed eigen/zero/equals lists and ansatze with exponentials, and on
-one example per rule of the witness order.  The
+one example per rule of the witness order; on a system that is one
+point after three constraints, a later constraint is built only when
+the point's residual for it is not zero.  The
 reduced row echelon form is unique, so the fast paths must agree with
 them exactly, including the order of the constraint rows (the
 inconsistency message depends on it) and the key order of the basis
 vectors.
+
+The nullspace basis is read off the integer rows: each vector of
+``_kernels.kernel_vectors`` is checked to be a positive multiple of the
+``Fraction`` one that ``nullspace_from_rref`` (kept here) read off
+rational rows, on matrices of every rank with wide entries.
 
 The elimination keeps primitive integer rows, so the rref, affine solve,
 inverse and determinant are also drawn with wide entries (numerators up
@@ -117,7 +124,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lvf import _kernels, _linalg
 from lvf import catalog, obstruction, parsing
 from lvf import solve as solve_module
-from lvf._linalg import det, nullspace, nullspace_from_rref, rank, solve_affine
+from lvf._linalg import det, nullspace, rank, solve_affine
 from lvf.algebra import SpanTracker, StructureTensor, close_under_bracket, structure_tensor
 from lvf.errors import (
     AnsatzExplosion,
@@ -143,7 +150,6 @@ from lvf.solve import (
     AnsatzSpace,
     BracketConstraint,
     _build_system,
-    _field_keys,
     _graded_columns,
     _graded_weights,
     _staged_solve,
@@ -202,6 +208,21 @@ def reference_rref(rows, ncols):
         if not active:
             break
     return pivots, done
+
+
+def nullspace_from_rref(pivots, rrows, ncols):
+    """The ``Fraction`` nullspace basis ``_linalg`` read off rational
+    reduced rows before ``_kernels.kernel_vectors``: one vector per free
+    column f below ``ncols``, ``{f: 1}`` first, then ``-row[f]`` at each
+    pivot whose row uses f, pivots ascending, in one pass over the rows."""
+    pivot_set = set(pivots)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
+    for p, row in zip(pivots, rrows):
+        for c, v in row.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[p] = -v
+    return list(basis.values())
 
 
 def reference_nullspace_from_rref(pivots, rrows, ncols):
@@ -475,6 +496,14 @@ def reference_columns(ansatz):
     return keys, {key: m for m, key in enumerate(keys)}
 
 
+def _field_keys(field: VectorField):
+    """``((component, exp, mono), value)`` of every term of a field, in
+    storage order: the ``Fraction`` right-hand side the builds read."""
+    for i, comp in enumerate(field.components):
+        for (exp, mono), c in comp.rational_terms():
+            yield (i, exp, mono), c
+
+
 def reference_build_system(constraints, ansatz, target_bound=DEFAULT_TARGET_BOUND, columns=None):
     """The ``Fraction`` build that ``_build_system`` replaced: the same
     ``(targets, rows, rhs, images)``, with the known field's terms and
@@ -586,6 +615,7 @@ def assert_scaled_build(got, ref):
     assert all(type(v) is int for row in rows for v in row.values())
     assert [list(row) for row in rows] == [list(row) for row in ref[1]]
     assert (rhs is None) == (ref[2] is None)
+    assert rhs is None or all(type(b) is int for b in rhs)
     ratios = {}
     for i, (ci, *_) in enumerate(targets):
         pairs = [(v, ref[1][i][c]) for c, v in rows[i].items()]
@@ -1310,7 +1340,7 @@ def staged_systems(draw):
 @given(st.one_of(matrices(), matrices(vals=wide_values)))
 def test_rref_matches_column_scan(system):
     rows, ncols = system
-    assert _kernels.rref(rows, ncols) == reference_rref(rows, ncols)
+    assert _linalg.rref(rows, ncols) == reference_rref(rows, ncols)
     assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
     assert rank(rows, ncols) == len(reference_rref(rows, ncols)[0])
 
@@ -1541,10 +1571,55 @@ def test_nullspace_one_pass_matches_column_scan(system):
     rows, rhs, ncols = system
     aug = [{**r, ncols: b} if b else dict(r) for r, b in zip(rows, rhs)]
     for matrix, width in ((rows, ncols), (aug, ncols + 1)):
-        pivots, rrows = _kernels.rref(matrix, width)
-        got = nullspace_from_rref(pivots, rrows, ncols)
-        ref = reference_nullspace_from_rref(pivots, rrows, ncols)
+        ref = reference_nullspace_from_rref(*reference_rref(matrix, width), ncols)
+        pivots, irows = _kernels.rref(matrix, width)
+        got = []
+        for vec in _kernels.kernel_vectors(pivots, irows, ncols):
+            scale = next(iter(vec.values()))  # at the free column, first
+            got.append({c: Fraction(v, scale) for c, v in vec.items()})
         assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+    ref = reference_nullspace(rows, ncols)
+    assert [list(v.items()) for v in nullspace(rows, ncols)] == [list(v.items()) for v in ref]
+
+
+@st.composite
+def kernel_matrices(draw, vals=values):
+    """Sparse matrices of a drawn rank r: r independent rows (a pivot
+    entry each and entries only in later pivot or free columns, in a
+    random column order), then, for a rank-deficient matrix, rows that
+    combine earlier ones."""
+    ncols = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(ncols)))
+    r = draw(st.integers(0, ncols))
+    rows = []
+    for k in range(r):
+        rows.append({order[k]: draw(vals), **{
+            q: draw(vals) for q in order[k + 1:] if draw(st.integers(0, 2)) == 0
+        }})
+    if rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2 * ncols))):
+            rows.insert(draw(st.integers(0, len(rows))), _combine(draw, rows, vals))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    kernel_matrices(), kernel_matrices(vals=wide_values), matrices(vals=wide_values),
+))
+def test_kernel_vectors_are_positive_multiples_of_nullspace_from_rref(system):
+    # one integer vector per free column, with the keys of the rational
+    # one, in order, and every entry the same positive multiple of it
+    rows, ncols = system
+    ref = nullspace_from_rref(*reference_rref(rows, ncols), ncols)
+    pivots, irows = _kernels.rref(rows, ncols)
+    got = _kernels.kernel_vectors(pivots, irows, ncols)
+    assert len(got) == len(ref) == ncols - len(pivots)
+    for vec, unit in zip(got, ref):
+        assert list(vec) == list(unit)
+        assert all(type(v) is int for v in vec.values())
+        scale = next(iter(vec.values()))
+        assert scale > 0
+        assert all(v == scale * unit[c] for c, v in vec.items())
 
 
 def _is_homogeneous(system):
@@ -1815,14 +1890,52 @@ def test_staged_affine_kernel_zero_midway():
     ([_equals(k, "x*y*Dz", extra) for k, extra in zip(
         KERNEL_ZERO_AFTER_3, (None, "x^9*Dy", None, "Dx", None))], 2,
      "constraint 3 has no solution at component 1"),
+    # on that one point: it passes both later constraints; it fails
+    # constraint 3 only through a term no column reaches; it fails
+    # constraints 3 and 4 through their images, and 3 is named; and a
+    # target over denominators 6 and 7 passes through it
+    ([_equals(k, "x*y*Dz") for k in KERNEL_ZERO_AFTER_3], 2, None),
+    ([_equals(k, "x*y*Dz", extra) for k, extra in zip(
+        KERNEL_ZERO_AFTER_3, (None, None, None, "x^9*Dy", None))], 2,
+     "constraint 3 has no solution at component 2"),
+    ([_equals(k, "x*y*Dz", extra) for k, extra in zip(
+        KERNEL_ZERO_AFTER_3, (None, None, None, "Dx", "Dy"))], 2,
+     "constraint 3 has no solution at component 1"),
+    ([_equals(k, "5/6*x*y*Dz - 3/7*z*Dx") for k in KERNEL_ZERO_AFTER_3], 2, None),
 ], ids=[
     "image-row-after-target-only-row", "target-only-rows", "own-image-row-first",
     "earlier-image-row", "emptied-image-row", "emptied-image-row-at-stage-0",
-    "kernel-zero-midway",
+    "kernel-zero-midway", "one-point-holds", "one-point-target-only-row",
+    "one-point-two-image-rows", "one-point-fractional-target",
 ])
 def test_staged_affine_witness_examples(constraints, degree, detail):
     result = _check_affine(constraints, AnsatzSpace(3, max_degree=degree))
     assert result.inconsistency == detail
+
+
+@pytest.mark.parametrize("x0, extras, built", [
+    ("x*y*Dz", (None,) * 5, [(0, True), (1, False), (2, False)]),
+    ("5/6*x*y*Dz - 3/7*z*Dx", (None,) * 5, [(0, True), (1, False), (2, False)]),
+    # a constraint the point fails is built over the point's columns,
+    # then again over every column for its witness
+    ("x*y*Dz", (None, None, None, "x^9*Dy", None),
+     [(0, True), (1, False), (2, False), (3, False), (3, True)]),
+    ("x*y*Dz", (None, None, None, "Dx", "Dy"),
+     [(0, True), (1, False), (2, False), (3, False), (3, True)]),
+])
+def test_one_point_builds_only_the_constraints_it_fails(x0, extras, built, monkeypatch):
+    constraints = [_equals(k, x0, extra) for k, extra in zip(KERNEL_ZERO_AFTER_3, extras)]
+    ansatz = AnsatzSpace(3, max_degree=2)
+    calls = []
+    build = solve_module._build_system
+
+    def recording(cons, ansatz, target_bound, columns=None):
+        calls.append((constraints.index(cons[0]), columns is None))
+        return build(cons, ansatz, target_bound, columns)
+
+    monkeypatch.setattr(solve_module, "_build_system", recording)
+    solve(constraints, ansatz)
+    assert calls == built
 
 
 def test_staged_affine_rank_counts_every_constraint():

@@ -20,7 +20,12 @@ solved one constraint at a time, cover the ten fields of ``b2.2`` at
 degree 3: a consistent system (exit 0), and the same system with a
 target term no ansatz field reaches in constraint 1 and a conflicting
 term in the image of constraint 4, whose image row is the witness
-(exit 1).  The
+(exit 1).  The ``solve_equals_point`` files, captured before a
+constraint was decided by the residual of a solution set that is one
+point, hold a system that is one point after three of its five
+constraints: a consistent one (exit 0), and one whose point fails the
+last two, through a term no ansatz field reaches and then a
+conflicting image row, which is the witness (exit 1).  The
 ``verify_all.txt`` and ``verify_tampered.txt`` files were captured before
 the relation residuals and the structure tensor began reading their
 brackets from the bracket closure; ``verify_tampered.lvf`` is the
@@ -79,6 +84,9 @@ CASES = [
     (["solve", str(GOLDEN / "solve_equals_b2.lvf")], "solve_equals_b2.txt", 0),
     (["solve", str(GOLDEN / "solve_equals_b2_witness.lvf")],
      "solve_equals_b2_witness.txt", 1),
+    (["solve", str(GOLDEN / "solve_equals_point.lvf")], "solve_equals_point.txt", 0),
+    (["solve", str(GOLDEN / "solve_equals_point_inconsistent.lvf")],
+     "solve_equals_point_inconsistent.txt", 1),
     (["g2-check", "--form", "3", "--max-degree", "20", "--format", "records"],
      "g2_form3_deg20.records", 0),
     (["g2-check", "--form", "1", "--max-degree", "32", "--format", "records"],

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import lvf
-from lvf import _kernels
+from lvf import _kernels, _linalg
 from lvf._linalg import det, nullspace, rank, solve_affine
 
 
@@ -26,7 +26,13 @@ def test_rref_no_zero_coefficients_stored():
     rng = random.Random(103)
     for _ in range(100):
         ncols = rng.randint(1, 5)
-        pivots, rows = _kernels.rref(rand_rows(rng, ncols), ncols)
+        matrix = rand_rows(rng, ncols)
+        pivots, rows = _linalg.rref(matrix, ncols)
+        # the integer rows of the elimination, each over its lead
+        ipivots, irows = _kernels.rref(matrix, ncols)
+        assert ipivots == pivots
+        over = [{c: Fraction(v, r[p]) for c, v in r.items()} for p, r in zip(pivots, irows)]
+        assert over == rows
         assert pivots == sorted(pivots)
         for p, row in zip(pivots, rows):
             assert row[p] == 1

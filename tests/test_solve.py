@@ -145,16 +145,18 @@ class TestContracts:
         cons = [BracketConstraint.commutes(F("y*Dz")), BracketConstraint.commutes(F("x*Dx"))]
         ansatz = AnsatzSpace(3, max_degree=2)
         eliminated = []
-        rref = solve_module._linalg.rref
+        rref = solve_module.K.rref
 
         def counting_rref(rows, ncols):
             eliminated.append(len(rows))
             return rref(rows, ncols)
 
-        monkeypatch.setattr(solve_module._linalg, "rref", counting_rref)
-        solve(cons, ansatz)
+        # the integer elimination, which the final reduced form of the
+        # kernel basis (one row per basis vector) runs through as well
+        monkeypatch.setattr(solve_module.K, "rref", counting_rref)
+        res = solve(cons, ansatz)
         assert rows_built == [10, 0]
-        assert eliminated == [10, 0]
+        assert eliminated == [10, 0, res.dimension] and res.dimension == 7
         total = sum(rows_built)
         solve(cons, ansatz, target_bound=total)
         with pytest.raises(AnsatzExplosion) as info:
@@ -200,22 +202,26 @@ class TestContracts:
         ansatz = AnsatzSpace(3, max_degree=3)
         first = solve(cons, ansatz)
         assert (first.inconsistency is not None) == witness
-        # an inconsistent stage is built again over every column, and
-        # that build counts in place of the first
-        order, counted = [], {}
-        for key, columns, kept in builds:
-            if key in counted:
-                assert columns is None and counted[key][0] is not None
-            else:
-                order.append(key)
-            counted[key] = (columns, kept)
-        # constraint 0 is built over every column; the kernel is {0}
-        # before the witness in constraint 4, so no later one is built
-        assert builds[0][1] is None
-        assert order == [id(c) for c in (cons[:5] if witness else cons)]
-        # constraint 1 (unreachable term) and constraint 4 (image conflict)
-        assert len(builds) - len(order) == (2 if witness else 0)
-        total = sum(kept for _, kept in counted.values())
+        index = {id(c): i for i, c in enumerate(cons)}
+        # (constraint, built over every column) of each build in order:
+        # constraint 0 is built over every column, and the solution set
+        # is one point after constraint 2, so a later constraint is built
+        # only when the point fails it.  With the witness, constraint 1
+        # (an unreachable term) and constraint 4 (an image conflict, which
+        # the point fails) have no solution on their restricted columns
+        # and are built again over every column; constraint 3 holds at
+        # the point, and after the witness in constraint 4 the kernel is
+        # {0} and no later constraint is built
+        sequence = [(index[key], columns is None) for key, columns, _ in builds]
+        if witness:
+            assert sequence == [
+                (0, True), (1, False), (1, True), (2, False), (4, False), (4, True)
+            ]
+        else:
+            assert sequence == [(0, True), (1, False), (2, False)]
+        # a build made again counts in place of the first
+        counted = {key: kept for key, _, kept in builds}
+        total = sum(counted.values())
         assert solve(cons, ansatz, target_bound=total).inconsistency == first.inconsistency
         with pytest.raises(AnsatzExplosion) as info:
             solve(cons, ansatz, target_bound=total - 1)
