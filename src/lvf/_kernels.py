@@ -35,16 +35,16 @@ products over different denominators (the derivation ``X(f)`` and the
 bracket) scales each product to the lcm of the denominators as it is
 added and divides by the content once, at the end.
 
-The exact elimination is one row-insert core: ``echelon_insert`` adds
-a row to a table of pivot rows and ``back_substitute`` reduces the
-table once at the end; ``rref`` is built on the two, and so are the
-nullspace, affine solve, inverse and determinant of ``_linalg`` and the
-span tracker of ``algebra``; ``kernel_vectors`` reads an integer
-nullspace basis off the reduced table.  The table holds primitive
-integer rows (gcd 1, positive pivot entry) and is reduced
-fraction-free, by cross-multiplication: the integer-preserving
-elimination of Bareiss (1968), with each stored row divided by its
-content instead of by the previous pivot.  ``Fraction`` appears only at its boundary: a rational
+The exact elimination is one row-insert core: ``echelon_insert`` adds a
+row to a table of pivot rows and ``back_substitute`` reduces the table
+once at the end; ``rref`` is built on the two, and so are the nullspace,
+affine solve, inverse and determinant of ``_linalg`` and the span
+tracker of ``algebra``; ``kernel_vectors`` reads an integer nullspace
+basis off the reduced table.  The table holds primitive integer rows
+(gcd 1, positive pivot entry) and is reduced fraction-free, by
+cross-multiplication: the integer-preserving elimination of Bareiss
+(1968), with each stored row divided by its content instead of by the
+previous pivot.  ``Fraction`` appears only at its boundary: a rational
 row is scaled to integers once, as it enters (an ``int`` row is only
 divided by its content); every result is integer, and ``_linalg``
 divides by the leads where a caller wants rational rows.

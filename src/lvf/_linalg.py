@@ -4,10 +4,9 @@ Thin wrappers around the row-insert elimination kernel: rref,
 nullspaces, affine solves and, through the rows of ``[A | I]``, the
 determinant and the inverse.  Rows are dicts mapping column index to a
 nonzero rational (``Fraction`` or ``int``); the echelon tables in
-between hold the kernel's primitive integer rows.  ``affine_solution``
-hands out its solution set in integers, as the kernel reduces it;
-``rref``, ``nullspace`` and ``solve_affine`` divide the same integers
-by their leads and hand out ``Fraction``s.
+between hold the kernel's primitive integer rows.  ``rref`` and
+``solve_affine`` hand out those integers, as the kernel reduces them;
+``nullspace`` divides them by their leads and hands out ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -20,22 +19,11 @@ from lvf import _kernels as K
 Row = Dict[int, Fraction]
 
 
-def _over(vec: Dict[int, int], lead: int) -> Row:
-    """The integer vector ``vec`` over ``lead``, as ``Fraction``s."""
-    return {c: Fraction(v, lead) for c, v in vec.items()}
-
-
-def _unit(vectors: List[Dict[int, int]]) -> List[Row]:
-    """``_kernels.kernel_vectors`` over their entries at their free
-    columns, which come first: 1 there."""
-    return [_over(vec, next(iter(vec.values()))) for vec in vectors]
-
-
-def rref(rows: List[Row], ncols: int) -> Tuple[List[int], List[Row]]:
-    """Reduced row echelon form with pivot entries 1: the integer
-    ``_kernels.rref``, each row over its lead."""
-    pivots, irows = K.rref(rows, ncols)
-    return pivots, [_over(row, row[p]) for p, row in zip(pivots, irows)]
+def rref(rows: List[Row], ncols: int) -> Tuple[List[int], List[Dict[int, int]]]:
+    """Reduced row echelon form in integers (``_kernels.rref``): each
+    row is primitive with a positive pivot entry, its lead, and over its
+    lead it is the row of the rational reduced form."""
+    return K.rref(rows, ncols)
 
 
 def reduced_kernel_basis(vectors: List[Row], ncols: int) -> List[Row]:
@@ -63,10 +51,15 @@ def nullspace(rows: List[Row], ncols: int) -> List[Row]:
     """Basis of the right nullspace, one vector per free column f: 1 at
     f, 0 at every other free column."""
     pivots, irows = K.rref(rows, ncols)
-    return _unit(K.kernel_vectors(pivots, irows, ncols))
+    basis = []
+    for vec in K.kernel_vectors(pivots, irows, ncols):
+        # the entry at the free column comes first
+        lead = next(iter(vec.values()))
+        basis.append({c: Fraction(v, lead) for c, v in vec.items()})
+    return basis
 
 
-def affine_solution(
+def solve_affine(
     rows: List[Row], rhs: List[Fraction], ncols: int
 ) -> Tuple[Optional[Dict[int, int]], List[Dict[int, int]], int, Optional[int]]:
     """Solve M v = rhs exactly, in integers.
@@ -114,20 +107,6 @@ def affine_solution(
         if sum(v * point[c] for c, v in rows[j].items() if c in point) != rhs[j] * scale:
             return None, [], ncols, j
     return point, hom, len(pivots), None
-
-
-def solve_affine(
-    rows: List[Row], rhs: List[Fraction], ncols: int
-) -> Tuple[Optional[Row], List[Row], int, Optional[int]]:
-    """Solve M v = rhs exactly: ``affine_solution`` with rational
-    outputs.  The particular solution is zero at every free column, its
-    keys the pivot columns with a nonzero value, ascending; the
-    homogeneous basis is the one ``nullspace`` gives."""
-    point, hom, mrank, witness = affine_solution(rows, rhs, ncols)
-    if point is None:
-        return None, [], mrank, witness
-    scale = point.pop(ncols)
-    return _over(point, scale), _unit(hom), mrank, None
 
 
 def rank(rows: List[Row], ncols: int) -> int:

@@ -1,36 +1,36 @@
 """Exact linear solver for bracket constraints on an unknown field.
 
 The unknown is confined to a finite :class:`AnsatzSpace`: a choice of
-allowed exponent vectors, a maximal total polynomial degree and a set
-of allowed components.  Constraints are of three kinds against a known
+allowed exponent vectors, a maximal total polynomial degree and a set of
+allowed components.  Constraints are of three kinds against a known
 parameter-free field K: ``[K, X] = c X`` (eigen), ``[K, X] = 0`` (zero)
 and ``[K, X] = T`` (equals).  Each constraint maps the ansatz linearly
 into a finite-dimensional target space whose basis is derived from the
 images.  Both kinds of system are solved in one staged loop, one
 constraint at a time on the solution set of the ones before it, each
-built only over the columns that set uses, so most of the target rows
-of the stacked matrix are never built; once that set is one point, a
-constraint is built only when the point's residual is not zero.  The
-set is carried in integers, as the elimination hands it out.  The
-basis, particular solution and rank are those one elimination of the
-stacked matrix gives, and so is the inconsistency witness: the first
-conflicting image row of any constraint, else the first target term
-that no ansatz field reaches.  A stage without a solution is built
-again over every column to find it (see ``_staged_solve``).  A graded
-known field, H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every
-Cartan element of the obstruction pipeline), confines every solution of
-a homogeneous system to the basis fields of one weight, wherever its
-constraint stands: the first stage starts on the columns all graded
-constraints keep, and every constraint then takes the same build.
-Those columns are the lattice points of the degree simplex that solve
-the weight equations, walked from one echelon form of the weight rows,
-so no other monomial is visited.  Columns are computed by arithmetic from a
-basis field's component, block and monomial rank, and back: a
-monomial's rank is its index in the combinatorial number system, and a
-block's monomial list is built only for a build or a listing over every
-column (``blocks()``, ``basis_keys()``).  The constraint rows are
-integers, each constraint's equations times one positive scale, built
-from the integer storage of the known field and the target.
+built only over the columns that set uses, so most of the target rows of
+the stacked matrix are never built; once that set is one point, a
+constraint is built only when the point's residual is not zero.  The set
+is carried in integers, as the elimination hands it out.  The basis,
+particular solution and rank are those one elimination of the stacked
+matrix gives, and so is the inconsistency witness: the first conflicting
+image row of any constraint, else the first target term that no ansatz
+field reaches.  A stage without a solution is built again over every
+column to find it (see ``_staged_solve``).  A graded known field,
+H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
+the obstruction pipeline), confines every solution of a homogeneous
+system to the basis fields of one weight, wherever its constraint
+stands: the first stage starts on the columns all graded constraints
+keep, and every constraint then takes the same build.  Those columns
+are the lattice points of the degree simplex that solve the weight
+equations, walked from one echelon form of the weight rows, so no other
+monomial is visited.  Columns are computed by arithmetic from a basis
+field's component, block and monomial rank, and back: a monomial's rank
+is its index in the combinatorial number system, and a block's monomial
+list is built only for a build or a listing over every column
+(``blocks()``, ``basis_keys()``).  The constraint rows are integers,
+each constraint's equations times one positive scale, built from the
+integer storage of the known field and the target.
 """
 
 from __future__ import annotations
@@ -489,12 +489,15 @@ def _on_affine_set(rows, rhs, basis, particular, ncols):
 
 
 def _combine(coeffs, basis):
-    """``sum_j coeffs[j] * basis[j]`` as a sparse integer vector."""
+    """``sum_j coeffs[j] * basis[j]`` as a sparse integer vector, divided
+    by its content (a positive gcd), so that entries do not grow from
+    stage to stage."""
     out: Dict[int, int] = {}
     for j, a in coeffs.items():
         for c, v in basis[j].items():
             add_into(out, c, a * v)
-    return out
+    g = math.gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
 
 
 def _graded_weights(known: VectorField):
@@ -627,20 +630,20 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
 
     Returns ``(basis, particular, rank, witness)``.  The solution set is
     carried as P/d + span N, in integers (particular is None for
-    homogeneous constraints): N as the vectors
+    homogeneous constraints): N as combinations of the vectors
     ``_kernels.kernel_vectors`` gives, P with its denominator d at key
     ``ncols``, one past the last column, so that a combination scales
-    both.  N starts as the unit vectors of every column, or for
-    homogeneous constraints of the columns ``_graded_columns`` keeps for
-    the graded ones.  Each constraint in turn is built only over the
-    columns that N and P use, and its rows are solved on the set so far:
-    ``_kernels.rref`` of the rows times N for a homogeneous stage,
-    ``_linalg.affine_solution`` of the rows on the affine set
-    (``_on_affine_set``) otherwise.  A homogeneous solve stops once N is
-    empty.  Once an affine solve's set is one point (N empty), each later
-    constraint is decided by the point's exact residual and built only
-    when that is not zero.  So most of the target rows of the stacked
-    matrix are never built.
+    both; each is divided by its content (``_combine``).  N starts as
+    the unit vectors of every column, or for homogeneous constraints of
+    the columns ``_graded_columns`` keeps for the graded ones.  Each
+    constraint in turn is built only over the columns that N and P use,
+    and its rows are solved on the set so far: ``_linalg.rref`` of the
+    rows times N for a homogeneous stage, ``_linalg.solve_affine`` of
+    the rows on the affine set (``_on_affine_set``) otherwise.  A
+    homogeneous solve stops once N is empty.  Once an affine solve's set
+    is one point (N empty), each later constraint is decided by the
+    point's exact residual and built only when that is not zero.  So
+    most of the target rows of the stacked matrix are never built.
 
     The witness, ``(constraint, component)`` or None, is the row the
     stacked solve reports: the first row of the stacked matrix whose
@@ -662,11 +665,11 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     build; a constraint decided by its residual builds nothing.  A stage
     built again counts its second build in place of its first, whose
     targets it holds, so the count never exceeds the rows of the stacked
-    matrix.  The basis is returned in the reduced form ``_linalg.nullspace``
-    gives for the stacked matrix, and the particular solution as the one
-    that is zero at each of its free columns, keys ascending, as the
-    stacked ``solve_affine`` gives it: both forms depend only on the
-    solution set, not on the scale of N or P.
+    matrix.  The basis is returned in the reduced form
+    ``_linalg.nullspace`` gives for the stacked matrix, and the
+    particular solution as the one that is zero at each of its free
+    columns, keys ascending, as the stacked ``solve_affine`` gives it:
+    both forms depend only on the solution set, not on N's or P's scale.
     """
     ncols = ansatz.dimension()
     if any(cons.kind == "equals" for cons in constraints):
@@ -722,23 +725,23 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
         if particular is None:
             built = count
             rows = [row for row in rows if row]
-            pivots, rrows = K.rref(_compose(rows, basis), k)
+            pivots, rrows = _linalg.rref(_compose(rows, basis), k)
             basis = [_combine(w, basis) for w in K.kernel_vectors(pivots, rrows, k)]
             continue
         composed, shifted = _on_affine_set(
             rows if restricted else rows[:images], rhs, basis, particular, ncols
         )
-        step, kernel, _, bad = _linalg.affine_solution(composed, shifted, k)
+        step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
         if bad is not None and restricted:
             # no solution: the constraint again, its rows in stacked order
             (targets, rows, rhs, images), count = build(cons, None)
             composed, shifted = _on_affine_set(rows[:images], rhs, basis, particular, ncols)
-            step, kernel, _, bad = _linalg.affine_solution(composed, shifted, k)
+            step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
         built = count
         if bad is not None:
             witness = (ci, targets[bad][1])
             particular = None
-            pivots, rrows = K.rref(composed, k)
+            pivots, rrows = _linalg.rref(composed, k)
             kernel = K.kernel_vectors(pivots, rrows, k)
         else:
             if witness is None and images < len(rows):

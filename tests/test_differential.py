@@ -22,11 +22,12 @@ column reaches or with conflicting terms in some constraint's image,
 mixed eigen/zero/equals lists and ansatze with exponentials, and on
 one example per rule of the witness order; on a system that is one
 point after three constraints, a later constraint is built only when
-the point's residual for it is not zero.  The
-reduced row echelon form is unique, so the fast paths must agree with
-them exactly, including the order of the constraint rows (the
-inconsistency message depends on it) and the key order of the basis
-vectors.
+the point's residual for it is not zero.  The reduced row echelon form
+is unique, so the fast paths must agree with them exactly, including
+the order of the constraint rows (the inconsistency message depends on
+it) and the key order of the basis vectors.  ``_linalg.rref`` and
+``_linalg.solve_affine`` hand out integers; they are compared through
+their rational views (``rational_rref``, ``rational_affine``).
 
 The nullspace basis is read off the integer rows: each vector of
 ``_kernels.kernel_vectors`` is checked to be a positive multiple of the
@@ -243,6 +244,27 @@ def reference_nullspace_from_rref(pivots, rrows, ncols):
 
 def reference_nullspace(rows, ncols):
     return nullspace_from_rref(*reference_rref(rows, ncols), ncols)
+
+
+def rational_rref(pivots, irows):
+    """``_linalg.rref``'s integer rows as rational rows, each over its
+    lead, so pivot entries are 1."""
+    return pivots, [
+        {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, irows)
+    ]
+
+
+def rational_affine(result, ncols):
+    """``_linalg.solve_affine``'s integer result in rationals: the point
+    over its scale at ``ncols`` (keys ascending, as it hands them out),
+    each homogeneous vector over its entry at its free column, which
+    comes first."""
+    point, hom, mrank, witness = result
+    if point is not None:
+        scale = point[ncols]
+        point = {c: Fraction(v, scale) for c, v in point.items() if c != ncols}
+    hom = [{c: Fraction(v, next(iter(vec.values()))) for c, v in vec.items()} for vec in hom]
+    return point, hom, mrank, witness
 
 
 def reference_solve_affine(rows, rhs, ncols):
@@ -632,7 +654,7 @@ def reference_homogeneous_solve(constraints, ansatz):
     one elimination.  Returns (basis vectors, matrix rank, ansatz dim)."""
     _, rows, _, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
     ncols = len(ansatz.basis_keys())
-    pivots, rrows = _linalg.rref(rows, ncols)
+    pivots, rrows = rational_rref(*_linalg.rref(rows, ncols))
     return reference_nullspace_from_rref(pivots, rrows, ncols), len(pivots), ncols
 
 
@@ -644,7 +666,7 @@ def reference_affine_solve(constraints, ansatz):
     of target rows)."""
     targets, rows, rhs, _ = _build_system(constraints, ansatz, DEFAULT_TARGET_BOUND)
     ncols = len(ansatz.basis_keys())
-    particular, hom, mrank, witness = solve_affine(rows, rhs, ncols)
+    particular, hom, mrank, witness = rational_affine(solve_affine(rows, rhs, ncols), ncols)
     if witness is not None:
         ci, comp = targets[witness][:2]
         detail = f"constraint {ci} has no solution at component {comp + 1}"
@@ -1340,7 +1362,7 @@ def staged_systems(draw):
 @given(st.one_of(matrices(), matrices(vals=wide_values)))
 def test_rref_matches_column_scan(system):
     rows, ncols = system
-    assert _linalg.rref(rows, ncols) == reference_rref(rows, ncols)
+    assert rational_rref(*_linalg.rref(rows, ncols)) == reference_rref(rows, ncols)
     assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
     assert rank(rows, ncols) == len(reference_rref(rows, ncols)[0])
 
@@ -1349,14 +1371,15 @@ def test_rref_matches_column_scan(system):
 @given(affine_systems())
 def test_solve_affine_matches_binary_search(system):
     rows, rhs, ncols = system
-    assert solve_affine(rows, rhs, ncols) == reference_solve_affine(rows, rhs, ncols)
+    got = rational_affine(solve_affine(rows, rhs, ncols), ncols)
+    assert got == reference_solve_affine(rows, rhs, ncols)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(tall_affine_systems(), tall_affine_systems(vals=wide_values)))
 def test_tall_solve_affine_matches_binary_search(system):
     rows, rhs, ncols = system
-    got = solve_affine(rows, rhs, ncols)
+    got = rational_affine(solve_affine(rows, rhs, ncols), ncols)
     ref = reference_solve_affine(rows, rhs, ncols)
     assert got == ref
     if got[0] is not None:

@@ -6,11 +6,12 @@ built on it, are checked against reference implementations in
 """
 
 import copy
+import math
 import random
 from fractions import Fraction
 
 import lvf
-from lvf import _kernels, _linalg
+from lvf import _kernels
 from lvf._linalg import det, nullspace, rank, solve_affine
 
 
@@ -26,17 +27,12 @@ def test_rref_no_zero_coefficients_stored():
     rng = random.Random(103)
     for _ in range(100):
         ncols = rng.randint(1, 5)
-        matrix = rand_rows(rng, ncols)
-        pivots, rows = _linalg.rref(matrix, ncols)
-        # the integer rows of the elimination, each over its lead
-        ipivots, irows = _kernels.rref(matrix, ncols)
-        assert ipivots == pivots
-        over = [{c: Fraction(v, r[p]) for c, v in r.items()} for p, r in zip(pivots, irows)]
-        assert over == rows
+        pivots, rows = _kernels.rref(rand_rows(rng, ncols), ncols)
         assert pivots == sorted(pivots)
         for p, row in zip(pivots, rows):
-            assert row[p] == 1
-            assert all(v != 0 for v in row.values())
+            # a primitive integer row with a positive lead
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
+            assert all(type(v) is int and v != 0 for v in row.values())
             # fully reduced: pivot columns are cleared from other rows
             for q, other in zip(pivots, rows):
                 if q != p:
@@ -67,16 +63,17 @@ def test_nullspace_solves():
 
 def test_solve_affine_consistent():
     rows = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
-    particular, hom, mrank, witness = solve_affine(rows, [Fraction(3), Fraction(1)], 2)
+    point, hom, mrank, witness = solve_affine(rows, [Fraction(3), Fraction(1)], 2)
     assert witness is None
-    assert particular == {0: Fraction(2), 1: Fraction(1)}
+    # (2, 1) in integers, with its scale at the rhs column
+    assert point == {2: 1, 0: 2, 1: 1}
     assert hom == [] and mrank == 2
 
 
 def test_solve_affine_witness():
     rows = [{0: Fraction(1)}, {0: Fraction(2)}]
-    particular, hom, mrank, witness = solve_affine(rows, [Fraction(1), Fraction(3)], 1)
-    assert particular is None and witness == 1
+    point, hom, mrank, witness = solve_affine(rows, [Fraction(1), Fraction(3)], 1)
+    assert point is None and witness == 1
 
 
 def test_det():
