@@ -40,7 +40,9 @@ row to a table of pivot rows and ``back_substitute`` reduces the table
 once at the end; ``rref`` is built on the two, and so are the nullspace,
 affine solve, inverse and determinant of ``_linalg`` and the span
 tracker of ``algebra``; ``kernel_vectors`` reads an integer nullspace
-basis off the reduced table.  The table holds primitive integer rows
+basis off the reduced table.  ``pin_singletons`` resolves the rows with
+one entry and a zero right-hand side before an elimination, so that only
+the rows left over reach it.  The table holds primitive integer rows
 (gcd 1, positive pivot entry) and is reduced fraction-free, by
 cross-multiplication: the integer-preserving elimination of Bareiss
 (1968), with each stored row divided by its content instead of by the
@@ -299,6 +301,68 @@ def kernel_vectors(pivots, rows, ncols):
             vec[p] = -v * (lcm // lead)
         basis.append(vec)
     return basis
+
+
+def pin_singletons(rows, ncols, rhs=None):
+    """Resolve the rows ``rows . w = rhs`` (``rhs`` None for zeros) that
+    hold one entry and a zero right-hand side, before any elimination.
+
+    Such a row fixes its column at 0, so the column is dropped from
+    every other row, and a row left with one entry and a zero
+    right-hand side pins its column in turn, until none is left: the
+    presolve of sparse solvers (Andersen & Andersen, *Presolving in
+    linear programming*, Math. Programming 71, 1995).  A pinned column
+    is a pivot of the reduced echelon form in any column order, so the
+    rest of that form, its free columns included, is the form of the
+    rows left over.
+
+    Returns ``(kept, rows, rhs)``: the columns below ``ncols`` that are
+    not pinned, ascending, and the rows that keep an entry or have a
+    nonzero right-hand side, in input order, over the positions of
+    their columns in ``kept``, with their right-hand sides (None when
+    ``rhs`` is).  A row that loses every entry but not its right-hand
+    side is kept empty, so an elimination of the rows left over finds
+    that they have no solution.  When nothing is pinned and no row is
+    dropped, the input rows are returned.
+    """
+    # the rows that can pin: the count of their entries not yet pinned,
+    # and the rows of each column among them that hold more than one
+    left = {}
+    users = {}
+    stack = []
+    dropped = False
+    for i, row in enumerate(rows):
+        if rhs and rhs[i]:
+            continue
+        if len(row) > 1:
+            left[i] = len(row)
+            for c in row:
+                users.setdefault(c, []).append(i)
+        elif row:
+            stack.extend(row)
+        else:
+            dropped = True
+    if not (stack or dropped):
+        return list(range(ncols)), rows, rhs
+    pinned = set()
+    while stack:
+        c = stack.pop()
+        if c in pinned:
+            continue
+        pinned.add(c)
+        for i in users.get(c, ()):
+            left[i] -= 1
+            if left[i] == 1:
+                stack.extend(d for d in rows[i] if d not in pinned)
+    kept = [c for c in range(ncols) if c not in pinned]
+    at = {c: j for j, c in enumerate(kept)}
+    out, out_rhs = [], []
+    for i, row in enumerate(rows):
+        b = rhs[i] if rhs else 0
+        if b or left.get(i):
+            out.append({at[c]: v for c, v in row.items() if c in at})
+            out_rhs.append(b)
+    return kept, out, out_rhs if rhs is not None else None
 
 
 def rref(rows, ncols):

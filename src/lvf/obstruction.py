@@ -218,19 +218,16 @@ def _witness_assignment(general: VectorField, names):
         yield pt, x
 
 
-def _extension(pairs, eigenvalues, commuting, space: AnsatzSpace) -> List[VectorField]:
+def _extension(cartans, eigenvalues, commuting, space: AnsatzSpace) -> List[VectorField]:
     """Basis of the X_{alpha+beta} in ``space`` that extend two root pairs.
 
     X_{alpha+beta} is an eigenvector, with the matching ``eigenvalues``,
-    of the Cartan element [X_r, X_{-r}] of each normalized pair and
-    commutes with every field of ``commuting``.  Of all uses of a pair,
-    only its Cartan element depends on the scale of X_{-r}, so callers
-    may use the pairs as given.
+    of the Cartan element [X_r, X_{-r}] of each normalized pair, given
+    in ``cartans``, and commutes with every field of ``commuting``.  Of
+    all uses of a pair, only its Cartan element depends on the scale of
+    X_{-r}, so callers may use the pairs as given everywhere else.
     """
-    constraints = []
-    for (x, x_minus), eigenvalue in zip(pairs, eigenvalues):
-        _, h, _ = normalize_simple_pair(x, x_minus)
-        constraints.append(BracketConstraint.eigen(h, eigenvalue))
+    constraints = [BracketConstraint.eigen(h, e) for h, e in zip(cartans, eigenvalues)]
     constraints += [BracketConstraint.commutes(f) for f in commuting]
     return solve(constraints, space).basis
 
@@ -263,13 +260,17 @@ def g2_obstruction(form: int, ansatz: AnsatzSpace) -> ObstructionReport:
         g2.cartan_integer((1, 1), (1, 3)),  # <alpha+beta, alpha+3beta> = 0
     )
 
+    # both orientations use the same two pairs: each is normalized once
+    cartans = {
+        a: normalize_simple_pair(gens[f"X_{a}"], gens[f"X_m{a}"])[1] for a in ("alpha", "beta")
+    }
     runs: List[RunResult] = []
     for a, b in (("alpha", "beta"), ("beta", "alpha")):
         xa, xma = gens[f"X_{a}"], gens[f"X_m{a}"]
         xb, xmb = gens[f"X_{b}"], gens[f"X_m{b}"]
         x_2a3b_a2 = xa.bracket(xb)
         basis = _extension(
-            [(xa, xma), (xb, xmb)], eigenvalues, [xa, xb, x_2a3b_a2, xmb], space
+            [cartans[a], cartans[b]], eigenvalues, [xa, xb, x_2a3b_a2, xmb], space
         )
         branches = []
         for i, x in enumerate(basis):
@@ -380,7 +381,7 @@ def b2_sanity_control(degree: int = 2) -> ControlReport:
     # exponent blocks: none, and the block of the catalog short root
     exps = [(0, 0, 0), next(iter(x_ab_cat.components[0].exponents()))]
     basis = _extension(
-        [(xa, xma), (x_a2b, gens["X_ma2b"])],
+        [normalize_simple_pair(xa, xma)[1], normalize_simple_pair(x_a2b, gens["X_ma2b"])[1]],
         eigenvalues,
         [xa, x_a2b],
         AnsatzSpace(3, exps, degree),

@@ -11,12 +11,17 @@ constraint at a time on the solution set of the ones before it, each
 built only over the columns that set uses, so most of the target rows of
 the stacked matrix are never built; once that set is one point, a
 constraint is built only when the point's residual is not zero.  The set
-is carried in integers, as the elimination hands it out.  The basis,
-particular solution and rank are those one elimination of the stacked
-matrix gives, and so is the inconsistency witness: the first conflicting
-image row of any constraint, else the first target term that no ansatz
-field reaches.  A stage without a solution is built again over every
-column to find it (see ``_staged_solve``).  A graded known field,
+is carried in integers, as the elimination hands it out.  A stage's
+rows with one entry and a zero right-hand side pin their coordinates of
+the set to 0 before it is eliminated (``_kernels.pin_singletons``), and
+only the rows left over reach the elimination; most stages of the
+bracket systems of the obstruction and of centralizers have none left.
+The basis, particular solution and rank are those one elimination of
+the stacked matrix gives, and so is the inconsistency witness: the first
+conflicting image row of any constraint, else the first target term that
+no ansatz field reaches.  A stage without a solution is built again
+over every column, and solved once more without the pins, to find it
+(see ``_staged_solve``).  A graded known field,
 H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
 the obstruction pipeline), confines every solution of a homogeneous
 system to the basis fields of one weight, wherever its constraint
@@ -500,6 +505,42 @@ def _combine(coeffs, basis):
     return {c: v // g for c, v in out.items()} if g > 1 else out
 
 
+def _cut(rows, rhs, basis, particular):
+    """The set P/d + span N cut by the rows ``rows . w = rhs`` in its
+    coordinates w (``rhs`` and ``particular`` None for a homogeneous
+    stage, whose set is span N), as ``(basis, particular)``, or None when
+    the rows have no solution.
+
+    ``_kernels.pin_singletons`` first fixes at 0 the coordinates that
+    rows with one entry and a zero right-hand side force there, and
+    drops their vectors from N; the others keep their vectors and their
+    order.  Only the rows left over are eliminated, over the coordinates
+    left: ``_linalg.rref`` for a homogeneous stage,
+    ``_linalg.solve_affine`` otherwise.  With no row left, N is the kept
+    vectors and P does not change; a row left empty with a nonzero
+    right-hand side has no solution, and no elimination runs for it.
+    The pinned coordinates are pivots of the stage's reduced echelon
+    form, so the free columns, and the vectors and point read off them,
+    are those of an elimination of every row.
+    """
+    kept, rows, rhs = K.pin_singletons(rows, len(basis), rhs)
+    basis = [basis[j] for j in kept]
+    if not rows:
+        return basis, particular
+    k = len(basis)
+    if particular is None:
+        pivots, rrows = _linalg.rref(rows, k)
+        return [_combine(w, basis) for w in K.kernel_vectors(pivots, rrows, k)], None
+    if any(b and not row for row, b in zip(rows, rhs)):
+        # a row left empty reads 0 = b
+        return None
+    step, kernel, _, bad = _linalg.solve_affine(rows, rhs, k)
+    if bad is not None:
+        return None
+    # step holds the scale of P at k, the position of P below
+    return [_combine(w, basis) for w in kernel], _combine(step, basis + [particular])
+
+
 def _graded_weights(known: VectorField):
     """``(a, b)`` when known = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0
     for every j, else None."""
@@ -628,22 +669,29 @@ def _solution_ranks(ansatz: AnsatzSpace, free, solved, targets) -> List[int]:
 def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     """Solution set of the constraints, one constraint at a time.
 
-    Returns ``(basis, particular, rank, witness)``.  The solution set is
-    carried as P/d + span N, in integers (particular is None for
-    homogeneous constraints): N as combinations of the vectors
+    Returns ``(basis, particular, rank, witness, at_point)``.  The
+    solution set is carried as P/d + span N, in integers (particular is
+    None for homogeneous constraints): N as combinations of the vectors
     ``_kernels.kernel_vectors`` gives, P with its denominator d at key
     ``ncols``, one past the last column, so that a combination scales
     both; each is divided by its content (``_combine``).  N starts as
     the unit vectors of every column, or for homogeneous constraints of
     the columns ``_graded_columns`` keeps for the graded ones.  Each
     constraint in turn is built only over the columns that N and P use,
-    and its rows are solved on the set so far: ``_linalg.rref`` of the
-    rows times N for a homogeneous stage, ``_linalg.solve_affine`` of
-    the rows on the affine set (``_on_affine_set``) otherwise.  A
-    homogeneous solve stops once N is empty.  Once an affine solve's set
-    is one point (N empty), each later constraint is decided by the
-    point's exact residual and built only when that is not zero.  So
-    most of the target rows of the stacked matrix are never built.
+    and its rows are solved on the set so far, in its coordinates: the
+    rows times N for a homogeneous stage, the rows on the affine set
+    (``_on_affine_set``) otherwise.  ``_cut`` first pins to 0 the
+    coordinates that rows with one entry and a zero right-hand side
+    force there (``_kernels.pin_singletons``) and drops their vectors;
+    only the rows left over go to ``_linalg.rref`` or
+    ``_linalg.solve_affine``, over the coordinates left, and a stage
+    with no row left calls neither.  A homogeneous solve stops once N is
+    empty.  Once an affine solve's set is one point (N empty), each
+    later constraint is decided by the point's exact residual and built
+    only when that is not zero; ``at_point`` lists those constraints,
+    whose residual at the returned particular solution is then known to
+    be zero.  So most of the target rows of the stacked matrix are never
+    built, and most of those built are never eliminated.
 
     The witness, ``(constraint, component)`` or None, is the row the
     stacked solve reports: the first row of the stacked matrix whose
@@ -651,8 +699,10 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     in constraint order, come before the target terms that no column
     reaches (``_build_system``).  A stage without a solution is built
     again over every column (stage 0 already is), which puts its rows in
-    stacked order, and its image rows are solved on the set so far.  A
-    failing image row is the witness, and every later stage is
+    stacked order, and its image rows are solved on the set so far.  If
+    they have no solution either, ``_linalg.solve_affine`` solves them
+    once more on every row, with no pin, and its witness row, the first
+    conflicting image row, is the witness; every later stage is then
     homogeneous: only its kernel is still needed.  Otherwise the
     constraint's first unreachable term is the witness, unless an
     earlier constraint has one, and the stages go on, since a later
@@ -686,6 +736,7 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     basis = [{m: 1} for m in columns]
     witness = None
     point = None  # the field of P/d once N is empty; P/d stays that point
+    at_point = []  # the constraints decided by their residual at that point
     built = 0
 
     def build(cons, support):
@@ -714,6 +765,7 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
                     ansatz, {c: Fraction(v, den) for c, v in particular.items() if c != ncols}
                 )
             if cons.residual(point).is_zero():
+                at_point.append(ci)
                 continue
         support = set().union(*basis)
         if particular is not None:
@@ -721,39 +773,35 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
             support.discard(ncols)
         restricted = len(support) < ncols
         (targets, rows, rhs, images), count = build(cons, support if restricted else None)
-        k = len(basis)
         if particular is None:
             built = count
             rows = [row for row in rows if row]
-            pivots, rrows = _linalg.rref(_compose(rows, basis), k)
-            basis = [_combine(w, basis) for w in K.kernel_vectors(pivots, rrows, k)]
+            basis = _cut(_compose(rows, basis), None, basis, None)[0]
             continue
         composed, shifted = _on_affine_set(
             rows if restricted else rows[:images], rhs, basis, particular, ncols
         )
-        step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
-        if bad is not None and restricted:
+        cut = _cut(composed, shifted, basis, particular)
+        if cut is None and restricted:
             # no solution: the constraint again, its rows in stacked order
             (targets, rows, rhs, images), count = build(cons, None)
             composed, shifted = _on_affine_set(rows[:images], rhs, basis, particular, ncols)
-            step, kernel, _, bad = _linalg.solve_affine(composed, shifted, k)
-        built = count
-        if bad is not None:
+            cut = _cut(composed, shifted, basis, particular)
+        if cut is None:
+            # its image rows have no solution: the stage again on every
+            # row, without the pins, names the first conflicting one
+            bad = _linalg.solve_affine(composed, shifted, len(basis))[3]
             witness = (ci, targets[bad][1])
-            particular = None
-            pivots, rrows = _linalg.rref(composed, k)
-            kernel = K.kernel_vectors(pivots, rrows, k)
-        else:
-            if witness is None and images < len(rows):
-                # after a full build: a target term no column reaches
-                witness = (ci, targets[images][1])
-            # step holds the scale of P at k, the position of P below
-            particular = _combine(step, basis + [particular])
-        basis = [_combine(w, basis) for w in kernel]
+            cut = _cut(composed, None, basis, None)
+        built = count
+        basis, particular = cut
+        if witness is None and images < len(rows):
+            # after a full build: a target term no column reaches
+            witness = (ci, targets[images][1])
 
     rank = ncols - len(basis)
     if witness is not None:
-        return [], None, rank, witness
+        return [], None, rank, witness, at_point
     if basis:
         basis = _linalg.reduced_kernel_basis(basis, ncols)
     if particular is not None:
@@ -762,7 +810,7 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
         # free column and 0 at the others
         den = particular.pop(ncols)
         particular = {c: Fraction(particular[c], den) for c in sorted(particular)}
-    return basis, particular, rank, None
+    return basis, particular, rank, None, at_point
 
 
 def _to_field(ansatz: AnsatzSpace, vec: Dict[int, Fraction]) -> VectorField:
@@ -794,7 +842,7 @@ def solve(
             raise LvfError("constraint dimension does not match the ansatz")
 
     ncols = ansatz.dimension()
-    hom, particular, mrank, witness = _staged_solve(constraints, ansatz, target_bound)
+    hom, particular, mrank, witness, at_point = _staged_solve(constraints, ansatz, target_bound)
     if witness is not None:
         ci, comp = witness
         detail = f"constraint {ci} has no solution at component {comp + 1}"
@@ -815,8 +863,10 @@ def solve(
             if not check.is_zero():
                 raise InternalError("solution fails a constraint")
     if result.particular is not None:
-        for cons in constraints:
-            if not cons.residual(result.particular).is_zero():
+        # the staged solve checked the constraints of ``at_point`` at this
+        # very point, by their exact residuals
+        for ci, cons in enumerate(constraints):
+            if ci not in at_point and not cons.residual(result.particular).is_zero():
                 raise InternalError("particular solution fails a constraint")
     return result
 

@@ -22,12 +22,19 @@ column reaches or with conflicting terms in some constraint's image,
 mixed eigen/zero/equals lists and ansatze with exponentials, and on
 one example per rule of the witness order; on a system that is one
 point after three constraints, a later constraint is built only when
-the point's residual for it is not zero.  The reduced row echelon form
-is unique, so the fast paths must agree with them exactly, including
-the order of the constraint rows (the inconsistency message depends on
-it) and the key order of the basis vectors.  ``_linalg.rref`` and
-``_linalg.solve_affine`` hand out integers; they are compared through
-their rational views (``rational_rref``, ``rational_affine``).
+the point's residual for it is not zero, and the residual of each
+constraint at the returned point is computed once.  Systems built to
+contain cascades of rows with one entry and a zero right-hand side
+(``pinned_systems``: homogeneous and ``equals``, consistent and not,
+also with a later row that meets a coordinate an earlier constraint
+pinned) are checked against the same stacked references; the singleton
+pass itself is checked in ``test_kernels.py``.  The reduced row
+echelon form is unique, so the fast paths must agree with them exactly,
+including the order of the constraint rows (the inconsistency message
+depends on it) and the key order of the basis vectors.
+``_linalg.rref`` and ``_linalg.solve_affine`` hand out integers; they
+are compared through their rational views (``rational_rref``,
+``rational_affine``).
 
 The nullspace basis is read off the integer rows: each vector of
 ``_kernels.kernel_vectors`` is checked to be a positive multiple of the
@@ -1861,6 +1868,81 @@ def test_staged_affine_solve_matches_stacked(system):
     _check_affine(*system)
 
 
+# Fields that map most one-term basis fields to terms no other basis
+# field reaches: most rows of a stage hold one entry, and the nilpotent
+# ones (y*Dx, z*Dy, ...) leave rows that hold one entry only once other
+# rows pinned their columns.
+PIN_FIELDS = (
+    "Dx", "Dy", "Dz", "x*Dx", "y*Dy", "z*Dz", "y*Dx", "z*Dy", "x*Dz", "exp(z)*Dx",
+    "x*Dx + 2*y*Dy", "x*Dx - z*Dz", "y*Dx + Dz",
+)
+
+
+@st.composite
+def pinned_systems(draw):
+    """Homogeneous or ``equals`` systems of fields from PIN_FIELDS.  An
+    ``equals`` system is [K_i, X] = [K_i, X0] for an X0 in the ansatz,
+    perturbed by nothing, by a term no column reaches, by a term of
+    [K_i, e] for a basis field e, or by a term of [K_i, e] for a basis
+    field e that the first constraint moves, which it mostly pins to 0:
+    a later row then meets a pinned coordinate with a nonzero
+    right-hand side."""
+    pool = [parse_field(text) for text in PIN_FIELDS]
+    exponents = draw(st.lists(st.sampled_from(EXPONENTS[:3]), min_size=1, max_size=2))
+    components = draw(st.sets(st.integers(0, 2), min_size=1))
+    ansatz = AnsatzSpace(3, exponents, draw(st.integers(1, 3)), sorted(components))
+    knowns = [
+        draw(st.sampled_from(pool)) * draw(st.sampled_from((1, -2, Fraction(1, 3))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        constraints = [
+            BracketConstraint.eigen(k, draw(st.sampled_from((0, 1, -1, 2))))
+            if draw(st.booleans()) else BracketConstraint.commutes(k)
+            for k in knowns
+        ]
+        return constraints, ansatz
+    keys = ansatz.basis_keys()
+    x0 = VectorField.zero(3)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        x0 = x0 + ansatz.basis_field(key) * draw(values)
+    constraints = [BracketConstraint.equals(k, k.bracket(x0)) for k in knowns]
+    moved = [key for key in keys if not knowns[0].bracket(ansatz.basis_field(key)).is_zero()]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(knowns) - 1))
+        how = draw(st.sampled_from(("unreachable", "image", "pinned")))
+        if how == "unreachable":
+            extra = parse_field(draw(st.sampled_from(UNREACHABLE)))
+        else:
+            if how == "pinned" and (i == 0 or not moved):
+                continue
+            key = draw(st.sampled_from(moved if how == "pinned" else keys))
+            image = knowns[i].bracket(ansatz.basis_field(key))
+            terms = [
+                (comp, term)
+                for comp in range(3)
+                for term in sorted(image.components[comp].term_map())
+            ]
+            if not terms:
+                continue
+            comp, term = draw(st.sampled_from(terms))
+            parts = [ExpPoly.zero(3)] * 3
+            parts[comp] = ExpPoly.from_terms(3, {(*term, ()): draw(values)})
+            extra = VectorField(parts)
+        constraints[i] = BracketConstraint.equals(knowns[i], constraints[i].target + extra)
+    return constraints, ansatz
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_systems())
+def test_pinned_stages_match_stacked(system):
+    constraints, ansatz = system
+    if _is_homogeneous(system):
+        _check_staged(constraints, ansatz)
+    else:
+        _check_affine(constraints, ansatz)
+
+
 def _equals(known, x0, extra=None):
     known = parse_field(known)
     target = known.bracket(parse_field(x0))
@@ -1959,6 +2041,24 @@ def test_one_point_builds_only_the_constraints_it_fails(x0, extras, built, monke
     monkeypatch.setattr(solve_module, "_build_system", recording)
     solve(constraints, ansatz)
     assert calls == built
+
+
+def test_each_residual_at_the_point_is_computed_once(monkeypatch):
+    # the staged solve decides constraints 3 and 4 by their residuals at
+    # the one point, which is the particular solution; the soundness
+    # check of solve computes only the other three
+    constraints = [_equals(k, "x*y*Dz") for k in KERNEL_ZERO_AFTER_3]
+    calls = []
+    residual = BracketConstraint.residual
+
+    def counting(cons, x):
+        calls.append(constraints.index(cons))
+        return residual(cons, x)
+
+    monkeypatch.setattr(BracketConstraint, "residual", counting)
+    result = solve(constraints, AnsatzSpace(3, max_degree=2))
+    assert format_field(result.particular) == "x*y*Dz"
+    assert calls == [3, 4, 0, 1, 2]
 
 
 def test_staged_affine_rank_counts_every_constraint():

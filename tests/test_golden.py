@@ -26,6 +26,11 @@ point, hold a system that is one point after three of its five
 constraints: a consistent one (exit 0), and one whose point fails the
 last two, through a term no ansatz field reaches and then a
 conflicting image row, which is the witness (exit 1).  The
+``solve_pinned`` files, captured before each stage's rows with one
+entry and a zero right-hand side were resolved ahead of the
+elimination, hold a system whose stages are mostly such rows: a
+consistent one that ends in one point (exit 0), and a twin whose image
+row meets a field the first constraint pinned to 0 (exit 1).  The
 ``verify_all.txt`` and ``verify_tampered.txt`` files were captured before
 the relation residuals and the structure tensor began reading their
 brackets from the bracket closure; ``verify_tampered.lvf`` is the
@@ -87,6 +92,9 @@ CASES = [
     (["solve", str(GOLDEN / "solve_equals_point.lvf")], "solve_equals_point.txt", 0),
     (["solve", str(GOLDEN / "solve_equals_point_inconsistent.lvf")],
      "solve_equals_point_inconsistent.txt", 1),
+    (["solve", str(GOLDEN / "solve_pinned.lvf")], "solve_pinned.txt", 0),
+    (["solve", str(GOLDEN / "solve_pinned_inconsistent.lvf")],
+     "solve_pinned_inconsistent.txt", 1),
     (["g2-check", "--form", "3", "--max-degree", "20", "--format", "records"],
      "g2_form3_deg20.records", 0),
     (["g2-check", "--form", "1", "--max-degree", "32", "--format", "records"],

@@ -76,6 +76,73 @@ def test_solve_affine_witness():
     assert point is None and witness == 1
 
 
+def reference_pins(rows, rhs):
+    """The coordinates the singleton rule forces to 0, one round over
+    every row at a time until a round pins nothing new."""
+    pinned = set()
+    while True:
+        fresh = set()
+        for row, b in zip(rows, rhs):
+            left = [c for c in row if c not in pinned]
+            if len(left) == 1 and not b:
+                fresh.update(left)
+        if not fresh:
+            return pinned
+        pinned |= fresh
+
+
+def test_pin_singletons_cascade():
+    # row 0 pins 0; then row 1 pins 2 and row 2 pins 3; row 3 keeps its
+    # nonzero right-hand side on an empty row; row 4 is left over
+    rows = [{0: 5}, {0: 1, 2: -1}, {2: 3, 3: 1}, {3: 2}, {1: 1, 4: 2}]
+    kept, left, rhs = _kernels.pin_singletons(rows, 5, [0, 0, 0, 7, 1])
+    assert kept == [1, 4]
+    assert left == [{}, {0: 1, 1: 2}] and rhs == [7, 1]
+    # homogeneous: row 3 pins 3 as well, and the rows keep their order
+    kept, left, rhs = _kernels.pin_singletons(rows, 6)
+    assert kept == [1, 4, 5] and left == [{0: 1, 1: 2}] and rhs is None
+    # without a pin the input comes back as it is, unless a row is empty
+    rows = [{0: 1, 1: 1}, {}]
+    kept, left, rhs = _kernels.pin_singletons(rows, 3, [0, 2])
+    assert (kept, rhs) == ([0, 1, 2], [0, 2]) and left is rows
+    assert _kernels.pin_singletons(rows, 3) == ([0, 1, 2], [{0: 1, 1: 1}], None)
+
+
+def test_pin_singletons_pins_exactly_the_forced_coordinates():
+    rng = random.Random(2028)
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        rows = []
+        for _ in range(rng.randint(0, 9)):
+            cols = rng.sample(range(ncols), rng.randint(0, min(3, ncols)))
+            rows.append({c: rng.choice((-3, -1, 1, 2)) for c in cols})
+        rhs = [rng.choice((0, 0, 0, 1, -2)) for _ in rows]
+        kept, left, left_rhs = _kernels.pin_singletons(rows, ncols, rhs)
+        pinned = set(range(ncols)) - set(kept)
+        assert pinned == reference_pins(rows, rhs)
+        assert kept == sorted(kept)
+        # the rows left over, in input order, over the kept positions
+        expect = []
+        for row, b in zip(rows, rhs):
+            rest = {kept.index(c): v for c, v in row.items() if c in kept}
+            if rest or b:
+                expect.append((rest, b))
+        assert list(zip(left, left_rhs)) == expect
+        # each pinned coordinate is a unit row of the reduced form of the
+        # rows with a zero right-hand side, so it is 0 in every solution,
+        # and the rest of that form is the form of the rows left over
+        zero_rhs = [row for row, b in zip(rows, rhs) if not b]
+        pivots, rrows = _kernels.rref(zero_rhs, ncols)
+        unit = {p for p, row in zip(pivots, rrows) if row == {p: 1}}
+        assert pinned <= unit
+        kept_zero = [row for row, b in zip(left, left_rhs) if not b]
+        sub_pivots, sub_rows = _kernels.rref(kept_zero, len(kept))
+        rest = [(p, row) for p, row in zip(pivots, rrows) if p not in pinned]
+        assert rest == [
+            (kept[p], {kept[c]: v for c, v in row.items()}) for p, row in zip(sub_pivots, sub_rows)
+        ]
+
+
 def test_det():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert det(m) == 1

@@ -89,6 +89,19 @@ class TestObstruction:
         # the general solution and each basis element, once per orientation
         assert len(chain_calls) == sum(1 + dim for dim in dims)
 
+    def test_each_simple_pair_normalized_once(self, monkeypatch):
+        pairs = []
+        normalize = obstruction.normalize_simple_pair
+        monkeypatch.setattr(
+            obstruction,
+            "normalize_simple_pair",
+            lambda x, xm: pairs.append((x, xm)) or normalize(x, xm),
+        )
+        g2_obstruction(3, AnsatzSpace(3, max_degree=2))
+        entry = catalog.get(FORM_TO_ENTRY[3])
+        gens = entry.generators_at(entry.default_assignment())
+        assert pairs == [(gens["X_alpha"], gens["X_malpha"]), (gens["X_beta"], gens["X_mbeta"])]
+
     def test_report_brackets_reverify(self):
         # every intermediate identity claimed in a report re-verifies from
         # the run's own signs: s1 on the alpha pair, s1*s2 on [X_a, X_b]
