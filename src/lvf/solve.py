@@ -26,14 +26,18 @@ H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
 the obstruction pipeline), confines every solution of a homogeneous
 system to the basis fields of one weight, wherever its constraint
 stands: the first stage starts on the columns all graded constraints
-keep, and every constraint then takes the same build.  Those columns
-are the lattice points of the degree simplex that solve the weight
-equations, walked from one echelon form of the weight rows, so no other
-monomial is visited.  Columns are computed by arithmetic from a basis
-field's component, block and monomial rank, and back: a monomial's rank
-is its index in the combinatorial number system, and a block's monomial
-list is built only for a build or a listing over every column
-(``blocks()``, ``basis_keys()``).  The constraint rows are integers,
+keep, and every constraint then takes the same build.  ad H lowers the
+degree of each coordinate i with b_i != 0, and when that coordinate is
+the only one (a translation such as ``Dy``), the lowering is injective
+on the fields with m_i > 0, so every solution has m_i = 0: the kept
+columns are then exactly that constraint's kernel.  Those columns are
+the lattice points of the degree simplex that solve the weight
+equations and these m_i = 0, walked from one echelon form of their
+rows, so no other monomial is visited.  Columns are computed by
+arithmetic from a basis field's component, block and monomial rank,
+and back: a monomial's rank is its index in the combinatorial number
+system, and a block's monomial list is built only for a build or a
+listing over every column (``blocks()``, ``basis_keys()``).  The constraint rows are integers,
 each constraint's equations times one positive scale, built from the
 integer storage of the known field and the target.
 """
@@ -308,19 +312,21 @@ def _known_terms(known: VectorField, components, k_mul: int, d_mul: int):
     mono, v)`` of k_mul * scale * K^j and ``dk[c]`` the pairs ``(j,
     terms)`` of the nonzero -d_mul * scale * dK^j/dx_c, for c in
     ``components``, all read in storage order from the components'
-    integer storage and their kept partials (``integer_partial``).
+    integer storage and their kept partials (``integer_partial``).  A
+    zero component adds no term, and no partial of it is read.
     """
-    parts = [comp.integer_terms() for comp in known.components]
-    den = math.lcm(*(d for _, d in parts))
-    e = math.lcm(*(K.exp_den(num) for num, _ in parts))
-    kc = []
-    for num, d in parts:
+    comps = known.components
+    parts = {j: comp.integer_terms() for j, comp in enumerate(comps) if not comp.is_zero()}
+    den = math.lcm(*(d for _, d in parts.values()))
+    e = math.lcm(*(K.exp_den(num) for num, _ in parts.values()))
+    kc = [[] for _ in comps]
+    for j, (num, d) in parts.items():
         f = den // d * e * k_mul
-        kc.append([(exp, mono, v * f) for (exp, mono, _), v in num.items()])
+        kc[j] = [(exp, mono, v * f) for (exp, mono, _), v in num.items()]
     dk = {c: [] for c in components}
     for c in components:
-        for j, ((_, d), comp) in enumerate(zip(parts, known.components)):
-            ej, terms = comp.integer_partial(c)
+        for j, (_, d) in parts.items():
+            ej, terms = comps[j].integer_partial(c)
             if terms:
                 # terms / (d * ej) is dK^j/dx_c, and the scale is den * e
                 f = -(den // d) * (e // ej) * d_mul
@@ -397,16 +403,20 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
             # q_j = n_j / den_b: its factor in df/dx_j is n_j * block_den / den_b
             qf = [n * (block_den // exp[0]) for n in exp[1:]]
             starts = ansatz.starts(exp)
-            k_shifted = [
-                [(K.exp_add(ek, exp), mk, a) for ek, mk, a in terms] for terms in kc
-            ]
-            dk_shifted = {
-                c: [
-                    (j, [(K.exp_add(exp, e), mk, v) for e, mk, v in terms])
-                    for j, terms in images
+            if not any(exp[1:]):
+                # the zero block: adding its exponent changes no key
+                k_shifted, dk_shifted = kc, dk
+            else:
+                k_shifted = [
+                    [(K.exp_add(ek, exp), mk, a) for ek, mk, a in terms] for terms in kc
                 ]
-                for c, images in dk.items()
-            }
+                dk_shifted = {
+                    c: [
+                        (j, [(K.exp_add(exp, e), mk, v) for e, mk, v in terms])
+                        for j, terms in images
+                    ]
+                    for c, images in dk.items()
+                }
             for r, mono in exp_monos:
                 cols = [(c, start + r) for c, start in starts]
                 if columns is not None:
@@ -573,21 +583,31 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
       [H, f d_c] = (a.m + b.q - a_c) f d_c + (sum_i a_i q_i x_i) f d_c
                    + (sum_i b_i m_i x^(m-e_i) e^(q.x)) d_c.
     The middle term raises the degree, so a block with some a_i q_i != 0
-    has kernel {0}.  In any other block the last term keeps the weight
-    a.m + b.q - a_c (b_i != 0 only where a_i = 0), and ad H - c is
-    invertible on every weight but c: each solution lives on the
-    columns of weight c, for each graded constraint.
+    has kernel {0}.  In any other block the last term, the lowering,
+    keeps the weight a.m + b.q - a_c (b_i != 0 only where a_i = 0), and
+    ad H - c is invertible on every weight but c: each solution lives on
+    the columns of weight c, for each graded constraint.
 
-    So the columns of weight c are the lattice points of the degree
-    simplex with a_k.m = n_k for every graded constraint k, where n_k
-    depends only on the block and the component.  One fraction-free
-    echelon pass over the rows [a_k | e_k] (``_kernels.echelon_insert``,
-    then ``back_substitute``) solves that system once per call: a row
-    with no pivot among the coordinates says that its combination of
-    the n_k vanishes, and a reduced pivot row fixes its coordinate from
-    the free ones.  For each block and component only the points of the
-    solution set are walked (``_solution_ranks``), so no monomial
-    outside it is visited.
+    When b has exactly one nonzero coordinate i, ad H - c on the columns
+    of weight c is the lowering alone, x^m e^(q.x) d_c to b_i m_i
+    x^(m-e_i) e^(q.x) d_c: zero where m_i = 0, and distinct columns with
+    m_i > 0 go to distinct targets.  So the constraint's kernel is
+    exactly its columns of weight c with m_i = 0, and a unit row e_i
+    with right-hand side 0 joins its weight row.  With two or more
+    constant terms the lowerings of different coordinates can cancel,
+    and only the weight is used.
+
+    So the columns kept are the lattice points of the degree simplex
+    with a_k.m = n_k for every graded constraint k, where n_k depends
+    only on the block and the component, and m_i = 0 for each
+    coordinate i fixed that way.  One fraction-free echelon pass over
+    the rows [a_k | e_k] and the unit rows [e_i | 0]
+    (``_kernels.echelon_insert``, then ``back_substitute``) solves that
+    system once per call: a row with no pivot among the coordinates
+    says that its combination of the n_k vanishes, and a reduced pivot
+    row fixes its coordinate from the free ones.  For each block and
+    component only the points of the solution set are walked
+    (``_solution_ranks``), so no monomial outside it is visited.
     """
     dim = ansatz.dim
     scaled = []
@@ -602,6 +622,11 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
         row = {j: v for j, v in enumerate(ia) if v}
         row[dim + k] = 1
         K.echelon_insert(table, row)
+    for _, ib, _ in scaled:
+        constant = [j for j, v in enumerate(ib) if v]
+        if len(constant) == 1:
+            # m_i = 0: the unit row carries no n_k
+            K.echelon_insert(table, {constant[0]: 1})
     K.back_substitute(table)
     # each reduced row reads a.m = t.n, t in the columns from dim on, and
     # a pivot row holds no other pivot coordinate

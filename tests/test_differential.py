@@ -95,10 +95,14 @@ dimensions 1-5 and in dimension 3 up to degree 32.
 
 The graded start, which walks only the solutions of the weight
 equations, is checked against the ``Fraction`` weight of every key
-(``_weight_columns``): degrees 0-10, weight rows of rank 0-3, lists
-shaped like the obstruction's (two Cartan elements and two
-translations), fractional weights and eigenvalues, and exponent
-denominators 2 and 3.  A graded solve never lists a block's monomials.
+(``_weight_columns``, which drops m_i > 0 when b has one constant term
+b_i): degrees 0-10, weight rows of rank 0-3, lists shaped like the
+obstruction's (two Cartan elements and two translations), fractional
+weights and eigenvalues, and exponent denominators 2 and 3.  For one
+constraint with at most one constant term the kept columns are checked
+to be exactly its kernel, and ``[Dx + Dy, X] = 0``, whose kernel holds
+``(x - y)*Dz``, to keep ``x*Dz``.  A graded solve never lists a block's
+monomials.
 
 The integer constraint build is checked against the ``Fraction`` build
 it replaced (``reference_build_system``): the same targets and image
@@ -2262,12 +2266,20 @@ def graded_lists(draw):
     return draw(st.permutations(constraints)), ansatz
 
 
+def _survives(a, b, key):
+    """Whether the basis field ``key`` lies in a block with no
+    a_i q_i != 0 and, when b has one constant term b_i, has m_i = 0."""
+    constant = [i for i, v in enumerate(b) if v]
+    lowered = len(constant) == 1 and key[2][constant[0]] > 0
+    q = decode_exponents(key[1])
+    return not any(x * y for x, y in zip(a, q)) and not lowered
+
+
 def _weight_columns(graded, ansatz):
-    """The columns of weight c for every graded ``(a, b, c)`` in blocks
-    with no a_i q_i != 0, by the ``Fraction`` weight of each key."""
+    """The columns of weight c for every graded ``(a, b, c)`` that
+    ``_survives`` keeps, by the ``Fraction`` weight of each key."""
     def keeps(a, b, c, key):
-        q = decode_exponents(key[1])
-        return not any(x * y for x, y in zip(a, q)) and _weight(a, b, key) == c
+        return _survives(a, b, key) and _weight(a, b, key) == c
 
     keys = ansatz.basis_keys()
     return [m for m, key in enumerate(keys) if all(keeps(*g, key) for g in graded)]
@@ -2319,6 +2331,46 @@ def test_graded_lists_match_stacked(system):
     assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
 
 
+@settings(max_examples=150, deadline=None)
+@given(graded_systems())
+def test_graded_columns_are_the_kernel(system):
+    """With at most one constant term, the kept columns are exactly the
+    kernel of the constraint: the union of the supports of its reduced
+    basis."""
+    cons, ansatz = system
+    graded = _graded_of([cons])
+    (_, b, _), = graded
+    assume(sum(1 for v in b if v) <= 1)
+    ref = _build_kernel(cons, ansatz)
+    assert _graded_columns(graded, ansatz) == sorted(set().union(*ref))
+
+
+def test_two_constant_terms_keep_the_weight_columns():
+    """[Dx + Dy, X] = 0 lowers x and y together, so (x - y)*Dz is in its
+    kernel, and the column x*Dz stays kept though its m_x is 1."""
+    ansatz = AnsatzSpace(3, max_degree=2)
+    cons = BracketConstraint.commutes(parse_field("Dx + Dy"))
+    assert cons.residual(parse_field("(x - y)*Dz")).is_zero()
+    columns = _graded_columns(_graded_of([cons]), ansatz)
+    assert ansatz.column(2, zero_exponents(3), (1, 0, 0)) in columns
+    ref = _build_kernel(cons, ansatz)
+    assert set().union(*ref) <= set(columns)
+    got = _staged_solve([cons], ansatz, DEFAULT_TARGET_BOUND)[0]
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+
+
+@pytest.mark.parametrize("text, value", [("Dy", 0), ("x*Dx + Dz", 1), ("-x*Dx - 2*y*Dy + Dz", 1)])
+def test_one_constant_term_keeps_the_kernel(text, value):
+    """A known field with one constant term b_i d_i keeps exactly its
+    kernel: the columns of weight c with m_i = 0, in every block."""
+    ansatz = AnsatzSpace(3, [(0, 0, 0), (0, 0, 1), (1, 0, 0)], 3)
+    cons = BracketConstraint.eigen(parse_field(text), value)
+    graded = _graded_of([cons])
+    columns = _graded_columns(graded, ansatz)
+    assert columns == sorted(set().union(*_build_kernel(cons, ansatz)))
+    assert columns == _weight_columns(graded, ansatz)
+
+
 # Blocks over denominators 2 and 3 for the graded start.  A block
 # survives only where every a_i of its nonzero q_i vanishes.
 WEIGHT_EXPONENTS = GRADED_EXPONENTS + (
@@ -2329,16 +2381,13 @@ WEIGHT_ENTRIES = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(
 
 def _graded_triples(draw, a_rows, b_rows, ansatz):
     """``(a, b, c)`` for each row pair.  Half the lists take as every c
-    the weight of one basis field in a block that no a_i q_i != 0 drops,
-    so that field and often many more are kept; the others take the
-    weight or a random value for each c."""
+    the weight of one basis field that every row pair lets survive
+    (``_survives``), so that field and often many more are kept; the
+    others take the weight or a random value for each c."""
     a_rows = [[Fraction(v) for v in a] for a in a_rows]
     b_rows = [[Fraction(v) for v in b] for b in b_rows]
     keys = ansatz.basis_keys()
-    kept = [
-        key for key in keys
-        if not any(x and q for a in a_rows for x, q in zip(a, decode_exponents(key[1])))
-    ]
+    kept = [key for key in keys if all(_survives(a, b, key) for a, b in zip(a_rows, b_rows))]
     key = draw(st.sampled_from(kept or keys))
     exact = draw(st.booleans())
     graded = []
@@ -2417,18 +2466,19 @@ def test_graded_columns_match_weight_reference(system):
 
 
 # (a rows, b rows, block, component, monomial) with weight rows of rank
-# 0, 1, 2 and 3; the eigenvalues are the weights of that basis field
+# 0, 1, 2 and 3; the eigenvalues are the weights of that basis field,
+# whose m_i is 0 for each b row with one constant term b_i
 RANK_EXAMPLES = [
-    ([(0, 0, 0), (0, 0, 0)], [(0, 0, Fraction(3, 2)), (Fraction(1, 2), 0, 0)],
+    ([(0, 0, 0), (0, 0, 0)], [(0, 0, Fraction(3, 2)), (Fraction(1, 2), -1, 0)],
      (0, 0, Fraction(2, 3)), 2, (1, 2, 0)),
     ([(Fraction(1, 2), -1, 0), (0, 0, 0)], [(0, 0, Fraction(3, 2)), (0, 0, 3)],
-     (0, 0, Fraction(2, 3)), 0, (2, 1, 1)),
+     (0, 0, Fraction(2, 3)), 0, (2, 1, 0)),
     ([(1, -2, 0), (Fraction(1, 3), 1, 0), (0, 0, 0), (0, 0, 0)],
-     [(0, 0, Fraction(3, 2)), (0, 0, Fraction(-3, 4)), (0, 0, 1), (0, Fraction(1, 2), 0)],
-     (0, 0, Fraction(2, 3)), 1, (3, 1, 2)),
+     [(0, 0, Fraction(3, 2)), (0, 0, Fraction(-3, 4)), (0, 0, 1), (1, Fraction(1, 2), 0)],
+     (0, 0, Fraction(2, 3)), 1, (3, 1, 0)),
     ([(1, -2, 0), (0, Fraction(1, 3), 1), (Fraction(1, 2), 0, -1), (2, -3, 1)],
-     [(0, 0, Fraction(1, 2)), (Fraction(2, 3), 0, 0), (0, 3, 0), (0, 0, 0)],
-     (0, 0, 0), 1, (2, 1, 1)),
+     [(0, 0, Fraction(1, 2)), (0, 0, 0), (0, 3, 0), (0, 0, 0)],
+     (0, 0, 0), 1, (2, 0, 0)),
 ]
 
 

@@ -31,6 +31,11 @@ entry and a zero right-hand side were resolved ahead of the
 elimination, hold a system whose stages are mostly such rows: a
 consistent one that ends in one point (exit 0), and a twin whose image
 row meets a field the first constraint pinned to 0 (exit 1).  The
+``solve_translation`` files, captured before a graded known field with
+one constant term b_i d_i fixed m_i = 0 in the graded start, hold
+``[Dx, X] = X`` and ``[Dy, X] = 0`` with a Cartan element over
+exponent blocks, so the lowered coordinate carries an exponent and an
+eigenvalue that is not 0.  The
 ``verify_all.txt`` and ``verify_tampered.txt`` files were captured before
 the relation residuals and the structure tensor began reading their
 brackets from the bracket closure; ``verify_tampered.lvf`` is the
@@ -95,6 +100,7 @@ CASES = [
     (["solve", str(GOLDEN / "solve_pinned.lvf")], "solve_pinned.txt", 0),
     (["solve", str(GOLDEN / "solve_pinned_inconsistent.lvf")],
      "solve_pinned_inconsistent.txt", 1),
+    (["solve", str(GOLDEN / "solve_translation.lvf")], "solve_translation.txt", 0),
     (["g2-check", "--form", "3", "--max-degree", "20", "--format", "records"],
      "g2_form3_deg20.records", 0),
     (["g2-check", "--form", "1", "--max-degree", "32", "--format", "records"],
