@@ -372,11 +372,3 @@ def structure_tensor(basis: Sequence[VectorField]) -> StructureTensor:
                 continue
             constants[(i, j)] = _coordinates(tracker, w)
     return StructureTensor(m, constants)
-
-
-def killing_form(tensor: StructureTensor):
-    return tensor.killing_form()
-
-
-def is_semisimple(tensor: StructureTensor) -> bool:
-    return tensor.is_semisimple()

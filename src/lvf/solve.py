@@ -6,11 +6,16 @@ allowed components.  Constraints are of three kinds against a known
 parameter-free field K: ``[K, X] = c X`` (eigen), ``[K, X] = 0`` (zero)
 and ``[K, X] = T`` (equals).  Each constraint maps the ansatz linearly
 into a finite-dimensional target space whose basis is derived from the
-images.  Both kinds of system are solved in one staged loop, one
-constraint at a time on the solution set of the ones before it, each
-built only over the columns that set uses, so most of the target rows of
-the stacked matrix are never built; once that set is one point, a
-constraint is built only when the point's residual is not zero.  The set
+images, and a build (``_build_system``) takes one constraint.  The
+stacked matrix of a system is every constraint's image rows, in
+constraint order, then every constraint's target terms that no column
+reaches; it is never built, and its order is defined in the tests
+(``test_build_matches_exppoly_loop``).  Both kinds of system are solved
+in one staged loop, one constraint at a time on the solution set of the
+ones before it, each built only over the columns that set uses, so most
+of the target rows of the stacked matrix are never built; once that set
+is one point, a constraint is built only when the point's residual is
+not zero.  The set
 is carried in integers, as the elimination hands it out.  A stage's
 rows with one entry and a zero right-hand side pin their coordinates of
 the set to 0 before it is eliminated (``_kernels.pin_singletons``), and
@@ -334,29 +339,28 @@ def _known_terms(known: VectorField, components, k_mul: int, d_mul: int):
     return den * e, kc, dk
 
 
-def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=None):
-    """The constraint matrix over the ansatz basis, in integers.
+def _build_system(cons, ansatz: AnsatzSpace, target_bound: int, columns=None):
+    """The matrix of one constraint over the ansatz basis, in integers.
 
     Returns ``(targets, rows, rhs, images)``: one target key
-    ``(constraint, component, exp, mono)`` per row in order of first
-    appearance, the sparse rows, the right-hand side (None without an
+    ``(component, exp, mono)`` per row in order of first appearance, the
+    sparse rows, the right-hand side (None unless ``cons`` is an
     ``equals`` constraint) and the number of image rows.  The image rows
-    of every constraint come first; the rows from ``images`` on are
-    target terms that no built column reaches, in constraint order, so
-    each is empty with a nonzero right-hand side.  With ``columns``, a
-    set of column indices, only the images of those basis fields are
-    built.
+    come first; the rows from ``images`` on are target terms that no
+    built column reaches, so each is empty with a nonzero right-hand
+    side.  With ``columns``, a set of column indices, only the images of
+    those basis fields are built.
 
-    The rows of a constraint hold ``int``s: its equations times one
-    positive scale, the lcm of the known field's component denominators
-    times the lcm of its exponent denominators (``_known_terms``), times
-    the lcm of the ansatz's exponent denominators, times the
-    eigenvalue's denominator or, for ``equals``, the lcm of the target's
-    component denominators, whatever ``columns`` is.  The right-hand
-    side is scaled by the same number, so it holds ``int``s too, read
-    from the target's integer storage (``ExpPoly.integer_terms``) in
-    storage order.  The elimination stores primitive rows, so the scale
-    changes no table, kernel, solution or witness.
+    The rows hold ``int``s: the equations times one positive scale, the
+    lcm of the known field's component denominators times the lcm of its
+    exponent denominators (``_known_terms``), times the lcm of the
+    ansatz's exponent denominators, times the eigenvalue's denominator
+    or, for ``equals``, the lcm of the target's component denominators,
+    whatever ``columns`` is.  The right-hand side is scaled by the same
+    number, so it holds ``int``s too, read from the target's integer
+    storage (``ExpPoly.integer_terms``) in storage order.  The
+    elimination stores primitive rows, so the scale changes no table,
+    kernel, solution or witness.
 
     One-term basis fields make the constraint images cheap:
       [K, f d_c] = K(f) d_c - f * sum_j (dK^j/dx_c) d_j
@@ -369,10 +373,8 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
     dim = ansatz.dim
     by_exp = ansatz.blocks(columns)
     block_den = math.lcm(*(exp[0] for exp in ansatz._layout[0]))
-    target_index: Dict[Tuple[int, int, tuple, tuple], int] = {}
+    target_index: Dict[Tuple[int, tuple, tuple], int] = {}
     rows: List[Dict[int, int]] = []
-    scales = []
-    parts = {}  # the integer terms of each equals target's components
 
     def index_of(full):
         idx = target_index.get(full)
@@ -384,87 +386,84 @@ def _build_system(constraints, ansatz: AnsatzSpace, target_bound: int, columns=N
             rows.append({})
         return idx
 
-    for ci, cons in enumerate(constraints):
-        eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else _ZERO
-        # the equation's own denominator: the eigenvalue's, or the lcm of
-        # the target's component denominators (an equals constraint has
-        # eigenvalue 0)
-        den = eig.denominator
-        if cons.kind == "equals":
-            parts[ci] = [comp.integer_terms() for comp in cons.target.components]
-            den = math.lcm(*(d for _, d in parts[ci]))
-        # the row scale is known_scale * block_den * den: K takes den here
-        # and the block's denominator in the factors of df/dx_j below, dK
-        # takes both here
-        known_scale, kc, dk = _known_terms(cons.known, ansatz.components, den, den * block_den)
-        scales.append(known_scale * block_den * den)
-        diag_eig = -eig.numerator * known_scale * block_den
-        for exp, exp_monos in by_exp.items():
-            # q_j = n_j / den_b: its factor in df/dx_j is n_j * block_den / den_b
-            qf = [n * (block_den // exp[0]) for n in exp[1:]]
-            starts = ansatz.starts(exp)
-            if not any(exp[1:]):
-                # the zero block: adding its exponent changes no key
-                k_shifted, dk_shifted = kc, dk
-            else:
-                k_shifted = [
-                    [(K.exp_add(ek, exp), mk, a) for ek, mk, a in terms] for terms in kc
+    eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else _ZERO
+    # the equation's own denominator: the eigenvalue's, or the lcm of the
+    # target's component denominators (an equals constraint has
+    # eigenvalue 0)
+    den = eig.denominator
+    if cons.kind == "equals":
+        parts = [comp.integer_terms() for comp in cons.target.components]
+        den = math.lcm(*(d for _, d in parts))
+    # the row scale is known_scale * block_den * den: K takes den here
+    # and the block's denominator in the factors of df/dx_j below, dK
+    # takes both here
+    known_scale, kc, dk = _known_terms(cons.known, ansatz.components, den, den * block_den)
+    diag_eig = -eig.numerator * known_scale * block_den
+    for exp, exp_monos in by_exp.items():
+        # q_j = n_j / den_b: its factor in df/dx_j is n_j * block_den / den_b
+        qf = [n * (block_den // exp[0]) for n in exp[1:]]
+        starts = ansatz.starts(exp)
+        if not any(exp[1:]):
+            # the zero block: adding its exponent changes no key
+            k_shifted, dk_shifted = kc, dk
+        else:
+            k_shifted = [
+                [(K.exp_add(ek, exp), mk, a) for ek, mk, a in terms] for terms in kc
+            ]
+            dk_shifted = {
+                c: [
+                    (j, [(K.exp_add(exp, e), mk, v) for e, mk, v in terms])
+                    for j, terms in images
                 ]
-                dk_shifted = {
-                    c: [
-                        (j, [(K.exp_add(exp, e), mk, v) for e, mk, v in terms])
-                        for j, terms in images
-                    ]
-                    for c, images in dk.items()
-                }
-            for r, mono in exp_monos:
-                cols = [(c, start + r) for c, start in starts]
-                if columns is not None:
-                    cols = [(c, col) for c, col in cols if col in columns]
-                if not cols:
+                for c, images in dk.items()
+            }
+        for r, mono in exp_monos:
+            cols = [(c, start + r) for c, start in starts]
+            if columns is not None:
+                cols = [(c, col) for c, col in cols if col in columns]
+            if not cols:
+                continue
+            # K(f) = sum_j K^j df/dx_j, df/dx_j = m_j x^(m-e_j) e^(q.x) + q_j f
+            kf: Dict[tuple, int] = {}
+            for j in range(dim):
+                m = mono[j]
+                if not k_shifted[j] or not (m or qf[j]):
                     continue
-                # K(f) = sum_j K^j df/dx_j, df/dx_j = m_j x^(m-e_j) e^(q.x) + q_j f
-                kf: Dict[tuple, int] = {}
-                for j in range(dim):
-                    m = mono[j]
-                    if not k_shifted[j] or not (m or qf[j]):
-                        continue
-                    fd = []
-                    if m:
-                        fd.append((mono[:j] + (m - 1,) + mono[j + 1:], m * block_den))
-                    if qf[j]:
-                        fd.append((mono, qf[j]))
-                    prod: Dict[tuple, int] = {}
-                    for e, mk, a in k_shifted[j]:
-                        for mf, b in fd:
-                            add_into(prod, (e, tuple(map(add, mk, mf))), a * b)
-                    if kf:
-                        for key, v in prod.items():
-                            add_into(kf, key, v)
-                    else:
-                        kf = prod
-                diag = kf
-                if diag_eig:
-                    diag = dict(kf)
-                    add_into(diag, (exp, mono), diag_eig)
-                for c, col in cols:
-                    for (e, mk), v in diag.items():
-                        add_into(rows[index_of((ci, c, e, mk))], col, v)
-                    for j, terms in dk_shifted[c]:
-                        for e, mk, v in terms:
-                            key = (ci, j, e, tuple(map(add, mono, mk)))
-                            add_into(rows[index_of(key)], col, v)
+                fd = []
+                if m:
+                    fd.append((mono[:j] + (m - 1,) + mono[j + 1:], m * block_den))
+                if qf[j]:
+                    fd.append((mono, qf[j]))
+                prod: Dict[tuple, int] = {}
+                for e, mk, a in k_shifted[j]:
+                    for mf, b in fd:
+                        add_into(prod, (e, tuple(map(add, mk, mf))), a * b)
+                if kf:
+                    for key, v in prod.items():
+                        add_into(kf, key, v)
+                else:
+                    kf = prod
+            diag = kf
+            if diag_eig:
+                diag = dict(kf)
+                add_into(diag, (exp, mono), diag_eig)
+            for c, col in cols:
+                for (e, mk), v in diag.items():
+                    add_into(rows[index_of((c, e, mk))], col, v)
+                for j, terms in dk_shifted[c]:
+                    for e, mk, v in terms:
+                        add_into(rows[index_of((j, e, tuple(map(add, mono, mk))))], col, v)
 
     images = len(rows)
     rhs = None
-    if parts:
+    if cons.kind == "equals":
+        scale = known_scale * block_den * den
         rhs_entries: Dict[int, int] = {}
-        for ci, target in parts.items():
-            for comp, (num, d) in enumerate(target):
-                # num / d times the scale, which d divides
-                f = scales[ci] // d
-                for (exp, mono, _), v in num.items():
-                    rhs_entries[index_of((ci, comp, exp, mono))] = v * f
+        for comp, (num, d) in enumerate(parts):
+            # num / d times the scale, which d divides
+            f = scale // d
+            for (exp, mono, _), v in num.items():
+                rhs_entries[index_of((comp, exp, mono))] = v * f
         rhs = [rhs_entries.get(i, 0) for i in range(len(rows))]
     return list(target_index), rows, rhs, images
 
@@ -553,9 +552,8 @@ def _cut(rows, rhs, basis, particular):
 
 def _graded_weights(known: VectorField):
     """``(a, b)`` when known = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0
-    for every j, else None."""
-    if not known.is_parameter_free():
-        return None
+    for every j, else None.  ``known`` is parameter-free (``solve``
+    refuses any other)."""
     zero = zero_exponents(known.dim)
     a = [Fraction(0)] * known.dim
     b = [Fraction(0)] * known.dim
@@ -722,18 +720,19 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     stacked solve reports: the first row of the stacked matrix whose
     prefix has no solution, where the image rows of every constraint,
     in constraint order, come before the target terms that no column
-    reaches (``_build_system``).  A stage without a solution is built
-    again over every column (stage 0 already is), which puts its rows in
-    stacked order, and its image rows are solved on the set so far.  If
-    they have no solution either, ``_linalg.solve_affine`` solves them
-    once more on every row, with no pin, and its witness row, the first
-    conflicting image row, is the witness; every later stage is then
-    homogeneous: only its kernel is still needed.  Otherwise the
-    constraint's first unreachable term is the witness, unless an
-    earlier constraint has one, and the stages go on, since a later
-    image row would still come first.  A constraint that holds at the
-    one point has neither.  ``rank`` is the rank of the stacked matrix,
-    ``ncols - dim N``, with or without a witness.
+    reaches.  Each build takes one constraint (``_build_system``), and
+    the component is slot 0 of its target key.  A stage without a
+    solution is built again over every column (stage 0 already is),
+    which puts its rows in stacked order, and its image rows are solved
+    on the set so far.  If they have no solution either,
+    ``_linalg.solve_affine`` solves them once more on every row, with no
+    pin, and its witness row, the first conflicting image row, is the
+    witness; every later stage is then homogeneous: only its kernel is
+    still needed.  Otherwise the constraint's first unreachable term is
+    the witness, unless an earlier constraint has one, and the stages go
+    on, since a later image row would still come first.  A constraint
+    that holds at the one point has neither.  ``rank`` is the rank of
+    the stacked matrix, ``ncols - dim N``, with or without a witness.
 
     ``target_bound`` bounds the rows built over all stages that are not
     empty or have a nonzero right-hand side, and the targets of any one
@@ -768,7 +767,7 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
         """The system of ``cons`` over ``support`` (every column when
         None) and the row count with its rows."""
         try:
-            system = _build_system([cons], ansatz, target_bound, support)
+            system = _build_system(cons, ansatz, target_bound, support)
         except AnsatzExplosion as exc:
             raise AnsatzExplosion(built + exc.size, target_bound) from None
         _, rows, rhs, _ = system
@@ -816,13 +815,13 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
             # its image rows have no solution: the stage again on every
             # row, without the pins, names the first conflicting one
             bad = _linalg.solve_affine(composed, shifted, len(basis))[3]
-            witness = (ci, targets[bad][1])
+            witness = (ci, targets[bad][0])
             cut = _cut(composed, None, basis, None)
         built = count
         basis, particular = cut
         if witness is None and images < len(rows):
             # after a full build: a target term no column reaches
-            witness = (ci, targets[images][1])
+            witness = (ci, targets[images][0])
 
     rank = ncols - len(basis)
     if witness is not None:

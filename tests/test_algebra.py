@@ -11,8 +11,6 @@ from lvf.algebra import (
     StructureTensor,
     close_under_bracket,
     express_in_basis,
-    is_semisimple,
-    killing_form,
     span_basis,
     structure_tensor,
 )
@@ -149,12 +147,12 @@ class TestStructureTensor:
         assert t.c(1, 2) == (Fraction(1), Fraction(0), Fraction(0))
         assert t.c(0, 1) == (0, 0, 0)
         assert t.c(0, 2) == (0, 0, 0)
-        assert not is_semisimple(t)
+        assert not t.is_semisimple()
 
     def test_abelian_zeros(self):
         t = structure_tensor([F("Dx"), F("Dy")])
         assert not t.constants
-        assert killing_form(t) == [[0, 0], [0, 0]]
+        assert t.killing_form() == [[0, 0], [0, 0]]
 
     def test_sl2_constants(self):
         basis = [F("Dx"), F("exp(x)*Dx"), F("exp(-x)*Dx")]  # (H, E, F)
@@ -162,7 +160,7 @@ class TestStructureTensor:
         assert t.c(0, 1) == (0, 1, 0)
         assert t.c(0, 2) == (0, 0, -1)
         assert t.c(1, 2) == (-2, 0, 0)
-        assert is_semisimple(t)
+        assert t.is_semisimple()
 
     def test_antisymmetry(self):
         basis = [F("Dx"), F("exp(x)*Dx"), F("exp(-x)*Dx")]
