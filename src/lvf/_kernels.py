@@ -28,6 +28,13 @@ one key of a map and drops the key when the sum vanishes (only
 Products accumulate in place: ``mul_into`` adds ``scale*f*g`` into a
 map, exponents adding by ``exp_add`` and parameter monomials by
 ``pmono_mul``, so parameters run in the same kernel as everything else.
+The key of a term product is read from the key-sum table, keyed by the
+two factors' keys, and computed only when a pair is not there, so the
+few exponent sums a bracket chain repeats are added once.  The table
+starts empty, holds at most ``KEY_SUM_BOUND`` pairs and is cleared when
+full.  An entry is derived from its pair alone, so threads that race on
+the table store equal keys; at worst a key is computed again, or a lost
+update of the entry count clears the table a few entries early or late.
 ``diff`` is the partial derivative, in integers times the lcm of the
 exponent denominators (``exp_den``); its one caller is
 ``ExpPoly.integer_partial``, which keeps what it returns.  A sum of
@@ -119,17 +126,47 @@ def exp_add(e1, e2):
     return (den, *nums)
 
 
+# The key-sum table of mul_into: key of f -> {key of g: key of the
+# product}, one row per key of f, so that a term of f is hashed once per
+# product and not once per pair; _key_sum_count entries in all, and no
+# row empty.  It starts empty and is cleared when it holds KEY_SUM_BOUND
+# entries.
+KEY_SUM_BOUND = 65536
+_key_sums = {}
+_key_sum_count = 0
+
+
 def mul_into(acc, f, g, scale=1):
     """Add ``scale*f*g`` into ``acc``, in place, for integer term maps
     ``f`` and ``g``.
 
-    The terms of ``f`` are the outer loop, so on parameter-free maps the
-    keys of ``acc`` come in the order the constraint build reads.
+    The key of each term product is read from the key-sum table and
+    computed (``exp_add``, the monomial sum, ``pmono_mul``) only when
+    the pair is not there.  The terms of ``f`` are the outer loop, so on
+    parameter-free maps the keys of ``acc`` come in the order the
+    constraint build reads.
     """
-    for (ef, mf, pf), a in f.items():
+    global _key_sum_count
+    if not g:
+        return acc
+    sums = _key_sums
+    for kf, a in f.items():
         a *= scale
-        for (eg, mg, pg), b in g.items():
-            key = (exp_add(ef, eg), tuple(map(add, mf, mg)), pmono_mul(pf, pg))
+        row = sums.get(kf)
+        if row is None:
+            row = sums[kf] = {}
+        for kg, b in g.items():
+            key = row.get(kg)
+            if key is None:
+                ef, mf, pf = kf
+                eg, mg, pg = kg
+                key = (exp_add(ef, eg), tuple(map(add, mf, mg)), pmono_mul(pf, pg))
+                if _key_sum_count >= KEY_SUM_BOUND:
+                    sums.clear()
+                    _key_sum_count = 0
+                    row = sums[kf] = {}
+                row[kg] = key
+                _key_sum_count += 1
             add_into(acc, key, a * b)
     return acc
 

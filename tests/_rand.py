@@ -1,11 +1,13 @@
-"""Deterministic random generators, and cold copies of values, shared by
-the property suites."""
+"""Deterministic random generators, cold copies of values and a cold
+key-sum table, shared by the property suites."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
+from lvf import _kernels
 from lvf.expr import ExpPoly, encode_exponents
 from lvf.fields import AffineMap, VectorField
 
@@ -24,6 +26,24 @@ def cold_copy(value):
     if isinstance(value, VectorField):
         return VectorField([cold_copy(c) for c in value.components])
     return ExpPoly(value.dim, dict(value._num), value._den)
+
+
+@contextlib.contextmanager
+def key_sum_table(bound=None):
+    """Run a block on the empty key-sum table of ``_kernels.mul_into``,
+    with ``bound`` (when given) in place of ``KEY_SUM_BOUND``; the table
+    is emptied again and the bound restored on exit."""
+    saved = _kernels.KEY_SUM_BOUND
+    _kernels._key_sums.clear()
+    _kernels._key_sum_count = 0
+    if bound is not None:
+        _kernels.KEY_SUM_BOUND = bound
+    try:
+        yield
+    finally:
+        _kernels.KEY_SUM_BOUND = saved
+        _kernels._key_sums.clear()
+        _kernels._key_sum_count = 0
 
 
 def rand_fraction(rng: random.Random, small: bool = True) -> Fraction:

@@ -77,6 +77,14 @@ and 3, parameters, multiples whose results cancel, zero values and
 structural equality holds) and to parse back from its text to an equal
 value with an equal hash, and a field bracketed against partners in any
 order gives the bracket of a fresh copy without changing any input.
+The reference sums exponents through their ``Fraction``s
+(``reference_exp_add``), not with ``_kernels.exp_add``.  ``mul_into``,
+which reads the key of each term product from its key-sum table, is
+checked against ``reference_mul_into``, which sums every key again: the
+same maps in the same key order, with the table cold, warm and at a
+bound of 1-3 (so that it is cleared inside the product), on operands
+with exponent denominators 1-3, parameters and starts that cancel some
+of the products.
 
 The structure tensor of a bracket closure, read from the constants the
 closure recorded, is checked against the pair-by-pair path over the same
@@ -174,7 +182,15 @@ from lvf.solve import (
     solve,
 )
 
-from _rand import cold_copy, exponential, rand_exppoly, rand_field, rand_fraction, rand_invertible
+from _rand import (
+    cold_copy,
+    exponential,
+    key_sum_table,
+    rand_exppoly,
+    rand_field,
+    rand_fraction,
+    rand_invertible,
+)
 
 _ZERO = Fraction(0)
 
@@ -637,6 +653,13 @@ def ep_scale(f, c):
     return {k: {pk: pv * c for pk, pv in pp.items()} for k, pp in f.items()}
 
 
+def reference_exp_add(e1, e2):
+    """Sum of two encoded exponent vectors, through their ``Fraction``s."""
+    return encode_exponents(
+        a + b for a, b in zip(decode_exponents(e1), decode_exponents(e2))
+    )
+
+
 def ep_mul_into(out, f, g, negate=False):
     """Add ``f*g`` (``-f*g`` when ``negate``) into the term map ``out``."""
     if not f or not g:
@@ -645,13 +668,36 @@ def ep_mul_into(out, f, g, negate=False):
         if negate:
             ppf = {k: -v for k, v in ppf.items()}
         for (eg, mg), ppg in g.items():
-            key = (_kernels.exp_add(ef, eg), tuple(map(operator.add, mf, mg)))
+            key = (reference_exp_add(ef, eg), tuple(map(operator.add, mf, mg)))
             pp_add_into(out, key, pp_mul(ppf, ppg))
     return out
 
 
 def ep_mul(f, g):
     return ep_mul_into({}, f, g)
+
+
+def reference_mul_into(acc, f, g, scale=1):
+    """``acc + scale*f*g`` for integer term maps, in place: every key of
+    a term product summed again (exponents by ``reference_exp_add``),
+    the terms of ``f`` the outer loop, a key dropped when its sum
+    vanishes."""
+    for (ef, mf, pf), a in f.items():
+        for (eg, mg, pg), b in g.items():
+            powers = dict(pf)
+            for name, e in pg:
+                powers[name] = powers.get(name, 0) + e
+            key = (
+                reference_exp_add(ef, eg),
+                tuple(x + y for x, y in zip(mf, mg)),
+                tuple(sorted(powers.items())),
+            )
+            v = acc.get(key, 0) + scale * a * b
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
+    return acc
 
 
 def ep_diff(f, i):
@@ -2660,6 +2706,52 @@ def test_build_reads_kept_partials(system, data):
             assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
             assert [list(r.items()) for r in got[1]] == [list(r.items()) for r in want[1]]
         assert_scaled_build([got], reference_build([cold_cons], ansatz, columns))
+
+
+# -- term products and the key-sum table --------------------------------------
+
+# few keys, so that products meet: exponent denominators 1-3, monomials
+# of degree at most 1 and parameter monomials in a and b
+_EXPONENTS = tuple(
+    encode_exponents(q)
+    for q in ((0, 0), (Fraction(1, 2), 0), (Fraction(-1, 3), Fraction(2, 3)), (1, Fraction(-1, 2)))
+)
+_MONOS = ((0, 0), (1, 0), (0, 1))
+_PMONOS = ((), (("a", 1),), (("b", 1),), (("a", 1), ("b", 2)))
+
+
+@st.composite
+def integer_term_maps(draw):
+    """A small integer term map in dimension 2."""
+    out = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = tuple(draw(st.sampled_from(pool)) for pool in (_EXPONENTS, _MONOS, _PMONOS))
+        out[key] = draw(st.integers(-3, 3).filter(bool))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    integer_term_maps(),
+    integer_term_maps(),
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from(("cold", "warm", "bound")),
+    st.data(),
+)
+def test_mul_into_matches_reference_products(f, g, scale, table, data):
+    # a start that cancels some of the products, and one that holds others
+    prod = reference_mul_into({}, f, g, scale)
+    cancel = data.draw(st.lists(st.sampled_from((-1, 0, 2)), min_size=len(prod), max_size=len(prod)))
+    start = {k: c * v for (k, v), c in zip(prod.items(), cancel) if c}
+    want = reference_mul_into(dict(start), f, g, scale)
+    bound = data.draw(st.integers(1, 3)) if table == "bound" else None
+    with key_sum_table(bound):
+        if table == "warm":
+            # the pairs of these terms and of others, already in the table
+            other = data.draw(integer_term_maps())
+            _kernels.mul_into({}, {**other, **f}, {**g, **other})
+        got = _kernels.mul_into(dict(start), f, g, scale)
+    assert list(got.items()) == list(want.items())
 
 
 # -- integer storage against the Fraction ExpPoly -----------------------------

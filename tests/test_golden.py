@@ -50,7 +50,11 @@ denominator.  The ``structure_*`` files (the Chevalley constants
 of the B2 and A2 models, each built from many brackets) and
 ``bracket_parametric_exp.txt`` (a bracket of two fields with parameters
 and exponent denominators 2 and 3) were captured before brackets ran
-on integer forms of the fields.  To
+on integer forms of the fields.  ``g2_form3_deg8_control.records`` was
+captured before term products read their keys from the key-sum table of
+``_kernels.mul_into``; it, ``verify_all.records`` and
+``structure_b2_b2.1.records`` are also produced with the table's bound
+set to 1, so that the table is cleared before every key it stores.  To
 regenerate one after an intended output change, run the command from the
 table below with ``python -m lvf.cli`` and redirect stdout to the file.
 """
@@ -63,6 +67,8 @@ import pytest
 
 from lvf.cli import main
 
+from _rand import key_sum_table
+
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
@@ -72,6 +78,8 @@ CASES = [
      "g2_form2_deg6_control.records", 0),
     (["g2-check", "--form", "3", "--max-degree", "6", "--control", "--format", "records"],
      "g2_form3_deg6_control.records", 0),
+    (["g2-check", "--form", "3", "--max-degree", "8", "--control", "--format", "records"],
+     "g2_form3_deg8_control.records", 0),
     (["g2-check", "--form", "3", "--max-degree", "6", "--verbose"],
      "g2_form3_deg6_verbose.txt", 0),
     (["g2-check", "--form", "1", "--max-degree", "6", "--verbose", "--control"],
@@ -139,6 +147,26 @@ def _assert_golden(argv, name, exit_code):
 def test_output_is_byte_identical(argv, name, exit_code, monkeypatch):
     monkeypatch.delenv("LVF_CATALOG", raising=False)
     _assert_golden(argv, name, exit_code)
+
+
+# one entry in the key-sum table of every term product: it is cleared
+# before each new key is stored
+BOUND_ONE_CASES = [
+    (["verify", "--all", "--format", "records"], "verify_all.records", 0),
+    (["g2-check", "--form", "3", "--max-degree", "8", "--control", "--format", "records"],
+     "g2_form3_deg8_control.records", 0),
+    (["structure", "--type", "B2", "--model", "b2.1", "--format", "records"],
+     "structure_b2_b2.1.records", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, exit_code", BOUND_ONE_CASES, ids=[name for _, name, _ in BOUND_ONE_CASES]
+)
+def test_output_at_key_sum_bound_one(argv, name, exit_code, monkeypatch):
+    monkeypatch.delenv("LVF_CATALOG", raising=False)
+    with key_sum_table(1):
+        _assert_golden(argv, name, exit_code)
 
 
 def test_tampered_catalog_verify_is_byte_identical(monkeypatch):

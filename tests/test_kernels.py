@@ -1,18 +1,28 @@
-"""Properties of the exact elimination kernels.
+"""Properties of the exact elimination kernels and of the key-sum table
+of term products.
 
 The elimination itself, and the inverse, determinant and span tracker
 built on it, are checked against reference implementations in
-``test_differential.py``.
+``test_differential.py``, and so is ``mul_into`` with its table cold,
+warm and at its bound.  Here the table is checked to stay within its
+bound, and brackets computed from four threads at once, on one shared
+table that is cleared often, to equal the serial ones.
 """
 
 import copy
+import itertools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import lvf
-from lvf import _kernels
+from lvf import _kernels, catalog
 from lvf._linalg import det, nullspace, rank, solve_affine
+from lvf.algebra import close_under_bracket
+
+from _rand import cold_copy, key_sum_table
 
 
 def rand_rows(rng, ncols):
@@ -151,3 +161,68 @@ def test_det():
 
 def test_selector_exposes_backend():
     assert lvf.kernel_backend == "py"
+
+
+def b2_closure_pairs():
+    """Every pair of basis fields of b2.1's bracket closure, cold copies."""
+    gens = catalog.get("b2.1").generators_at({}).values()
+    basis = [cold_copy(x) for x in close_under_bracket(list(gens))]
+    return list(itertools.combinations(basis, 2))
+
+
+def test_key_sum_table_never_exceeds_its_bound(monkeypatch):
+    """The table's size is read before every new key is computed (each
+    miss calls ``exp_add``) and after every product, when no row of it
+    is empty."""
+    bound = 7
+    sizes = []
+
+    def table_size():
+        n = sum(map(len, _kernels._key_sums.values()))
+        assert n == _kernels._key_sum_count
+        return n
+
+    exp_add = _kernels.exp_add
+
+    def watched_exp_add(e1, e2):
+        sizes.append(table_size())
+        return exp_add(e1, e2)
+
+    mul_into = _kernels.mul_into
+
+    def watched_mul_into(acc, f, g, scale=1):
+        out = mul_into(acc, f, g, scale)
+        sizes.append(table_size())
+        assert all(_kernels._key_sums.values())
+        return out
+
+    monkeypatch.setattr(_kernels, "exp_add", watched_exp_add)
+    monkeypatch.setattr(_kernels, "mul_into", watched_mul_into)
+    with key_sum_table(bound):
+        for x, y in b2_closure_pairs():
+            x.bracket(y)
+    assert max(sizes) == bound
+    # filled and cleared many times over
+    assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) > 10
+
+
+def test_brackets_from_threads_match_serial():
+    pairs = b2_closure_pairs()
+    with key_sum_table():
+        serial = [x.bracket(y) for x, y in b2_closure_pairs()]
+    # a small bound clears the shared table while other threads read it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with key_sum_table(16), ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(lambda: [x.bracket(y) for x, y in pairs]) for _ in range(4)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got == serial
+        assert all(
+            list(a.components[i]._num) == list(b.components[i]._num)
+            for a, b in zip(got, serial)
+            for i in range(a.dim)
+        )
