@@ -410,14 +410,12 @@ def rref(rows, ncols):
     :func:`back_substitute` gives them: ``pivots[k]`` is the pivot
     column of the primitive integer row ``out_rows[k]``, pivots strictly
     increasing, every pivot entry positive and eliminated from all other
-    rows.  The reduced form of a matrix is unique up to the scale of
-    each row, so it does not depend on the order in which rows are
-    inserted.
+    rows.  Every row is inserted.  The reduced form of a matrix is
+    unique up to the scale of each row, so it does not depend on the
+    order in which rows are inserted.
     """
     table = {}
     for r in rows:
         if r:
             echelon_insert(table, r)
-            if len(table) == ncols:
-                break
     return back_substitute(table)

@@ -2,11 +2,13 @@
 
 Thin wrappers around the row-insert elimination kernel: rref,
 nullspaces, affine solves and, through the rows of ``[A | I]``, the
-determinant and the inverse.  Rows are dicts mapping column index to a
-nonzero rational (``Fraction`` or ``int``); the echelon tables in
-between hold the kernel's primitive integer rows.  ``rref`` and
-``solve_affine`` hand out those integers, as the kernel reduces them;
-``nullspace`` divides them by their leads and hands out ``Fraction``s.
+determinant and the inverse.  rref, nullspaces and affine solves
+insert every row they are given, with no exit at full rank.  Rows are
+dicts mapping column index to a nonzero rational (``Fraction`` or
+``int``); the echelon tables in between hold the kernel's primitive
+integer rows.  ``rref`` and ``solve_affine`` hand out those integers,
+as the kernel reduces them; ``nullspace`` divides them by their leads
+and hands out ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -67,45 +69,27 @@ def solve_affine(
     Returns (point, homogeneous basis, rank of M, witness) where
     witness is the index of an inconsistent input row (point is then
     None): the first row whose prefix makes the system inconsistent.
-    One echelon pass over the rows ``[M | -rhs]`` gives all four: the
-    witness is the row whose insertion creates a pivot in the rhs
-    column ``ncols``, and the rank counts the pivots left of it.
-    Without a witness, column ``ncols`` is free, and
-    ``_kernels.kernel_vectors`` of the reduced table over ``ncols + 1``
-    columns gives the homogeneous basis (the vectors of the free columns
-    below ``ncols``) and, last, the vector of column ``ncols``: the point,
-    ``L`` at ``ncols`` and ``L`` times the solution that is zero at every
-    free column elsewhere.
-
-    Once the table holds ``ncols`` pivots and none in the rhs column,
-    the prefix has exactly one solution, found by one back
-    substitution.  A later row then needs no reduction: it is
-    consistent exactly when ``row . point == rhs * L`` (fully reduced,
-    it would leave its residual in the rhs column), so the first row
-    that fails is the same witness.  Before full rank, and after a
-    witness found before it, rows are still inserted, until the last row
-    or ``ncols + 1`` pivots, so the rank is that of all of M, not of a
-    prefix.
+    One echelon pass over all the rows ``[M | -rhs]`` gives all four:
+    the witness is the row whose insertion creates a pivot in the rhs
+    column ``ncols``, and the rank counts the other pivots.  Without a
+    witness, column ``ncols`` is free, and ``_kernels.kernel_vectors``
+    of the reduced table over ``ncols + 1`` columns gives the
+    homogeneous basis (the vectors of the free columns below ``ncols``)
+    and, last, the vector of column ``ncols``: the point, ``L`` at
+    ``ncols`` and ``L`` times the solution that is zero at every free
+    column elsewhere.
     """
     table: Dict[int, Dict[int, int]] = {}
     witness = None
-    i = 0
-    while i < len(rows) and len(table) < ncols + (witness is not None):
-        row = rows[i]
+    for i, row in enumerate(rows):
         if rhs[i]:
             row = {**row, ncols: -rhs[i]}
         if row and K.echelon_insert(table, row) == ncols:
             witness = i
-        i += 1
     if witness is not None:
         return None, [], len(table) - 1, witness
     pivots, irows = K.back_substitute(table)
     *hom, point = K.kernel_vectors(pivots, irows, ncols + 1)
-    # rows are left over only when the table reached full column rank
-    scale = point[ncols]
-    for j in range(i, len(rows)):
-        if sum(v * point[c] for c, v in rows[j].items() if c in point) != rhs[j] * scale:
-            return None, [], ncols, j
     return point, hom, len(pivots), None
 
 

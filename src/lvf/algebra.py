@@ -8,13 +8,13 @@ membership, coordinates) reduce to rows of the echelon core in
 ``Fraction`` enters the elimination.  All inputs must be
 parameter-free; substitute parameters first.
 
-``close_under_bracket`` brackets every pair of its basis once and keeps
-what it learns: each bracket as a field and, from its own tracker, the
-bracket's coordinates over the basis (a new basis element, or the
-combination of earlier ones that the tracker returns).  The structure
-tensor of a closure is read from those sparse coordinates, and
-``verify`` reads the relation brackets from the same table, so a
-verification brackets each pair of basis fields once.
+``close_under_bracket`` brackets every pair of its basis once and keeps,
+from its own tracker, each bracket's coordinates over the basis (a new
+basis element, or the combination of earlier ones that the tracker
+returns).  The structure tensor of a closure is read from those sparse
+coordinates, and ``verify`` decides the relations that hold from the
+same table, so a verification of a sound entry brackets each pair of
+basis fields once.
 
 A ``StructureTensor`` holds its constants as integers over one
 denominator, so the Jacobi check, the Killing form and its determinant
@@ -156,26 +156,23 @@ def express_in_basis(field: VectorField, basis: Sequence[VectorField]) -> List[F
 
 
 class Closure(tuple):
-    """Basis of a bracket closure, with the brackets that produced it.
+    """Basis of a bracket closure, with the coordinates of its brackets.
 
     A tuple of the basis fields, so callers take its length, iterate it
     or pass it back in as a list of fields.  It also records:
 
     - ``positions``: the basis index of each input field, or None for
       an input that depends on earlier ones;
-    - ``brackets``: ``[b_i, b_j]`` as a field, for every i < j;
     - ``constants``: the coordinates ``{k: c^k_ij}`` of every nonzero
       ``[b_i, b_j]``, i < j.
     """
 
     positions: Tuple[Optional[int], ...]
-    brackets: Dict[Tuple[int, int], VectorField]
     constants: Dict[Tuple[int, int], Dict[int, Fraction]]
 
-    def __new__(cls, basis, positions, brackets, constants):
+    def __new__(cls, basis, positions, constants):
         self = super().__new__(cls, basis)
         self.positions = tuple(positions)
-        self.brackets = brackets
         self.constants = constants
         return self
 
@@ -184,8 +181,8 @@ def close_under_bracket(fields: Sequence[VectorField]) -> Closure:
     """Basis of the smallest bracket-closed span containing the fields.
 
     Basis order is input order, then discovery order.  Each pair of
-    basis fields is bracketed once; the result records every bracket
-    and its coordinates (see ``Closure``).  Raises
+    basis fields is bracketed once; the result records the coordinates
+    of every nonzero bracket (see ``Closure``).  Raises
     NotFiniteDimensionalWithinBound when the dimension would pass
     ``CLOSURE_BOUND``.
     """
@@ -210,16 +207,15 @@ def close_under_bracket(fields: Sequence[VectorField]) -> Closure:
     for f in fields:
         insert(f)
     positions = list(at)
-    brackets: Dict[Tuple[int, int], VectorField] = {}
     constants: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     j = 0
     while j < len(basis):
         for i in range(j):
-            w = brackets[(i, j)] = basis[i].bracket(basis[j])
+            w = basis[i].bracket(basis[j])
             if not w.is_zero():
                 constants[(i, j)] = insert(w)
         j += 1
-    return Closure(basis, positions, brackets, constants)
+    return Closure(basis, positions, constants)
 
 
 class StructureTensor:

@@ -50,13 +50,23 @@ def _load_catalog() -> List[catmod.Realization]:
     return entries
 
 
+def _add_param(params: Dict[str, Fraction], name: str, value: str):
+    """Set ``params[name]``; refuse a name that is not an identifier or
+    that ``params`` already holds."""
+    if not (name.isascii() and name.isidentifier()):
+        raise LvfError(f"bad parameter name '{name}'")
+    if name in params:
+        raise LvfError(f"parameter {name} defined twice")
+    params[name] = as_fraction(value)
+
+
 def _parse_params(pairs: Optional[List[str]]) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise LvfError(f"bad --param '{pair}', expected name=p/q")
         name, _, value = pair.partition("=")
-        out[name.strip()] = as_fraction(value.strip())
+        _add_param(out, name.strip(), value.strip())
     return out
 
 
@@ -165,6 +175,10 @@ def _component_index(name: str, dim: int) -> int:
 
 
 def _read_solve_file(path: str):
+    """The constraints and the ansatz of a solve file.  A repeated
+    ``dim``, ``degree`` or ``components`` line, a parameter named twice
+    and a component listed twice are refused at the line of the repeat;
+    ``exponents`` lines add up."""
     dim = 3
     dim_line = None
     params: Dict[str, Fraction] = {}
@@ -173,6 +187,7 @@ def _read_solve_file(path: str):
     degree_line, degree_text = None, "2"
     components_line, component_names = None, None
     constraints = []  # (line, kind, eigenvalue or target text, field text)
+    seen = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -181,13 +196,16 @@ def _read_solve_file(path: str):
             head, _, rest = line.partition(" ")
             rest = rest.strip()
             with _at_line(path, lineno):
+                if head in ("dim", "degree", "components") and head in seen:
+                    raise LvfError(f"repeated {head} line")
+                seen.add(head)
                 if head == "dim":
                     dim, dim_line = int(rest), lineno
                 elif head == "params":
                     names = []
                     for chunk in rest.split():
                         name, _, value = chunk.partition("=")
-                        params[name] = as_fraction(value)
+                        _add_param(params, name, value)
                         names.append(name)
                     param_lines.append((lineno, names))
                 elif head == "exponents":
@@ -247,7 +265,12 @@ def _read_solve_file(path: str):
             if not component_names:
                 # an empty search space has no solutions to report
                 raise LvfError("components lists no component")
-            components = [_component_index(name, dim) for name in component_names]
+            components = []
+            for name in component_names:
+                index = _component_index(name, dim)
+                if index in components:
+                    raise LvfError(f"component {name} listed twice")
+                components.append(index)
     try:
         ansatz = AnsatzSpace(dim, [vec for _, vec in exponents], degree, components)
     except LvfError as exc:

@@ -605,7 +605,8 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
     says that its combination of the n_k vanishes, and a reduced pivot
     row fixes its coordinate from the free ones.  For each block and
     component only the points of the solution set are walked
-    (``_solution_ranks``), so no monomial outside it is visited.
+    (``_solution_ranks``), so no monomial outside it is visited.  With
+    no pivot row that is the whole simplex, walked once per call.
     """
     dim = ansatz.dim
     scaled = []
@@ -637,7 +638,7 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
             checks.append(combo)
         else:
             solved.append((p, row[p], [row.get(f, 0) for f in free], combo))
-    encoded, _, size = ansatz._layout
+    encoded, _, _ = ansatz._layout
     columns = []
     walked: Dict[tuple, List[int]] = {}
     for exp in encoded:
@@ -651,10 +652,6 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
         for comp, start in ansatz.starts(exp):
             n = [ia[comp] + ic - q for (ia, _, ic), (q, _) in zip(scaled, bq)]
             if any(sum(map(mul, combo, n)) for combo in checks):
-                continue
-            if not solved:
-                # no weight fixes a coordinate: the whole block is kept
-                columns.extend(range(start, start + size))
                 continue
             # the kept ranks depend only on the pivot rows' right-hand sides
             targets = tuple(sum(map(mul, combo, n)) for _, _, _, combo in solved)

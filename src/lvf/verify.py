@@ -2,9 +2,10 @@
 
 For one realization: the bracket closure is computed and its structure
 tensor classified through the Killing form, every stated bracket
-relation is evaluated exactly from the closure's brackets and their
-coordinates (failures carry the residual field), and the generic rank
-is compared with the expected one.  Failures are report entries, never exceptions, so a
+relation is decided exactly from the coordinates of the closure's
+brackets (failures carry the residual field, bracketed again from the
+relation's generators), and the generic rank is compared with the
+expected one.  Failures are report entries, never exceptions, so a
 tampered catalog produces a readable diff of what broke.
 
 Reports render to human text and to a machine format (one record per
@@ -130,9 +131,9 @@ def _residual(
     recorded are compared with the right-hand side's coefficients,
     summed per basis position.  The closure's tracker certified each
     bracket as exactly that combination of an independent basis, so the
-    relation holds exactly when the two agree.  Otherwise the residual
-    is built: its bracket read from ``closure`` when both generators are
-    basis elements, else by ``catalog._relation_residual``.
+    relation holds exactly when the two agree.  Otherwise, and when
+    they disagree, the residual is built by
+    ``catalog._relation_residual``, which brackets the generators again.
     """
     at = dict(zip(gens, closure.positions)) if closure is not None else {}
     a, b = at.get(rel.a), at.get(rel.b)
@@ -150,8 +151,7 @@ def _residual(
         coords = closure.constants.get((lo, hi), {})
         if {k: sign * v for k, v in coords.items()} == {k: v for k, v in rhs.items() if v}:
             return None
-    lhs = closure.brackets[(lo, hi)]
-    return _catalog._subtract_rhs(rel, gens, lhs if a < b else -lhs)
+    return _catalog._relation_residual(rel, gens)
 
 
 def verify_realization(
@@ -161,11 +161,11 @@ def verify_realization(
     """Check one realization under default or caller-supplied parameters.
 
     The bracket closure runs first and brackets each pair of its basis
-    once; the structure tensor and the relation residuals read their
-    brackets from it, and a relation that holds is read from the
-    closure's coordinates alone.  A relation falls back to bracketing
-    its own generators when the closure failed, when a generator depends
-    on earlier ones, or when both sides name the same generator.
+    once; the structure tensor reads its constants from it, and a
+    relation that holds is read from the closure's coordinates alone.
+    A relation brackets its own generators when it fails, when the
+    closure failed, when a generator depends on earlier ones, or when
+    both sides name the same generator.
     """
     assignment = entry.default_assignment()
     if params:

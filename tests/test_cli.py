@@ -295,6 +295,22 @@ def test_param_named_like_a_builtin_exit_2(argv):
     assert err == f"error: parameter {argv[-1][:-2]} named like a builtin\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bracket", "Dx", "Dy", "--param", "=1"], "bad parameter name ''"),
+    (["bracket", "Dx", "Dy", "--param", "1a=2"], "bad parameter name '1a'"),
+    (["rank", "Dx", "--param", "a b=1"], "bad parameter name 'a b'"),
+    (["bracket", "Dx", "a*Dy", "--param", "a=1", "--param", "a=2"], "parameter a defined twice"),
+    (["verify", "--form", "heisenberg.2", "--param", "lambda=1", "--param", "lambda=2"],
+     "parameter lambda defined twice"),
+    (["centralizer", "--form", "heisenberg.2", "--param", "lambda=1", "--param", "lambda=1"],
+     "parameter lambda defined twice"),
+])
+def test_bad_or_repeated_param_name_exit_2(argv, message):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("body", [
     'dim -3; expected_rank 0; expect_semisimple true;',
     'dim 3; expected_rank 0; expect_semisimple true;',
@@ -405,6 +421,17 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("dim 3\nparams x=1\neigen 1: Dx\n", 2, "parameter x named like a builtin"),
     ("dim 3\nparams x=1\n", 2, "parameter x named like a builtin"),
     ("params a=1\nparams w=2\ndim 4\n", 2, "parameter w named like a builtin"),
+    # a name that is no identifier is refused at its line, and a
+    # repeated name, component or line at the line of the repeat
+    ("params =1\nzero : Dx\n", 1, "bad parameter name ''"),
+    ("dim 3\nparams 1a=2\n", 2, "bad parameter name '1a'"),
+    ("dim 3\nparams a=1 a=2\nzero : a*Dx\n", 2, "parameter a defined twice"),
+    ("params a=1\ndim 3\nparams b=1 a=1\n", 3, "parameter a defined twice"),
+    ("dim 3\ndegree 1\ndim 3\nzero : Dx\n", 3, "repeated dim line"),
+    ("degree 1\ndim 3\n\ndegree 2\nzero : Dx\n", 4, "repeated degree line"),
+    ("dim 3\ncomponents x x\nzero : Dx\n", 2, "component x listed twice"),
+    ("components x 1\ndim 3\nzero : Dx\n", 1, "component 1 listed twice"),
+    ("components x\ndim 3\ncomponents y\n", 3, "repeated components line"),
 ])
 def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.lvf"
@@ -412,6 +439,14 @@ def test_solve_file_errors_name_their_line(tmp_path, text, lineno, message):
     code, out, err = run(["solve", str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: {path}:{lineno}: {message}\n"
+
+
+def test_solve_file_exponents_lines_add_up(tmp_path):
+    path = tmp_path / "e.lvf"
+    path.write_text("exponents (0,0,0)\nexponents (0,0,1)\ndegree 0\ncomponents x\nzero : Dx\n")
+    code, out, _ = run(["solve", str(path)])
+    assert code == 0
+    assert out.splitlines()[-3:] == ["solution dimension 2", "  Dx", "  exp(z)*Dx"]
 
 
 def test_solve_file_components_count_a_later_dim_line(tmp_path):

@@ -6,7 +6,7 @@ implementations kept here, one reference per layer.
 
 The references are the earlier column-scan ``rref``, the binary-search
 ``solve_affine`` (also on tall systems with a planted solution, which
-reach full column rank early and then check rows against it), the
+reach full column rank early and go on inserting rows), the
 ``ExpPoly`` build loop of the stacked matrix (``reference_build``), the
 dense ``fields._invert`` and ``_linalg.det``, the ``SpanTracker`` with
 its own row-reduction loop (also for the structure constants of the
@@ -1167,7 +1167,7 @@ def tall_affine_systems(draw, vals=values):
     consistent rhs row . x.  Sometimes one row goes wrong at a random
     position: a combination of earlier rows with a shifted rhs, or an
     empty row with b != 0.  Inside the block its witness comes before
-    full rank; after it, the witness is a row checked against x."""
+    full rank; after it, the witness comes once the table is full."""
     ncols = draw(st.integers(1, 6))
     x = {c: draw(st.one_of(st.just(_ZERO), vals)) for c in range(ncols)}
     order = draw(st.permutations(range(ncols)))
