@@ -150,11 +150,15 @@ def _at_line(path: str, lineno: int):
 _AXES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
-def _degree_value(text: str) -> int:
+def _integer(text: str, what: str) -> int:
     try:
-        degree = int(text)
+        return int(text)
     except ValueError:
-        raise LvfError(f"ansatz degree must be an integer, not '{text}'") from None
+        raise LvfError(f"{what} must be an integer, not '{text}'") from None
+
+
+def _degree_value(text: str) -> int:
+    degree = _integer(text, "ansatz degree")
     if degree < 0:
         raise LvfError(f"ansatz degree must be at least 0, not {degree}")
     return degree
@@ -200,10 +204,12 @@ def _read_solve_file(path: str):
                     raise LvfError(f"repeated {head} line")
                 seen.add(head)
                 if head == "dim":
-                    dim, dim_line = int(rest), lineno
+                    dim, dim_line = _integer(rest, "dimension"), lineno
                 elif head == "params":
                     names = []
                     for chunk in rest.split():
+                        if "=" not in chunk:
+                            raise LvfError(f"bad parameter '{chunk}', expected name=p/q")
                         name, _, value = chunk.partition("=")
                         _add_param(params, name, value)
                         names.append(name)

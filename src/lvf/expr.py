@@ -75,10 +75,10 @@ def check_digits(literal: str) -> None:
 
 def as_fraction(value) -> Fraction:
     """An exact rational from a Fraction, an int or a literal like '-3/4'
-    or '0.25'; a literal with a zero denominator, in exponent notation
-    (where '1e1000000000' asks for a billion-digit integer) or with more
-    digits than the interpreter converts to an integer is an input
-    error."""
+    or '0.25'; a literal that is not a rational, or one with a zero
+    denominator, in exponent notation (where '1e1000000000' asks for a
+    billion-digit integer) or with more digits than the interpreter
+    converts to an integer is an input error."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -91,6 +91,8 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise LvfError(f"zero denominator in {value.strip()!r}") from None
+        except ValueError:
+            raise LvfError(f"not a rational number: {value.strip()!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -177,13 +179,6 @@ class ExpPoly:
     @classmethod
     def param(cls, dim: int, name: str) -> "ExpPoly":
         return cls(dim, {(zero_exponents(dim), (0,) * dim, ((name, 1),)): 1})
-
-    @classmethod
-    def monomial(cls, dim: int, mono, coeff=1) -> "ExpPoly":
-        m = tuple(int(e) for e in mono)
-        if len(m) != dim or any(e < 0 for e in m):
-            raise ValueError(f"bad monomial {mono} in dimension {dim}")
-        return cls.from_terms(dim, {(zero_exponents(dim), m, ()): as_fraction(coeff)})
 
     # -- structure ----------------------------------------------------
 

@@ -65,7 +65,7 @@ from lvf.expr import ExpPoly, as_fraction, encode_exponents, zero_exponents
 from lvf.fields import VectorField, generic_rank
 from lvf.parsing import check_dimension
 
-DEFAULT_TARGET_BOUND = 20000
+TARGET_BOUND = 20000
 _ZERO = Fraction(0)
 
 
@@ -91,12 +91,12 @@ def _ansatz_size(dim: int, max_degree: int, blocks: int) -> int:
     """``blocks * C(dim + max_degree, dim)``, the number of basis fields.
 
     Each factor of the running product is at least 1, so once it
-    passes DEFAULT_TARGET_BOUND the lower bound is returned at once:
+    passes TARGET_BOUND the lower bound is returned at once:
     huge dimensions or degrees cost a few steps, not a huge binomial.
     """
     size = blocks
     for j in range(1, min(dim, max_degree) + 1):
-        if not 0 < size <= DEFAULT_TARGET_BOUND:
+        if not 0 < size <= TARGET_BOUND:
             break
         size = size * (dim + max_degree + 1 - j) // j
     return size
@@ -122,30 +122,36 @@ class AnsatzSpace:
     components: Tuple[int, ...]
 
     def __init__(self, dim, exponents=((),), max_degree=2, components=None):
-        # () stands for the zero vector until the dimension is bounded, so
-        # no table of size dim is built before the checks below
+        # () stands for the zero vector, and the default components (all
+        # of them) are counted, not listed, until the dimension is
+        # bounded: no table of size dim is built before the checks below
         vecs = {exponent_vector(e, dim) for e in exponents}
         if not vecs:
             vecs.add(())
-        comps = set(components) if components is not None else range(dim)
-        if any(not 0 <= c < dim for c in comps):
-            raise LvfError("component index out of range")
+        blocks = dim
+        if components is not None:
+            components = sorted(set(components))
+            if any(not 0 <= c < dim for c in components):
+                raise LvfError("component index out of range")
+            blocks = len(components)
         if int(max_degree) < 0:
             raise LvfError(f"ansatz degree must be at least 0, not {max_degree}")
         # the bound counts the fields of one exponent vector: the vectors
         # are listed one by one, while dimension and degree grow the space
         # as a binomial; solve bounds the rows it builds over all of them
-        if _ansatz_size(dim, int(max_degree), len(comps)) > DEFAULT_TARGET_BOUND:
+        if _ansatz_size(dim, int(max_degree), blocks) > TARGET_BOUND:
             raise LvfError(
                 f"ansatz of degree {max_degree} in dimension {dim} has more "
-                f"than {DEFAULT_TARGET_BOUND} basis fields"
+                f"than {TARGET_BOUND} basis fields"
             )
         check_dimension(dim)
         zero = (Fraction(0),) * dim
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "exponents", tuple(sorted(v or zero for v in vecs)))
         object.__setattr__(self, "max_degree", int(max_degree))
-        object.__setattr__(self, "components", tuple(sorted(comps)))
+        object.__setattr__(
+            self, "components", tuple(range(dim) if components is None else components)
+        )
 
     @cached_property
     def _layout(self):
@@ -251,9 +257,7 @@ class AnsatzSpace:
         return VectorField(comps)
 
     def dimension(self) -> int:
-        # exact: the constructor refused every block above the bound
-        block = _ansatz_size(self.dim, self.max_degree, len(self.components))
-        return len(self.exponents) * block
+        return len(self.exponents) * len(self.components) * self._layout[2]
 
     def describe(self) -> str:
         exps = ", ".join(
@@ -339,7 +343,7 @@ def _known_terms(known: VectorField, components, k_mul: int, d_mul: int):
     return den * e, kc, dk
 
 
-def _build_system(cons, ansatz: AnsatzSpace, target_bound: int, columns=None):
+def _build_system(cons, ansatz: AnsatzSpace, columns=None):
     """The matrix of one constraint over the ansatz basis, in integers.
 
     Returns ``(targets, rows, rhs, images)``: one target key
@@ -349,7 +353,9 @@ def _build_system(cons, ansatz: AnsatzSpace, target_bound: int, columns=None):
     come first; the rows from ``images`` on are target terms that no
     built column reaches, so each is empty with a nonzero right-hand
     side.  With ``columns``, a set of column indices, only the images of
-    those basis fields are built.
+    those basis fields are built.  A build that reaches more than
+    ``TARGET_BOUND`` target keys, read when it runs, raises
+    ``AnsatzExplosion`` at the first key past it.
 
     The rows hold ``int``s: the equations times one positive scale, the
     lcm of the known field's component denominators times the lcm of its
@@ -381,8 +387,8 @@ def _build_system(cons, ansatz: AnsatzSpace, target_bound: int, columns=None):
         if idx is None:
             idx = len(target_index)
             target_index[full] = idx
-            if idx >= target_bound:
-                raise AnsatzExplosion(idx + 1, target_bound)
+            if idx >= TARGET_BOUND:
+                raise AnsatzExplosion(idx + 1, TARGET_BOUND)
             rows.append({})
         return idx
 
@@ -686,7 +692,7 @@ def _solution_ranks(ansatz: AnsatzSpace, free, solved, targets) -> List[int]:
     return ranks
 
 
-def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
+def _staged_solve(constraints, ansatz: AnsatzSpace):
     """Solution set of the constraints, one constraint at a time.
 
     Returns ``(basis, particular, rank, witness, at_point)``.  The
@@ -731,16 +737,17 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
     that holds at the one point has neither.  ``rank`` is the rank of
     the stacked matrix, ``ncols - dim N``, with or without a witness.
 
-    ``target_bound`` bounds the rows built over all stages that are not
-    empty or have a nonzero right-hand side, and the targets of any one
-    build; a constraint decided by its residual builds nothing.  A stage
-    built again counts its second build in place of its first, whose
-    targets it holds, so the count never exceeds the rows of the stacked
-    matrix.  The basis is returned in the reduced form
-    ``_linalg.nullspace`` gives for the stacked matrix, and the
-    particular solution as the one that is zero at each of its free
-    columns, keys ascending, as the stacked ``solve_affine`` gives it:
-    both forms depend only on the solution set, not on N's or P's scale.
+    ``TARGET_BOUND``, read when the call runs, bounds the rows built
+    over all stages that are not empty or have a nonzero right-hand
+    side, and the targets of any one build; a constraint decided by its
+    residual builds nothing.  A stage built again counts its second
+    build in place of its first, whose targets it holds, so the count
+    never exceeds the rows of the stacked matrix.  The basis is returned
+    in the reduced form ``_linalg.nullspace`` gives for the stacked
+    matrix, and the particular solution as the one that is zero at each
+    of its free columns, keys ascending, as the stacked ``solve_affine``
+    gives it: both forms depend only on the solution set, not on N's or
+    P's scale.
     """
     ncols = ansatz.dimension()
     if any(cons.kind == "equals" for cons in constraints):
@@ -764,16 +771,16 @@ def _staged_solve(constraints, ansatz: AnsatzSpace, target_bound: int):
         """The system of ``cons`` over ``support`` (every column when
         None) and the row count with its rows."""
         try:
-            system = _build_system(cons, ansatz, target_bound, support)
+            system = _build_system(cons, ansatz, support)
         except AnsatzExplosion as exc:
-            raise AnsatzExplosion(built + exc.size, target_bound) from None
+            raise AnsatzExplosion(built + exc.size, TARGET_BOUND) from None
         _, rows, rhs, _ = system
         if rhs is None:
             count = built + sum(1 for row in rows if row)
         else:
             count = built + sum(1 for row, b in zip(rows, rhs) if row or b)
-        if count > target_bound:
-            raise AnsatzExplosion(count, target_bound)
+        if count > TARGET_BOUND:
+            raise AnsatzExplosion(count, TARGET_BOUND)
         return system, count
 
     for ci, cons in enumerate(constraints):
@@ -843,11 +850,7 @@ def _to_field(ansatz: AnsatzSpace, vec: Dict[int, Fraction]) -> VectorField:
     return VectorField([ExpPoly.from_terms(ansatz.dim, t) for t in terms])
 
 
-def solve(
-    constraints: Sequence[BracketConstraint],
-    ansatz: AnsatzSpace,
-    target_bound: int = DEFAULT_TARGET_BOUND,
-) -> SolveResult:
+def solve(constraints: Sequence[BracketConstraint], ansatz: AnsatzSpace) -> SolveResult:
     """Exact basis of the solution set of the constraints in the ansatz.
 
     The homogeneous part is always a linear-space basis; with an
@@ -863,7 +866,7 @@ def solve(
             raise LvfError("constraint dimension does not match the ansatz")
 
     ncols = ansatz.dimension()
-    hom, particular, mrank, witness, at_point = _staged_solve(constraints, ansatz, target_bound)
+    hom, particular, mrank, witness, at_point = _staged_solve(constraints, ansatz)
     if witness is not None:
         ci, comp = witness
         detail = f"constraint {ci} has no solution at component {comp + 1}"
@@ -892,20 +895,12 @@ def solve(
     return result
 
 
-def centralizer(
-    algebra: Sequence[VectorField],
-    ansatz: AnsatzSpace,
-    target_bound: int = DEFAULT_TARGET_BOUND,
-) -> SolveResult:
+def centralizer(algebra: Sequence[VectorField], ansatz: AnsatzSpace) -> SolveResult:
     """Solution space of [g, X] = 0 for every g in the algebra."""
     constraints = [BracketConstraint.commutes(g) for g in algebra]
-    return solve(constraints, ansatz, target_bound)
+    return solve(constraints, ansatz)
 
 
-def centralizer_rank(
-    algebra: Sequence[VectorField],
-    ansatz: AnsatzSpace,
-    target_bound: int = DEFAULT_TARGET_BOUND,
-) -> int:
+def centralizer_rank(algebra: Sequence[VectorField], ansatz: AnsatzSpace) -> int:
     """Generic rank of the centralizer inside the ansatz."""
-    return generic_rank(centralizer(algebra, ansatz, target_bound).basis)
+    return generic_rank(centralizer(algebra, ansatz).basis)

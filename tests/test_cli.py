@@ -304,6 +304,8 @@ def test_param_named_like_a_builtin_exit_2(argv):
      "parameter lambda defined twice"),
     (["centralizer", "--form", "heisenberg.2", "--param", "lambda=1", "--param", "lambda=1"],
      "parameter lambda defined twice"),
+    (["bracket", "Dx", "a*Dy", "--param", "a=x"], "not a rational number: 'x'"),
+    (["verify", "--form", "heisenberg.2", "--param", "lambda="], "not a rational number: ''"),
 ])
 def test_bad_or_repeated_param_name_exit_2(argv, message):
     code, out, err = run(argv)
@@ -416,6 +418,15 @@ def test_dimension_below_one_exit_2(tmp_path, argv):
     ("dim 3\ncomponents\nzero : Dx\n", 2, "components lists no component"),
     ("dim 3\ndegree -1\nzero : Dx\n", 2, "ansatz degree must be at least 0, not -1"),
     ("degree two\ndim 3\nzero : Dx\n", 1, "ansatz degree must be an integer, not 'two'"),
+    ("degree 1\ndim three\nzero : Dx\n", 2, "dimension must be an integer, not 'three'"),
+    ("dim three\n", 1, "dimension must be an integer, not 'three'"),
+    # a literal that is no rational, and a params chunk without a value
+    ("dim 3\neigen : Dx\n", 2, "not a rational number: ''"),
+    ("dim 3\neigen one : Dx\n", 2, "not a rational number: 'one'"),
+    ("exponents (0,0,q)\nzero : Dx\n", 1, "not a rational number: 'q'"),
+    ("dim 3\nparams a=x\nzero : a*Dx\n", 2, "not a rational number: 'x'"),
+    ("dim 3\nparams a\nzero : Dx\n", 2, "bad parameter 'a', expected name=p/q"),
+    ("params b=1 a\n", 1, "bad parameter 'a', expected name=p/q"),
     # a parameter named like a builtin is refused at its params line,
     # also when no constraint reads it, against the final dimension
     ("dim 3\nparams x=1\neigen 1: Dx\n", 2, "parameter x named like a builtin"),
@@ -466,6 +477,9 @@ def test_rank_dimension_error_has_no_position():
 @pytest.mark.parametrize("text", [
     "dim 3\ndegree 100000\nzero : Dx\n",
     "dim 99999\ndegree 1\n",
+    # the default components are counted, not listed, before the check
+    "dim 9999999999\n",
+    "dim 99999999999999999999\n",
 ])
 def test_oversized_ansatz_exit_2(tmp_path, text):
     path = tmp_path / "big.lvf"

@@ -144,6 +144,7 @@ import random
 import re
 from fractions import Fraction
 from typing import List
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -172,7 +173,6 @@ from lvf.expr import (
 from lvf.fields import VectorField, _ep_det, _invert, format_field, generic_rank
 from lvf.parsing import parse_field, parse_scalar
 from lvf.solve import (
-    DEFAULT_TARGET_BOUND,
     AnsatzSpace,
     BracketConstraint,
     _build_system,
@@ -1323,7 +1323,7 @@ def test_tall_solve_affine_matches_binary_search(system):
 def test_build_matches_exppoly_loop(system):
     # the stacked order that the witness depends on
     constraints, ansatz = system
-    builds = [_build_system(cons, ansatz, DEFAULT_TARGET_BOUND) for cons in constraints]
+    builds = [_build_system(cons, ansatz) for cons in constraints]
     assert_scaled_build(builds, reference_build(constraints, ansatz))
 
 
@@ -1593,7 +1593,7 @@ def _to_field(vec, ansatz):
 def _check_staged(constraints, ansatz):
     ref, _, ref_rank, _, _ = reference_stacked_solve(constraints, ansatz)
     ref_cols = len(ansatz.basis_keys())
-    staged = _staged_solve(constraints, ansatz, DEFAULT_TARGET_BOUND)[0]
+    staged = _staged_solve(constraints, ansatz)[0]
     assert [list(v.items()) for v in staged] == [list(v.items()) for v in ref]
     result = solve(constraints, ansatz)
     assert (result.matrix_rank, result.ansatz_dim) == (ref_rank, ref_cols)
@@ -1617,12 +1617,12 @@ def test_build_over_columns_restricts_the_full_build(system, data):
     mask = data.draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
     columns = {m for m, keep in enumerate(mask) if keep}
     for cons in constraints:
-        targets, rows, _, _ = _build_system(cons, ansatz, DEFAULT_TARGET_BOUND)
+        targets, rows, _, _ = _build_system(cons, ansatz)
         full = {
             t: {c: v for c, v in row.items() if c in columns}
             for t, row in zip(targets, rows)
         }
-        targets, rows, _, _ = _build_system(cons, ansatz, DEFAULT_TARGET_BOUND, columns)
+        targets, rows, _, _ = _build_system(cons, ansatz, columns)
         assert {t: r for t, r in zip(targets, rows) if r} == {t: r for t, r in full.items() if r}
 
 
@@ -1679,7 +1679,7 @@ def integer_build_systems(draw):
 def test_integer_build_matches_fraction_build(system):
     constraints, ansatz, columns = system
     for cons in constraints:
-        got = _build_system(cons, ansatz, DEFAULT_TARGET_BOUND, columns)
+        got = _build_system(cons, ansatz, columns)
         assert_scaled_build([got], reference_build([cons], ansatz, columns))
 
 
@@ -1765,14 +1765,15 @@ def _check_affine(constraints, ansatz):
     particular solution (values and key order), also at the stacked
     matrix's row count as the target bound."""
     hom, particular, mrank, detail, nrows = reference_stacked_solve(constraints, ansatz)
-    got = _staged_solve(constraints, ansatz, nrows)
+    with mock.patch.object(solve_module, "TARGET_BOUND", nrows):
+        got = _staged_solve(constraints, ansatz)
+        result = solve(constraints, ansatz)
     assert got[2] == mrank
     if detail is not None:
         assert got[:2] == ([], None)
     else:
         assert [list(v.items()) for v in got[0]] == [list(v.items()) for v in hom]
         assert list(got[1].items()) == list(particular.items())
-    result = solve(constraints, ansatz, target_bound=nrows)
     assert (result.inconsistency, result.matrix_rank) == (detail, mrank)
     assert result.ansatz_dim == len(ansatz.basis_keys())
     if detail is None:
@@ -1961,9 +1962,9 @@ def test_one_point_builds_only_the_constraints_it_fails(x0, extras, built, monke
     calls = []
     build = solve_module._build_system
 
-    def recording(cons, ansatz, target_bound, columns=None):
+    def recording(cons, ansatz, columns=None):
         calls.append((constraints.index(cons), columns is None))
-        return build(cons, ansatz, target_bound, columns)
+        return build(cons, ansatz, columns)
 
     monkeypatch.setattr(solve_module, "_build_system", recording)
     solve(constraints, ansatz)
@@ -2220,7 +2221,7 @@ def _graded_of(constraints):
 
 def _build_kernel(cons, ansatz):
     """Kernel of one constraint by the full build and elimination."""
-    _, rows, _, _ = _build_system(cons, ansatz, DEFAULT_TARGET_BOUND)
+    _, rows, _, _ = _build_system(cons, ansatz)
     ncols = len(ansatz.basis_keys())
     return _linalg.reduced_kernel_basis(nullspace(rows, ncols), ncols)
 
@@ -2235,7 +2236,7 @@ def test_graded_kernel_matches_build(system):
     columns = _graded_columns(graded, ansatz)
     assert columns == _weight_columns(graded, ansatz)
     assert set().union(*ref) <= set(columns)
-    got = _staged_solve([cons], ansatz, DEFAULT_TARGET_BOUND)[0]
+    got = _staged_solve([cons], ansatz)[0]
     assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
 
 
@@ -2250,7 +2251,7 @@ def test_graded_lists_match_stacked(system):
     columns = _graded_columns(graded, ansatz)
     assert columns == _weight_columns(graded, ansatz)
     assert set().union(*ref) <= set(columns)
-    got = _staged_solve(constraints, ansatz, DEFAULT_TARGET_BOUND)[0]
+    got = _staged_solve(constraints, ansatz)[0]
     assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
 
 
@@ -2278,7 +2279,7 @@ def test_two_constant_terms_keep_the_weight_columns():
     assert ansatz.column(2, zero_exponents(3), (1, 0, 0)) in columns
     ref = _build_kernel(cons, ansatz)
     assert set().union(*ref) <= set(columns)
-    got = _staged_solve([cons], ansatz, DEFAULT_TARGET_BOUND)[0]
+    got = _staged_solve([cons], ansatz)[0]
     assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
 
 
@@ -2460,12 +2461,12 @@ def test_ungraded_fields_take_the_build(text, monkeypatch):
     built = []
     build = solve_module._build_system
 
-    def counting(cons, ansatz, target_bound, columns):
+    def counting(cons, ansatz, columns):
         built.append(columns)
-        return build(cons, ansatz, target_bound, columns)
+        return build(cons, ansatz, columns)
 
     monkeypatch.setattr(solve_module, "_build_system", counting)
-    got = _staged_solve([cons], ansatz, DEFAULT_TARGET_BOUND)[0]
+    got = _staged_solve([cons], ansatz)[0]
     # no graded constraint: the one build covers every column
     assert built == [None]
     assert [list(v.items()) for v in got] == [
@@ -2694,15 +2695,15 @@ def test_build_reads_kept_partials(system, data):
         lambda k: knowns[-1].bracket(k),
         lambda k: k.apply(k.components[-1]),
         lambda k: [c.diff(j) for c in k.components for j in range(k.dim)],
-        lambda k: [_build_system(c, ansatz, DEFAULT_TARGET_BOUND, columns) for c in constraints],
+        lambda k: [_build_system(c, ansatz, columns) for c in constraints],
     ]
     for i in data.draw(st.permutations(range(len(knowns)))):
         data.draw(st.sampled_from(uses))(knowns[i])
     cold = [dataclasses.replace(c, known=cold_copy(c.known)) for c in constraints]
     for cons, cold_cons in zip(constraints, cold):
-        want = _build_system(cold_cons, ansatz, DEFAULT_TARGET_BOUND, columns)
+        want = _build_system(cold_cons, ansatz, columns)
         for _ in range(2):
-            got = _build_system(cons, ansatz, DEFAULT_TARGET_BOUND, columns)
+            got = _build_system(cons, ansatz, columns)
             assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
             assert [list(r.items()) for r in got[1]] == [list(r.items()) for r in want[1]]
         assert_scaled_build([got], reference_build([cold_cons], ansatz, columns))

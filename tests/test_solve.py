@@ -66,13 +66,12 @@ class TestContracts:
                 AnsatzSpace(3, max_degree=1),
             )
 
-    def test_explosion_bound(self):
+    def test_explosion_bound(self, monkeypatch):
+        # built before the bound is lowered: the constructor reads it too
+        ansatz = AnsatzSpace(3, max_degree=4)
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", 10)
         with pytest.raises(AnsatzExplosion):
-            solve(
-                [BracketConstraint.commutes(F("x*y*z*Dx"))],
-                AnsatzSpace(3, max_degree=4),
-                target_bound=10,
-            )
+            solve([BracketConstraint.commutes(F("x*y*z*Dx"))], ansatz)
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -131,9 +130,11 @@ class TestContracts:
         solve(cons, ansatz)
         assert len(rows_built) == 2
         total = sum(rows_built)
-        solve(cons, ansatz, target_bound=total)
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", total)
+        solve(cons, ansatz)
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", total - 1)
         with pytest.raises(AnsatzExplosion) as info:
-            solve(cons, ansatz, target_bound=total - 1)
+            solve(cons, ansatz)
         assert (info.value.size, info.value.bound) == (total, total - 1)
 
     def test_target_bound_counts_graded_rows(self, monkeypatch):
@@ -160,9 +161,11 @@ class TestContracts:
         assert rows_built == [10, 0]
         assert eliminated == [2]
         total = sum(rows_built)
-        solve(cons, ansatz, target_bound=total)
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", total)
+        solve(cons, ansatz)
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", total - 1)
         with pytest.raises(AnsatzExplosion) as info:
-            solve(cons, ansatz, target_bound=total - 1)
+            solve(cons, ansatz)
         assert (info.value.size, info.value.bound) == (total, total - 1)
 
     @staticmethod
@@ -173,8 +176,8 @@ class TestContracts:
         builds = []
         build = solve_module._build_system
 
-        def counting(cons, ansatz, target_bound, columns=None):
-            out = build(cons, ansatz, target_bound, columns)
+        def counting(cons, ansatz, columns=None):
+            out = build(cons, ansatz, columns)
             _, rows, rhs, _ = out
             kept = sum(1 for row, b in zip(rows, rhs or [0] * len(rows)) if row or b)
             builds.append((id(cons), columns, kept))
@@ -224,14 +227,18 @@ class TestContracts:
         # a build made again counts in place of the first
         counted = {key: kept for key, _, kept in builds}
         total = sum(counted.values())
-        assert solve(cons, ansatz, target_bound=total).inconsistency == first.inconsistency
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", total)
+        assert solve(cons, ansatz).inconsistency == first.inconsistency
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", total - 1)
         with pytest.raises(AnsatzExplosion) as info:
-            solve(cons, ansatz, target_bound=total - 1)
+            solve(cons, ansatz)
         assert (info.value.size, info.value.bound) == (total, total - 1)
         # the stacked matrix has more rows: a bound it met is met
-        stacked = sum(len(solve_module._build_system(c, ansatz, 10 ** 6)[0]) for c in cons)
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", 10 ** 6)
+        stacked = sum(len(solve_module._build_system(c, ansatz)[0]) for c in cons)
         assert total < stacked
-        assert solve(cons, ansatz, target_bound=stacked).inconsistency == first.inconsistency
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", stacked)
+        assert solve(cons, ansatz).inconsistency == first.inconsistency
 
     def test_constraint_order_gives_the_same_basis(self):
         ansatz = AnsatzSpace(3, max_degree=2)
@@ -281,6 +288,17 @@ class TestAnsatzSpace:
         assert AnsatzSpace(3, [(0, 0, q) for q in range(5)], 19).dimension() == 23100
         with pytest.raises(LvfError, match="more than 20000 basis fields"):
             AnsatzSpace(3, max_degree=33)
+
+    @pytest.mark.parametrize("dim", [10 ** 10, 10 ** 20])
+    def test_huge_dimension_refused_at_once(self, dim):
+        # every component by default: counted, never listed
+        with pytest.raises(LvfError, match="more than 20000 basis fields"):
+            AnsatzSpace(dim)
+
+    def test_dimension_does_not_read_the_bound(self, monkeypatch):
+        ansatz = AnsatzSpace(3, max_degree=4)
+        monkeypatch.setattr(solve_module, "TARGET_BOUND", 10)
+        assert ansatz.dimension() == len(ansatz.basis_keys()) == 105
 
     def test_zero_exponent_forms_are_one_block(self):
         ansatz = AnsatzSpace(3, [(), (0, 0, 0), (Fraction(0), 0, 0)], 1)
