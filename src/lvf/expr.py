@@ -16,10 +16,9 @@ Equal values therefore have equal storage, so equality and hashing are
 structural.  Every ring operation, derivative and derivation runs on
 the integer kernels of ``_kernels`` and ends in one normalise step;
 ``Fraction`` appears only where rationals come in (:meth:`ExpPoly.from_terms`)
-or go out (:meth:`ExpPoly.rational_terms`, :meth:`ExpPoly.term_map`,
-printing).  Only this module reads the storage; :meth:`ExpPoly.integer_terms`
-hands it out read-only, for the integer rows of the constraint build
-and of the span tracker.
+or go out (:meth:`ExpPoly.term_map`, printing).  Only this module reads
+the storage; :meth:`ExpPoly.integer_terms` hands it out read-only, for
+the integer rows of the constraint build and of the span tracker.
 
 A value computes its integer partial derivative along a coordinate
 when it is first asked for it, and keeps it (:meth:`ExpPoly.integer_partial`):
@@ -39,7 +38,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from lvf import _kernels as K
 from lvf.errors import DimensionMismatch, LvfError, ParameterizedInput, UnassignedParameter
@@ -200,18 +199,6 @@ class ExpPoly:
         view = self.term_map()
         for exp, mono in sorted(view):
             yield decode_exponents(exp), mono, view[(exp, mono)]
-
-    def rational_terms(self) -> List[Tuple[Tuple[Exponents, Tuple[int, ...]], Rational]]:
-        """``((exponents, monomial), coefficient)`` of every term of a
-        parameter-free value, in storage order; ParameterizedInput when
-        a parameter occurs.  A coefficient is an exact rational: the
-        ``int`` itself over the denominator 1, else a ``Fraction``."""
-        if not self.is_parameter_free():
-            raise ParameterizedInput(f"substitute parameters first: {list(self.params())}")
-        den = self._den
-        if den == 1:
-            return [((exp, mono), v) for (exp, mono, _), v in self._num.items()]
-        return [((exp, mono), Fraction(v, den)) for (exp, mono, _), v in self._num.items()]
 
     def integer_terms(self) -> Tuple[Dict[TermKey, int], int]:
         """The storage of a parameter-free value, which the caller must

@@ -31,14 +31,16 @@ H = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0 (every Cartan element of
 the obstruction pipeline), confines every solution of a homogeneous
 system to the basis fields of one weight, wherever its constraint
 stands: the first stage starts on the columns all graded constraints
-keep, and every constraint then takes the same build.  ad H lowers the
-degree of each coordinate i with b_i != 0, and when that coordinate is
-the only one (a translation such as ``Dy``), the lowering is injective
-on the fields with m_i > 0, so every solution has m_i = 0: the kept
-columns are then exactly that constraint's kernel.  Those columns are
-the lattice points of the degree simplex that solve the weight
-equations and these m_i = 0, walked from one echelon form of their
-rows, so no other monomial is visited.  Columns are computed by
+keep, and every constraint then takes the same build.  The weights a,
+b and the eigenvalue are read in integers on one positive scale, from
+the integer terms of H that the build reads (``_known_terms``).  ad H
+lowers the degree of each coordinate i with b_i != 0, and when that
+coordinate is the only one (a translation such as ``Dy``), the
+lowering is injective on the fields with m_i > 0, so every solution has
+m_i = 0: the kept columns are then exactly that constraint's kernel.
+Those columns are the lattice points of the degree simplex that solve
+the weight equations and these m_i = 0, walked from one echelon form
+of their rows, so no other monomial is visited.  Columns are computed by
 arithmetic from a basis field's component, block and monomial rank,
 and back: a monomial's rank is its index in the combinatorial number
 system, and a block's monomial list is built only for a build or a
@@ -66,7 +68,6 @@ from lvf.fields import VectorField, generic_rank
 from lvf.parsing import check_dimension
 
 TARGET_BOUND = 20000
-_ZERO = Fraction(0)
 
 
 def _simplex(dim: int, max_degree: int):
@@ -205,13 +206,6 @@ class AnsatzSpace:
         at = block[exp] * size
         stride = len(encoded) * size
         return [(c, p * stride + at) for p, c in enumerate(self.components)]
-
-    def column(self, comp: int, exp: tuple, mono: tuple) -> int:
-        """The column of ``(comp, exp, mono)``: by component, then block in
-        ``exponents`` order, then monomial, as ``basis_keys`` lists them."""
-        encoded, block, size = self._layout
-        at = self.components.index(comp) * len(encoded) + block[exp]
-        return at * size + self.rank(mono)
 
     def key(self, col: int) -> Tuple[int, tuple, tuple]:
         """The basis key ``(comp, exp, mono)`` of column ``col``."""
@@ -392,7 +386,7 @@ def _build_system(cons, ansatz: AnsatzSpace, columns=None):
             rows.append({})
         return idx
 
-    eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else _ZERO
+    eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else 0
     # the equation's own denominator: the eigenvalue's, or the lcm of the
     # target's component denominators (an equals constraint has
     # eigenvalue 0)
@@ -556,32 +550,39 @@ def _cut(rows, rhs, basis, particular):
     return [_combine(w, basis) for w in kernel], _combine(step, basis + [particular])
 
 
-def _graded_weights(known: VectorField):
-    """``(a, b)`` when known = sum_j (a_j x_j + b_j) d_j with a_j b_j = 0
-    for every j, else None.  ``known`` is parameter-free (``solve``
-    refuses any other)."""
-    zero = zero_exponents(known.dim)
-    a = [Fraction(0)] * known.dim
-    b = [Fraction(0)] * known.dim
-    for j, comp in enumerate(known.components):
-        for (exp, mono), c in comp.rational_terms():
+def _graded_weights(cons):
+    """``(a, b, c)`` in integers, all times one positive scale, when
+    ``cons`` reads [H, X] = cX (c = 0 unless it is an eigen constraint)
+    with H = sum_j (a_j x_j + b_j) d_j and a_j b_j = 0 for every j, else
+    None.  H is read as the build reads it (``_known_terms``), scaled by
+    the eigenvalue's denominator, so c is the eigenvalue's numerator
+    times the known field's scale.  ``cons.known`` is parameter-free
+    (``solve`` refuses any other)."""
+    eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else 0
+    scale, kc, _ = _known_terms(cons.known, (), eig.denominator, 0)
+    zero = zero_exponents(cons.known.dim)
+    a = [0] * len(kc)
+    b = [0] * len(kc)
+    for j, terms in enumerate(kc):
+        for exp, mono, v in terms:
             if exp != zero:
                 return None
             if not any(mono):
-                b[j] = c
+                b[j] = v
             elif mono[j] == 1 and sum(mono) == 1:
-                a[j] = c
+                a[j] = v
             else:
                 return None
         if a[j] and b[j]:
             return None
-    return a, b
+    return a, b, eig.numerator * scale
 
 
 def _graded_columns(graded, ansatz: AnsatzSpace):
     """Sorted columns on which the graded constraints ``graded``, given
-    as ``(a, b, c)`` for [H, X] = cX with H = sum_j (a_j x_j + b_j) d_j
-    (see ``_graded_weights``), can have a common solution.
+    as integer ``(a, b, c)`` for [H, X] = cX with H = sum_j (a_j x_j +
+    b_j) d_j, each triple on its own positive scale (see
+    ``_graded_weights``), can have a common solution.
 
     On f = x^m e^(q.x) the bracket splits as
       [H, f d_c] = (a.m + b.q - a_c) f d_c + (sum_i a_i q_i x_i) f d_c
@@ -615,20 +616,13 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
     no pivot row that is the whole simplex, walked once per call.
     """
     dim = ansatz.dim
-    scaled = []
-    for a, b, c in graded:
-        # integer weights: everything scaled by the common denominator
-        scale = math.lcm(c.denominator, *(v.denominator for v in a + b))
-        ia = [v.numerator * (scale // v.denominator) for v in a]
-        ib = [v.numerator * (scale // v.denominator) for v in b]
-        scaled.append((ia, ib, c.numerator * (scale // c.denominator)))
     table: Dict[int, Dict[int, int]] = {}
-    for k, (ia, _, _) in enumerate(scaled):
-        row = {j: v for j, v in enumerate(ia) if v}
+    for k, (a, _, _) in enumerate(graded):
+        row = {j: v for j, v in enumerate(a) if v}
         row[dim + k] = 1
         K.echelon_insert(table, row)
-    for _, ib, _ in scaled:
-        constant = [j for j, v in enumerate(ib) if v]
+    for _, b, _ in graded:
+        constant = [j for j, v in enumerate(b) if v]
         if len(constant) == 1:
             # m_i = 0: the unit row carries no n_k
             K.echelon_insert(table, {constant[0]: 1})
@@ -639,7 +633,7 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
     checks, solved = [], []
     for p in sorted(table):
         row = table[p]
-        combo = [row.get(dim + k, 0) for k in range(len(scaled))]
+        combo = [row.get(dim + k, 0) for k in range(len(graded))]
         if p >= dim:
             checks.append(combo)
         else:
@@ -649,14 +643,14 @@ def _graded_columns(graded, ansatz: AnsatzSpace):
     walked: Dict[tuple, List[int]] = {}
     for exp in encoded:
         den, nums = exp[0], exp[1:]
-        if any(x and n for ia, _, _ in scaled for x, n in zip(ia, nums)):
+        if any(x and n for a, _, _ in graded for x, n in zip(a, nums)):
             continue
         # weight c: a.m = a_c + c - b.q, an integer only where b.q is
-        bq = [divmod(sum(map(mul, ib, nums)), den) for _, ib, _ in scaled]
+        bq = [divmod(sum(map(mul, b, nums)), den) for _, b, _ in graded]
         if any(rem for _, rem in bq):
             continue
         for comp, start in ansatz.starts(exp):
-            n = [ia[comp] + ic - q for (ia, _, ic), (q, _) in zip(scaled, bq)]
+            n = [a[comp] + c - q for (a, _, c), (q, _) in zip(graded, bq)]
             if any(sum(map(mul, combo, n)) for combo in checks):
                 continue
             # the kept ranks depend only on the pivot rows' right-hand sides
@@ -753,12 +747,7 @@ def _staged_solve(constraints, ansatz: AnsatzSpace):
     if any(cons.kind == "equals" for cons in constraints):
         particular, columns = {ncols: 1}, range(ncols)
     else:
-        graded = []
-        for cons in constraints:
-            weights = _graded_weights(cons.known)
-            if weights is not None:
-                eig = as_fraction(cons.eigenvalue) if cons.kind == "eigen" else _ZERO
-                graded.append((*weights, eig))
+        graded = [w for w in map(_graded_weights, constraints) if w is not None]
         particular = None
         columns = _graded_columns(graded, ansatz) if graded else range(ncols)
     basis = [{m: 1} for m in columns]

@@ -96,23 +96,25 @@ against the earlier search through every k x k minor, largest k first,
 on random families with parameters and exponentials, many of them
 rank-deficient by construction.
 
-The column of an ansatz basis field, computed by arithmetic, and its
-inverse are checked against the key table every ansatz once built over
-all its columns (``reference_columns``), on spaces whose exponent
-vectors sort differently as ``Fraction`` tuples and encoded, and a
-monomial's rank and its inverse against ``solve._monomials`` in
-dimensions 1-5 and in dimension 3 up to degree 32.
+The columns of an ansatz's basis fields, computed by arithmetic
+(``starts``), and their inverse (``key``) are checked against the key
+table every ansatz once built over all its columns
+(``reference_columns``), on spaces whose exponent vectors sort
+differently as ``Fraction`` tuples and encoded, and a monomial's rank
+and its inverse against ``solve._monomials`` in dimensions 1-5 and in
+dimension 3 up to degree 32.
 
 The graded start, which walks only the solutions of the weight
 equations, is checked against the ``Fraction`` weight of every key
 (``_weight_columns``, which drops m_i > 0 when b has one constant term
-b_i): degrees 0-10, weight rows of rank 0-3, lists shaped like the
-obstruction's (two Cartan elements and two translations), fractional
-weights and eigenvalues, and exponent denominators 2 and 3.  For one
-constraint with at most one constant term the kept columns are checked
-to be exactly its kernel, and ``[Dx + Dy, X] = 0``, whose kernel holds
-``(x - y)*Dz``, to keep ``x*Dz``.  A graded solve never lists a block's
-monomials.
+b_i), with each rational triple handed to ``_graded_columns`` in
+integers (``_integer_triples``): degrees 0-10, weight rows of rank
+0-3, lists shaped like the obstruction's (two Cartan elements and two
+translations), fractional weights and eigenvalues, and exponent
+denominators 2 and 3.  For one constraint with at most one constant
+term the kept columns are checked to be exactly its kernel, and
+``[Dx + Dy, X] = 0``, whose kernel holds ``(x - y)*Dz``, to keep
+``x*Dz``.  A graded solve never lists a block's monomials.
 
 A build takes one constraint.  Each build is checked against
 ``reference_build`` of that constraint alone: the same targets (less
@@ -546,8 +548,8 @@ def _field_keys(field: VectorField):
     """``((component, exp, mono), value)`` of every term of a field, in
     storage order: the ``Fraction`` right-hand side the builds read."""
     for i, comp in enumerate(field.components):
-        for (exp, mono), c in comp.rational_terms():
-            yield (i, exp, mono), c
+        for (exp, mono), pp in comp.term_map().items():
+            yield (i, exp, mono), pp[()]
 
 
 def assert_scaled_build(builds, ref):
@@ -1081,12 +1083,10 @@ class ReferenceParser:
 
     def _make_exponential(self, arg, pos):
         qvec = [Fraction(0)] * self.dim
-        try:
-            terms = arg.rational_terms()
-        except ParameterizedInput:
-            raise ParseError("exponent must not contain parameters", pos) from None
+        if not arg.is_parameter_free():
+            raise ParseError("exponent must not contain parameters", pos)
         zero = zero_exponents(self.dim)
-        for (exp, mono), c in sorted(terms):
+        for (exp, mono), pp in sorted(arg.term_map().items()):
             if exp != zero:
                 raise ParseError("nested exponentials are not allowed", pos)
             total = sum(mono)
@@ -1094,7 +1094,7 @@ class ReferenceParser:
                 raise ParseError("exponent must have no constant term", pos)
             if total > 1:
                 raise ParseError("exponent must be linear in the coordinates", pos)
-            qvec[mono.index(1)] += c
+            qvec[mono.index(1)] += pp[()]
         return exponential(self.dim, qvec)
 
     def parse(self, text):
@@ -1363,20 +1363,20 @@ def test_span_tracker_matches_reference(fields):
 
 class FractionRowSpanTracker(SpanTracker):
     """The tracker on the rows it built before it read integer storage:
-    one ``Fraction`` per term from ``rational_terms()`` and a
+    one ``Fraction`` per term from ``term_map()`` and a
     ``Fraction(1)`` marker, which ``echelon_insert`` scales to
     integers."""
 
     def _vectorize(self, field, idx):
         vec = {}
         for i, comp in enumerate(field.components):
-            for (exp, mono), c in comp.rational_terms():
+            for (exp, mono), pp in comp.term_map().items():
                 key = (i, exp, mono)
                 col = self.key_index.get(key)
                 if col is None:
                     col = -1 - len(self.key_index)
                     self.key_index[key] = col
-                vec[col] = Fraction(c)
+                vec[col] = pp[()]
         vec[idx] = Fraction(1)
         return vec
 
@@ -2128,7 +2128,6 @@ def test_column_mapping_matches_key_table(ansatz, data):
     ranks = {mono: r for r, mono in enumerate(sorted({key[2] for key in keys}))}
     for m, (c, exp, mono) in enumerate(keys):
         assert ansatz.key(m) == (c, exp, mono)
-        assert ansatz.column(c, exp, mono) == m
         r = ranks[mono]
         assert ansatz.rank(mono) == r and ansatz.monomial(r) == mono
         assert [(comp, start + r) for comp, start in ansatz.starts(exp)] == [
@@ -2164,7 +2163,6 @@ def test_ranks_match_the_monomial_list(dim, degrees):
         keys = [(c, exp, mono) for c in ansatz.components for exp in encoded for mono in monos]
         assert ansatz.basis_keys() == keys
         assert [ansatz.key(m) for m in range(len(keys))] == keys
-        assert [ansatz.column(*key) for key in keys] == list(range(len(keys)))
         pairs = list(enumerate(monos))
         assert ansatz.blocks() == {exp: pairs for exp in sorted(encoded)}
         # runs of two columns and gaps, in the last block of the last component
@@ -2210,12 +2208,17 @@ def _weight_columns(graded, ansatz):
 
 
 def _graded_of(constraints):
-    """The ``(a, b, c)`` of the graded constraints, in order."""
+    """The integer ``(a, b, c)`` of the graded constraints, in order."""
+    return [w for w in map(_graded_weights, constraints) if w is not None]
+
+
+def _integer_triples(graded):
+    """Each rational ``(a, b, c)`` times the lcm of its denominators: the
+    integer form that ``_graded_weights`` gives ``_graded_columns``."""
     out = []
-    for cons in constraints:
-        weights = _graded_weights(cons.known)
-        if weights is not None:
-            out.append((*weights, cons.eigenvalue))
+    for a, b, c in graded:
+        scale = math.lcm(*(Fraction(v).denominator for v in (*a, *b, c)))
+        out.append(([int(v * scale) for v in a], [int(v * scale) for v in b], int(c * scale)))
     return out
 
 
@@ -2276,7 +2279,7 @@ def test_two_constant_terms_keep_the_weight_columns():
     cons = BracketConstraint.commutes(parse_field("Dx + Dy"))
     assert cons.residual(parse_field("(x - y)*Dz")).is_zero()
     columns = _graded_columns(_graded_of([cons]), ansatz)
-    assert ansatz.column(2, zero_exponents(3), (1, 0, 0)) in columns
+    assert ansatz.basis_keys().index((2, zero_exponents(3), (1, 0, 0))) in columns
     ref = _build_kernel(cons, ansatz)
     assert set().union(*ref) <= set(columns)
     got = _staged_solve([cons], ansatz)[0]
@@ -2386,7 +2389,7 @@ def g2_shaped_systems(draw):
 @given(st.one_of(weight_systems(), g2_shaped_systems()))
 def test_graded_columns_match_weight_reference(system):
     graded, ansatz = system
-    assert _graded_columns(graded, ansatz) == _weight_columns(graded, ansatz)
+    assert _graded_columns(_integer_triples(graded), ansatz) == _weight_columns(graded, ansatz)
 
 
 # (a rows, b rows, block, component, monomial) with weight rows of rank
@@ -2418,10 +2421,10 @@ def test_graded_columns_by_weight_rank(weights):
     graded = [(a, b, _weight(a, b, key)) for a, b in zip(a_rows, b_rows)]
     for degree in range(11):
         ansatz = AnsatzSpace(3, exponents, degree)
-        columns = _graded_columns(graded, ansatz)
+        columns = _graded_columns(_integer_triples(graded), ansatz)
         assert columns == _weight_columns(graded, ansatz)
         if degree >= sum(mono):
-            assert ansatz.column(*key) in columns
+            assert ansatz.basis_keys().index(key) in columns
 
 
 def test_graded_solve_builds_no_monomial_table(monkeypatch):
@@ -2457,7 +2460,7 @@ def test_graded_solve_builds_no_monomial_table(monkeypatch):
 def test_ungraded_fields_take_the_build(text, monkeypatch):
     cons = BracketConstraint.commutes(parse_field(text))
     ansatz = AnsatzSpace(3, [(0, 0, 0), (1, 0, 0)], 2)
-    assert _graded_weights(cons.known) is None
+    assert _graded_weights(cons) is None
     built = []
     build = solve_module._build_system
 

@@ -35,7 +35,10 @@ row meets a field the first constraint pinned to 0 (exit 1).  The
 one constant term b_i d_i fixed m_i = 0 in the graded start, hold
 ``[Dx, X] = X`` and ``[Dy, X] = 0`` with a Cartan element over
 exponent blocks, so the lowered coordinate carries an exponent and an
-eigenvalue that is not 0.  The
+eigenvalue that is not 0.  The ``solve_graded_fractional`` files,
+captured before the graded start read its weights as integers, hold a
+graded system whose Cartan element, translation and eigenvalue have
+denominators 2, 3 and 4.  The
 ``verify_all.txt`` and ``verify_tampered.txt`` files were captured before
 the relation residuals and the structure tensor began reading their
 brackets from the bracket closure; ``verify_tampered.lvf`` is the
@@ -92,6 +95,8 @@ CASES = [
     (["verify", "--all"], "verify_all.txt", 0),
     (["solve", str(GOLDEN / "solve_staged.lvf")], "solve_staged.txt", 0),
     (["solve", str(GOLDEN / "solve_graded.lvf")], "solve_graded.txt", 0),
+    (["solve", str(GOLDEN / "solve_graded_fractional.lvf")],
+     "solve_graded_fractional.txt", 0),
     (["g2-check", "--form", "3", "--max-degree", "10", "--verbose", "--control"],
      "g2_form3_deg10_verbose_control.txt", 0),
     (["solve", str(GOLDEN / "solve_equals.lvf")], "solve_equals.txt", 0),
